@@ -182,7 +182,9 @@ def _check_bundles(u: ControlProcess, fwd: ForwardTrajectories, noise: NoiseBund
         raise GridMismatchError("forward trajectories and noise have different path counts")
     if not np.array_equal(fwd.control.values, u.values):
         raise GridMismatchError("forward trajectories were simulated under a different control")
-    if fwd.noise is not noise and not np.array_equal(fwd.noise.dW[:, 0], noise.dW[:, 0]):
+    if fwd.noise is not noise and not (
+        np.array_equal(fwd.noise.dW, noise.dW) and np.array_equal(fwd.noise.dY, noise.dY)
+    ):
         raise GridMismatchError("forward trajectories were simulated under different noise")
 
 
@@ -258,10 +260,12 @@ def solve_adjoint(
 ) -> AdjointTrajectories:
     """Solve the multiplier system along a given admissible pair.
 
-    Order: the scalar value system (r, R1, R2) first, because R2 enters the
-    Hamiltonian partials through the shifted slot; then the forward k
-    equation (whose drift and diffusions involve no other multiplier); then
-    the backward p system, which consumes both.  Increments of the rotated
+    Order: the forward k equation first (its drift and diffusions involve
+    no other multiplier); then one reversed sweep that, per step, solves
+    the scalar value system (r, R1, R2) and then the backward p system,
+    which consumes k and, through the shifted slot of the Hamiltonian
+    partials, R2.  Both backward systems regress on the same state sample,
+    so each step factorizes its design once.  Increments of the rotated
     observation noise are reconstructed pathwise as dY - h dt.
     """
     _check_bundles(u, fwd, noise)
@@ -273,37 +277,9 @@ def solve_adjoint(
     dt = grid.dt
     times = grid.times
 
-    diag = RegressionDiagnostics(
-        basis_degree=basis.degree, basis_size=basis.size(spec.dim_x)
-    )
-
     h_all = np.empty((N, P))
     for i in range(N):
         h_all[i] = _bcast(spec.observation_h.value(times[i], fwd.x[i], u.values[i]), P)
-
-    # value system: dr = -l dt + R1 dW + R2 dW^u, r(T) = Phi(x(T))
-    r = np.empty((N + 1, P))
-    R1 = np.empty((N, P))
-    R2 = np.empty((N, P))
-    r[N] = _bcast(spec.terminal_Phi.value(fwd.x[N]), P)
-    for i in reversed(range(N)):
-        xi = fwd.x[i]
-        step = _StepFit(xi, basis)
-        r_next = r[i + 1]
-        r_hat, _ = step.fit(r_next)
-        resid = r_next - r_hat
-        fitted_R, _ = step.fit(
-            np.column_stack([resid * noise.dW[:, i], resid * noise.dY[:, i]])
-        )
-        R1[i] = fitted_R[:, 0] / dt
-        R2[i] = fitted_R[:, 1] / dt
-        l_val = _bcast(
-            spec.running_l.value(times[i], xi, bwd.y[i], bwd.z1[i], bwd.z2[i], u.values[i]),
-            P,
-        )
-        r[i] = r_hat + (l_val + R2[i] * h_all[i]) * dt
-        diag.condition_numbers.append(step.condition)
-        diag.residual_rms.append(float(np.sqrt(np.mean((r_next - r_hat) ** 2))))
 
     # forward multiplier: dk = -H_y dt - H_z1 dW - H_z2 dW^u, k(0) = -gamma_y(y(0))
     k = np.empty((N + 1, P, m))
@@ -323,21 +299,41 @@ def solve_adjoint(
         dwu = noise.dY[:, i] - h_all[i] * dt
         k[i + 1] = ki - h_y * dt - h_z1 * noise.dW[:, i, None] - h_z2 * dwu[:, None]
 
+    # value system: dr = -l dt + R1 dW + R2 dW^u, r(T) = Phi(x(T))
+    r = np.empty((N + 1, P))
+    R1 = np.empty((N, P))
+    R2 = np.empty((N, P))
+    r[N] = _bcast(spec.terminal_Phi.value(fwd.x[N]), P)
     # state multiplier: dp = -H_x dt + q1 dW + q2 dW^u,
     # p(T) = Phi_x(x(T)) - phi_x(x(T))^T k(T)
     p = np.empty((N + 1, P, n))
     q1 = np.empty((N, P, n))
     q2 = np.empty((N, P, n))
-    phi_x = _bcast(spec.terminal_phi.dx(fwd.x[N]), P, m, n)
-    p[N] = _bcast(spec.terminal_Phi.dx(fwd.x[N]), P, n) - np.einsum(
-        "pij,pi->pj", phi_x, k[N]
+    p[N] = _bcast(spec.terminal_Phi.dx(fwd.x[N]), P, n) - ham.vjp(
+        k[N], spec.terminal_phi.dx(fwd.x[N]), P, m, n
     )
+    diag = RegressionDiagnostics(basis_degree=basis.degree, basis_size=basis.size(n))
+    p_conditions, p_residuals = [], []
     for i in reversed(range(N)):
         t = times[i]
         xi = fwd.x[i]
         yi, z1i, z2i = bwd.y[i], bwd.z1[i], bwd.z2[i]
         ui = u.values[i]
         step = _StepFit(xi, basis)
+
+        r_next = r[i + 1]
+        r_hat, _ = step.fit(r_next)
+        resid = r_next - r_hat
+        fitted_R, _ = step.fit(
+            np.column_stack([resid * noise.dW[:, i], resid * noise.dY[:, i]])
+        )
+        R1[i] = fitted_R[:, 0] / dt
+        R2[i] = fitted_R[:, 1] / dt
+        l_val = _bcast(spec.running_l.value(t, xi, yi, z1i, z2i, ui), P)
+        r[i] = r_hat + (l_val + R2[i] * h_all[i]) * dt
+        diag.condition_numbers.append(step.condition)
+        diag.residual_rms.append(float(np.sqrt(np.mean((r_next - r_hat) ** 2))))
+
         p_next = p[i + 1]
         p_hat, _ = step.fit(p_next)
         resid = p_next - p_hat
@@ -358,45 +354,10 @@ def solve_adjoint(
                 raise FbsdeError(f"non-finite Hamiltonian partial H_x at step {i}")
             p_arg = p_hat + (h_x + q2h) * dt
         p[i] = p_arg
-        diag.condition_numbers.append(step.condition)
-        diag.residual_rms.append(float(np.sqrt(np.mean((p_next - p_hat) ** 2))))
+        p_conditions.append(step.condition)
+        p_residuals.append(float(np.sqrt(np.mean((p_next - p_hat) ** 2))))
 
+    # every r fit first, then every p fit, each list from the last step back
+    diag.condition_numbers += p_conditions
+    diag.residual_rms += p_residuals
     return AdjointTrajectories(k=k, p=p, q1=q1, q2=q2, r=r, R1=R1, R2=R2, diagnostics=diag)
-
-
-def backward_to_csv(bwd: BackwardTrajectories, path: str) -> None:
-    n_nodes, P, m = bwd.y.shape
-    with open(path, "w", newline="") as handle:
-        cols = (
-            [f"y{j}" for j in range(m)]
-            + [f"z1_{j}" for j in range(m)]
-            + [f"z2_{j}" for j in range(m)]
-        )
-        handle.write("path,step," + ",".join(cols) + "\n")
-        for pth in range(P):
-            for i in range(n_nodes):
-                ys = ",".join(repr(float(v)) for v in bwd.y[i, pth])
-                if i < n_nodes - 1:
-                    zs = ",".join(
-                        repr(float(v)) for v in np.concatenate([bwd.z1[i, pth], bwd.z2[i, pth]])
-                    )
-                else:
-                    zs = ",".join(["nan"] * (2 * m))
-                handle.write(f"{pth},{i},{ys},{zs}\n")
-
-
-def adjoint_to_csv(adj: AdjointTrajectories, path: str) -> None:
-    n_nodes, P, m = adj.k.shape
-    n = adj.p.shape[2]
-    with open(path, "w", newline="") as handle:
-        cols = (
-            [f"k{j}" for j in range(m)]
-            + [f"p{j}" for j in range(n)]
-            + ["r"]
-        )
-        handle.write("path,step," + ",".join(cols) + "\n")
-        for pth in range(P):
-            for i in range(n_nodes):
-                ks = ",".join(repr(float(v)) for v in adj.k[i, pth])
-                ps = ",".join(repr(float(v)) for v in adj.p[i, pth])
-                handle.write(f"{pth},{i},{ks},{ps},{repr(float(adj.r[i, pth]))}\n")

@@ -34,7 +34,7 @@ from .model import (
     validate_problem,
 )
 from .nearopt import certify_necessary, certify_sufficient, estimate_order, min_gap_over_A, run_pipeline
-from .optimizer import DescentParams, perturbation_family, smp_descent
+from .optimizer import DescentParams, perturbed_controls, smp_descent
 from .oracle import enumerate_lattice, riccati_lq, riccati_open_loop_control
 from .paths import enumerate_binomial, make_time_grid, sample_noise
 
@@ -212,15 +212,17 @@ def _write_json(payload: dict, cfg: RunConfig, name: str, command: str) -> str:
     return path
 
 
-def _oracle_epsilon(cfg: RunConfig, cost: float) -> float:
+def _oracle_epsilon(cfg: RunConfig, spec, control, fwd, bwd) -> float:
+    """The configured epsilon, or J(control) on this bundle minus the Riccati value."""
     if cfg.certificate_epsilon != "auto":
         return float(cfg.certificate_epsilon)
     if cfg.family != "lq":
         raise FbsdeError(
             "epsilon = auto needs the lq family oracle; set [certificate] epsilon explicitly"
         )
+    cost = evaluate_cost_strong(spec, control, fwd, bwd)
     sol = riccati_lq(cfg.lq_params())
-    return max(cost - sol.optimal_cost, 0.0)
+    return max(cost.value - sol.optimal_cost, 0.0)
 
 
 def _initial_control(cfg: RunConfig, spec, grid):
@@ -288,37 +290,35 @@ def cmd_solve(cfg: RunConfig) -> int:
 def cmd_certify(cfg: RunConfig, control_path: str, sufficient: bool) -> int:
     spec = cfg.instance()
     grid = cfg.grid()
+    basis = cfg.basis()
     control = control_from_csv(control_path, grid, spec.control_set)
 
-    fwd = simulate_forward(spec, control, sample_noise(grid, cfg.n_paths, cfg.seed))
-    bwd = solve_backward(spec, control, fwd, fwd.noise, cfg.basis())
-    cost = evaluate_cost_strong(spec, control, fwd, bwd)
-    epsilon = _oracle_epsilon(cfg, cost.value)
+    noise = sample_noise(grid, cfg.n_paths, cfg.seed)
+    fwd = simulate_forward(spec, control, noise)
+    bwd = solve_backward(spec, control, fwd, noise, basis)
+    epsilon = _oracle_epsilon(cfg, spec, control, fwd, bwd)
 
+    common = dict(n_paths=cfg.n_paths, seed=cfg.seed, basis=basis, trajectories=(fwd, bwd))
     if sufficient:
         certificate = certify_sufficient(
-            spec,
-            control,
-            epsilon,
-            cfg.certificate_lambda,
-            cfg.certificate_C,
-            n_paths=cfg.n_paths,
-            seed=cfg.seed,
-            basis=cfg.basis(),
+            spec, control, epsilon, cfg.certificate_lambda, cfg.certificate_C, **common
         )
     else:
-        certificate = certify_necessary(
-            spec,
-            control,
-            epsilon,
-            cfg.certificate_C,
-            n_paths=cfg.n_paths,
-            seed=cfg.seed,
-            basis=cfg.basis(),
-        )
+        certificate = certify_necessary(spec, control, epsilon, cfg.certificate_C, **common)
     _write_json(json.loads(certificate.to_json()), cfg, "certificate.json", "certify")
     print(f"verdict: {certificate.verdict} (gap {certificate.gap:.3e})")
     return EXIT_OK
+
+
+def _order_point(spec, control, noise, basis, oracle_cost: float):
+    """(epsilon, minimal gap) of one family member from one pipeline pass.
+
+    A function of its own so that the member's bundles are freed on return,
+    before the next member is simulated.
+    """
+    fwd, bwd, adj = run_pipeline(spec, control, noise, basis)
+    epsilon = max(evaluate_cost_strong(spec, control, fwd, bwd).value - oracle_cost, 0.0)
+    return epsilon, min_gap_over_A(spec, control, fwd, bwd, adj, noise)
 
 
 def cmd_order_study(cfg: RunConfig) -> int:
@@ -338,21 +338,10 @@ def cmd_order_study(cfg: RunConfig) -> int:
     direction = constant_control(
         np.full(spec.dim_u, cfg.direction), grid, spec.control_set
     )
-    family = perturbation_family(
-        spec,
-        u_star,
-        deltas,
-        direction,
-        sol.optimal_cost,
-        n_paths=cfg.n_paths,
-        seed=cfg.seed,
-        basis=cfg.basis(),
-    )
     rows = []
     noise = sample_noise(grid, cfg.n_paths, cfg.seed)
-    for delta, (control, epsilon) in zip(deltas, family):
-        fwd, bwd, adj = run_pipeline(spec, control, noise, cfg.basis())
-        gap = min_gap_over_A(spec, control, fwd, bwd, adj, noise)
+    for delta, control in zip(deltas, perturbed_controls(spec, u_star, deltas, direction)):
+        epsilon, gap = _order_point(spec, control, noise, cfg.basis(), sol.optimal_cost)
         rows.append((delta, epsilon, gap.gap, gap.stderr))
 
     os.makedirs(cfg.out_dir, exist_ok=True)

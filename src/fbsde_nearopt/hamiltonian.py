@@ -17,13 +17,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FbsdeError
+from .forward_sim import _bcast
 from .model import ProblemSpec
 
 Array = np.ndarray
 
 
-def _rows(a, P: int, *trailing: int) -> Array:
-    return np.broadcast_to(np.asarray(a, dtype=float), (P, *trailing))
+def vjp(v, J, P: int, rows: int, cols: int) -> Array:
+    """Per-path v^T J: v (P, rows) against J (P, rows, cols), giving (P, cols).
+
+    A Jacobian that is the same on every path (a broadcast view, stride 0
+    along paths) is contracted with one matrix product.  np.dot, not @:
+    at rows == cols == 1 the matmul path is several times slower than einsum.
+    """
+    J = _bcast(J, P, rows, cols)
+    v = _bcast(v, P, rows)
+    if J.strides[0] == 0:
+        return np.dot(v, J[0])
+    return np.einsum("pij,pi->pj", J, v)
 
 
 @dataclass(frozen=True)
@@ -60,26 +71,26 @@ def eval_H(spec: ProblemSpec, t, x, y, z1, z2, u, mult: MultiplierPoint) -> Arra
     """The six-term pairing, per path."""
     P, n = x.shape
     terms = {
-        "running_l": _rows(spec.running_l.value(t, x, y, z1, z2, u), P),
+        "running_l": _bcast(spec.running_l.value(t, x, y, z1, z2, u), P),
         "drift_b": np.einsum(
-            "pi,pi->p", _rows(spec.drift_b.value(t, x, u), P, n), _rows(mult.p, P, n)
+            "pi,pi->p", _bcast(spec.drift_b.value(t, x, u), P, n), _bcast(mult.p, P, n)
         ),
         "diffusion_sigma1": np.einsum(
             "pi,pi->p",
-            _rows(spec.diffusion_sigma1.value(t, x, u), P, n),
-            _rows(mult.q1, P, n),
+            _bcast(spec.diffusion_sigma1.value(t, x, u), P, n),
+            _bcast(mult.q1, P, n),
         ),
         "diffusion_sigma2": np.einsum(
             "pi,pi->p",
-            _rows(spec.diffusion_sigma2.value(t, x, u), P, n),
-            _rows(mult.q2, P, n),
+            _bcast(spec.diffusion_sigma2.value(t, x, u), P, n),
+            _bcast(mult.q2, P, n),
         ),
         "backward_f": np.einsum(
             "pi,pi->p",
-            _rows(spec.backward_f.value(t, x, y, z1, z2, u), P, spec.dim_y),
-            _rows(mult.k, P, spec.dim_y),
+            _bcast(spec.backward_f.value(t, x, y, z1, z2, u), P, spec.dim_y),
+            _bcast(mult.k, P, spec.dim_y),
         ),
-        "observation_h": _rows(mult.R2, P) * _rows(spec.observation_h.value(t, x, u), P),
+        "observation_h": _bcast(mult.R2, P) * _bcast(spec.observation_h.value(t, x, u), P),
     }
     total = np.zeros(P)
     for name, term in terms.items():
@@ -92,36 +103,30 @@ def eval_H(spec: ProblemSpec, t, x, y, z1, z2, u, mult: MultiplierPoint) -> Arra
 def shifted_slot(spec: ProblemSpec, t, x, u, z2, mult: MultiplierPoint) -> Array:
     """R2 - <sigma2(t,x,u), p> - <z2, k>, per path."""
     P, n = x.shape
-    s2 = _rows(spec.diffusion_sigma2.value(t, x, u), P, n)
+    s2 = _bcast(spec.diffusion_sigma2.value(t, x, u), P, n)
     return (
-        _rows(mult.R2, P)
-        - np.einsum("pi,pi->p", s2, _rows(mult.p, P, n))
-        - np.einsum("pi,pi->p", _rows(z2, P, spec.dim_y), _rows(mult.k, P, spec.dim_y))
+        _bcast(mult.R2, P)
+        - np.einsum("pi,pi->p", s2, _bcast(mult.p, P, n))
+        - np.einsum("pi,pi->p", _bcast(z2, P, spec.dim_y), _bcast(mult.k, P, spec.dim_y))
     )
 
 
 def partial_y(spec: ProblemSpec, t, x, y, z1, z2, u, k: Array) -> Array:
     P, m = x.shape[0], spec.dim_y
-    f_y = _rows(spec.backward_f.dy(t, x, y, z1, z2, u), P, m, m)
-    return _rows(spec.running_l.dy(t, x, y, z1, z2, u), P, m) + np.einsum(
-        "pij,pi->pj", f_y, _rows(k, P, m)
-    )
+    f_y = spec.backward_f.dy(t, x, y, z1, z2, u)
+    return _bcast(spec.running_l.dy(t, x, y, z1, z2, u), P, m) + vjp(k, f_y, P, m, m)
 
 
 def partial_z1(spec: ProblemSpec, t, x, y, z1, z2, u, k: Array) -> Array:
     P, m = x.shape[0], spec.dim_y
-    f_z = _rows(spec.backward_f.dz1(t, x, y, z1, z2, u), P, m, m)
-    return _rows(spec.running_l.dz1(t, x, y, z1, z2, u), P, m) + np.einsum(
-        "pij,pi->pj", f_z, _rows(k, P, m)
-    )
+    f_z = spec.backward_f.dz1(t, x, y, z1, z2, u)
+    return _bcast(spec.running_l.dz1(t, x, y, z1, z2, u), P, m) + vjp(k, f_z, P, m, m)
 
 
 def partial_z2(spec: ProblemSpec, t, x, y, z1, z2, u, k: Array) -> Array:
     P, m = x.shape[0], spec.dim_y
-    f_z = _rows(spec.backward_f.dz2(t, x, y, z1, z2, u), P, m, m)
-    return _rows(spec.running_l.dz2(t, x, y, z1, z2, u), P, m) + np.einsum(
-        "pij,pi->pj", f_z, _rows(k, P, m)
-    )
+    f_z = spec.backward_f.dz2(t, x, y, z1, z2, u)
+    return _bcast(spec.running_l.dz2(t, x, y, z1, z2, u), P, m) + vjp(k, f_z, P, m, m)
 
 
 def partial_x(spec: ProblemSpec, t, x, y, z1, z2, u, mult: MultiplierPoint) -> Array:
@@ -129,24 +134,12 @@ def partial_x(spec: ProblemSpec, t, x, y, z1, z2, u, mult: MultiplierPoint) -> A
     P, n, m = x.shape[0], spec.dim_x, spec.dim_y
     r2s = shifted_slot(spec, t, x, u, z2, mult)
     out = (
-        _rows(spec.running_l.dx(t, x, y, z1, z2, u), P, n)
-        + np.einsum("pij,pi->pj", _rows(spec.drift_b.dx(t, x, u), P, n, n), _rows(mult.p, P, n))
-        + np.einsum(
-            "pij,pi->pj",
-            _rows(spec.diffusion_sigma1.dx(t, x, u), P, n, n),
-            _rows(mult.q1, P, n),
-        )
-        + np.einsum(
-            "pij,pi->pj",
-            _rows(spec.diffusion_sigma2.dx(t, x, u), P, n, n),
-            _rows(mult.q2, P, n),
-        )
-        + np.einsum(
-            "pij,pi->pj",
-            _rows(spec.backward_f.dx(t, x, y, z1, z2, u), P, m, n),
-            _rows(mult.k, P, m),
-        )
-        + r2s[:, None] * _rows(spec.observation_h.dx(t, x, u), P, n)
+        _bcast(spec.running_l.dx(t, x, y, z1, z2, u), P, n)
+        + vjp(mult.p, spec.drift_b.dx(t, x, u), P, n, n)
+        + vjp(mult.q1, spec.diffusion_sigma1.dx(t, x, u), P, n, n)
+        + vjp(mult.q2, spec.diffusion_sigma2.dx(t, x, u), P, n, n)
+        + vjp(mult.k, spec.backward_f.dx(t, x, y, z1, z2, u), P, m, n)
+        + r2s[:, None] * _bcast(spec.observation_h.dx(t, x, u), P, n)
     )
     return out
 
@@ -156,24 +149,12 @@ def partial_u(spec: ProblemSpec, t, x, y, z1, z2, u, mult: MultiplierPoint) -> A
     P, n, m, kdim = x.shape[0], spec.dim_x, spec.dim_y, spec.dim_u
     r2s = shifted_slot(spec, t, x, u, z2, mult)
     out = (
-        _rows(spec.running_l.du(t, x, y, z1, z2, u), P, kdim)
-        + np.einsum("pik,pi->pk", _rows(spec.drift_b.du(t, x, u), P, n, kdim), _rows(mult.p, P, n))
-        + np.einsum(
-            "pik,pi->pk",
-            _rows(spec.diffusion_sigma1.du(t, x, u), P, n, kdim),
-            _rows(mult.q1, P, n),
-        )
-        + np.einsum(
-            "pik,pi->pk",
-            _rows(spec.diffusion_sigma2.du(t, x, u), P, n, kdim),
-            _rows(mult.q2, P, n),
-        )
-        + np.einsum(
-            "pik,pi->pk",
-            _rows(spec.backward_f.du(t, x, y, z1, z2, u), P, m, kdim),
-            _rows(mult.k, P, m),
-        )
-        + r2s[:, None] * _rows(spec.observation_h.du(t, x, u), P, kdim)
+        _bcast(spec.running_l.du(t, x, y, z1, z2, u), P, kdim)
+        + vjp(mult.p, spec.drift_b.du(t, x, u), P, n, kdim)
+        + vjp(mult.q1, spec.diffusion_sigma1.du(t, x, u), P, n, kdim)
+        + vjp(mult.q2, spec.diffusion_sigma2.du(t, x, u), P, n, kdim)
+        + vjp(mult.k, spec.backward_f.du(t, x, y, z1, z2, u), P, m, kdim)
+        + r2s[:, None] * _bcast(spec.observation_h.du(t, x, u), P, kdim)
     )
     return out
 

@@ -251,29 +251,33 @@ class InitialCoefficient:
     dy: Callable[[Array], Array]
 
 
+def _zero_rows(P: int, *shape: int) -> Array:
+    """Read-only (P, *shape) zeros: one block broadcast over the paths."""
+    return np.broadcast_to(np.zeros(shape), (P, *shape))
+
+
 def zero_coefficient(out_dim: int | None = None) -> Coefficient:
     """Coefficient identically zero (scalar when out_dim is None)."""
+    out = () if out_dim is None else (out_dim,)
 
     def value(t, x, u):
-        P = x.shape[0]
-        return np.zeros(P) if out_dim is None else np.zeros((P, out_dim))
+        return _zero_rows(x.shape[0], *out)
 
     def dx(t, x, u):
         P, n = x.shape
-        return np.zeros((P, n)) if out_dim is None else np.zeros((P, out_dim, n))
+        return _zero_rows(P, *out, n)
 
     def du(t, x, u):
-        P = x.shape[0]
-        k = np.atleast_1d(u).shape[-1]
-        return np.zeros((P, k)) if out_dim is None else np.zeros((P, out_dim, k))
+        return _zero_rows(x.shape[0], *out, np.atleast_1d(u).shape[-1])
 
     return Coefficient(value=value, dx=dx, du=du)
 
 
 def zero_driver(out_dim: int | None = None) -> DriverCoefficient:
+    out = () if out_dim is None else (out_dim,)
+
     def value(t, x, y, z1, z2, u):
-        P = x.shape[0]
-        return np.zeros(P) if out_dim is None else np.zeros((P, out_dim))
+        return _zero_rows(x.shape[0], *out)
 
     def d_wrt(cols: str):
         def deriv(t, x, y, z1, z2, u):
@@ -281,11 +285,7 @@ def zero_driver(out_dim: int | None = None) -> DriverCoefficient:
             m = y.shape[1]
             k = np.atleast_1d(u).shape[-1]
             width = {"x": n, "y": m, "z": m, "u": k}[cols]
-            return (
-                np.zeros((P, width))
-                if out_dim is None
-                else np.zeros((P, out_dim, width))
-            )
+            return _zero_rows(P, *out, width)
 
         return deriv
 
@@ -632,8 +632,8 @@ def make_lq_instance(params: LQParams | None = None, **overrides) -> ProblemSpec
 
     sig1 = Coefficient(
         value=s1_val,
-        dx=lambda t, x, u: np.zeros((x.shape[0], n, n)),
-        du=lambda t, x, u: np.zeros((x.shape[0], n, n)),
+        dx=lambda t, x, u: _zero_rows(x.shape[0], n, n),
+        du=lambda t, x, u: _zero_rows(x.shape[0], n, n),
     )
 
     def l_val(t, x, y, z1, z2, u):
@@ -712,8 +712,8 @@ def make_lq_observation_instance(
 
     sig2 = Coefficient(
         value=lambda t, x, u: np.broadcast_to(s2, x.shape),
-        dx=lambda t, x, u: np.zeros((x.shape[0], n, n)),
-        du=lambda t, x, u: np.zeros((x.shape[0], n, n)),
+        dx=lambda t, x, u: _zero_rows(x.shape[0], n, n),
+        du=lambda t, x, u: _zero_rows(x.shape[0], n, n),
     )
     h = Coefficient(
         value=lambda t, x, u: np.full(x.shape[0], float(h_const)),

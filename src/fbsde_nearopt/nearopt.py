@@ -142,6 +142,24 @@ def run_pipeline(
     return fwd, bwd, adj
 
 
+def _certificate_gap(spec, u_eps, n_paths, seed, basis, trajectories) -> GapResult:
+    """Minimal gap of u_eps: adjoint and gap on the given forward+backward
+    trajectories, or on a fresh pipeline when none are given."""
+    if trajectories is None:
+        noise = sample_noise(u_eps.grid, n_paths, seed)
+        fwd = simulate_forward(spec, u_eps, noise)
+        bwd = solve_backward(spec, u_eps, fwd, noise, basis)
+    else:
+        fwd, bwd = trajectories
+        if fwd.n_paths != n_paths or fwd.noise.seed != seed:
+            raise GridMismatchError(
+                f"trajectories hold {fwd.n_paths} paths from seed {fwd.noise.seed}, "
+                f"certificate asks for {n_paths} paths from seed {seed}"
+            )
+    adj = solve_adjoint(spec, u_eps, fwd, bwd, fwd.noise, basis)
+    return min_gap_over_A(spec, u_eps, fwd, bwd, adj, fwd.noise)
+
+
 def certify_necessary(
     spec: ProblemSpec,
     u_eps: ControlProcess,
@@ -151,15 +169,19 @@ def certify_necessary(
     n_paths: int = 100_000,
     seed: int = 0,
     basis: BasisSpec = BasisSpec(),
+    trajectories: tuple[ForwardTrajectories, BackwardTrajectories] | None = None,
 ) -> Certificate:
-    """Check the order-epsilon^(1/2) lower bound on the minimal gap."""
+    """Check the order-epsilon^(1/2) lower bound on the minimal gap.
+
+    ``trajectories`` are the (forward, backward) bundles of u_eps on the
+    n_paths-path noise drawn from seed, when the caller has them already;
+    only the adjoint and the gap then run.
+    """
     if epsilon < 0.0:
         raise FbsdeError("epsilon must be >= 0")
     if C <= 0.0:
         raise FbsdeError("C must be positive")
-    noise = sample_noise(u_eps.grid, n_paths, seed)
-    fwd, bwd, adj = run_pipeline(spec, u_eps, noise, basis)
-    result = min_gap_over_A(spec, u_eps, fwd, bwd, adj, noise)
+    result = _certificate_gap(spec, u_eps, n_paths, seed, basis, trajectories)
     threshold = -C * math.sqrt(epsilon) - 3.0 * result.stderr
     verdict = "necessary-holds" if result.gap >= threshold else "necessary-violated"
     return Certificate(
@@ -200,20 +222,20 @@ def certify_sufficient(
     basis: BasisSpec = BasisSpec(),
     convexity: ConvexityReport | None = None,
     convexity_probes: int = 24,
+    trajectories: tuple[ForwardTrajectories, BackwardTrajectories] | None = None,
 ) -> Certificate:
     """Convexity plus gap condition under the control-free observation density.
 
     Verdict is sufficient-near-optimal only when every sampled convexity
     probe passes and the minimal gap clears -C eps^lambda; a convexity
-    witness or a failed gap both yield inconclusive.
+    witness or a failed gap both yield inconclusive.  ``trajectories`` as
+    in certify_necessary.
     """
     _require_sufficient_structure(spec)
     if epsilon < 0.0 or C <= 0.0:
         raise FbsdeError("need epsilon >= 0 and C > 0")
     report = convexity or check_H_convexity(spec, n_probes=convexity_probes, seed=seed)
-    noise = sample_noise(u_eps.grid, n_paths, seed)
-    fwd, bwd, adj = run_pipeline(spec, u_eps, noise, basis)
-    result = min_gap_over_A(spec, u_eps, fwd, bwd, adj, noise)
+    result = _certificate_gap(spec, u_eps, n_paths, seed, basis, trajectories)
     threshold = -C * epsilon**lambda_exp - 3.0 * result.stderr
 
     if not report.passed:

@@ -177,6 +177,26 @@ def smp_descent(spec: ProblemSpec, u0: ControlProcess, params: DescentParams) ->
     )
 
 
+def perturbed_controls(
+    spec: ProblemSpec,
+    u_star: ControlProcess,
+    deltas,
+    direction: ControlProcess,
+) -> list[ControlProcess]:
+    """Controls u* + delta * direction, projected into U, one per delta."""
+    if not direction.grid.matches(u_star.grid):
+        raise FbsdeError("direction lives on a different grid")
+    return [
+        make_control(
+            u_star.values + float(delta) * direction.values,
+            u_star.grid,
+            spec.control_set,
+            project=True,
+        )
+        for delta in deltas
+    ]
+
+
 def perturbation_family(
     spec: ProblemSpec,
     u_star: ControlProcess,
@@ -195,16 +215,11 @@ def perturbation_family(
     """
     if oracle_cost is None:
         raise FbsdeError("perturbation_family needs an oracle value for epsilon")
-    if not direction.grid.matches(u_star.grid):
-        raise FbsdeError("direction lives on a different grid")
+    controls = perturbed_controls(spec, u_star, deltas, direction)
     basis = basis or BasisSpec()
     noise = sample_noise(u_star.grid, n_paths, seed)
     family = []
-    for delta in deltas:
-        values = u_star.values + float(delta) * direction.values
-        control = make_control(values, u_star.grid, spec.control_set, project=True)
-        fwd = simulate_forward(spec, control, noise)
-        bwd = solve_backward(spec, control, fwd, noise, basis)
-        cost = evaluate_cost_strong(spec, control, fwd, bwd)
+    for control in controls:
+        cost = _evaluate(spec, control, noise, basis)[2]
         family.append((control, max(cost.value - oracle_cost, 0.0)))
     return family

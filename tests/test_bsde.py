@@ -5,6 +5,7 @@ import pytest
 
 from fbsde_nearopt import (
     BasisSpec,
+    GridMismatchError,
     LQParams,
     RegressionError,
     constant_control,
@@ -158,8 +159,49 @@ def test_backward_diagnostics_recorded(lq_spec):
     assert "basis_degree" in bwd.diagnostics.to_json()
 
 
+def test_bundle_check_compares_every_increment(lq_spec):
+    grid = make_time_grid(1.0, 4)
+    noise = sample_noise(grid, 200, seed=7)
+    u = constant_control([0.0], grid, lq_spec.control_set)
+    fwd = simulate_forward(lq_spec, u, noise)
+    bwd = solve_backward(lq_spec, u, fwd, noise)
+
+    # an equal copy is not the same object and must still be accepted
+    copy = dataclasses.replace(noise, dW=noise.dW.copy(), dY=noise.dY.copy())
+    solve_adjoint(lq_spec, u, fwd, solve_backward(lq_spec, u, fwd, copy), copy)
+
+    dW = noise.dW.copy()
+    dW[:, 1:] += 0.1
+    for other in (
+        dataclasses.replace(noise, dW=dW),
+        dataclasses.replace(noise, dY=noise.dY + 0.1),
+    ):
+        assert np.array_equal(other.dW[:, 0], noise.dW[:, 0])
+        with pytest.raises(GridMismatchError, match="different noise"):
+            solve_backward(lq_spec, u, fwd, other)
+        with pytest.raises(GridMismatchError, match="different noise"):
+            solve_adjoint(lq_spec, u, fwd, bwd, other)
+
+
 # ---------------------------------------------------------------------------
 # adjoint solver
+
+
+def test_adjoint_diagnostics_list_r_then_p_fits():
+    spec = make_lq_observation_instance()
+    grid = make_time_grid(1.0, 8)
+    noise = sample_noise(grid, 1000, seed=7)
+    u = constant_control([0.2], grid, spec.control_set)
+    fwd, bwd, adj = _full_pipeline(spec, u, noise)
+    cond = adj.diagnostics.condition_numbers
+    rms = adj.diagnostics.residual_rms
+    assert len(cond) == len(rms) == 16
+    # both sweeps run from the last step back on the design of x[i]
+    assert cond[:8] == cond[8:] == bwd.diagnostics.condition_numbers[::-1]
+    # first the scalar r fits, then the p fits
+    assert rms[0] == regress_conditional_expectation(adj.r[8], fwd.x[7]).residual_rms
+    assert rms[8] == regress_conditional_expectation(adj.p[8], fwd.x[7]).residual_rms
+    assert rms[0] != rms[8]
 
 
 def test_zero_cost_gives_zero_value_system():

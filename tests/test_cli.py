@@ -3,8 +3,18 @@ import json
 import numpy as np
 import pytest
 
-from fbsde_nearopt import cli
-from fbsde_nearopt.model import BUILTIN_FAMILIES
+from fbsde_nearopt import (
+    certify_necessary,
+    certify_sufficient,
+    cli,
+    constant_control,
+    nearopt,
+    optimizer,
+    perturbation_family,
+    riccati_lq,
+    riccati_open_loop_control,
+)
+from fbsde_nearopt.model import BUILTIN_FAMILIES, control_from_csv
 
 
 def write_config(tmp_path, body, name="run.ini"):
@@ -185,6 +195,72 @@ def test_seed_flag_and_determinism(tmp_path):
         return payload
 
     assert run("a") == run("b")
+
+
+PIPELINE_LAYERS = ("sample_noise", "simulate_forward", "solve_backward")
+
+
+@pytest.fixture
+def layer_calls(monkeypatch):
+    """Count calls of the noise, forward and backward layers from the command paths."""
+    counts = dict.fromkeys(PIPELINE_LAYERS, 0)
+    for module in (cli, nearopt, optimizer):
+        for name in PIPELINE_LAYERS:
+            if hasattr(module, name):
+
+                def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
+                    counts[_name] += 1
+                    return _fn(*args, **kwargs)
+
+                monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize("sufficient", [False, True])
+def test_certify_runs_each_layer_once(tmp_path, layer_calls, sufficient):
+    cfg = _base_config(tmp_path)
+    control = tmp_path / "u.csv"
+    control.write_text("step,u0\n" + "\n".join(f"{i},-0.4" for i in range(8)) + "\n")
+    extra = ["--sufficient"] if sufficient else []
+    assert cli.main(["--config", cfg, "certify", "--control", str(control), *extra]) == 0
+    assert layer_calls == dict.fromkeys(PIPELINE_LAYERS, 1)
+
+    # the certificate equals the library's at the same seed and epsilon
+    payload = json.loads((tmp_path / "out" / "certificate.json").read_text())
+    payload.pop("meta")
+    run = cli.load_config(cfg)
+    spec = run.instance()
+    u = control_from_csv(str(control), run.grid(), spec.control_set)
+    common = dict(n_paths=run.n_paths, seed=run.seed, basis=run.basis())
+    if sufficient:
+        cert = certify_sufficient(
+            spec, u, payload["epsilon"], run.certificate_lambda, run.certificate_C, **common
+        )
+    else:
+        cert = certify_necessary(spec, u, payload["epsilon"], run.certificate_C, **common)
+    assert json.loads(cert.to_json()) == payload
+
+
+def test_order_study_runs_one_pass_per_member(tmp_path, layer_calls):
+    body = BASE.format(out=tmp_path / "out")
+    body += "\n[order_study]\ndeltas = 0.0,0.05,0.1,0.2,0.3\n"
+    cfg = write_config(tmp_path, body)
+    assert cli.main(["--config", cfg, "order-study"]) == 0
+    assert layer_calls == {"sample_noise": 1, "simulate_forward": 4, "solve_backward": 4}
+
+    # each member's epsilon equals the library perturbation family's
+    run = cli.load_config(cfg)
+    spec = run.instance()
+    lq = run.lq_params()
+    sol = riccati_lq(lq)
+    u_star = riccati_open_loop_control(sol, lq, run.grid(), spec.control_set)
+    direction = constant_control([run.direction], run.grid(), spec.control_set)
+    family = perturbation_family(
+        spec, u_star, [0.05, 0.1, 0.2, 0.3], direction, sol.optimal_cost,
+        n_paths=run.n_paths, seed=run.seed, basis=run.basis(),
+    )
+    lines = (tmp_path / "out" / "order_study.csv").read_text().strip().splitlines()[1:]
+    assert [float(line.split(",")[1]) for line in lines] == [eps for _, eps in family]
 
 
 def test_bad_subcommand_exits_two(tmp_path):

@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fbsde_nearopt import (
     FbsdeError,
@@ -15,7 +17,7 @@ from fbsde_nearopt import (
     make_lq_observation_instance,
     make_scalar_nonlinear_instance,
 )
-from fbsde_nearopt.hamiltonian import shifted_slot
+from fbsde_nearopt.hamiltonian import shifted_slot, vjp
 from fbsde_nearopt.model import Coefficient
 
 from _instances import concave_control_cost_instance
@@ -188,3 +190,94 @@ def test_non_finite_coefficient_detected(lq_spec):
     with pytest.raises(FbsdeError, match="drift_b"):
         eval_H(bad, 0.0, np.zeros((1, 1)), np.zeros((1, 1)), np.zeros((1, 1)),
                np.zeros((1, 1)), np.zeros(1), mult)
+
+
+# ---------------------------------------------------------------------------
+# per-path vector-Jacobian contraction
+
+
+def _einsum_vjp(v, J, P, rows, cols):
+    J = np.broadcast_to(J, (P, rows, cols))
+    return np.einsum("pij,pi->pj", J, np.broadcast_to(v, (P, rows)))
+
+
+@st.composite
+def _vjp_case(draw):
+    rows = draw(st.integers(1, 3))
+    cols = draw(st.integers(1, 3))
+    P = draw(st.integers(1, 50))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** rng.uniform(-3, 3)
+    jacobian = draw(st.sampled_from(["per-path", "broadcast", "block"]))
+    if jacobian == "per-path":
+        J = scale * rng.normal(size=(P, rows, cols))
+    else:
+        block = scale * rng.normal(size=(rows, cols))
+        J = np.broadcast_to(block, (P, rows, cols)) if jacobian == "broadcast" else block
+    layout = draw(st.sampled_from(["contiguous", "strided", "fortran", "shared"]))
+    if layout == "contiguous":
+        v = rng.normal(size=(P, rows))
+    elif layout == "strided":
+        v = rng.normal(size=(2 * P, 2 * rows))[::2, 1::2]
+    elif layout == "fortran":
+        v = np.asfortranarray(rng.normal(size=(P, rows)))
+    else:
+        v = np.broadcast_to(rng.normal(size=rows), (P, rows))
+    return v, J, P, rows, cols
+
+
+@given(_vjp_case())
+@settings(max_examples=200, deadline=None)
+def test_vjp_matches_einsum(case):
+    v, J, P, rows, cols = case
+    got = vjp(v, J, P, rows, cols)
+    want = _einsum_vjp(v, J, P, rows, cols)
+    assert got.shape == (P, cols)
+    # rtol 1e-13 of the sum of absolute products: cancellation-safe
+    magnitude = _einsum_vjp(np.abs(v), np.abs(J), P, rows, cols)
+    assert np.all(np.abs(got - want) <= 1e-13 * magnitude)
+
+
+@given(
+    st.integers(1, 3),
+    st.integers(1, 50),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["contiguous", "strided"]),
+)
+@settings(max_examples=100, deadline=None)
+def test_vjp_bitwise_on_shared_diagonal(n, P, seed, layout):
+    rng = np.random.default_rng(seed)
+    diag = rng.normal(size=n) * rng.integers(0, 2, size=n)  # some entries exactly 0
+    J = np.broadcast_to(np.diag(diag), (P, n, n))
+    v = rng.normal(size=(P, n)) if layout == "contiguous" else rng.normal(size=(P, 3 * n))[:, ::3]
+    assert np.array_equal(vjp(v, J, P, n, n), _einsum_vjp(v, J, P, n, n))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_lq_jacobians_are_shared_read_only_views(dim):
+    """LQ Jacobians are the same on every path and contract on the fast path."""
+    rng = np.random.default_rng(dim)
+    P = 7
+    x = rng.normal(size=(P, dim))
+    y = rng.normal(size=(P, dim))
+    u = np.zeros(dim)
+    for spec in (
+        make_lq_instance(LQParams(dim=dim, a=0.3)),
+        make_lq_observation_instance(LQParams(dim=dim, sigma=0.2)),
+    ):
+        jacobians = [
+            spec.drift_b.dx(0.0, x, u),
+            spec.drift_b.du(0.0, x, u),
+            spec.diffusion_sigma1.dx(0.0, x, u),
+            spec.diffusion_sigma1.du(0.0, x, u),
+            spec.diffusion_sigma2.dx(0.0, x, u),
+            spec.diffusion_sigma2.du(0.0, x, u),
+            spec.terminal_phi.dx(x),
+        ] + [
+            getattr(spec.backward_f, name)(0.0, x, y, y, y, u)
+            for name in ("dx", "dy", "dz1", "dz2", "du")
+        ]
+        for J in jacobians:
+            assert J.shape == (P, dim, dim)
+            assert J.strides[0] == 0
+            assert not J.flags.writeable

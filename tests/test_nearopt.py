@@ -127,6 +127,27 @@ def test_certify_necessary_validates_inputs(lq_spec):
         certify_necessary(lq_spec, u, epsilon=0.1, C=0.0)
 
 
+def test_certify_reuses_matching_trajectories_only(lq_spec, lq_bundles):
+    grid, u, noise, fwd, bwd, _ = lq_bundles
+    fresh = certify_necessary(lq_spec, u, epsilon=0.01, C=1.0, n_paths=8000, seed=0)
+    reused = certify_necessary(
+        lq_spec, u, epsilon=0.01, C=1.0, n_paths=8000, seed=0, trajectories=(fwd, bwd)
+    )
+    assert reused == fresh
+    for n_paths, seed in ((8000, 1), (4000, 0)):
+        with pytest.raises(GridMismatchError, match="trajectories hold 8000 paths from seed 0"):
+            certify_necessary(
+                lq_spec, u, epsilon=0.01, C=1.0, n_paths=n_paths, seed=seed,
+                trajectories=(fwd, bwd),
+            )
+    other = constant_control([0.3], grid, lq_spec.control_set)
+    with pytest.raises(GridMismatchError, match="different control"):
+        certify_sufficient(
+            lq_spec, other, epsilon=0.01, lambda_exp=0.5, C=1.0, n_paths=8000, seed=0,
+            trajectories=(fwd, bwd),
+        )
+
+
 def test_certificate_json_roundtrip(lq_spec):
     grid = make_time_grid(1.0, 4)
     u = constant_control([0.0], grid, lq_spec.control_set)
