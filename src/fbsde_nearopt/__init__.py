@@ -18,7 +18,6 @@ from .errors import (
     FbsdeError,
     GridMismatchError,
     InvalidControlError,
-    OptimizerError,
     OracleError,
     PreconditionError,
     RegressionError,

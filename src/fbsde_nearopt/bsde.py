@@ -175,6 +175,25 @@ class AdjointTrajectories:
     diagnostics: RegressionDiagnostics
 
 
+def _regression_step(
+    step: _StepFit, v_next: np.ndarray, noise: NoiseBundle, i: int, dt: float
+):
+    """One backward LSMC step for a (P, d) value known at step i + 1.
+
+    Returns E[v_next | x_i], the dW and dY integrands (each (P, d)) and the
+    residual RMS of the value fit.  The increment targets are centred on
+    the fitted mean: variance reduction with the same conditional expectation.
+    """
+    d = v_next.shape[1]
+    v_hat, _ = step.fit(v_next)
+    resid = v_next - v_hat
+    fitted, _ = step.fit(
+        np.concatenate([resid * noise.dW[:, i, None], resid * noise.dY[:, i, None]], axis=1)
+    )
+    rms = float(np.sqrt(np.mean(resid ** 2)))
+    return v_hat, fitted[:, :d] / dt, fitted[:, d:] / dt, rms
+
+
 def _check_bundles(u: ControlProcess, fwd: ForwardTrajectories, noise: NoiseBundle) -> None:
     if not fwd.grid.matches(noise.grid) or not u.grid.matches(noise.grid):
         raise GridMismatchError("control, forward trajectories and noise must share a grid")
@@ -220,18 +239,7 @@ def solve_backward(
         xi = fwd.x[i]
         ui = u.values[i]
         step = _StepFit(xi, basis)
-        y_next = y[i + 1]
-        y_hat, _ = step.fit(y_next)
-        # center the increment targets on the fitted mean (variance reduction
-        # with the same conditional expectation)
-        resid = y_next - y_hat
-        fitted_z, _ = step.fit(
-            np.concatenate(
-                [resid * noise.dW[:, i, None], resid * noise.dY[:, i, None]], axis=1
-            )
-        )
-        z1[i] = fitted_z[:, :m] / dt
-        z2[i] = fitted_z[:, m:] / dt
+        y_hat, z1[i], z2[i], rms = _regression_step(step, y[i + 1], noise, i, dt)
 
         h = _bcast(spec.observation_h.value(t, xi, ui), P)
         z2h = z2[i] * h[:, None]
@@ -243,7 +251,7 @@ def solve_backward(
         y[i] = y_arg
 
         diag.condition_numbers.append(step.condition)
-        diag.residual_rms.append(float(np.sqrt(np.mean((y_next - y_hat) ** 2))))
+        diag.residual_rms.append(rms)
 
     diag.condition_numbers.reverse()
     diag.residual_rms.reverse()
@@ -321,29 +329,15 @@ def solve_adjoint(
         ui = u.values[i]
         step = _StepFit(xi, basis)
 
-        r_next = r[i + 1]
-        r_hat, _ = step.fit(r_next)
-        resid = r_next - r_hat
-        fitted_R, _ = step.fit(
-            np.column_stack([resid * noise.dW[:, i], resid * noise.dY[:, i]])
-        )
-        R1[i] = fitted_R[:, 0] / dt
-        R2[i] = fitted_R[:, 1] / dt
+        # the scalar r goes through the regression step as a (P, 1) column
+        r_hat, R1_i, R2_i, rms = _regression_step(step, r[i + 1, :, None], noise, i, dt)
+        R1[i], R2[i] = R1_i[:, 0], R2_i[:, 0]
         l_val = _bcast(spec.running_l.value(t, xi, yi, z1i, z2i, ui), P)
-        r[i] = r_hat + (l_val + R2[i] * h_all[i]) * dt
+        r[i] = r_hat[:, 0] + (l_val + R2[i] * h_all[i]) * dt
         diag.condition_numbers.append(step.condition)
-        diag.residual_rms.append(float(np.sqrt(np.mean((r_next - r_hat) ** 2))))
+        diag.residual_rms.append(rms)
 
-        p_next = p[i + 1]
-        p_hat, _ = step.fit(p_next)
-        resid = p_next - p_hat
-        fitted_q, _ = step.fit(
-            np.concatenate(
-                [resid * noise.dW[:, i, None], resid * noise.dY[:, i, None]], axis=1
-            )
-        )
-        q1[i] = fitted_q[:, :n] / dt
-        q2[i] = fitted_q[:, n:] / dt
+        p_hat, q1[i], q2[i], rms = _regression_step(step, p[i + 1], noise, i, dt)
 
         q2h = q2[i] * h_all[i, :, None]
         p_arg = p_hat
@@ -355,7 +349,7 @@ def solve_adjoint(
             p_arg = p_hat + (h_x + q2h) * dt
         p[i] = p_arg
         p_conditions.append(step.condition)
-        p_residuals.append(float(np.sqrt(np.mean((p_next - p_hat) ** 2))))
+        p_residuals.append(rms)
 
     # every r fit first, then every p fit, each list from the last step back
     diag.condition_numbers += p_conditions

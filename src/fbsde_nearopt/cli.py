@@ -96,7 +96,6 @@ class RunConfig:
     certificate_lambda: float
     certificate_epsilon: str | float
     max_iter: int
-    step_rule: str
     tol_gap: float
     u0: str
     deltas: list[float]
@@ -165,6 +164,10 @@ def load_config(path: str) -> RunConfig:
     deltas_raw = get("order_study", "deltas", "0.04,0.08,0.12,0.2,0.3", str)
     deltas = [float(tok) for tok in deltas_raw.replace(";", ",").split(",") if tok.strip()]
 
+    step_rule = get("optimizer", "step_rule", "fw", str)
+    if step_rule != "fw":
+        raise ConfigError(f"step_rule must be fw, the only rule, got {step_rule!r}")
+
     epsilon = get("certificate", "epsilon", "auto", str)
     if epsilon != "auto":
         epsilon = float(epsilon)
@@ -185,7 +188,6 @@ def load_config(path: str) -> RunConfig:
         certificate_lambda=positive(get("certificate", "lambda", 0.5), "lambda"),
         certificate_epsilon=epsilon,
         max_iter=int(positive(get("optimizer", "max_iter", 100, int), "max_iter", strict=False)),
-        step_rule=get("optimizer", "step_rule", "fw", str),
         tol_gap=positive(get("optimizer", "tol_gap", 1e-3), "tol_gap"),
         u0=get("optimizer", "u0", "center", str),
         deltas=deltas,
@@ -254,7 +256,6 @@ def cmd_solve(cfg: RunConfig) -> int:
     u0 = _initial_control(cfg, spec, grid)
     params = DescentParams(
         max_iter=cfg.max_iter,
-        step_rule=cfg.step_rule,
         n_paths=cfg.n_paths,
         seed=cfg.seed,
         tol_gap=cfg.tol_gap,

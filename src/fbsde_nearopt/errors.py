@@ -27,7 +27,3 @@ class PreconditionError(FbsdeError):
 
 class OracleError(FbsdeError):
     """Oracle computation rejected (budget, missing flags, blow-up)."""
-
-
-class OptimizerError(FbsdeError):
-    """Descent aborted (persistent cost increase or infeasible setup)."""

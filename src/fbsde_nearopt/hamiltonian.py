@@ -111,52 +111,52 @@ def shifted_slot(spec: ProblemSpec, t, x, u, z2, mult: MultiplierPoint) -> Array
     )
 
 
-def partial_y(spec: ProblemSpec, t, x, y, z1, z2, u, k: Array) -> Array:
+def _driver_gradient(spec: ProblemSpec, w: str, t, x, y, z1, z2, u, k: Array) -> Array:
+    """l_w + f_w^T k for a backward slot w in dy, dz1, dz2: no multiplier shift."""
     P, m = x.shape[0], spec.dim_y
-    f_y = spec.backward_f.dy(t, x, y, z1, z2, u)
-    return _bcast(spec.running_l.dy(t, x, y, z1, z2, u), P, m) + vjp(k, f_y, P, m, m)
+    f_w = getattr(spec.backward_f, w)(t, x, y, z1, z2, u)
+    l_w = getattr(spec.running_l, w)(t, x, y, z1, z2, u)
+    return _bcast(l_w, P, m) + vjp(k, f_w, P, m, m)
+
+
+def partial_y(spec: ProblemSpec, t, x, y, z1, z2, u, k: Array) -> Array:
+    return _driver_gradient(spec, "dy", t, x, y, z1, z2, u, k)
 
 
 def partial_z1(spec: ProblemSpec, t, x, y, z1, z2, u, k: Array) -> Array:
-    P, m = x.shape[0], spec.dim_y
-    f_z = spec.backward_f.dz1(t, x, y, z1, z2, u)
-    return _bcast(spec.running_l.dz1(t, x, y, z1, z2, u), P, m) + vjp(k, f_z, P, m, m)
+    return _driver_gradient(spec, "dz1", t, x, y, z1, z2, u, k)
 
 
 def partial_z2(spec: ProblemSpec, t, x, y, z1, z2, u, k: Array) -> Array:
-    P, m = x.shape[0], spec.dim_y
-    f_z = spec.backward_f.dz2(t, x, y, z1, z2, u)
-    return _bcast(spec.running_l.dz2(t, x, y, z1, z2, u), P, m) + vjp(k, f_z, P, m, m)
+    return _driver_gradient(spec, "dz2", t, x, y, z1, z2, u, k)
+
+
+def _shifted_gradient(
+    spec: ProblemSpec, w: str, t, x, y, z1, z2, u, mult: MultiplierPoint, r2s: Array
+) -> Array:
+    """Gradient in w (dx or du) with the shifted slot r2s in the observation term."""
+    P, n, m = x.shape[0], spec.dim_x, spec.dim_y
+    cols = n if w == "dx" else spec.dim_u
+    return (
+        _bcast(getattr(spec.running_l, w)(t, x, y, z1, z2, u), P, cols)
+        + vjp(mult.p, getattr(spec.drift_b, w)(t, x, u), P, n, cols)
+        + vjp(mult.q1, getattr(spec.diffusion_sigma1, w)(t, x, u), P, n, cols)
+        + vjp(mult.q2, getattr(spec.diffusion_sigma2, w)(t, x, u), P, n, cols)
+        + vjp(mult.k, getattr(spec.backward_f, w)(t, x, y, z1, z2, u), P, m, cols)
+        + r2s[:, None] * _bcast(getattr(spec.observation_h, w)(t, x, u), P, cols)
+    )
 
 
 def partial_x(spec: ProblemSpec, t, x, y, z1, z2, u, mult: MultiplierPoint) -> Array:
     """x-gradient with the shifted last slot in the observation term."""
-    P, n, m = x.shape[0], spec.dim_x, spec.dim_y
     r2s = shifted_slot(spec, t, x, u, z2, mult)
-    out = (
-        _bcast(spec.running_l.dx(t, x, y, z1, z2, u), P, n)
-        + vjp(mult.p, spec.drift_b.dx(t, x, u), P, n, n)
-        + vjp(mult.q1, spec.diffusion_sigma1.dx(t, x, u), P, n, n)
-        + vjp(mult.q2, spec.diffusion_sigma2.dx(t, x, u), P, n, n)
-        + vjp(mult.k, spec.backward_f.dx(t, x, y, z1, z2, u), P, m, n)
-        + r2s[:, None] * _bcast(spec.observation_h.dx(t, x, u), P, n)
-    )
-    return out
+    return _shifted_gradient(spec, "dx", t, x, y, z1, z2, u, mult, r2s)
 
 
 def partial_u(spec: ProblemSpec, t, x, y, z1, z2, u, mult: MultiplierPoint) -> Array:
     """u-gradient with the shifted last slot in the observation term."""
-    P, n, m, kdim = x.shape[0], spec.dim_x, spec.dim_y, spec.dim_u
     r2s = shifted_slot(spec, t, x, u, z2, mult)
-    out = (
-        _bcast(spec.running_l.du(t, x, y, z1, z2, u), P, kdim)
-        + vjp(mult.p, spec.drift_b.du(t, x, u), P, n, kdim)
-        + vjp(mult.q1, spec.diffusion_sigma1.du(t, x, u), P, n, kdim)
-        + vjp(mult.q2, spec.diffusion_sigma2.du(t, x, u), P, n, kdim)
-        + vjp(mult.k, spec.backward_f.du(t, x, y, z1, z2, u), P, m, kdim)
-        + r2s[:, None] * _bcast(spec.observation_h.du(t, x, u), P, kdim)
-    )
-    return out
+    return _shifted_gradient(spec, "du", t, x, y, z1, z2, u, mult, r2s)
 
 
 @dataclass(frozen=True)
@@ -170,12 +170,13 @@ class HPartials:
 
 def eval_H_partials(spec: ProblemSpec, t, x, y, z1, z2, u, mult: MultiplierPoint) -> HPartials:
     """All five partials, each at the shifted multiplier point."""
+    r2s = shifted_slot(spec, t, x, u, z2, mult)
     parts = HPartials(
-        dx=partial_x(spec, t, x, y, z1, z2, u, mult),
+        dx=_shifted_gradient(spec, "dx", t, x, y, z1, z2, u, mult, r2s),
         dy=partial_y(spec, t, x, y, z1, z2, u, mult.k),
         dz1=partial_z1(spec, t, x, y, z1, z2, u, mult.k),
         dz2=partial_z2(spec, t, x, y, z1, z2, u, mult.k),
-        du=partial_u(spec, t, x, y, z1, z2, u, mult),
+        du=_shifted_gradient(spec, "du", t, x, y, z1, z2, u, mult, r2s),
     )
     for name in ("dx", "dy", "dz1", "dz2", "du"):
         if not np.all(np.isfinite(getattr(parts, name))):

@@ -10,15 +10,12 @@ which keeps the cost trace monotone.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field, replace
-
-import numpy as np
+from dataclasses import dataclass, field
 
 from .bsde import BasisSpec, solve_adjoint, solve_backward
-from .errors import FbsdeError, OptimizerError
+from .errors import FbsdeError
 from .forward_sim import control_distance, evaluate_cost_strong, simulate_forward
-from .model import ControlProcess, ProblemSpec, make_control, project_onto_U
+from .model import ControlProcess, ProblemSpec, make_control
 from .nearopt import min_gap_over_A
 from .paths import sample_noise
 
@@ -26,14 +23,12 @@ from .paths import sample_noise
 @dataclass(frozen=True)
 class DescentParams:
     max_iter: int = 100
-    step_rule: str = "fw"  # "fw" | "fw-raw" | "pg"
     n_paths: int = 100_000
     seed: int = 0
     tol_gap: float = 1e-3
     basis: BasisSpec = field(default_factory=BasisSpec)
     armijo_c: float = 0.1
     max_halvings: int = 25
-    pg_step: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -85,13 +80,11 @@ def smp_descent(spec: ProblemSpec, u0: ControlProcess, params: DescentParams) ->
         if not spec.control_set.contains(v):
             raise FbsdeError(f"u0 is not admissible at step {i}")
     noise = sample_noise(u0.grid, params.n_paths, params.seed)
-    dt = u0.grid.dt
 
     u = u0
     fwd, bwd, cost = _evaluate(spec, u, noise, params.basis)
     rows: list[DescentRow] = []
     controls: list[ControlProcess] = [u]
-    increase_streak = 0
     converged = False
     stop_reason = "max_iter reached"
 
@@ -112,63 +105,24 @@ def smp_descent(spec: ProblemSpec, u0: ControlProcess, params: DescentParams) ->
             )
             break
 
-        weighted = None
-        if params.step_rule == "pg":
-            # mean gradient density drives a projected step
-            from .nearopt import weighted_hamiltonian_gradient
-
-            weighted = weighted_hamiltonian_gradient(spec, u, fwd, bwd, adj).mean(axis=1)
-
-        accepted = None
-        step_taken = 0.0
         proposal = 2.0 / (j + 2.0)
-        halvings = params.max_halvings if params.step_rule != "fw-raw" else 0
-        for h in range(halvings + 1):
-            if params.step_rule == "pg":
-                eta = params.pg_step * 0.5**h
-                cand_vals = np.stack(
-                    [
-                        project_onto_U(u.values[i] - eta * weighted[i], spec.control_set)
-                        for i in range(u.values.shape[0])
-                    ]
-                )
-                predicted = float(
-                    np.sum((cand_vals - u.values) * weighted) * dt
-                )
-                step = eta
-            else:
-                step = proposal * 0.5**h
-                cand_vals = u.values + step * (gap.minimizer.values - u.values)
-                predicted = step * gap.gap
-            candidate = ControlProcess(values=cand_vals, grid=u.grid)
+        for h in range(params.max_halvings + 1):
+            step = proposal * 0.5**h
+            candidate = ControlProcess(
+                values=u.values + step * (gap.minimizer.values - u.values), grid=u.grid
+            )
             fwd_c, bwd_c, cost_c = _evaluate(spec, candidate, noise, params.basis)
-            if params.step_rule == "fw-raw" or cost_c.value <= cost.value + params.armijo_c * predicted:
-                accepted = (candidate, fwd_c, bwd_c, cost_c)
-                step_taken = step
+            if cost_c.value <= cost.value + params.armijo_c * (step * gap.gap):
                 break
-        if accepted is None:
+        else:
             rows.append(
                 DescentRow(j, cost.value, cost.stderr, gap.gap, gap.stderr, 0.0, 0.0)
             )
             stop_reason = "line search stalled at the noise floor"
             break
 
-        candidate, fwd_c, bwd_c, cost_c = accepted
         moved = control_distance(candidate, u)
-        rows.append(
-            DescentRow(
-                j, cost.value, cost.stderr, gap.gap, gap.stderr, step_taken, moved
-            )
-        )
-        if cost_c.value > cost.value + 3.0 * math.hypot(cost_c.stderr, cost.stderr):
-            increase_streak += 1
-            if increase_streak >= 5:
-                raise OptimizerError(
-                    "cost increased beyond 3 stderr for 5 consecutive iterations; "
-                    "step rule or path count inadequate"
-                )
-        else:
-            increase_streak = 0
+        rows.append(DescentRow(j, cost.value, cost.stderr, gap.gap, gap.stderr, step, moved))
         u, fwd, bwd, cost = candidate, fwd_c, bwd_c, cost_c
         controls.append(u)
 

@@ -12,6 +12,7 @@ from fbsde_nearopt.model import (
     LQParams,
     TerminalCoefficient,
     make_lq_instance,
+    make_scalar_nonlinear_instance,
     zero_coefficient,
     zero_driver,
 )
@@ -182,3 +183,31 @@ def nan_observation_instance():
         du=lambda t, x, u: np.zeros((x.shape[0], 1)),
     )
     return dataclasses.replace(base, observation_h=h, label="nan_h")
+
+
+def value_as_backward_instance():
+    """scalar_nonlinear with driver f = -l and terminal map phi = Phi.
+
+    l does not depend on y, so the backward state (y, z1, z2) solves the
+    value system's equation dr = -l dt + R1 dW + R2 dW^u, r(T) = Phi(x(T)).
+    """
+    base = make_scalar_nonlinear_instance()
+    l, Phi = base.running_l, base.terminal_Phi
+
+    def negated(fn):
+        return lambda t, x, y, z1, z2, u: -fn(t, x, y, z1, z2, u)[:, None]
+
+    driver = DriverCoefficient(
+        value=negated(l.value),
+        dx=negated(l.dx),
+        dy=negated(l.dy),
+        dz1=negated(l.dz1),
+        dz2=negated(l.dz2),
+        du=negated(l.du),
+    )
+    phi = TerminalCoefficient(
+        value=lambda x: Phi.value(x)[:, None], dx=lambda x: Phi.dx(x)[:, None, :]
+    )
+    return dataclasses.replace(
+        base, backward_f=driver, terminal_phi=phi, label="value_as_backward"
+    )

@@ -23,7 +23,12 @@ from fbsde_nearopt import (
     solve_backward,
 )
 
-from _instances import linear_bsde_instance, linear_gamma_instance, pure_noise_instance
+from _instances import (
+    linear_bsde_instance,
+    linear_gamma_instance,
+    pure_noise_instance,
+    value_as_backward_instance,
+)
 
 
 def _full_pipeline(spec, u, noise, basis=BasisSpec()):
@@ -202,6 +207,20 @@ def test_adjoint_diagnostics_list_r_then_p_fits():
     assert rms[0] == regress_conditional_expectation(adj.r[8], fwd.x[7]).residual_rms
     assert rms[8] == regress_conditional_expectation(adj.p[8], fwd.x[7]).residual_rms
     assert rms[0] != rms[8]
+
+
+def test_value_system_equals_backward_state_when_f_is_minus_l():
+    # both sweeps run the same regression step: with f = -l and phi = Phi the
+    # value system (r, R1, R2) is the backward state (y, z1, z2) bit for bit
+    spec = value_as_backward_instance()
+    grid = make_time_grid(1.0, 16)
+    noise = sample_noise(grid, 2000, seed=13)
+    u = constant_control([0.2], grid, spec.control_set)
+    fwd, bwd, adj = _full_pipeline(spec, u, noise)
+    assert np.array_equal(adj.r, bwd.y[..., 0])
+    assert np.array_equal(adj.R1, bwd.z1[..., 0])
+    assert np.array_equal(adj.R2, bwd.z2[..., 0])
+    assert adj.diagnostics.residual_rms[:16] == bwd.diagnostics.residual_rms[::-1]
 
 
 def test_zero_cost_gives_zero_value_system():

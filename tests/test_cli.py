@@ -76,10 +76,17 @@ def test_missing_config_exits_two(tmp_path, capsys):
     assert "usage" in capsys.readouterr().err
 
 
-def test_unknown_key_exits_two(tmp_path):
-    cfg = _base_config(tmp_path, extra="\n[grid2]\nsteps = 3\n")
-    assert cli.main(["--config", cfg, "validate"]) == 2
-    cfg = _base_config(tmp_path, extra="\n[certificate]\nbogus = 1\n")
+@pytest.mark.parametrize(
+    "edit",
+    [
+        ("[output]", "[grid2]\nsteps = 3\n\n[output]"),
+        ("[output]", "[certificate]\nbogus = 1\n\n[output]"),
+        ("tol_gap = 1e-3", "tol_gap = 1e-3\nstep_rule = pg"),
+    ],
+    ids=["unknown-section", "unknown-key", "unknown-step-rule"],
+)
+def test_unknown_key_exits_two(tmp_path, edit):
+    cfg = write_config(tmp_path, BASE.format(out=tmp_path / "out").replace(*edit))
     assert cli.main(["--config", cfg, "validate"]) == 2
 
 

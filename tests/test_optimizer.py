@@ -4,7 +4,6 @@ import pytest
 from fbsde_nearopt import (
     DescentParams,
     FbsdeError,
-    OptimizerError,
     certify_necessary,
     constant_control,
     make_control,
@@ -13,7 +12,6 @@ from fbsde_nearopt import (
     riccati_open_loop_control,
     smp_descent,
 )
-from fbsde_nearopt.forward_sim import CostReport
 
 from _instances import control_only_cost_instance, linear_gap_instance
 
@@ -89,42 +87,6 @@ def test_infeasible_start_rejected(lq_spec):
     object.__setattr__(bad, "values", np.full((4, 1), 1.5))
     with pytest.raises(FbsdeError, match="admissible"):
         smp_descent(lq_spec, bad, DescentParams(max_iter=1, n_paths=500, seed=5))
-
-
-def test_projected_gradient_rule_also_descends(lq_spec, lq_riccati):
-    grid = make_time_grid(1.0, 8)
-    u0 = constant_control([0.8], grid, lq_spec.control_set)
-    params = DescentParams(max_iter=25, step_rule="pg", n_paths=2000, seed=6, tol_gap=1e-4)
-    trace = smp_descent(lq_spec, u0, params)
-    assert trace.final_cost <= trace.rows[0].cost
-    assert trace.final_cost - lq_riccati.optimal_cost <= 0.02
-
-
-def test_persistent_cost_increase_aborts(monkeypatch, lq_spec):
-    # rig the cost evaluator so every accepted iterate looks more expensive
-    import fbsde_nearopt.optimizer as opt
-
-    counter = {"n": 0}
-    real = opt.evaluate_cost_strong
-
-    def inflating(spec, u, fwd, bwd):
-        report = real(spec, u, fwd, bwd)
-        counter["n"] += 1
-        return CostReport(
-            value=report.value + 0.05 * counter["n"],
-            stderr=1e-6,
-            n_paths=report.n_paths,
-            running=report.running,
-            terminal=report.terminal,
-            initial=report.initial,
-        )
-
-    monkeypatch.setattr(opt, "evaluate_cost_strong", inflating)
-    grid = make_time_grid(1.0, 8)
-    u0 = constant_control([0.9], grid, lq_spec.control_set)
-    params = DescentParams(max_iter=30, step_rule="fw-raw", n_paths=800, seed=7, tol_gap=1e-12)
-    with pytest.raises(OptimizerError, match="5 consecutive"):
-        smp_descent(lq_spec, u0, params)
 
 
 def test_trace_csv_export(tmp_path, lq_spec):
