@@ -18,12 +18,13 @@ import numpy as np
 
 from . import hamiltonian as ham
 from .errors import FbsdeError, GridMismatchError, RegressionError
-from .forward_sim import ForwardTrajectories, _bcast
+from .forward_sim import ForwardTrajectories
 from .model import ControlProcess, ProblemSpec
 from .paths import NoiseBundle
 
 RIDGE = 1e-10
 MAX_CONDITION = 1e14
+MAX_DEGREE = 4
 
 
 @dataclass(frozen=True)
@@ -33,8 +34,8 @@ class BasisSpec:
     degree: int = 2
 
     def __post_init__(self) -> None:
-        if not 0 <= self.degree <= 4:
-            raise RegressionError(f"basis degree must be in [0, 4], got {self.degree}")
+        if not 0 <= self.degree <= MAX_DEGREE:
+            raise RegressionError(f"basis degree must be in [0, {MAX_DEGREE}], got {self.degree}")
 
     def exponent_tuples(self, dim: int) -> list[tuple[int, ...]]:
         combos = []
@@ -229,7 +230,7 @@ def solve_backward(
     y = np.empty((N + 1, P, m))
     z1 = np.empty((N, P, m))
     z2 = np.empty((N, P, m))
-    y[N] = _bcast(spec.terminal_phi.value(fwd.x[N]), P, m)
+    y[N] = spec.terminal_phi.value(fwd.x[N])
     diag = RegressionDiagnostics(
         basis_degree=basis.degree, basis_size=basis.size(spec.dim_x)
     )
@@ -241,12 +242,12 @@ def solve_backward(
         step = _StepFit(xi, basis)
         y_hat, z1[i], z2[i], rms = _regression_step(step, y[i + 1], noise, i, dt)
 
-        h = _bcast(spec.observation_h.value(t, xi, ui), P)
+        h = spec.observation_h.value(t, xi, ui)
         z2h = z2[i] * h[:, None]
 
         y_arg = y_hat
         for _ in range(2):
-            f_val = _bcast(spec.backward_f.value(t, xi, y_arg, z1[i], z2[i], ui), P, m)
+            f_val = spec.backward_f.value(t, xi, y_arg, z1[i], z2[i], ui)
             y_arg = y_hat - (f_val - z2h) * dt
         y[i] = y_arg
 
@@ -287,11 +288,11 @@ def solve_adjoint(
 
     h_all = np.empty((N, P))
     for i in range(N):
-        h_all[i] = _bcast(spec.observation_h.value(times[i], fwd.x[i], u.values[i]), P)
+        h_all[i] = spec.observation_h.value(times[i], fwd.x[i], u.values[i])
 
     # forward multiplier: dk = -H_y dt - H_z1 dW - H_z2 dW^u, k(0) = -gamma_y(y(0))
     k = np.empty((N + 1, P, m))
-    k[0] = -_bcast(spec.initial_gamma.dy(bwd.y[0]), P, m)
+    k[0] = -spec.initial_gamma.dy(bwd.y[0])
     for i in range(N):
         t = times[i]
         xi = fwd.x[i]
@@ -311,15 +312,13 @@ def solve_adjoint(
     r = np.empty((N + 1, P))
     R1 = np.empty((N, P))
     R2 = np.empty((N, P))
-    r[N] = _bcast(spec.terminal_Phi.value(fwd.x[N]), P)
+    r[N] = spec.terminal_Phi.value(fwd.x[N])
     # state multiplier: dp = -H_x dt + q1 dW + q2 dW^u,
     # p(T) = Phi_x(x(T)) - phi_x(x(T))^T k(T)
     p = np.empty((N + 1, P, n))
     q1 = np.empty((N, P, n))
     q2 = np.empty((N, P, n))
-    p[N] = _bcast(spec.terminal_Phi.dx(fwd.x[N]), P, n) - ham.vjp(
-        k[N], spec.terminal_phi.dx(fwd.x[N]), P, m, n
-    )
+    p[N] = spec.terminal_Phi.dx(fwd.x[N]) - ham.vjp(k[N], spec.terminal_phi.dx(fwd.x[N]))
     diag = RegressionDiagnostics(basis_degree=basis.degree, basis_size=basis.size(n))
     p_conditions, p_residuals = [], []
     for i in reversed(range(N)):
@@ -332,7 +331,7 @@ def solve_adjoint(
         # the scalar r goes through the regression step as a (P, 1) column
         r_hat, R1_i, R2_i, rms = _regression_step(step, r[i + 1, :, None], noise, i, dt)
         R1[i], R2[i] = R1_i[:, 0], R2_i[:, 0]
-        l_val = _bcast(spec.running_l.value(t, xi, yi, z1i, z2i, ui), P)
+        l_val = spec.running_l.value(t, xi, yi, z1i, z2i, ui)
         r[i] = r_hat[:, 0] + (l_val + R2[i] * h_all[i]) * dt
         diag.condition_numbers.append(step.condition)
         diag.residual_rms.append(rms)

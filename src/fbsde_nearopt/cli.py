@@ -20,7 +20,7 @@ import time
 
 import numpy as np
 
-from .bsde import BasisSpec, solve_backward
+from .bsde import MAX_DEGREE, BasisSpec, solve_backward
 from .errors import FbsdeError
 from .forward_sim import evaluate_cost_strong, simulate_forward
 from .model import (
@@ -121,8 +121,14 @@ def load_config(path: str) -> RunConfig:
     if not os.path.isfile(path):
         raise FileNotFoundError(path)
     parser = configparser.ConfigParser()
-    parser.read(path)
+    try:
+        parser.read(path)
+        return _run_config(parser)
+    except configparser.Error as exc:
+        raise ConfigError(str(exc)) from None
 
+
+def _run_config(parser: configparser.ConfigParser) -> RunConfig:
     known_sections = set(_SECTION_KEYS) | {"instance"}
     for section in parser.sections():
         if section not in known_sections:
@@ -158,7 +164,8 @@ def load_config(path: str) -> RunConfig:
 
     def positive(value, name, strict=True):
         if (value <= 0) if strict else (value < 0):
-            raise ConfigError(f"{name} must be positive, got {value}")
+            sign = "positive" if strict else "non-negative"
+            raise ConfigError(f"{name} must be {sign}, got {value}")
         return value
 
     deltas_raw = get("order_study", "deltas", "0.04,0.08,0.12,0.2,0.3", str)
@@ -167,6 +174,10 @@ def load_config(path: str) -> RunConfig:
     step_rule = get("optimizer", "step_rule", "fw", str)
     if step_rule != "fw":
         raise ConfigError(f"step_rule must be fw, the only rule, got {step_rule!r}")
+
+    degree = get("bsde", "degree", 2, int)
+    if not 0 <= degree <= MAX_DEGREE:
+        raise ConfigError(f"degree must be in [0, {MAX_DEGREE}], got {degree}")
 
     epsilon = get("certificate", "epsilon", "auto", str)
     if epsilon != "auto":
@@ -180,8 +191,8 @@ def load_config(path: str) -> RunConfig:
         horizon=positive(get("grid", "horizon", 1.0), "horizon"),
         steps=int(positive(get("grid", "steps", 64, int), "steps")),
         n_paths=int(positive(get("paths", "n_paths", 100_000, int), "n_paths")),
-        seed=get("paths", "seed", 0, int),
-        degree=int(get("bsde", "degree", 2, int)),
+        seed=positive(get("paths", "seed", 0, int), "seed", strict=False),
+        degree=degree,
         validation_samples=int(positive(get("validation", "samples", 100, int), "samples")),
         validation_tol=positive(get("validation", "tol", 1e-4), "tol"),
         certificate_C=positive(get("certificate", "c", 2.0), "C"),
@@ -430,6 +441,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
 
     if args.seed is not None:
+        if args.seed < 0:
+            print(f"bad --seed: must be non-negative, got {args.seed}", file=sys.stderr)
+            return EXIT_USAGE
         cfg.seed = args.seed
     if args.out is not None:
         cfg.out_dir = args.out

@@ -20,11 +20,6 @@ from .paths import NoiseBundle, TimeGrid, sample_noise
 BLOWUP_THRESHOLD = 1e8
 
 
-def _bcast(values, n_paths: int, *trailing: int) -> np.ndarray:
-    out = np.asarray(values, dtype=float)
-    return np.broadcast_to(out, (n_paths, *trailing))
-
-
 def _check_same_grid(a: TimeGrid, b: TimeGrid, what: str) -> None:
     if not a.matches(b):
         raise GridMismatchError(f"{what}: grids differ ({a} vs {b})")
@@ -66,10 +61,10 @@ def simulate_forward(
         t = times[i]
         xi = x[i]
         ui = u.values[i]
-        b = _bcast(spec.drift_b.value(t, xi, ui), P, n)
-        s1 = _bcast(spec.diffusion_sigma1.value(t, xi, ui), P, n)
-        s2 = _bcast(spec.diffusion_sigma2.value(t, xi, ui), P, n)
-        h = _bcast(spec.observation_h.value(t, xi, ui), P)
+        b = spec.drift_b.value(t, xi, ui)
+        s1 = spec.diffusion_sigma1.value(t, xi, ui)
+        s2 = spec.diffusion_sigma2.value(t, xi, ui)
+        h = spec.observation_h.value(t, xi, ui)
         x[i + 1] = (
             xi
             + (b - s2 * h[:, None]) * dt
@@ -136,14 +131,9 @@ def _per_path_cost_parts(spec, u, fwd, bwd):
     times = grid.times
     running = np.zeros(P)
     for i in range(N):
-        l = _bcast(
-            spec.running_l.value(
-                times[i], fwd.x[i], bwd.y[i], bwd.z1[i], bwd.z2[i], u.values[i]
-            ),
-            P,
-        )
+        l = spec.running_l.value(times[i], fwd.x[i], bwd.y[i], bwd.z1[i], bwd.z2[i], u.values[i])
         running = running + fwd.rho[i] * l * dt
-    terminal = fwd.rho[N] * _bcast(spec.terminal_Phi.value(fwd.x[N]), P)
+    terminal = fwd.rho[N] * spec.terminal_Phi.value(fwd.x[N])
     return running, terminal
 
 
@@ -161,9 +151,8 @@ def evaluate_cost_strong(
     P = fwd.n_paths
 
     y0_mean = bwd.y[0].mean(axis=0)
-    initial = float(np.asarray(spec.initial_gamma.value(y0_mean[None, :]), dtype=float)[0])
-    gamma_per_path = np.asarray(spec.initial_gamma.value(bwd.y[0]), dtype=float)
-    initial_bias = _mean(np.broadcast_to(gamma_per_path, (P,))) - initial
+    initial = float(spec.initial_gamma.value(y0_mean[None, :])[0])
+    initial_bias = _mean(spec.initial_gamma.value(bwd.y[0])) - initial
 
     core = running + terminal
     run_mean = _mean(running)
@@ -211,14 +200,3 @@ def control_distance(u: ControlProcess, v: ControlProcess) -> float:
         raise GridMismatchError("controls have different dimensions")
     diff = u.values - v.values
     return float(np.sqrt(np.sum(diff * diff) * u.grid.dt))
-
-
-def trajectories_to_csv(fwd: ForwardTrajectories, path: str) -> None:
-    """Rows (path, step, x components, rho)."""
-    n_nodes, P, n = fwd.x.shape
-    with open(path, "w", newline="") as handle:
-        handle.write("path,step," + ",".join(f"x{j}" for j in range(n)) + ",rho\n")
-        for p in range(P):
-            for i in range(n_nodes):
-                xs = ",".join(repr(float(v)) for v in fwd.x[i, p])
-                handle.write(f"{p},{i},{xs},{repr(float(fwd.rho[i, p]))}\n")

@@ -17,21 +17,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FbsdeError
-from .forward_sim import _bcast
 from .model import ProblemSpec
 
 Array = np.ndarray
 
 
-def vjp(v, J, P: int, rows: int, cols: int) -> Array:
+def vjp(v, J) -> Array:
     """Per-path v^T J: v (P, rows) against J (P, rows, cols), giving (P, cols).
 
-    A Jacobian that is the same on every path (a broadcast view, stride 0
+    v may hold one row (MultiplierPoint.single), shared by every path.  A
+    Jacobian that is the same on every path (a broadcast view, stride 0
     along paths) is contracted with one matrix product.  np.dot, not @:
     at rows == cols == 1 the matmul path is several times slower than einsum.
     """
-    J = _bcast(J, P, rows, cols)
-    v = _bcast(v, P, rows)
+    v = np.broadcast_to(v, J.shape[:2])
     if J.strides[0] == 0:
         return np.dot(v, J[0])
     return np.einsum("pij,pi->pj", J, v)
@@ -67,32 +66,22 @@ class MultiplierPoint:
         )
 
 
+def _pair(values: Array, mult: Array) -> Array:
+    """Per-path <values, mult>; mult may hold one row shared by every path."""
+    return np.einsum("pi,pi->p", values, np.broadcast_to(mult, values.shape))
+
+
 def eval_H(spec: ProblemSpec, t, x, y, z1, z2, u, mult: MultiplierPoint) -> Array:
     """The six-term pairing, per path."""
-    P, n = x.shape
     terms = {
-        "running_l": _bcast(spec.running_l.value(t, x, y, z1, z2, u), P),
-        "drift_b": np.einsum(
-            "pi,pi->p", _bcast(spec.drift_b.value(t, x, u), P, n), _bcast(mult.p, P, n)
-        ),
-        "diffusion_sigma1": np.einsum(
-            "pi,pi->p",
-            _bcast(spec.diffusion_sigma1.value(t, x, u), P, n),
-            _bcast(mult.q1, P, n),
-        ),
-        "diffusion_sigma2": np.einsum(
-            "pi,pi->p",
-            _bcast(spec.diffusion_sigma2.value(t, x, u), P, n),
-            _bcast(mult.q2, P, n),
-        ),
-        "backward_f": np.einsum(
-            "pi,pi->p",
-            _bcast(spec.backward_f.value(t, x, y, z1, z2, u), P, spec.dim_y),
-            _bcast(mult.k, P, spec.dim_y),
-        ),
-        "observation_h": _bcast(mult.R2, P) * _bcast(spec.observation_h.value(t, x, u), P),
+        "running_l": spec.running_l.value(t, x, y, z1, z2, u),
+        "drift_b": _pair(spec.drift_b.value(t, x, u), mult.p),
+        "diffusion_sigma1": _pair(spec.diffusion_sigma1.value(t, x, u), mult.q1),
+        "diffusion_sigma2": _pair(spec.diffusion_sigma2.value(t, x, u), mult.q2),
+        "backward_f": _pair(spec.backward_f.value(t, x, y, z1, z2, u), mult.k),
+        "observation_h": mult.R2 * spec.observation_h.value(t, x, u),
     }
-    total = np.zeros(P)
+    total = np.zeros(x.shape[0])
     for name, term in terms.items():
         if not np.all(np.isfinite(term)):
             raise FbsdeError(f"non-finite Hamiltonian term from {name}")
@@ -102,21 +91,14 @@ def eval_H(spec: ProblemSpec, t, x, y, z1, z2, u, mult: MultiplierPoint) -> Arra
 
 def shifted_slot(spec: ProblemSpec, t, x, u, z2, mult: MultiplierPoint) -> Array:
     """R2 - <sigma2(t,x,u), p> - <z2, k>, per path."""
-    P, n = x.shape
-    s2 = _bcast(spec.diffusion_sigma2.value(t, x, u), P, n)
-    return (
-        _bcast(mult.R2, P)
-        - np.einsum("pi,pi->p", s2, _bcast(mult.p, P, n))
-        - np.einsum("pi,pi->p", _bcast(z2, P, spec.dim_y), _bcast(mult.k, P, spec.dim_y))
-    )
+    return mult.R2 - _pair(spec.diffusion_sigma2.value(t, x, u), mult.p) - _pair(z2, mult.k)
 
 
 def _driver_gradient(spec: ProblemSpec, w: str, t, x, y, z1, z2, u, k: Array) -> Array:
     """l_w + f_w^T k for a backward slot w in dy, dz1, dz2: no multiplier shift."""
-    P, m = x.shape[0], spec.dim_y
     f_w = getattr(spec.backward_f, w)(t, x, y, z1, z2, u)
     l_w = getattr(spec.running_l, w)(t, x, y, z1, z2, u)
-    return _bcast(l_w, P, m) + vjp(k, f_w, P, m, m)
+    return l_w + vjp(k, f_w)
 
 
 def partial_y(spec: ProblemSpec, t, x, y, z1, z2, u, k: Array) -> Array:
@@ -135,15 +117,13 @@ def _shifted_gradient(
     spec: ProblemSpec, w: str, t, x, y, z1, z2, u, mult: MultiplierPoint, r2s: Array
 ) -> Array:
     """Gradient in w (dx or du) with the shifted slot r2s in the observation term."""
-    P, n, m = x.shape[0], spec.dim_x, spec.dim_y
-    cols = n if w == "dx" else spec.dim_u
     return (
-        _bcast(getattr(spec.running_l, w)(t, x, y, z1, z2, u), P, cols)
-        + vjp(mult.p, getattr(spec.drift_b, w)(t, x, u), P, n, cols)
-        + vjp(mult.q1, getattr(spec.diffusion_sigma1, w)(t, x, u), P, n, cols)
-        + vjp(mult.q2, getattr(spec.diffusion_sigma2, w)(t, x, u), P, n, cols)
-        + vjp(mult.k, getattr(spec.backward_f, w)(t, x, y, z1, z2, u), P, m, cols)
-        + r2s[:, None] * _bcast(getattr(spec.observation_h, w)(t, x, u), P, cols)
+        getattr(spec.running_l, w)(t, x, y, z1, z2, u)
+        + vjp(mult.p, getattr(spec.drift_b, w)(t, x, u))
+        + vjp(mult.q1, getattr(spec.diffusion_sigma1, w)(t, x, u))
+        + vjp(mult.q2, getattr(spec.diffusion_sigma2, w)(t, x, u))
+        + vjp(mult.k, getattr(spec.backward_f, w)(t, x, y, z1, z2, u))
+        + r2s[:, None] * getattr(spec.observation_h, w)(t, x, u)
     )
 
 
@@ -323,11 +303,8 @@ def check_H_convexity(
         for _ in range(n_probes):
             i, j = rng.integers(points.shape[0], size=2)
             a, b = points[i], points[j]
-            lhs = float(np.asarray(value_fn(((a + b) / 2.0)[None, :]))[0])
-            rhs = 0.5 * (
-                float(np.asarray(value_fn(a[None, :]))[0])
-                + float(np.asarray(value_fn(b[None, :]))[0])
-            )
+            lhs = float(value_fn(((a + b) / 2.0)[None, :])[0])
+            rhs = 0.5 * (float(value_fn(a[None, :])[0]) + float(value_fn(b[None, :])[0]))
             worst = max(worst, lhs - rhs)
         return worst
 

@@ -1,16 +1,20 @@
 """Problem instances: coefficient maps, control sets, admissible controls.
 
 Coefficient callables are vectorized over a leading path axis: state
-arguments arrive as (P, n) arrays (y, z1, z2 as (P, m)), the control as a
-flat (k,) vector shared by all paths, and outputs may be returned in any
-shape broadcastable to the documented one.  All maps must be pure.
+arguments arrive as (P, n) arrays (y, z1, z2 as (P, m)) and the control as
+a flat (k,) vector shared by all paths.  A callable may return anything
+broadcastable to its documented shape; ProblemSpec wraps each one once, so
+every caller gets a float (P, *out, *width) array.  An output smaller than
+that comes back as a read-only broadcast view, so no caller may write into
+a coefficient output.  All maps must be pure.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -251,52 +255,46 @@ class InitialCoefficient:
     dy: Callable[[Array], Array]
 
 
-def _zero_rows(P: int, *shape: int) -> Array:
-    """Read-only (P, *shape) zeros: one block broadcast over the paths."""
-    return np.broadcast_to(np.zeros(shape), (P, *shape))
+def _zero(*args) -> float:
+    """Any coefficient part that is identically zero."""
+    return 0.0
 
 
-def zero_coefficient(out_dim: int | None = None) -> Coefficient:
-    """Coefficient identically zero (scalar when out_dim is None)."""
-    out = () if out_dim is None else (out_dim,)
-
-    def value(t, x, u):
-        return _zero_rows(x.shape[0], *out)
-
-    def dx(t, x, u):
-        P, n = x.shape
-        return _zero_rows(P, *out, n)
-
-    def du(t, x, u):
-        return _zero_rows(x.shape[0], *out, np.atleast_1d(u).shape[-1])
-
-    return Coefficient(value=value, dx=dx, du=du)
+def zero_coefficient() -> Coefficient:
+    """Coefficient identically zero, in whatever shape its field documents."""
+    return Coefficient(value=_zero, dx=_zero, du=_zero)
 
 
-def zero_driver(out_dim: int | None = None) -> DriverCoefficient:
-    out = () if out_dim is None else (out_dim,)
+def zero_driver() -> DriverCoefficient:
+    return DriverCoefficient(value=_zero, dx=_zero, dy=_zero, dz1=_zero, dz2=_zero, du=_zero)
 
-    def value(t, x, y, z1, z2, u):
-        return _zero_rows(x.shape[0], *out)
 
-    def d_wrt(cols: str):
-        def deriv(t, x, y, z1, z2, u):
-            P, n = x.shape
-            m = y.shape[1]
-            k = np.atleast_1d(u).shape[-1]
-            width = {"x": n, "y": m, "z": m, "u": k}[cols]
-            return _zero_rows(P, *out, width)
+_SHAPE_MARK = "_coefficient_shape"
 
-        return deriv
 
-    return DriverCoefficient(
-        value=value,
-        dx=d_wrt("x"),
-        dy=d_wrt("y"),
-        dz1=d_wrt("z"),
-        dz2=d_wrt("z"),
-        du=d_wrt("u"),
-    )
+def _shaped(fn: Callable, name: str, rows_arg: int, trailing: tuple[int, ...]) -> Callable:
+    """fn returning a float (P, *trailing) array, P the row count of its
+    argument rows_arg; a smaller output comes back as a read-only broadcast
+    view.  An fn already shaped to trailing is returned as it is: wrappers
+    made with functools.wraps copy the mark, so they are kept too."""
+    if getattr(fn, _SHAPE_MARK, None) == trailing:
+        return fn
+
+    @functools.wraps(fn)
+    def shaped(*args):
+        out = np.asarray(fn(*args), dtype=float)
+        shape = (args[rows_arg].shape[0], *trailing)
+        if out.shape == shape:
+            return out
+        try:
+            return np.broadcast_to(out, shape)
+        except ValueError:
+            raise FbsdeError(
+                f"{name} returned shape {out.shape}, which does not broadcast to {shape}"
+            ) from None
+
+    setattr(shaped, _SHAPE_MARK, trailing)
+    return shaped
 
 
 # ---------------------------------------------------------------------------
@@ -338,13 +336,45 @@ class ProblemSpec:
         if self.control_set.dim != self.dim_u:
             raise FbsdeError("control set dimension must equal dim_u")
         object.__setattr__(self, "initial_x", x0)
+        self._shape_coefficients()
+
+    def _shape_coefficients(self) -> None:
+        """Wrap every coefficient part to return its (P, *out, *width) shape."""
+        n, m, k = self.dim_x, self.dim_y, self.dim_u
+        width = {"value": (), "dx": (n,), "dy": (m,), "dz1": (m,), "dz2": (m,), "du": (k,)}
+        out = {
+            "drift_b": (n,),
+            "diffusion_sigma1": (n,),
+            "diffusion_sigma2": (n,),
+            "backward_f": (m,),
+            "observation_h": (),
+            "terminal_phi": (m,),
+            "running_l": (),
+            "terminal_Phi": (),
+            "initial_gamma": (),
+        }
+        for name, out_shape in out.items():
+            coeff = getattr(self, name)
+            # (t, x, ...) maps count paths in x; terminal and initial maps in their argument
+            rows_arg = 1 if isinstance(coeff, (Coefficient, DriverCoefficient)) else 0
+            parts = {
+                f.name: _shaped(
+                    getattr(coeff, f.name),
+                    f"{name}.{f.name}",
+                    rows_arg,
+                    (*out_shape, *width[f.name]),
+                )
+                for f in fields(coeff)
+            }
+            if any(fn is not getattr(coeff, part) for part, fn in parts.items()):
+                object.__setattr__(self, name, replace(coeff, **parts))
 
 
 def without_observation(spec: ProblemSpec) -> ProblemSpec:
     """The same instance with h replaced by zero (weak-formulation view)."""
     return replace(
         spec,
-        observation_h=zero_coefficient(None),
+        observation_h=zero_coefficient(),
         h_control_free=True,
         label=spec.label + "+h0",
     )
@@ -444,7 +474,7 @@ def _check_partials(
                     return np.asarray(value_of(local), dtype=float)
 
                 fd = _central_diff(slice_fn, points[slot], col)
-                exact = declared[..., col] if declared.ndim > fd.ndim else declared
+                exact = declared[..., col]
                 disc = np.abs(exact - fd) / (1.0 + np.abs(exact))
                 j = int(np.argmax(disc))
                 if disc.flat[j] > worst:
@@ -493,14 +523,9 @@ def validate_problem(
             row = {key: p[key][j : j + 1] for key in p}
             t = ts[min(j, samples - 1)]
             if with_state:
-                out.append(
-                    np.asarray(
-                        fn(t, row["x"], row["y"], row["z1"], row["z2"], p["u"][j]),
-                        dtype=float,
-                    )[0]
-                )
+                out.append(fn(t, row["x"], row["y"], row["z1"], row["z2"], p["u"][j])[0])
             else:
-                out.append(np.asarray(fn(t, row["x"], p["u"][j]), dtype=float)[0])
+                out.append(fn(t, row["x"], p["u"][j])[0])
         return np.asarray(out)
 
     for name, coeff, bound in (
@@ -543,8 +568,8 @@ def validate_problem(
         checks.append(
             _check_partials(
                 name,
-                lambda p, c=term: np.asarray(c.value(p["x"]), dtype=float),
-                {"dx": ((lambda p, c=term: np.asarray(c.dx(p["x"]), dtype=float)), "x")},
+                lambda p, c=term: c.value(p["x"]),
+                {"dx": ((lambda p, c=term: c.dx(p["x"])), "x")},
                 pts,
                 None,
             )
@@ -553,8 +578,8 @@ def validate_problem(
     checks.append(
         _check_partials(
             "initial_gamma",
-            lambda p: np.asarray(spec.initial_gamma.value(p["y"]), dtype=float),
-            {"dy": ((lambda p: np.asarray(spec.initial_gamma.dy(p["y"]), dtype=float)), "y")},
+            lambda p: spec.initial_gamma.value(p["y"]),
+            {"dy": ((lambda p: spec.initial_gamma.dy(p["y"])), "y")},
             pts,
             None,
         )
@@ -619,52 +644,27 @@ def make_lq_instance(params: LQParams | None = None, **overrides) -> ProblemSpec
     def b_val(t, x, u):
         return a * x + b_coef * np.atleast_1d(u)[None, :]
 
-    def b_dx(t, x, u):
-        return np.broadcast_to(np.diag(a), (x.shape[0], n, n))
-
-    def b_du(t, x, u):
-        return np.broadcast_to(np.diag(b_coef), (x.shape[0], n, n))
-
-    drift = Coefficient(value=b_val, dx=b_dx, du=b_du)
-
-    def s1_val(t, x, u):
-        return np.broadcast_to(sigma, x.shape)
-
-    sig1 = Coefficient(
-        value=s1_val,
-        dx=lambda t, x, u: _zero_rows(x.shape[0], n, n),
-        du=lambda t, x, u: _zero_rows(x.shape[0], n, n),
+    drift = Coefficient(
+        value=b_val, dx=lambda t, x, u: np.diag(a), du=lambda t, x, u: np.diag(b_coef)
     )
+    sig1 = Coefficient(value=lambda t, x, u: sigma, dx=_zero, du=_zero)
 
     def l_val(t, x, y, z1, z2, u):
-        uu = np.atleast_1d(u)[None, :]
-        return _quadratic_form(q, x) + np.broadcast_to(
-            _quadratic_form(r, uu), (x.shape[0],)
-        ).copy()
+        return _quadratic_form(q, x) + _quadratic_form(r, np.atleast_1d(u)[None, :])
 
     def l_dx(t, x, y, z1, z2, u):
         return q * x
 
     def l_du(t, x, y, z1, z2, u):
-        return np.broadcast_to(r * np.atleast_1d(u)[None, :], (x.shape[0], n)).copy()
+        return r * np.atleast_1d(u)
 
-    def l_dzero(t, x, y, z1, z2, u):
-        return np.zeros((x.shape[0], n))
+    running = DriverCoefficient(value=l_val, dx=l_dx, dy=_zero, dz1=_zero, dz2=_zero, du=l_du)
 
-    running = DriverCoefficient(
-        value=l_val, dx=l_dx, dy=l_dzero, dz1=l_dzero, dz2=l_dzero, du=l_du
-    )
-
-    phi = TerminalCoefficient(
-        value=lambda x: x.copy(),
-        dx=lambda x: np.broadcast_to(np.eye(n), (x.shape[0], n, n)),
-    )
+    phi = TerminalCoefficient(value=lambda x: x.copy(), dx=lambda x: np.eye(n))
     big_phi = TerminalCoefficient(
         value=lambda x: _quadratic_form(g, x), dx=lambda x: g * x
     )
-    gamma = InitialCoefficient(
-        value=lambda y: np.zeros(y.shape[0]), dy=lambda y: np.zeros_like(y)
-    )
+    gamma = InitialCoefficient(value=_zero, dy=_zero)
 
     return ProblemSpec(
         dim_x=n,
@@ -673,9 +673,9 @@ def make_lq_instance(params: LQParams | None = None, **overrides) -> ProblemSpec
         horizon=params.horizon,
         drift_b=drift,
         diffusion_sigma1=sig1,
-        diffusion_sigma2=zero_coefficient(n),
-        backward_f=zero_driver(n),
-        observation_h=zero_coefficient(None),
+        diffusion_sigma2=zero_coefficient(),
+        backward_f=zero_driver(),
+        observation_h=zero_coefficient(),
         terminal_phi=phi,
         running_l=running,
         terminal_Phi=big_phi,
@@ -710,16 +710,8 @@ def make_lq_observation_instance(
     n = params.dim
     s2 = np.broadcast_to(np.asarray(sigma2, dtype=float), (n,)).copy()
 
-    sig2 = Coefficient(
-        value=lambda t, x, u: np.broadcast_to(s2, x.shape),
-        dx=lambda t, x, u: _zero_rows(x.shape[0], n, n),
-        du=lambda t, x, u: _zero_rows(x.shape[0], n, n),
-    )
-    h = Coefficient(
-        value=lambda t, x, u: np.full(x.shape[0], float(h_const)),
-        dx=lambda t, x, u: np.zeros((x.shape[0], n)),
-        du=lambda t, x, u: np.zeros((x.shape[0], n)),
-    )
+    sig2 = Coefficient(value=lambda t, x, u: s2, dx=_zero, du=_zero)
+    h = Coefficient(value=lambda t, x, u: float(h_const), dx=_zero, du=_zero)
     return replace(
         base,
         diffusion_sigma2=sig2,

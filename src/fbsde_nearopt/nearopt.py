@@ -341,28 +341,23 @@ def cost_difference_representation(
         )
         per_path_rhs += fwd_e.rho[i] * bracket * dt
 
-        l_u = np.broadcast_to(
-            np.asarray(spec.running_l.value(t, xu, yu, z1u, z2u, u.values[i]), float), (P,)
-        )
-        l_e = np.broadcast_to(
-            np.asarray(spec.running_l.value(t, xe, ye, z1e, z2e, u_eps.values[i]), float),
-            (P,),
-        )
+        l_u = spec.running_l.value(t, xu, yu, z1u, z2u, u.values[i])
+        l_e = spec.running_l.value(t, xe, ye, z1e, z2e, u_eps.values[i])
         per_path_lhs += fwd_e.rho[i] * (l_u - l_e) * dt
 
     xu_T, xe_T = fwd_u.x[N], fwd_e.x[N]
-    phi_u = np.broadcast_to(np.asarray(spec.terminal_Phi.value(xu_T), float), (P,))
-    phi_e = np.broadcast_to(np.asarray(spec.terminal_Phi.value(xe_T), float), (P,))
-    phi_x_e = np.broadcast_to(np.asarray(spec.terminal_Phi.dx(xe_T), float), (P, spec.dim_x))
+    phi_u = spec.terminal_Phi.value(xu_T)
+    phi_e = spec.terminal_Phi.value(xe_T)
+    phi_x_e = spec.terminal_Phi.dx(xe_T)
     terminal_bracket = phi_u - phi_e - np.einsum("pi,pi->p", phi_x_e, xu_T - xe_T)
     per_path_rhs += fwd_e.rho[N] * terminal_bracket
     per_path_lhs += fwd_e.rho[N] * (phi_u - phi_e)
 
     y0_u = bwd_u.y[0].mean(axis=0)
     y0_e = bwd_e.y[0].mean(axis=0)
-    g_u = float(np.asarray(spec.initial_gamma.value(y0_u[None, :]), float)[0])
-    g_e = float(np.asarray(spec.initial_gamma.value(y0_e[None, :]), float)[0])
-    g_dy = np.asarray(spec.initial_gamma.dy(y0_e[None, :]), float).reshape(spec.dim_y)
+    g_u = float(spec.initial_gamma.value(y0_u[None, :])[0])
+    g_e = float(spec.initial_gamma.value(y0_e[None, :])[0])
+    g_dy = spec.initial_gamma.dy(y0_e[None, :])[0]
     gamma_bracket = g_u - g_e - float(g_dy @ (y0_u - y0_e))
 
     rhs = math.fsum(per_path_rhs) / P + gamma_bracket

@@ -90,16 +90,10 @@ def enumerate_lattice(spec: ProblemSpec, u: ControlProcess, grid: TimeGrid) -> L
         xi = x_levels[i]
         Q = xi.shape[0]
         ui = u.values[i]
-        b = np.broadcast_to(np.asarray(spec.drift_b.value(times[i], xi, ui), float), (Q, n))
-        s1 = np.broadcast_to(
-            np.asarray(spec.diffusion_sigma1.value(times[i], xi, ui), float), (Q, n)
-        )
-        s2 = np.broadcast_to(
-            np.asarray(spec.diffusion_sigma2.value(times[i], xi, ui), float), (Q, n)
-        )
-        h = np.broadcast_to(
-            np.asarray(spec.observation_h.value(times[i], xi, ui), float), (Q,)
-        )
+        b = spec.drift_b.value(times[i], xi, ui)
+        s1 = spec.diffusion_sigma1.value(times[i], xi, ui)
+        s2 = spec.diffusion_sigma2.value(times[i], xi, ui)
+        h = spec.observation_h.value(times[i], xi, ui)
         dw = np.tile(SW_CHILD, Q) * sqdt
         dy = np.tile(SY_CHILD, Q) * sqdt
         x_levels.append(
@@ -120,9 +114,7 @@ def enumerate_lattice(spec: ProblemSpec, u: ControlProcess, grid: TimeGrid) -> L
     y_levels: list = [None] * (N + 1)
     z1_levels: list = [None] * N
     z2_levels: list = [None] * N
-    y_levels[N] = np.broadcast_to(
-        np.asarray(spec.terminal_phi.value(x_levels[N]), float), (4**N, m)
-    ).copy()
+    y_levels[N] = spec.terminal_phi.value(x_levels[N])
     for i in reversed(range(N)):
         Q = 4**i
         y_next = y_levels[i + 1].reshape(Q, 4, m)
@@ -131,16 +123,10 @@ def enumerate_lattice(spec: ProblemSpec, u: ControlProcess, grid: TimeGrid) -> L
         z2 = (y_next * SY_CHILD[None, :, None]).mean(axis=1) * sqdt / dt
         xi = x_levels[i]
         ui = u.values[i]
-        h = np.broadcast_to(
-            np.asarray(spec.observation_h.value(times[i], xi, ui), float), (Q,)
-        )
-        z2h = z2 * h[:, None]
+        z2h = z2 * spec.observation_h.value(times[i], xi, ui)[:, None]
         y_arg = y_hat
         for _ in range(2):
-            f_val = np.broadcast_to(
-                np.asarray(spec.backward_f.value(times[i], xi, y_arg, z1, z2, ui), float),
-                (Q, m),
-            )
+            f_val = spec.backward_f.value(times[i], xi, y_arg, z1, z2, ui)
             y_arg = y_hat - (f_val - z2h) * dt
         y_levels[i] = y_arg
         z1_levels[i] = z1
@@ -151,28 +137,15 @@ def enumerate_lattice(spec: ProblemSpec, u: ControlProcess, grid: TimeGrid) -> L
     running = np.zeros(P)
     for i in range(N):
         Q = 4**i
-        l_val = np.broadcast_to(
-            np.asarray(
-                spec.running_l.value(
-                    times[i],
-                    x_levels[i],
-                    y_levels[i],
-                    z1_levels[i],
-                    z2_levels[i],
-                    u.values[i],
-                ),
-                float,
-            ),
-            (Q,),
+        l_val = spec.running_l.value(
+            times[i], x_levels[i], y_levels[i], z1_levels[i], z2_levels[i], u.values[i]
         )
         contrib = rho_levels[i] * l_val * dt
         running = running + np.repeat(contrib, P // Q)
-    terminal = rho_levels[N] * np.broadcast_to(
-        np.asarray(spec.terminal_Phi.value(x_levels[N]), float), (P,)
-    )
+    terminal = rho_levels[N] * spec.terminal_Phi.value(x_levels[N])
     run_mean = math.fsum(running) / P
     term_mean = math.fsum(terminal) / P
-    initial = float(np.asarray(spec.initial_gamma.value(y_levels[0]), float)[0])
+    initial = float(spec.initial_gamma.value(y_levels[0])[0])
     cost = run_mean + term_mean + initial
     return LatticeSolution(
         cost=cost,

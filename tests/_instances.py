@@ -13,8 +13,6 @@ from fbsde_nearopt.model import (
     TerminalCoefficient,
     make_lq_instance,
     make_scalar_nonlinear_instance,
-    zero_coefficient,
-    zero_driver,
 )
 
 

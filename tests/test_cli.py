@@ -82,12 +82,33 @@ def test_missing_config_exits_two(tmp_path, capsys):
         ("[output]", "[grid2]\nsteps = 3\n\n[output]"),
         ("[output]", "[certificate]\nbogus = 1\n\n[output]"),
         ("tol_gap = 1e-3", "tol_gap = 1e-3\nstep_rule = pg"),
+        ("[output]", "[optimizer]\nmax_iter = 3\n\n[output]"),
+        ("tol_gap = 1e-3", "tol_gap = 1e-3\ntol_gap = 1e-2"),
+        ("\n[instance]", "stray = 1\n[instance]"),
+        ("seed = 3", "seed = -3"),
+        ("[output]", "[bsde]\ndegree = 7\n\n[output]"),
     ],
-    ids=["unknown-section", "unknown-key", "unknown-step-rule"],
+    ids=[
+        "unknown-section",
+        "unknown-key",
+        "unknown-step-rule",
+        "duplicate-section",
+        "duplicate-key",
+        "no-section-header",
+        "negative-seed",
+        "degree-out-of-range",
+    ],
 )
 def test_unknown_key_exits_two(tmp_path, edit):
-    cfg = write_config(tmp_path, BASE.format(out=tmp_path / "out").replace(*edit))
+    body = BASE.format(out=tmp_path / "out")
+    assert edit[0] in body
+    cfg = write_config(tmp_path, body.replace(*edit))
     assert cli.main(["--config", cfg, "validate"]) == 2
+
+
+def test_negative_seed_flag_exits_two(tmp_path, capsys):
+    assert cli.main(["--config", _base_config(tmp_path), "--seed", "-1", "validate"]) == 2
+    assert "--seed" in capsys.readouterr().err
 
 
 def test_solve_writes_artifacts(tmp_path):

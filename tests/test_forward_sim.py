@@ -22,7 +22,6 @@ from fbsde_nearopt import (
     simulate_forward,
     solve_backward,
 )
-from fbsde_nearopt.forward_sim import trajectories_to_csv
 
 from _instances import constant_running_cost_instance, explosive_instance, pure_noise_instance
 
@@ -237,17 +236,6 @@ def test_sup_moments_stable_across_seeds(spec):
         for name, vals in series.items():
             assert np.all(np.isfinite(vals))
             assert max(vals) / min(vals) < 1.2, (order, name, vals)
-
-
-def test_trajectory_csv_export(tmp_path, lq_spec):
-    grid = make_time_grid(1.0, 4)
-    noise = sample_noise(grid, 5, seed=18)
-    fwd = simulate_forward(lq_spec, constant_control([0.0], grid, lq_spec.control_set), noise)
-    out = tmp_path / "traj.csv"
-    trajectories_to_csv(fwd, str(out))
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == "path,step,x0,rho"
-    assert len(lines) == 1 + 5 * 5
 
 
 def test_cost_report_json(lq_spec):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,16 +8,25 @@ from hypothesis import strategies as st
 from fbsde_nearopt import (
     Ball,
     Box,
+    Coefficient,
+    DriverCoefficient,
     FbsdeError,
+    InitialCoefficient,
     InvalidControlError,
     LQParams,
+    ProblemSpec,
+    TerminalCoefficient,
     builtin_instance,
     constant_control,
+    evaluate_cost_strong,
     linear_minimize_over_U,
     make_control,
     make_lq_instance,
     make_time_grid,
+    min_gap_over_A,
     project_onto_U,
+    run_pipeline,
+    sample_noise,
     validate_problem,
 )
 from fbsde_nearopt.model import control_from_csv, control_to_csv
@@ -173,3 +184,149 @@ def test_constant_control_shape():
     ctrl = constant_control([0.25], grid, Box(lower=[-1.0], upper=[1.0]))
     assert ctrl.values.shape == (6, 1)
     assert np.all(ctrl.values == 0.25)
+
+
+# ---------------------------------------------------------------------------
+# coefficient output shapes
+
+COEFFICIENT_FIELDS = (
+    "drift_b",
+    "diffusion_sigma1",
+    "diffusion_sigma2",
+    "backward_f",
+    "observation_h",
+    "terminal_phi",
+    "running_l",
+    "terminal_Phi",
+    "initial_gamma",
+)
+
+
+def _shape_contract_instance(full: bool) -> ProblemSpec:
+    """n = m = k = 2 with sigma2, h, f and gamma non-zero.
+
+    full=False returns scalars, (n,) rows and (out, n) blocks wherever a map
+    allows; full=True returns the same values as contiguous (P, ...) arrays.
+    """
+    a, s1, s2 = np.array([0.3, -0.2]), np.array([0.2, 0.1]), np.array([0.3, 0.15])
+
+    def out(value, P, *trailing):
+        return np.array(np.broadcast_to(value, (P, *trailing))) if full else value
+
+    zero_block = np.zeros((2, 2))
+    drift = Coefficient(
+        value=lambda t, x, u: a * x + np.asarray(u)[None, :],
+        dx=lambda t, x, u: out(np.diag(a), x.shape[0], 2, 2),
+        du=lambda t, x, u: out(np.eye(2), x.shape[0], 2, 2),
+    )
+    sig1 = Coefficient(
+        value=lambda t, x, u: out(s1, x.shape[0], 2),
+        dx=lambda t, x, u: out(0.0, x.shape[0], 2, 2),
+        du=lambda t, x, u: out(0.0, x.shape[0], 2, 2),
+    )
+    sig2 = Coefficient(
+        value=lambda t, x, u: out(s2, x.shape[0], 2),
+        dx=lambda t, x, u: out(zero_block, x.shape[0], 2, 2),
+        du=lambda t, x, u: out(0.0, x.shape[0], 2, 2),
+    )
+    h = Coefficient(
+        value=lambda t, x, u: out(0.4, x.shape[0]),
+        dx=lambda t, x, u: out(0.0, x.shape[0], 2),
+        du=lambda t, x, u: out(np.zeros(2), x.shape[0], 2),
+    )
+
+    def driver_block(block):
+        return lambda t, x, y, z1, z2, u: out(block, x.shape[0], 2, 2)
+
+    f = DriverCoefficient(
+        value=lambda t, x, y, z1, z2, u: -0.5 * y,
+        dx=driver_block(0.0),
+        dy=driver_block(-0.5 * np.eye(2)),
+        dz1=driver_block(zero_block),
+        dz2=driver_block(0.0),
+        du=driver_block(0.0),
+    )
+    l_zero = lambda t, x, y, z1, z2, u: out(0.0, x.shape[0], 2)
+    running = DriverCoefficient(
+        value=lambda t, x, y, z1, z2, u: 0.5 * np.sum(x * x, axis=1) + 0.5 * float(u @ u),
+        dx=lambda t, x, y, z1, z2, u: x.copy(),
+        dy=l_zero,
+        dz1=l_zero,
+        dz2=l_zero,
+        du=lambda t, x, y, z1, z2, u: out(np.asarray(u, dtype=float), x.shape[0], 2),
+    )
+    return ProblemSpec(
+        dim_x=2,
+        dim_y=2,
+        dim_u=2,
+        horizon=1.0,
+        drift_b=drift,
+        diffusion_sigma1=sig1,
+        diffusion_sigma2=sig2,
+        backward_f=f,
+        observation_h=h,
+        terminal_phi=TerminalCoefficient(
+            value=lambda x: x.copy(), dx=lambda x: out(np.eye(2), x.shape[0], 2, 2)
+        ),
+        running_l=running,
+        terminal_Phi=TerminalCoefficient(
+            value=lambda x: 0.5 * np.sum(x * x, axis=1), dx=lambda x: x.copy()
+        ),
+        initial_gamma=InitialCoefficient(
+            value=lambda y: 0.3 * y[:, 0],
+            dy=lambda y: out(np.array([0.3, 0.0]), y.shape[0], 2),
+        ),
+        initial_x=np.array([1.0, -0.5]),
+        control_set=Box(lower=[-1.0, -1.0], upper=[1.0, 1.0]),
+        label="shape_contract",
+    )
+
+
+def test_compact_and_full_outputs_give_identical_results():
+    grid = make_time_grid(1.0, 8)
+    noise = sample_noise(grid, 400, seed=11)
+    results = []
+    for full in (False, True):
+        spec = _shape_contract_instance(full)
+        u = constant_control([0.2, -0.1], grid, spec.control_set)
+        fwd, bwd, adj = run_pipeline(spec, u, noise)
+        cost = evaluate_cost_strong(spec, u, fwd, bwd)
+        gap = min_gap_over_A(spec, u, fwd, bwd, adj, noise)
+        results.append(
+            [fwd.x, fwd.rho, bwd.y, bwd.z1, bwd.z2]
+            + [getattr(adj, name) for name in ("k", "p", "q1", "q2", "r", "R1", "R2")]
+            + [[cost.value, cost.stderr, cost.initial, cost.initial_bias]]
+            + [[gap.gap, gap.stderr], gap.minimizer.values]
+        )
+    for compact, full in zip(*results):
+        assert np.array_equal(compact, full)
+
+
+def test_compact_outputs_come_out_in_documented_shapes():
+    spec = _shape_contract_instance(full=False)
+    P = 5
+    x, y, u = np.zeros((P, 2)), np.zeros((P, 2)), np.zeros(2)
+    for part, shape in (("value", (P, 2)), ("dx", (P, 2, 2)), ("du", (P, 2, 2))):
+        got = getattr(spec.diffusion_sigma1, part)(0.0, x, u)
+        assert got.shape == shape and got.dtype == float and not got.flags.writeable
+    assert spec.observation_h.value(0.0, x, u).shape == (P,)
+    assert spec.backward_f.dy(0.0, x, y, y, y, u).shape == (P, 2, 2)
+    assert spec.running_l.du(0.0, x, y, y, y, u).shape == (P, 2)
+    assert spec.initial_gamma.dy(y).shape == (P, 2)
+
+
+def test_output_that_does_not_broadcast_names_the_part():
+    spec = _shape_contract_instance(full=False)
+    drift = dataclasses.replace(spec.drift_b, dx=lambda t, x, u: np.zeros(3))
+    bad = dataclasses.replace(spec, drift_b=drift)
+    with pytest.raises(FbsdeError, match=r"drift_b\.dx returned shape \(3,\).*\(5, 2, 2\)"):
+        bad.drift_b.dx(0.0, np.zeros((5, 2)), np.zeros(2))
+
+
+def test_replace_keeps_the_shaped_callables():
+    spec = _shape_contract_instance(full=False)
+    copy = dataclasses.replace(spec, label="x")
+    for name in COEFFICIENT_FIELDS:
+        coeff = getattr(spec, name)
+        for part in dataclasses.fields(coeff):
+            assert getattr(getattr(copy, name), part.name) is getattr(coeff, part.name)
