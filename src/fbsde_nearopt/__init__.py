@@ -10,7 +10,6 @@ from .bsde import (
     AdjointTrajectories,
     BackwardTrajectories,
     BasisSpec,
-    regress_conditional_expectation,
     solve_adjoint,
     solve_backward,
 )

@@ -1,11 +1,14 @@
 """Least-squares Monte-Carlo backward solvers.
 
-Conditional expectations given the state are fitted per time step on a
-polynomial basis (standardized features, tiny ridge).  The backward state
-recursion extracts the martingale integrands by regressing the product of
-the next value with each noise increment; the adjoint system reuses the
-same recursion for its backward components and integrates the forward
-component by explicit Euler.
+Conditional expectations given the state, E[. | x(t_i)], come from one
+operator per forward bundle (``ConditionalExpectation``): a per-step fit on
+a polynomial basis in the standardized state, with a tiny ridge.  The
+backward state recursion extracts the martingale integrands by regressing
+the product of the next value with each noise increment.
+``solve_backward`` builds the operator and carries it on its result; the
+adjoint system regresses with that operator, so it takes its basis from
+the backward sweep, reuses the same recursion for its backward components
+and integrates the forward component by explicit Euler.
 """
 
 from __future__ import annotations
@@ -47,89 +50,79 @@ class BasisSpec:
         return len(self.exponent_tuples(dim))
 
 
-def _design_matrix(xc: np.ndarray, combos) -> np.ndarray:
-    cols = [np.ones(xc.shape[0])]
-    for combo in combos[1:]:
-        col = np.ones(xc.shape[0])
-        for idx in combo:
-            col = col * xc[:, idx]
-        cols.append(col)
-    return np.column_stack(cols)
+class ConditionalExpectation:
+    """E[. | x(t_i)] on one forward bundle's states ``(N + 1, P, d)``.
 
+    Least squares per step on the basis in the standardized state, with a
+    tiny ridge.  Each step's centre, scale, Gram matrix and condition number
+    are computed on first use and kept; the design matrix is rebuilt when a
+    step other than the last one used is asked for, so only one is held.
+    """
 
-class _StepFit:
-    """One time step's design matrix and normal-equation factorization."""
-
-    def __init__(self, x: np.ndarray, basis: BasisSpec):
-        P, d = x.shape
-        self.mean = x.mean(axis=0)
-        std = x.std(axis=0)
-        self.scale = np.where(std > 1e-12, std, 1.0)
-        self.combos = basis.exponent_tuples(d)
-        n_basis = len(self.combos)
-        if P < 10 * n_basis:
+    def __init__(self, states: np.ndarray, basis: BasisSpec):
+        self.states = states
+        self.basis = basis
+        self._combos = basis.exponent_tuples(states.shape[2])
+        n_basis = len(self._combos)
+        if states.shape[1] < 10 * n_basis:
             raise RegressionError(
-                f"need at least {10 * n_basis} paths for a basis of size {n_basis}, got {P}"
+                f"need at least {10 * n_basis} paths for a basis of size {n_basis}, "
+                f"got {states.shape[1]}"
             )
-        self.A = _design_matrix((x - self.mean) / self.scale, self.combos)
-        gram = self.A.T @ self.A / P + RIDGE * np.eye(n_basis)
-        self.condition = float(np.linalg.cond(gram))
-        if not np.isfinite(self.condition) or self.condition > MAX_CONDITION:
-            raise RegressionError(
-                f"design rank-deficient beyond ridge rescue, condition {self.condition:.3e}"
-            )
-        self.gram = gram
-        self.n_paths = P
+        self._stats: dict[int, tuple] = {}
+        self._held: tuple[int | None, np.ndarray | None] = (None, None)
 
-    def fit(self, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Return (fitted values, coefficients); targets (P,) or (P, T)."""
+    def _design(self, x: np.ndarray, mean: np.ndarray, scale: np.ndarray) -> np.ndarray:
+        xc = (x - mean) / scale
+        cols = [np.ones(xc.shape[0])]
+        for combo in self._combos[1:]:
+            col = np.ones(xc.shape[0])
+            for idx in combo:
+                col = col * xc[:, idx]
+            cols.append(col)
+        return np.column_stack(cols)
+
+    def _statistics(self, i: int) -> tuple:
+        """Step i's (centre, scale, Gram matrix, condition number)."""
+        if i not in self._stats:
+            x = self.states[i]
+            mean = x.mean(axis=0)
+            std = x.std(axis=0)
+            scale = np.where(std > 1e-12, std, 1.0)
+            A = self._design(x, mean, scale)
+            gram = A.T @ A / x.shape[0] + RIDGE * np.eye(len(self._combos))
+            condition = float(np.linalg.cond(gram))
+            if not np.isfinite(condition) or condition > MAX_CONDITION:
+                raise RegressionError(
+                    f"design rank-deficient beyond ridge rescue at step {i}, "
+                    f"condition {condition:.3e}"
+                )
+            self._stats[i] = (mean, scale, gram, condition)
+            self._held = (i, A)
+        return self._stats[i]
+
+    def fit(self, i: int, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Return (fitted values, coefficients) at step i; targets (P,) or (P, T)."""
+        mean, scale, gram, _ = self._statistics(i)
+        if self._held[0] != i:
+            self._held = (i, self._design(self.states[i], mean, scale))
+        A = self._held[1]
         flat = targets.ndim == 1
         tg = targets[:, None] if flat else targets
-        rhs = self.A.T @ tg / self.n_paths
-        coef = np.linalg.solve(self.gram, rhs)
-        fitted = self.A @ coef
+        coef = np.linalg.solve(gram, A.T @ tg / A.shape[0])
+        fitted = A @ coef
         if flat:
             return fitted[:, 0], coef[:, 0]
         return fitted, coef
 
+    def evaluate(self, i: int, x: np.ndarray, coef: np.ndarray) -> np.ndarray:
+        """Step i's fitted map with coefficients ``coef`` at other states (Q, d)."""
+        mean, scale, _, _ = self._statistics(i)
+        return self._design(x, mean, scale) @ coef
 
-@dataclass(frozen=True)
-class FittedRegression:
-    """A fitted conditional-expectation map, evaluable at new states."""
-
-    coefficients: np.ndarray
-    mean: np.ndarray
-    scale: np.ndarray
-    combos: tuple
-    condition_number: float
-    residual_rms: float
-
-    def __call__(self, features: np.ndarray) -> np.ndarray:
-        features = np.atleast_2d(np.asarray(features, dtype=float))
-        A = _design_matrix((features - self.mean) / self.scale, self.combos)
-        out = A @ self.coefficients
-        return out
-
-
-def regress_conditional_expectation(
-    targets: np.ndarray, features: np.ndarray, basis: BasisSpec = BasisSpec()
-) -> FittedRegression:
-    """Least-squares fit of E[target | features] on the polynomial basis."""
-    targets = np.asarray(targets, dtype=float)
-    features = np.atleast_2d(np.asarray(features, dtype=float))
-    if features.shape[0] != targets.shape[0]:
-        features = features.T
-    step = _StepFit(features, basis)
-    fitted, coef = step.fit(targets)
-    residual = float(np.sqrt(np.mean((targets - fitted) ** 2)))
-    return FittedRegression(
-        coefficients=coef,
-        mean=step.mean,
-        scale=step.scale,
-        combos=tuple(step.combos),
-        condition_number=step.condition,
-        residual_rms=residual,
-    )
+    def condition(self, i: int) -> float:
+        """Condition number of step i's ridged Gram matrix."""
+        return self._statistics(i)[3]
 
 
 @dataclass
@@ -154,12 +147,17 @@ class RegressionDiagnostics:
 
 @dataclass(frozen=True)
 class BackwardTrajectories:
-    """Backward state, time-major: y[i] is (paths, m); z's live on steps."""
+    """Backward state, time-major: y[i] is (paths, m); z's live on steps.
+
+    ``operator`` is the conditional expectation the sweep regressed with;
+    the adjoint sweep on the same forward bundle reuses it.
+    """
 
     y: np.ndarray
     z1: np.ndarray
     z2: np.ndarray
     diagnostics: RegressionDiagnostics
+    operator: ConditionalExpectation
 
 
 @dataclass(frozen=True)
@@ -177,19 +175,19 @@ class AdjointTrajectories:
 
 
 def _regression_step(
-    step: _StepFit, v_next: np.ndarray, noise: NoiseBundle, i: int, dt: float
+    operator: ConditionalExpectation, i: int, v_next: np.ndarray, noise: NoiseBundle, dt: float
 ):
-    """One backward LSMC step for a (P, d) value known at step i + 1.
+    """One backward LSMC step at step i for a (P, d) value known at step i + 1.
 
     Returns E[v_next | x_i], the dW and dY integrands (each (P, d)) and the
     residual RMS of the value fit.  The increment targets are centred on
     the fitted mean: variance reduction with the same conditional expectation.
     """
     d = v_next.shape[1]
-    v_hat, _ = step.fit(v_next)
+    v_hat, _ = operator.fit(i, v_next)
     resid = v_next - v_hat
-    fitted, _ = step.fit(
-        np.concatenate([resid * noise.dW[:, i, None], resid * noise.dY[:, i, None]], axis=1)
+    fitted, _ = operator.fit(
+        i, np.concatenate([resid * noise.dW[:, i, None], resid * noise.dY[:, i, None]], axis=1)
     )
     rms = float(np.sqrt(np.mean(resid ** 2)))
     return v_hat, fitted[:, :d] / dt, fitted[:, d:] / dt, rms
@@ -231,16 +229,14 @@ def solve_backward(
     z1 = np.empty((N, P, m))
     z2 = np.empty((N, P, m))
     y[N] = spec.terminal_phi.value(fwd.x[N])
-    diag = RegressionDiagnostics(
-        basis_degree=basis.degree, basis_size=basis.size(spec.dim_x)
-    )
+    operator = ConditionalExpectation(fwd.x, basis)
+    residuals = []
 
     for i in reversed(range(N)):
         t = times[i]
         xi = fwd.x[i]
         ui = u.values[i]
-        step = _StepFit(xi, basis)
-        y_hat, z1[i], z2[i], rms = _regression_step(step, y[i + 1], noise, i, dt)
+        y_hat, z1[i], z2[i], rms = _regression_step(operator, i, y[i + 1], noise, dt)
 
         h = spec.observation_h.value(t, xi, ui)
         z2h = z2[i] * h[:, None]
@@ -250,13 +246,15 @@ def solve_backward(
             f_val = spec.backward_f.value(t, xi, y_arg, z1[i], z2[i], ui)
             y_arg = y_hat - (f_val - z2h) * dt
         y[i] = y_arg
+        residuals.append(rms)
 
-        diag.condition_numbers.append(step.condition)
-        diag.residual_rms.append(rms)
-
-    diag.condition_numbers.reverse()
-    diag.residual_rms.reverse()
-    return BackwardTrajectories(y=y, z1=z1, z2=z2, diagnostics=diag)
+    diag = RegressionDiagnostics(
+        basis_degree=basis.degree,
+        basis_size=basis.size(spec.dim_x),
+        condition_numbers=[operator.condition(i) for i in range(N)],
+        residual_rms=residuals[::-1],
+    )
+    return BackwardTrajectories(y=y, z1=z1, z2=z2, diagnostics=diag, operator=operator)
 
 
 def solve_adjoint(
@@ -265,7 +263,6 @@ def solve_adjoint(
     fwd: ForwardTrajectories,
     bwd: BackwardTrajectories,
     noise: NoiseBundle,
-    basis: BasisSpec = BasisSpec(),
 ) -> AdjointTrajectories:
     """Solve the multiplier system along a given admissible pair.
 
@@ -273,13 +270,15 @@ def solve_adjoint(
     no other multiplier); then one reversed sweep that, per step, solves
     the scalar value system (r, R1, R2) and then the backward p system,
     which consumes k and, through the shifted slot of the Hamiltonian
-    partials, R2.  Both backward systems regress on the same state sample,
-    so each step factorizes its design once.  Increments of the rotated
-    observation noise are reconstructed pathwise as dY - h dt.
+    partials, R2.  Both backward systems regress with ``bwd``'s operator,
+    so its basis and per-step factorizations serve all three sweeps.
+    Increments of the rotated observation noise are reconstructed pathwise
+    as dY - h dt.
     """
     _check_bundles(u, fwd, noise)
-    if bwd.y.shape[1] != fwd.n_paths or bwd.y.shape[0] != fwd.grid.steps + 1:
-        raise GridMismatchError("backward trajectories do not match the forward bundle")
+    operator = bwd.operator
+    if operator.states is not fwd.x and not np.array_equal(operator.states, fwd.x):
+        raise GridMismatchError("backward trajectories were solved on a different forward bundle")
     grid = noise.grid
     P, N = fwd.n_paths, grid.steps
     n, m = spec.dim_x, spec.dim_y
@@ -319,24 +318,21 @@ def solve_adjoint(
     q1 = np.empty((N, P, n))
     q2 = np.empty((N, P, n))
     p[N] = spec.terminal_Phi.dx(fwd.x[N]) - ham.vjp(k[N], spec.terminal_phi.dx(fwd.x[N]))
-    diag = RegressionDiagnostics(basis_degree=basis.degree, basis_size=basis.size(n))
-    p_conditions, p_residuals = [], []
+    r_residuals, p_residuals = [], []
     for i in reversed(range(N)):
         t = times[i]
         xi = fwd.x[i]
         yi, z1i, z2i = bwd.y[i], bwd.z1[i], bwd.z2[i]
         ui = u.values[i]
-        step = _StepFit(xi, basis)
 
         # the scalar r goes through the regression step as a (P, 1) column
-        r_hat, R1_i, R2_i, rms = _regression_step(step, r[i + 1, :, None], noise, i, dt)
+        r_hat, R1_i, R2_i, rms = _regression_step(operator, i, r[i + 1, :, None], noise, dt)
         R1[i], R2[i] = R1_i[:, 0], R2_i[:, 0]
         l_val = spec.running_l.value(t, xi, yi, z1i, z2i, ui)
         r[i] = r_hat[:, 0] + (l_val + R2[i] * h_all[i]) * dt
-        diag.condition_numbers.append(step.condition)
-        diag.residual_rms.append(rms)
+        r_residuals.append(rms)
 
-        p_hat, q1[i], q2[i], rms = _regression_step(step, p[i + 1], noise, i, dt)
+        p_hat, q1[i], q2[i], rms = _regression_step(operator, i, p[i + 1], noise, dt)
 
         q2h = q2[i] * h_all[i, :, None]
         p_arg = p_hat
@@ -347,10 +343,14 @@ def solve_adjoint(
                 raise FbsdeError(f"non-finite Hamiltonian partial H_x at step {i}")
             p_arg = p_hat + (h_x + q2h) * dt
         p[i] = p_arg
-        p_conditions.append(step.condition)
         p_residuals.append(rms)
 
     # every r fit first, then every p fit, each list from the last step back
-    diag.condition_numbers += p_conditions
-    diag.residual_rms += p_residuals
+    conditions = [operator.condition(i) for i in reversed(range(N))]
+    diag = RegressionDiagnostics(
+        basis_degree=operator.basis.degree,
+        basis_size=operator.basis.size(n),
+        condition_numbers=conditions + conditions,
+        residual_rms=r_residuals + p_residuals,
+    )
     return AdjointTrajectories(k=k, p=p, q1=q1, q2=q2, r=r, R1=R1, R2=R2, diagnostics=diag)

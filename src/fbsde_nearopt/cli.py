@@ -43,6 +43,7 @@ EXIT_DOMAIN = 1
 EXIT_USAGE = 2
 
 ENV_OUT_DIR = "FBSDE_NEAROPT_OUT"
+MAX_ORACLE_STEPS = 5
 
 _SECTION_KEYS = {
     "grid": {"horizon", "steps"},
@@ -179,6 +180,10 @@ def _run_config(parser: configparser.ConfigParser) -> RunConfig:
     if not 0 <= degree <= MAX_DEGREE:
         raise ConfigError(f"degree must be in [0, {MAX_DEGREE}], got {degree}")
 
+    oracle_steps = int(positive(get("oracle", "steps", 4, int), "oracle steps"))
+    if oracle_steps > MAX_ORACLE_STEPS:
+        raise ConfigError(f"oracle steps must be at most {MAX_ORACLE_STEPS}, got {oracle_steps}")
+
     epsilon = get("certificate", "epsilon", "auto", str)
     if epsilon != "auto":
         epsilon = float(epsilon)
@@ -203,7 +208,7 @@ def _run_config(parser: configparser.ConfigParser) -> RunConfig:
         u0=get("optimizer", "u0", "center", str),
         deltas=deltas,
         direction=get("order_study", "direction", 1.0),
-        oracle_steps=int(positive(get("oracle", "steps", 4, int), "oracle steps")),
+        oracle_steps=oracle_steps,
         oracle_control=get("oracle", "control", 0.0),
         out_dir=get("output", "dir", os.environ.get(ENV_OUT_DIR, "."), str),
     )
@@ -302,15 +307,14 @@ def cmd_solve(cfg: RunConfig) -> int:
 def cmd_certify(cfg: RunConfig, control_path: str, sufficient: bool) -> int:
     spec = cfg.instance()
     grid = cfg.grid()
-    basis = cfg.basis()
     control = control_from_csv(control_path, grid, spec.control_set)
 
     noise = sample_noise(grid, cfg.n_paths, cfg.seed)
     fwd = simulate_forward(spec, control, noise)
-    bwd = solve_backward(spec, control, fwd, noise, basis)
+    bwd = solve_backward(spec, control, fwd, noise, cfg.basis())
     epsilon = _oracle_epsilon(cfg, spec, control, fwd, bwd)
 
-    common = dict(n_paths=cfg.n_paths, seed=cfg.seed, basis=basis, trajectories=(fwd, bwd))
+    common = dict(n_paths=cfg.n_paths, seed=cfg.seed, trajectories=(fwd, bwd))
     if sufficient:
         certificate = certify_sufficient(
             spec, control, epsilon, cfg.certificate_lambda, cfg.certificate_C, **common
@@ -382,7 +386,7 @@ def cmd_order_study(cfg: RunConfig) -> int:
 
 def cmd_oracle_compare(cfg: RunConfig) -> int:
     spec = cfg.instance()
-    steps = min(cfg.oracle_steps, 5)
+    steps = cfg.oracle_steps
     grid = make_time_grid(cfg.horizon, steps)
     control = constant_control(
         np.full(spec.dim_u, cfg.oracle_control), grid, spec.control_set

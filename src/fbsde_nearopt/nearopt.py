@@ -138,7 +138,7 @@ def run_pipeline(
     """Forward, backward and adjoint bundles under one control and noise."""
     fwd = simulate_forward(spec, u, noise)
     bwd = solve_backward(spec, u, fwd, noise, basis)
-    adj = solve_adjoint(spec, u, fwd, bwd, noise, basis)
+    adj = solve_adjoint(spec, u, fwd, bwd, noise)
     return fwd, bwd, adj
 
 
@@ -156,7 +156,7 @@ def _certificate_gap(spec, u_eps, n_paths, seed, basis, trajectories) -> GapResu
                 f"trajectories hold {fwd.n_paths} paths from seed {fwd.noise.seed}, "
                 f"certificate asks for {n_paths} paths from seed {seed}"
             )
-    adj = solve_adjoint(spec, u_eps, fwd, bwd, fwd.noise, basis)
+    adj = solve_adjoint(spec, u_eps, fwd, bwd, fwd.noise)
     return min_gap_over_A(spec, u_eps, fwd, bwd, adj, fwd.noise)
 
 
@@ -175,7 +175,7 @@ def certify_necessary(
 
     ``trajectories`` are the (forward, backward) bundles of u_eps on the
     n_paths-path noise drawn from seed, when the caller has them already;
-    only the adjoint and the gap then run.
+    only the adjoint and the gap then run, with the backward sweep's basis.
     """
     if epsilon < 0.0:
         raise FbsdeError("epsilon must be >= 0")

@@ -89,7 +89,7 @@ def smp_descent(spec: ProblemSpec, u0: ControlProcess, params: DescentParams) ->
     stop_reason = "max_iter reached"
 
     for j in range(params.max_iter + 1):
-        adj = solve_adjoint(spec, u, fwd, bwd, noise, params.basis)
+        adj = solve_adjoint(spec, u, fwd, bwd, noise)
         gap = min_gap_over_A(spec, u, fwd, bwd, adj, noise)
 
         if abs(gap.gap) <= params.tol_gap:

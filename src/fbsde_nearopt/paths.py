@@ -8,7 +8,6 @@ or the exhaustive binomial (+/- sqrt(dt)) enumeration used by the oracle.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -130,48 +129,3 @@ def enumerate_binomial(grid: TimeGrid) -> NoiseBundle:
         weights=weights,
     )
 
-
-def save_noise_csv(bundle: NoiseBundle, path: str) -> None:
-    """Write one row per path: dW_0..dW_{N-1}, dY_0..dY_{N-1}."""
-    steps = bundle.grid.steps
-    header = [f"dW_{i}" for i in range(steps)] + [f"dY_{i}" for i in range(steps)]
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["horizon", bundle.grid.horizon, "steps", steps])
-        writer.writerow(header)
-        for j in range(bundle.n_paths):
-            writer.writerow(
-                [repr(float(v)) for v in bundle.dW[j]] + [repr(float(v)) for v in bundle.dY[j]]
-            )
-
-
-def load_noise_csv(path: str) -> NoiseBundle:
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        meta = next(reader)
-        horizon, steps = float(meta[1]), int(meta[3])
-        next(reader)
-        rows = [[float(v) for v in row] for row in reader]
-    data = np.asarray(rows)
-    grid = make_time_grid(horizon, steps)
-    return NoiseBundle(
-        grid=grid, dW=data[:, :steps], dY=data[:, steps:], seed=None, kind="imported"
-    )
-
-
-def save_noise_npz(bundle: NoiseBundle, path: str) -> None:
-    np.savez(
-        path,
-        horizon=bundle.grid.horizon,
-        steps=bundle.grid.steps,
-        dW=bundle.dW,
-        dY=bundle.dY,
-    )
-
-
-def load_noise_npz(path: str) -> NoiseBundle:
-    data = np.load(path)
-    grid = make_time_grid(float(data["horizon"]), int(data["steps"]))
-    return NoiseBundle(
-        grid=grid, dW=data["dW"], dY=data["dY"], seed=None, kind="imported"
-    )

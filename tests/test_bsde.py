@@ -15,13 +15,14 @@ from fbsde_nearopt import (
     make_lq_observation_instance,
     make_scalar_nonlinear_instance,
     make_time_grid,
-    regress_conditional_expectation,
     riccati_lq,
+    run_pipeline,
     sample_noise,
     simulate_forward,
     solve_adjoint,
     solve_backward,
 )
+from fbsde_nearopt.bsde import ConditionalExpectation
 
 from _instances import (
     linear_bsde_instance,
@@ -34,25 +35,37 @@ from _instances import (
 def _full_pipeline(spec, u, noise, basis=BasisSpec()):
     fwd = simulate_forward(spec, u, noise)
     bwd = solve_backward(spec, u, fwd, noise, basis)
-    adj = solve_adjoint(spec, u, fwd, bwd, noise, basis)
+    adj = solve_adjoint(spec, u, fwd, bwd, noise)
     return fwd, bwd, adj
 
 
+def _one_step_fit(targets, features, basis=BasisSpec()):
+    """The fitted map of E[targets | features], through a one-step operator."""
+    operator = ConditionalExpectation(features[None], basis)
+    _, coef = operator.fit(0, targets)
+    return lambda x: operator.evaluate(0, x, coef)
+
+
+def _residual_rms(operator, i, targets):
+    fitted, _ = operator.fit(i, targets)
+    return float(np.sqrt(np.mean((targets - fitted) ** 2)))
+
+
 # ---------------------------------------------------------------------------
-# regression primitive
+# conditional-expectation operator
 
 
 def test_regression_reproduces_constants():
     rng = np.random.default_rng(0)
     features = rng.normal(size=(500, 1))
-    fit = regress_conditional_expectation(np.full(500, 5.0), features)
+    fit = _one_step_fit(np.full(500, 5.0), features)
     assert np.allclose(fit(features), 5.0, atol=1e-10)
 
 
 def test_regression_recovers_line_exactly():
     rng = np.random.default_rng(1)
     x = rng.normal(size=(400, 1))
-    fit = regress_conditional_expectation(2.0 * x[:, 0], x, BasisSpec(degree=1))
+    fit = _one_step_fit(2.0 * x[:, 0], x, BasisSpec(degree=1))
     probe = np.array([[0.0], [1.0]])
     vals = fit(probe)
     # ridge damping of 1e-10 shrinks the slope by about 2e-10
@@ -64,20 +77,35 @@ def test_regression_quadratic_with_noise():
     rng = np.random.default_rng(2)
     x = rng.normal(size=(10_000, 1))
     targets = x[:, 0] ** 2 + rng.normal(scale=0.1, size=10_000)
-    fit = regress_conditional_expectation(targets, x, BasisSpec(degree=2))
+    fit = _one_step_fit(targets, x, BasisSpec(degree=2))
     curvature = fit(np.array([[1.0]]))[0] + fit(np.array([[-1.0]]))[0] - 2.0 * fit(np.array([[0.0]]))[0]
     assert abs(curvature - 2.0) <= 0.1  # second difference of t^2 is 2
 
 
 def test_regression_needs_enough_paths():
     with pytest.raises(RegressionError, match="paths"):
-        regress_conditional_expectation(np.zeros(20), np.zeros((20, 1)), BasisSpec(degree=2))
+        _one_step_fit(np.zeros(20), np.zeros((20, 1)), BasisSpec(degree=2))
 
 
 def test_regression_degenerate_features_fall_back_to_mean():
     targets = np.arange(100.0)
-    fit = regress_conditional_expectation(targets, np.ones((100, 1)), BasisSpec(degree=2))
+    fit = _one_step_fit(targets, np.ones((100, 1)), BasisSpec(degree=2))
     assert np.allclose(fit(np.ones((3, 1))), targets.mean(), atol=1e-8)
+
+
+def test_operator_fits_do_not_depend_on_call_order():
+    # the operator keeps per-step statistics and holds one design matrix;
+    # revisiting a step, or evaluating at the fit states, changes no bit
+    rng = np.random.default_rng(3)
+    states = rng.normal(size=(4, 300, 2))
+    targets = rng.normal(size=(300, 2))
+    fresh = [ConditionalExpectation(states, BasisSpec()).fit(i, targets) for i in range(4)]
+    operator = ConditionalExpectation(states, BasisSpec())
+    for i in (2, 0, 2, 3, 1, 3):
+        fitted, coef = operator.fit(i, targets)
+        assert np.array_equal(fitted, fresh[i][0])
+        assert np.array_equal(coef, fresh[i][1])
+        assert np.array_equal(operator.evaluate(i, states[i], coef), fitted)
 
 
 # ---------------------------------------------------------------------------
@@ -188,6 +216,41 @@ def test_bundle_check_compares_every_increment(lq_spec):
             solve_adjoint(lq_spec, u, fwd, bwd, other)
 
 
+def test_adjoint_rejects_backward_from_another_forward_bundle(lq_spec):
+    grid = make_time_grid(1.0, 4)
+    noise = sample_noise(grid, 200, seed=7)
+    u = constant_control([0.0], grid, lq_spec.control_set)
+    v = constant_control([0.3], grid, lq_spec.control_set)
+    fwd_u = simulate_forward(lq_spec, u, noise)
+    fwd_v = simulate_forward(lq_spec, v, noise)
+    bwd_u = solve_backward(lq_spec, u, fwd_u, noise)
+    with pytest.raises(GridMismatchError, match="different forward bundle"):
+        solve_adjoint(lq_spec, v, fwd_v, bwd_u, noise)
+    # an equal copy of the states is the same bundle
+    copy = dataclasses.replace(fwd_u, x=fwd_u.x.copy())
+    solve_adjoint(lq_spec, u, copy, bwd_u, noise)
+
+
+def test_one_factorization_per_step_per_pipeline(monkeypatch, lq_spec):
+    calls = []
+    cond = np.linalg.cond
+    monkeypatch.setattr(np.linalg, "cond", lambda a: calls.append(1) or cond(a))
+    grid = make_time_grid(1.0, 8)
+    noise = sample_noise(grid, 500, seed=7)
+    u = constant_control([0.0], grid, lq_spec.control_set)
+    run_pipeline(lq_spec, u, noise)
+    assert len(calls) == 8
+
+
+def test_adjoint_takes_its_basis_from_the_backward_sweep(lq_spec):
+    grid = make_time_grid(1.0, 8)
+    noise = sample_noise(grid, 500, seed=7)
+    u = constant_control([0.0], grid, lq_spec.control_set)
+    fwd, bwd, adj = _full_pipeline(lq_spec, u, noise, BasisSpec(degree=1))
+    assert adj.diagnostics.basis_degree == bwd.diagnostics.basis_degree == 1
+    assert adj.diagnostics.basis_size == bwd.diagnostics.basis_size == 2
+
+
 # ---------------------------------------------------------------------------
 # adjoint solver
 
@@ -204,8 +267,9 @@ def test_adjoint_diagnostics_list_r_then_p_fits():
     # both sweeps run from the last step back on the design of x[i]
     assert cond[:8] == cond[8:] == bwd.diagnostics.condition_numbers[::-1]
     # first the scalar r fits, then the p fits
-    assert rms[0] == regress_conditional_expectation(adj.r[8], fwd.x[7]).residual_rms
-    assert rms[8] == regress_conditional_expectation(adj.p[8], fwd.x[7]).residual_rms
+    operator = ConditionalExpectation(fwd.x, BasisSpec())
+    assert rms[0] == _residual_rms(operator, 7, adj.r[8])
+    assert rms[8] == _residual_rms(operator, 7, adj.p[8])
     assert rms[0] != rms[8]
 
 

@@ -87,6 +87,7 @@ def test_missing_config_exits_two(tmp_path, capsys):
         ("\n[instance]", "stray = 1\n[instance]"),
         ("seed = 3", "seed = -3"),
         ("[output]", "[bsde]\ndegree = 7\n\n[output]"),
+        ("[output]", "[oracle]\nsteps = 8\n\n[output]"),
     ],
     ids=[
         "unknown-section",
@@ -97,6 +98,7 @@ def test_missing_config_exits_two(tmp_path, capsys):
         "no-section-header",
         "negative-seed",
         "degree-out-of-range",
+        "oracle-steps-above-limit",
     ],
 )
 def test_unknown_key_exits_two(tmp_path, edit):
@@ -205,6 +207,13 @@ def test_oracle_compare(tmp_path):
     payload = json.loads((tmp_path / "out" / "oracle_compare.json").read_text())
     assert payload["abs_diff"] <= 1e-12
     assert "riccati_cost" in payload
+
+
+def test_oracle_compare_runs_at_its_step_limit(tmp_path):
+    cfg = _base_config(tmp_path, extra=f"\n[oracle]\nsteps = {cli.MAX_ORACLE_STEPS}\n")
+    assert cli.main(["--config", cfg, "oracle-compare"]) == 0
+    payload = json.loads((tmp_path / "out" / "oracle_compare.json").read_text())
+    assert payload["steps"] == cli.MAX_ORACLE_STEPS == 5
 
 
 def test_seed_flag_and_determinism(tmp_path):

@@ -5,13 +5,7 @@ import numpy as np
 import pytest
 
 from fbsde_nearopt import FbsdeError, enumerate_binomial, make_time_grid, sample_noise
-from fbsde_nearopt.paths import (
-    binomial_signs,
-    load_noise_csv,
-    load_noise_npz,
-    save_noise_csv,
-    save_noise_npz,
-)
+from fbsde_nearopt.paths import binomial_signs
 
 
 def test_grid_nodes():
@@ -125,24 +119,3 @@ def test_prefix_blocks_share_history():
     # step-0 crumbs occupy the most significant position
     sw, _ = binomial_signs(2)
     assert np.array_equal(sw[:4, 0], np.full(4, sw[0, 0]))
-
-
-def test_csv_roundtrip(tmp_path):
-    grid = make_time_grid(0.5, 3)
-    bundle = sample_noise(grid, 20, seed=5)
-    path = tmp_path / "noise.csv"
-    save_noise_csv(bundle, str(path))
-    loaded = load_noise_csv(str(path))
-    assert loaded.grid.matches(grid)
-    assert np.array_equal(loaded.dW, bundle.dW)
-    assert np.array_equal(loaded.dY, bundle.dY)
-
-
-def test_npz_roundtrip(tmp_path):
-    grid = make_time_grid(0.5, 3)
-    bundle = sample_noise(grid, 20, seed=5)
-    path = tmp_path / "noise.npz"
-    save_noise_npz(bundle, str(path))
-    loaded = load_noise_npz(str(path))
-    assert np.array_equal(loaded.dW, bundle.dW)
-    assert np.array_equal(loaded.dY, bundle.dY)
