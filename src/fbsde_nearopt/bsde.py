@@ -183,12 +183,13 @@ def _regression_step(
     residual RMS of the value fit.  The increment targets are centred on
     the fitted mean: variance reduction with the same conditional expectation.
     """
-    d = v_next.shape[1]
+    P, d = v_next.shape
     v_hat, _ = operator.fit(i, v_next)
     resid = v_next - v_hat
-    fitted, _ = operator.fit(
-        i, np.concatenate([resid * noise.dW[:, i, None], resid * noise.dY[:, i, None]], axis=1)
-    )
+    increments = np.empty((P, 2 * d))
+    np.multiply(resid, noise.dW[:, i, None], out=increments[:, :d])
+    np.multiply(resid, noise.dY[:, i, None], out=increments[:, d:])
+    fitted, _ = operator.fit(i, increments)
     rms = float(np.sqrt(np.mean(resid ** 2)))
     return v_hat, fitted[:, :d] / dt, fitted[:, d:] / dt, rms
 
@@ -345,12 +346,13 @@ def solve_adjoint(
         p[i] = p_arg
         p_residuals.append(rms)
 
-    # every r fit first, then every p fit, each list from the last step back
-    conditions = [operator.condition(i) for i in reversed(range(N))]
+    # the r and p fits at a step share one Gram matrix, so each step's
+    # condition number is listed once; residuals list every r fit, then
+    # every p fit; both from the last step back
     diag = RegressionDiagnostics(
         basis_degree=operator.basis.degree,
         basis_size=operator.basis.size(n),
-        condition_numbers=conditions + conditions,
+        condition_numbers=[operator.condition(i) for i in reversed(range(N))],
         residual_rms=r_residuals + p_residuals,
     )
     return AdjointTrajectories(k=k, p=p, q1=q1, q2=q2, r=r, R1=R1, R2=R2, diagnostics=diag)

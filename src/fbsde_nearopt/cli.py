@@ -231,7 +231,13 @@ def _write_json(payload: dict, cfg: RunConfig, name: str, command: str) -> str:
 
 
 def _oracle_epsilon(cfg: RunConfig, spec, control, fwd, bwd) -> float:
-    """The configured epsilon, or J(control) on this bundle minus the Riccati value."""
+    """The configured epsilon, or an upper confidence bound on J(control) - J*.
+
+    ``auto`` takes J(control) on this bundle minus the Riccati value, plus
+    three standard errors of J, floored at 0.  A point estimate clamped at
+    0 would shrink the gap threshold to -3 stderr whenever Monte-Carlo noise
+    puts J below J*, and an optimal control would then fail its certificate.
+    """
     if cfg.certificate_epsilon != "auto":
         return float(cfg.certificate_epsilon)
     if cfg.family != "lq":
@@ -240,7 +246,7 @@ def _oracle_epsilon(cfg: RunConfig, spec, control, fwd, bwd) -> float:
         )
     cost = evaluate_cost_strong(spec, control, fwd, bwd)
     sol = riccati_lq(cfg.lq_params())
-    return max(cost.value - sol.optimal_cost, 0.0)
+    return max(cost.value - sol.optimal_cost + 3.0 * cost.stderr, 0.0)
 
 
 def _initial_control(cfg: RunConfig, spec, grid):
@@ -329,8 +335,11 @@ def cmd_certify(cfg: RunConfig, control_path: str, sufficient: bool) -> int:
 def _order_point(spec, control, noise, basis, oracle_cost: float):
     """(epsilon, minimal gap) of one family member from one pipeline pass.
 
-    A function of its own so that the member's bundles are freed on return,
-    before the next member is simulated.
+    Epsilon is the point estimate J - J* clamped at 0, not the upper bound
+    that ``epsilon = auto`` certifies with: the exponent fit regresses the
+    gap on epsilon and needs the estimate itself.  A function of its own so
+    that the member's bundles are freed on return, before the next member
+    is simulated.
     """
     fwd, bwd, adj = run_pipeline(spec, control, noise, basis)
     epsilon = max(evaluate_cost_strong(spec, control, fwd, bwd).value - oracle_cost, 0.0)

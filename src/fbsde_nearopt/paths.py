@@ -4,6 +4,9 @@ Two one-dimensional noise streams drive every simulation: increments of the
 internal Brownian motion W and of the observation process Y, independent
 under the reference measure.  Bundles are either Gaussian Monte-Carlo draws
 or the exhaustive binomial (+/- sqrt(dt)) enumeration used by the oracle.
+Every bundle stores its increments time-contiguous: ``(paths, steps)``
+matrices in column-major order, so the column a sweep reads at one step is
+contiguous.  The layout changes no value and not the prefix property.
 """
 
 from __future__ import annotations
@@ -50,9 +53,11 @@ def make_time_grid(horizon: float, steps: int) -> TimeGrid:
 class NoiseBundle:
     """Per-path increment matrices for (W, Y), plus provenance.
 
-    ``weights`` is None for equally weighted Monte-Carlo paths; the binomial
-    enumeration carries exact uniform weights 4**-N (summing to 1 exactly,
-    being a power of two).
+    ``dW`` and ``dY`` have shape ``(paths, steps)`` and are stored
+    column-major (time-contiguous) however the bundle was built, because a
+    sweep reads one step's column at a time.  ``weights`` is None for
+    equally weighted Monte-Carlo paths; the binomial enumeration carries
+    exact uniform weights 4**-N (summing to 1 exactly, being a power of two).
     """
 
     grid: TimeGrid
@@ -69,6 +74,8 @@ class NoiseBundle:
             raise FbsdeError(
                 f"increment matrices must be (paths, {self.grid.steps}), got {self.dW.shape}"
             )
+        object.__setattr__(self, "dW", np.asfortranarray(self.dW))
+        object.__setattr__(self, "dY", np.asfortranarray(self.dY))
 
     @property
     def n_paths(self) -> int:
@@ -80,17 +87,16 @@ def sample_noise(grid: TimeGrid, n_paths: int, seed: int) -> NoiseBundle:
 
     W and Y come from two spawned Philox substreams, each filled path-major,
     so a bundle with fewer paths is a bitwise prefix of a larger one drawn
-    from the same seed.
+    from the same seed.  The scaling pass writes the column-major copy.
     """
     if n_paths < 1:
         raise FbsdeError(f"n_paths must be >= 1, got {n_paths}")
-    ss = np.random.SeedSequence(seed)
-    child_w, child_y = ss.spawn(2)
     scale = np.sqrt(grid.dt)
-    dW = np.random.Generator(np.random.Philox(child_w)).standard_normal((n_paths, grid.steps))
-    dY = np.random.Generator(np.random.Philox(child_y)).standard_normal((n_paths, grid.steps))
-    dW *= scale
-    dY *= scale
+    shape = (n_paths, grid.steps)
+    dW, dY = np.empty(shape, order="F"), np.empty(shape, order="F")
+    for child, out in zip(np.random.SeedSequence(seed).spawn(2), (dW, dY)):
+        raw = np.random.Generator(np.random.Philox(child)).standard_normal(shape)
+        np.multiply(raw, scale, out=out)
     return NoiseBundle(grid=grid, dW=dW, dY=dY, seed=seed, kind="gaussian")
 
 

@@ -8,13 +8,17 @@ from fbsde_nearopt import (
     certify_sufficient,
     cli,
     constant_control,
+    evaluate_cost_strong,
     nearopt,
     optimizer,
     perturbation_family,
     riccati_lq,
     riccati_open_loop_control,
+    sample_noise,
+    simulate_forward,
+    solve_backward,
 )
-from fbsde_nearopt.model import BUILTIN_FAMILIES, control_from_csv
+from fbsde_nearopt.model import BUILTIN_FAMILIES, control_from_csv, control_to_csv
 
 
 def write_config(tmp_path, body, name="run.ini"):
@@ -173,6 +177,31 @@ def test_certify_sufficient_inconclusive_on_double_well(tmp_path):
     assert code == 0  # inconclusive is not a failure
     cert = json.loads((tmp_path / "out" / "certificate.json").read_text())
     assert cert["verdict"] == "inconclusive"
+
+
+def test_auto_epsilon_is_an_upper_confidence_bound(tmp_path):
+    # at this seed the Riccati control's J lies below J*: the clamped point
+    # estimate would give epsilon = 0, and the gap threshold only -3 stderr
+    body = BASE.format(out=tmp_path / "out")
+    body = body.replace("family = lq", "family = lq\ndim = 2")
+    body = body.replace("steps = 8", "steps = 32").replace("n_paths = 2000", "n_paths = 20000")
+    body = body.replace("seed = 3", "seed = 11") + "\n[certificate]\nepsilon = auto\n"
+    cfg = write_config(tmp_path, body)
+    run = cli.load_config(cfg)
+    spec, grid, lq = run.instance(), run.grid(), run.lq_params()
+    sol = riccati_lq(lq)
+    u_star = riccati_open_loop_control(sol, lq, grid, spec.control_set)
+    control = str(tmp_path / "u_star.csv")
+    control_to_csv(u_star, control)
+    assert cli.main(["--config", cfg, "certify", "--control", control]) == 0
+    cert = json.loads((tmp_path / "out" / "certificate.json").read_text())
+
+    noise = sample_noise(grid, run.n_paths, run.seed)
+    fwd = simulate_forward(spec, u_star, noise)
+    cost = evaluate_cost_strong(spec, u_star, fwd, solve_backward(spec, u_star, fwd, noise))
+    assert cost.value - sol.optimal_cost < 0.0
+    assert cert["epsilon"] == max(cost.value - sol.optimal_cost + 3.0 * cost.stderr, 0.0)
+    assert cert["epsilon"] > 0.0
 
 
 def test_certify_infeasible_control_exits_one(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -22,6 +23,7 @@ from fbsde_nearopt import (
     simulate_forward,
     solve_backward,
 )
+from fbsde_nearopt.forward_sim import BLOWUP_THRESHOLD
 
 from _instances import constant_running_cost_instance, explosive_instance, pure_noise_instance
 
@@ -75,6 +77,27 @@ def test_blowup_detected():
     grid = make_time_grid(1.0, 8)
     noise = sample_noise(grid, 10, seed=5)
     with pytest.raises(SimulationError, match="blow-up"):
+        simulate_forward(spec, constant_control([0.0], grid, spec.control_set), noise)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 10.0 * BLOWUP_THRESHOLD])
+def test_blowup_guard_names_step_and_path(bad):
+    # the drift puts one bad value into x[step] on one path; NaN fails a
+    # guard that tests only "> threshold"
+    step, path = 5, 3
+    spec = pure_noise_instance(sigma=1.0)
+    grid = make_time_grid(1.0, 8)
+    hit_time = grid.times[step - 1]
+
+    def drift(t, x, u):
+        out = np.zeros_like(x)
+        if t == hit_time:
+            out[path] = bad / grid.dt
+        return out
+
+    spec = dataclasses.replace(spec, drift_b=dataclasses.replace(spec.drift_b, value=drift))
+    noise = sample_noise(grid, 10, seed=5)
+    with pytest.raises(SimulationError, match=rf"at step {step}, path {path}:"):
         simulate_forward(spec, constant_control([0.0], grid, spec.control_set), noise)
 
 

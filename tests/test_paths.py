@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -6,6 +7,17 @@ import pytest
 
 from fbsde_nearopt import FbsdeError, enumerate_binomial, make_time_grid, sample_noise
 from fbsde_nearopt.paths import binomial_signs
+
+
+def _c_order_draw(grid, n_paths, seed):
+    """The Philox draws of ``sample_noise`` in C order, scaled in place."""
+    child_w, child_y = np.random.SeedSequence(seed).spawn(2)
+    draws = []
+    for child in (child_w, child_y):
+        raw = np.random.Generator(np.random.Philox(child)).standard_normal((n_paths, grid.steps))
+        raw *= np.sqrt(grid.dt)
+        draws.append(raw)
+    return draws
 
 
 def test_grid_nodes():
@@ -119,3 +131,38 @@ def test_prefix_blocks_share_history():
     # step-0 crumbs occupy the most significant position
     sw, _ = binomial_signs(2)
     assert np.array_equal(sw[:4, 0], np.full(4, sw[0, 0]))
+
+
+def _assert_time_contiguous(bundle):
+    assert bundle.dW.flags.f_contiguous and bundle.dY.flags.f_contiguous
+    assert not bundle.dW.flags.c_contiguous  # (paths, steps) with both > 1
+
+
+def test_sampled_noise_is_time_contiguous_with_unchanged_values():
+    grid = make_time_grid(1.0, 6)
+    bundle = sample_noise(grid, 300, seed=9)
+    _assert_time_contiguous(bundle)
+    dW, dY = _c_order_draw(grid, 300, seed=9)
+    assert bundle.dW.shape == dW.shape
+    assert np.array_equal(bundle.dW, dW)
+    assert np.array_equal(bundle.dY, dY)
+
+
+def test_binomial_noise_is_time_contiguous_with_unchanged_values():
+    grid = make_time_grid(1.0, 3)
+    bundle = enumerate_binomial(grid)
+    _assert_time_contiguous(bundle)
+    sw, sy = binomial_signs(3)
+    assert np.array_equal(bundle.dW, sw * np.sqrt(grid.dt))
+    assert np.array_equal(bundle.dY, sy * np.sqrt(grid.dt))
+
+
+def test_replaced_noise_is_time_contiguous():
+    grid = make_time_grid(1.0, 6)
+    bundle = sample_noise(grid, 300, seed=9)
+    dW, dY = _c_order_draw(grid, 300, seed=4)
+    assert dW.flags.c_contiguous
+    replaced = dataclasses.replace(bundle, dW=dW, dY=dY)
+    _assert_time_contiguous(replaced)
+    assert np.array_equal(replaced.dW, dW)
+    assert np.array_equal(replaced.dY, dY)
