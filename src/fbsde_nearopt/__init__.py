@@ -10,6 +10,8 @@ from .bsde import (
     AdjointTrajectories,
     BackwardTrajectories,
     BasisSpec,
+    ControlGradient,
+    adjoint_trajectories,
     solve_adjoint,
     solve_backward,
 )

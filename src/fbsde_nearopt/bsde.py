@@ -9,13 +9,18 @@ the product of the next value with each noise increment.
 adjoint system regresses with that operator, so it takes its basis from
 the backward sweep, reuses the same recursion for its backward components
 and integrates the forward component by explicit Euler.
+
+The adjoint system is solved by one sweep with two collectors.
+``solve_adjoint`` keeps p, q and r/R for two steps only and returns the
+density-weighted control gradient rho * H_u, the one adjoint quantity the
+Hamiltonian gap needs; ``adjoint_trajectories`` keeps every multiplier.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, islice
 
 import numpy as np
 
@@ -161,8 +166,18 @@ class BackwardTrajectories:
 
 
 @dataclass(frozen=True)
-class AdjointTrajectories:
-    """Multipliers (k, p, q1, q2) and value system (r, R1, R2), time-major."""
+class ControlGradient:
+    """rho_i * H_u(t_i) per step and path, (N, P, k) time-major: what the
+    Hamiltonian gap reads from the adjoint system."""
+
+    weighted: np.ndarray
+    diagnostics: RegressionDiagnostics
+
+
+@dataclass(frozen=True)
+class AdjointTrajectories(ControlGradient):
+    """The control gradient with the multipliers (k, p, q1, q2) and the value
+    system (r, R1, R2) of every step, time-major."""
 
     k: np.ndarray
     p: np.ndarray
@@ -171,7 +186,6 @@ class AdjointTrajectories:
     r: np.ndarray
     R1: np.ndarray
     R2: np.ndarray
-    diagnostics: RegressionDiagnostics
 
 
 def _regression_step(
@@ -258,23 +272,28 @@ def solve_backward(
     return BackwardTrajectories(y=y, z1=z1, z2=z2, diagnostics=diag, operator=operator)
 
 
-def solve_adjoint(
+def _adjoint_sweep(
     spec: ProblemSpec,
     u: ControlProcess,
     fwd: ForwardTrajectories,
     bwd: BackwardTrajectories,
     noise: NoiseBundle,
-) -> AdjointTrajectories:
-    """Solve the multiplier system along a given admissible pair.
+):
+    """Solve the multiplier system along a given admissible pair, as a stream.
 
     Order: the forward k equation first (its drift and diffusions involve
-    no other multiplier); then one reversed sweep that, per step, solves
-    the scalar value system (r, R1, R2) and then the backward p system,
-    which consumes k and, through the shifted slot of the Hamiltonian
-    partials, R2.  Both backward systems regress with ``bwd``'s operator,
-    so its basis and per-step factorizations serve all three sweeps.
-    Increments of the rotated observation noise are reconstructed pathwise
-    as dY - h dt.
+    no other multiplier), stored whole because the reversed sweep reads it
+    backwards; then one reversed sweep that, per step, solves the scalar
+    value system (r, R1, R2) and then the backward p system, which consumes
+    k and, through the shifted slot of the Hamiltonian partials, R2.  Both
+    backward systems regress with ``bwd``'s operator, so its basis and
+    per-step factorizations serve all three sweeps.  Increments of the
+    rotated observation noise are reconstructed pathwise as dY - h dt.
+
+    Yields k (N + 1, P, m) with the terminal p(T) and r(T); then, from step
+    N - 1 back to 0, the step's final ``(i, MultiplierPoint, r_i, R1_i)``;
+    last, the regression diagnostics.  Of p, q1, q2, r, R1 and R2 only
+    steps i and i + 1 are held while step i is solved.
     """
     _check_bundles(u, fwd, noise)
     operator = bwd.operator
@@ -308,17 +327,15 @@ def solve_adjoint(
         dwu = noise.dY[:, i] - h_all[i] * dt
         k[i + 1] = ki - h_y * dt - h_z1 * noise.dW[:, i, None] - h_z2 * dwu[:, None]
 
-    # value system: dr = -l dt + R1 dW + R2 dW^u, r(T) = Phi(x(T))
-    r = np.empty((N + 1, P))
-    R1 = np.empty((N, P))
-    R2 = np.empty((N, P))
-    r[N] = spec.terminal_Phi.value(fwd.x[N])
+    # value system: dr = -l dt + R1 dW + R2 dW^u, r(T) = Phi(x(T));
     # state multiplier: dp = -H_x dt + q1 dW + q2 dW^u,
-    # p(T) = Phi_x(x(T)) - phi_x(x(T))^T k(T)
-    p = np.empty((N + 1, P, n))
-    q1 = np.empty((N, P, n))
-    q2 = np.empty((N, P, n))
-    p[N] = spec.terminal_Phi.dx(fwd.x[N]) - ham.vjp(k[N], spec.terminal_phi.dx(fwd.x[N]))
+    # p(T) = Phi_x(x(T)) - phi_x(x(T))^T k(T); both regressed as C-ordered
+    # arrays, whatever layout the coefficients return
+    r_next = np.ascontiguousarray(spec.terminal_Phi.value(fwd.x[N]))
+    p_next = np.ascontiguousarray(
+        spec.terminal_Phi.dx(fwd.x[N]) - ham.vjp(k[N], spec.terminal_phi.dx(fwd.x[N]))
+    )
+    yield k, p_next, r_next
     r_residuals, p_residuals = [], []
     for i in reversed(range(N)):
         t = times[i]
@@ -327,32 +344,93 @@ def solve_adjoint(
         ui = u.values[i]
 
         # the scalar r goes through the regression step as a (P, 1) column
-        r_hat, R1_i, R2_i, rms = _regression_step(operator, i, r[i + 1, :, None], noise, dt)
-        R1[i], R2[i] = R1_i[:, 0], R2_i[:, 0]
+        r_hat, R1_i, R2_i, rms = _regression_step(operator, i, r_next[:, None], noise, dt)
+        R1_i, R2_i = R1_i[:, 0], R2_i[:, 0]
         l_val = spec.running_l.value(t, xi, yi, z1i, z2i, ui)
-        r[i] = r_hat[:, 0] + (l_val + R2[i] * h_all[i]) * dt
+        r_next = r_hat[:, 0] + (l_val + R2_i * h_all[i]) * dt
         r_residuals.append(rms)
 
-        p_hat, q1[i], q2[i], rms = _regression_step(operator, i, p[i + 1], noise, dt)
+        p_hat, q1_i, q2_i, rms = _regression_step(operator, i, p_next, noise, dt)
 
-        q2h = q2[i] * h_all[i, :, None]
+        q2h = q2_i * h_all[i, :, None]
         p_arg = p_hat
         for _ in range(2):
-            mult = ham.MultiplierPoint(k=k[i], p=p_arg, q1=q1[i], q2=q2[i], R2=R2[i])
+            mult = ham.MultiplierPoint(k=k[i], p=p_arg, q1=q1_i, q2=q2_i, R2=R2_i)
             h_x = ham.partial_x(spec, t, xi, yi, z1i, z2i, ui, mult)
             if not np.isfinite(h_x).all():
                 raise FbsdeError(f"non-finite Hamiltonian partial H_x at step {i}")
             p_arg = p_hat + (h_x + q2h) * dt
-        p[i] = p_arg
+        p_next = p_arg
         p_residuals.append(rms)
+        yield i, ham.MultiplierPoint(k=k[i], p=p_next, q1=q1_i, q2=q2_i, R2=R2_i), r_next, R1_i
 
     # the r and p fits at a step share one Gram matrix, so each step's
     # condition number is listed once; residuals list every r fit, then
     # every p fit; both from the last step back
-    diag = RegressionDiagnostics(
+    yield RegressionDiagnostics(
         basis_degree=operator.basis.degree,
         basis_size=operator.basis.size(n),
         condition_numbers=[operator.condition(i) for i in reversed(range(N))],
         residual_rms=r_residuals + p_residuals,
     )
-    return AdjointTrajectories(k=k, p=p, q1=q1, q2=q2, r=r, R1=R1, R2=R2, diagnostics=diag)
+
+
+def _weight_gradient(spec, u, fwd, bwd, t, i, mult, out) -> None:
+    """out = rho_i * H_u(t_i) at step i's final multipliers, (P, k)."""
+    hu = ham.partial_u(spec, t, fwd.x[i], bwd.y[i], bwd.z1[i], bwd.z2[i], u.values[i], mult)
+    np.multiply(fwd.rho[i][:, None], hu, out=out)
+
+
+def solve_adjoint(
+    spec: ProblemSpec,
+    u: ControlProcess,
+    fwd: ForwardTrajectories,
+    bwd: BackwardTrajectories,
+    noise: NoiseBundle,
+) -> ControlGradient:
+    """rho_i * H_u(t_i) along a given admissible pair, from one adjoint sweep.
+
+    The multipliers p, q1, q2, r, R1 and R2 are kept for two steps only;
+    ``adjoint_trajectories`` runs the same sweep and keeps them all.
+    """
+    sweep = _adjoint_sweep(spec, u, fwd, bwd, noise)
+    next(sweep)
+    N, times = fwd.grid.steps, fwd.grid.times
+    weighted = np.empty((N, fwd.n_paths, spec.dim_u))
+    for i, mult, _, _ in islice(sweep, N):
+        _weight_gradient(spec, u, fwd, bwd, times[i], i, mult, weighted[i])
+    return ControlGradient(weighted=weighted, diagnostics=next(sweep))
+
+
+def adjoint_trajectories(
+    spec: ProblemSpec,
+    u: ControlProcess,
+    fwd: ForwardTrajectories,
+    bwd: BackwardTrajectories,
+    noise: NoiseBundle,
+) -> AdjointTrajectories:
+    """``solve_adjoint`` with every multiplier kept, time-major.
+
+    The same sweep and the same numbers; only what is stored differs.
+    """
+    sweep = _adjoint_sweep(spec, u, fwd, bwd, noise)
+    k, p_T, r_T = next(sweep)
+    P, N, n = fwd.n_paths, fwd.grid.steps, spec.dim_x
+    times = fwd.grid.times
+    weighted = np.empty((N, P, spec.dim_u))
+    p = np.empty((N + 1, P, n))
+    q1 = np.empty((N, P, n))
+    q2 = np.empty((N, P, n))
+    r = np.empty((N + 1, P))
+    R1 = np.empty((N, P))
+    R2 = np.empty((N, P))
+    p[N], r[N] = p_T, r_T
+    for i, mult, r_i, R1_i in islice(sweep, N):
+        _weight_gradient(spec, u, fwd, bwd, times[i], i, mult, weighted[i])
+        p[i], q1[i], q2[i], R2[i] = mult.p, mult.q1, mult.q2, mult.R2
+        r[i], R1[i] = r_i, R1_i
+    return AdjointTrajectories(
+        weighted=weighted,
+        diagnostics=next(sweep),
+        k=k, p=p, q1=q1, q2=q2, r=r, R1=R1, R2=R2,
+    )

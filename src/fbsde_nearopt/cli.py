@@ -20,7 +20,7 @@ import time
 
 import numpy as np
 
-from .bsde import MAX_DEGREE, BasisSpec, solve_backward
+from .bsde import MAX_DEGREE, BasisSpec, solve_adjoint, solve_backward
 from .errors import FbsdeError
 from .forward_sim import evaluate_cost_strong, simulate_forward
 from .model import (
@@ -33,7 +33,7 @@ from .model import (
     make_control,
     validate_problem,
 )
-from .nearopt import certify_necessary, certify_sufficient, estimate_order, min_gap_over_A, run_pipeline
+from .nearopt import certify_necessary, certify_sufficient, estimate_order, min_gap_over_A
 from .optimizer import DescentParams, perturbed_controls, smp_descent
 from .oracle import enumerate_lattice, riccati_lq, riccati_open_loop_control
 from .paths import enumerate_binomial, make_time_grid, sample_noise
@@ -341,8 +341,10 @@ def _order_point(spec, control, noise, basis, oracle_cost: float):
     that the member's bundles are freed on return, before the next member
     is simulated.
     """
-    fwd, bwd, adj = run_pipeline(spec, control, noise, basis)
+    fwd = simulate_forward(spec, control, noise)
+    bwd = solve_backward(spec, control, fwd, noise, basis)
     epsilon = max(evaluate_cost_strong(spec, control, fwd, bwd).value - oracle_cost, 0.0)
+    adj = solve_adjoint(spec, control, fwd, bwd, noise)
     return epsilon, min_gap_over_A(spec, control, fwd, bwd, adj, noise)
 
 

@@ -4,6 +4,10 @@ The necessary-condition gap is the density-weighted time integral of
 H_u . (u - u_eps) along the candidate's trajectories; its infimum over the
 admissible class decouples per time step for deterministic piecewise
 controls and is realized by exact linear minimization over the control set.
+The gap reads only rho * H_u from the adjoint (``bsde.ControlGradient``),
+taken at the control the adjoint was solved under; the certificates and
+the optimizer get it from ``solve_adjoint``, which keeps no multiplier
+beyond two steps.
 """
 
 from __future__ import annotations
@@ -16,35 +20,19 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import hamiltonian as ham
-from .bsde import AdjointTrajectories, BackwardTrajectories, BasisSpec, solve_adjoint, solve_backward
+from .bsde import (
+    BackwardTrajectories,
+    BasisSpec,
+    ControlGradient,
+    adjoint_trajectories,
+    solve_adjoint,
+    solve_backward,
+)
 from .errors import FbsdeError, GridMismatchError, PreconditionError
 from .forward_sim import ForwardTrajectories, evaluate_cost_strong, simulate_forward
 from .hamiltonian import ConvexityReport, check_H_convexity
 from .model import ControlProcess, ProblemSpec, linear_minimize_over_U, make_control
 from .paths import NoiseBundle, sample_noise
-
-
-def weighted_hamiltonian_gradient(
-    spec: ProblemSpec,
-    u_eps: ControlProcess,
-    fwd: ForwardTrajectories,
-    bwd: BackwardTrajectories,
-    adj: AdjointTrajectories,
-) -> np.ndarray:
-    """Per-path, per-step rho_i * H_u(t_i), shape (P, N, k)."""
-    grid = fwd.grid
-    P, N, k = fwd.n_paths, grid.steps, spec.dim_u
-    times = grid.times
-    out = np.empty((N, P, k))
-    for i in range(N):
-        mult = ham.MultiplierPoint(
-            k=adj.k[i], p=adj.p[i], q1=adj.q1[i], q2=adj.q2[i], R2=adj.R2[i]
-        )
-        hu = ham.partial_u(
-            spec, times[i], fwd.x[i], bwd.y[i], bwd.z1[i], bwd.z2[i], u_eps.values[i], mult
-        )
-        out[i] = fwd.rho[i][:, None] * hu
-    return out
 
 
 def _gap_statistics(weighted_hu: np.ndarray, direction: np.ndarray, dt: float):
@@ -56,20 +44,28 @@ def _gap_statistics(weighted_hu: np.ndarray, direction: np.ndarray, dt: float):
     return gap, stderr
 
 
+def _check_base_control(u_eps: ControlProcess, fwd: ForwardTrajectories) -> None:
+    """The gradient was taken under fwd's control; the gap must be too."""
+    if not np.array_equal(fwd.control.values, u_eps.values):
+        raise GridMismatchError(
+            "the base control differs from the control the adjoint was solved under"
+        )
+
+
 def necessary_gap(
     spec: ProblemSpec,
     u_eps: ControlProcess,
     u: ControlProcess,
     fwd: ForwardTrajectories,
     bwd: BackwardTrajectories,
-    adj: AdjointTrajectories,
+    adj: ControlGradient,
     noise: NoiseBundle,
 ) -> tuple[float, float]:
     """Gap of the candidate u against the base control u_eps."""
     if not u.grid.matches(u_eps.grid):
         raise GridMismatchError("candidate control lives on a different grid")
-    weighted = weighted_hamiltonian_gradient(spec, u_eps, fwd, bwd, adj)
-    return _gap_statistics(weighted, u.values - u_eps.values, fwd.grid.dt)
+    _check_base_control(u_eps, fwd)
+    return _gap_statistics(adj.weighted, u.values - u_eps.values, fwd.grid.dt)
 
 
 class GapResult(NamedTuple):
@@ -83,7 +79,7 @@ def min_gap_over_A(
     u_eps: ControlProcess,
     fwd: ForwardTrajectories,
     bwd: BackwardTrajectories,
-    adj: AdjointTrajectories,
+    adj: ControlGradient,
     noise: NoiseBundle,
 ) -> GapResult:
     """Infimum of the gap over deterministic admissible controls.
@@ -91,7 +87,8 @@ def min_gap_over_A(
     Decouples per step: v_i minimizes <mean(rho_i H_u_i), .> over U, so the
     result is never positive (u_eps itself is feasible).
     """
-    weighted = weighted_hamiltonian_gradient(spec, u_eps, fwd, bwd, adj)
+    _check_base_control(u_eps, fwd)
+    weighted = adj.weighted
     g_bar = weighted.mean(axis=1)
     v = np.stack(
         [linear_minimize_over_U(g_bar[i], spec.control_set) for i in range(g_bar.shape[0])]
@@ -135,11 +132,11 @@ def run_pipeline(
     noise: NoiseBundle,
     basis: BasisSpec = BasisSpec(),
 ):
-    """Forward, backward and adjoint bundles under one control and noise."""
+    """Forward, backward and adjoint bundles under one control and noise,
+    with every multiplier of the adjoint kept (``adjoint_trajectories``)."""
     fwd = simulate_forward(spec, u, noise)
     bwd = solve_backward(spec, u, fwd, noise, basis)
-    adj = solve_adjoint(spec, u, fwd, bwd, noise)
-    return fwd, bwd, adj
+    return fwd, bwd, adjoint_trajectories(spec, u, fwd, bwd, noise)
 
 
 def _certificate_gap(spec, u_eps, n_paths, seed, basis, trajectories) -> GapResult:

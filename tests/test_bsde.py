@@ -1,13 +1,16 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from fbsde_nearopt import (
     BasisSpec,
+    ControlGradient,
     GridMismatchError,
     LQParams,
     RegressionError,
+    adjoint_trajectories,
     constant_control,
     control_distance,
     make_control,
@@ -22,6 +25,7 @@ from fbsde_nearopt import (
     solve_adjoint,
     solve_backward,
 )
+from fbsde_nearopt import hamiltonian as ham
 from fbsde_nearopt.bsde import ConditionalExpectation
 
 from _instances import (
@@ -35,7 +39,7 @@ from _instances import (
 def _full_pipeline(spec, u, noise, basis=BasisSpec()):
     fwd = simulate_forward(spec, u, noise)
     bwd = solve_backward(spec, u, fwd, noise, basis)
-    adj = solve_adjoint(spec, u, fwd, bwd, noise)
+    adj = adjoint_trajectories(spec, u, fwd, bwd, noise)
     return fwd, bwd, adj
 
 
@@ -273,6 +277,58 @@ def test_adjoint_diagnostics_list_r_then_p_fits():
     assert rms[0] == _residual_rms(operator, 7, adj.r[8])
     assert rms[8] == _residual_rms(operator, 7, adj.p[8])
     assert rms[0] != rms[8]
+
+
+def _stream_case(name, n_paths, steps):
+    grid = make_time_grid(1.0, steps)
+    if name == "lq2":
+        spec = make_lq_instance(LQParams(dim=2))
+        values = np.random.default_rng(14).uniform(-0.5, 0.5, (steps, 2))
+        u = make_control(values, grid, spec.control_set)
+    elif name == "lq_obs":
+        spec = make_lq_observation_instance(h_const=0.5, sigma2=0.3)
+        u = constant_control([0.2], grid, spec.control_set)
+    else:
+        spec = make_scalar_nonlinear_instance()
+        u = constant_control([0.2], grid, spec.control_set)
+    noise = sample_noise(grid, n_paths, seed=15)
+    fwd = simulate_forward(spec, u, noise)
+    return spec, u, noise, fwd, solve_backward(spec, u, fwd, noise)
+
+
+@pytest.mark.parametrize("name", ["lq2", "lq_obs", "scalar_nonlinear"])
+def test_production_adjoint_streams_the_collected_gradient(name):
+    spec, u, noise, fwd, bwd = _stream_case(name, 4000, 16)
+    grad = solve_adjoint(spec, u, fwd, bwd, noise)
+    adj = adjoint_trajectories(spec, u, fwd, bwd, noise)
+    assert np.array_equal(grad.weighted, adj.weighted)
+    # rho_i * H_u at each step's final multipliers, from the collected ones
+    for i, t in enumerate(noise.grid.times[:-1]):
+        mult = ham.MultiplierPoint(
+            k=adj.k[i], p=adj.p[i], q1=adj.q1[i], q2=adj.q2[i], R2=adj.R2[i]
+        )
+        hu = ham.partial_u(spec, t, fwd.x[i], bwd.y[i], bwd.z1[i], bwd.z2[i], u.values[i], mult)
+        assert np.array_equal(grad.weighted[i], fwd.rho[i][:, None] * hu)
+    assert grad.diagnostics == adj.diagnostics
+
+
+def test_production_adjoint_keeps_two_steps_of_multipliers():
+    spec, u, noise, fwd, bwd = _stream_case("lq2", 20_000, 16)
+    P, N = fwd.n_paths, noise.grid.steps
+    tracemalloc.start()
+    try:
+        grad = solve_adjoint(spec, u, fwd, bwd, noise)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert type(grad) is ControlGradient
+    assert [f for f, v in vars(grad).items() if isinstance(v, np.ndarray)] == ["weighted"]
+    k_bytes = (N + 1) * P * spec.dim_y * 8
+    h_bytes = N * P * 8
+    # beyond k, the observation drift h and the returned gradient, only a
+    # few dozen (P,) columns of one step's work; keeping p, q1, q2, r, R1
+    # and R2 for every step would add 9 N columns here
+    assert peak < k_bytes + h_bytes + grad.weighted.nbytes + 96 * P * 8
 
 
 def test_value_system_equals_backward_state_when_f_is_minus_l():

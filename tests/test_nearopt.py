@@ -59,6 +59,17 @@ def test_gap_grid_mismatch_rejected(lq_spec, lq_bundles):
         necessary_gap(lq_spec, u, other, fwd, bwd, adj, noise)
 
 
+def test_gap_rejects_a_base_control_the_adjoint_was_not_solved_under(lq_spec, lq_bundles):
+    # the control gradient was taken at u; read at another base control it
+    # would be the gradient of the wrong control
+    grid, u, noise, fwd, bwd, adj = lq_bundles
+    other = constant_control([0.3], grid, lq_spec.control_set)
+    with pytest.raises(GridMismatchError, match="adjoint was solved under"):
+        min_gap_over_A(lq_spec, other, fwd, bwd, adj, noise)
+    with pytest.raises(GridMismatchError, match="adjoint was solved under"):
+        necessary_gap(lq_spec, other, u, fwd, bwd, adj, noise)
+
+
 def test_min_gap_single_step_closed_form():
     # H_u == 2 everywhere, one unit step: minimizer -1 and gap exactly -2
     spec = linear_gap_instance(slope=2.0)
