@@ -5,15 +5,20 @@ operator per forward bundle (``ConditionalExpectation``): a per-step fit on
 a polynomial basis in the standardized state, with a tiny ridge.  The
 backward state recursion extracts the martingale integrands by regressing
 the product of the next value with each noise increment.
-``solve_backward`` builds the operator and carries it on its result; the
-adjoint system regresses with that operator, so it takes its basis from
-the backward sweep, reuses the same recursion for its backward components
-and integrates the forward component by explicit Euler.
+
+Each result holds what it was computed from: ``solve_backward(spec, fwd)``
+returns a ``BackwardTrajectories`` that carries ``fwd`` (and so its control
+and noise) and the operator it regressed with, and the adjoint solvers take
+only that result.  The adjoint system regresses with the same operator, so
+it takes its basis from the backward sweep, reuses the same recursion for
+its backward components and integrates the forward component by explicit
+Euler.
 
 The adjoint system is solved by one sweep with two collectors.
 ``solve_adjoint`` keeps p, q and r/R for two steps only and returns the
-density-weighted control gradient rho * H_u, the one adjoint quantity the
-Hamiltonian gap needs; ``adjoint_trajectories`` keeps every multiplier.
+density-weighted control gradient rho * H_u with the control it was taken
+at, the one adjoint quantity the Hamiltonian gap needs;
+``adjoint_trajectories`` keeps every multiplier.
 """
 
 from __future__ import annotations
@@ -25,10 +30,9 @@ from itertools import combinations_with_replacement, islice
 import numpy as np
 
 from . import hamiltonian as ham
-from .errors import FbsdeError, GridMismatchError, RegressionError
+from .errors import FbsdeError, RegressionError
 from .forward_sim import ForwardTrajectories
 from .model import ControlProcess, ProblemSpec
-from .paths import NoiseBundle
 
 RIDGE = 1e-10
 MAX_CONDITION = 1e14
@@ -154,8 +158,8 @@ class RegressionDiagnostics:
 class BackwardTrajectories:
     """Backward state, time-major: y[i] is (paths, m); z's live on steps.
 
-    ``operator`` is the conditional expectation the sweep regressed with;
-    the adjoint sweep on the same forward bundle reuses it.
+    ``forward`` is the bundle the sweep was solved on and ``operator`` the
+    conditional expectation it regressed with; the adjoint sweep reuses both.
     """
 
     y: np.ndarray
@@ -163,15 +167,18 @@ class BackwardTrajectories:
     z2: np.ndarray
     diagnostics: RegressionDiagnostics
     operator: ConditionalExpectation
+    forward: ForwardTrajectories
 
 
 @dataclass(frozen=True)
 class ControlGradient:
     """rho_i * H_u(t_i) per step and path, (N, P, k) time-major: what the
-    Hamiltonian gap reads from the adjoint system."""
+    Hamiltonian gap reads from the adjoint system, with the control it was
+    taken at."""
 
     weighted: np.ndarray
     diagnostics: RegressionDiagnostics
+    control: ControlProcess
 
 
 @dataclass(frozen=True)
@@ -189,15 +196,17 @@ class AdjointTrajectories(ControlGradient):
 
 
 def _regression_step(
-    operator: ConditionalExpectation, i: int, v_next: np.ndarray, noise: NoiseBundle, dt: float
+    operator: ConditionalExpectation, i: int, v_next: np.ndarray, fwd: ForwardTrajectories
 ):
-    """One backward LSMC step at step i for a (P, d) value known at step i + 1.
+    """One backward LSMC step at step i for a (P, d) value known at step i + 1,
+    on the noise that drove ``fwd``.
 
     Returns E[v_next | x_i], the dW and dY integrands (each (P, d)) and the
     residual RMS of the value fit.  The increment targets are centred on
     the fitted mean: variance reduction with the same conditional expectation.
     """
     P, d = v_next.shape
+    noise, dt = fwd.noise, fwd.grid.dt
     v_hat, _ = operator.fit(i, v_next)
     resid = v_next - v_hat
     increments = np.empty((P, 2 * d))
@@ -208,34 +217,16 @@ def _regression_step(
     return v_hat, fitted[:, :d] / dt, fitted[:, d:] / dt, rms
 
 
-def _check_bundles(u: ControlProcess, fwd: ForwardTrajectories, noise: NoiseBundle) -> None:
-    if not fwd.grid.matches(noise.grid) or not u.grid.matches(noise.grid):
-        raise GridMismatchError("control, forward trajectories and noise must share a grid")
-    if fwd.n_paths != noise.n_paths:
-        raise GridMismatchError("forward trajectories and noise have different path counts")
-    if not np.array_equal(fwd.control.values, u.values):
-        raise GridMismatchError("forward trajectories were simulated under a different control")
-    if fwd.noise is not noise and not (
-        np.array_equal(fwd.noise.dW, noise.dW) and np.array_equal(fwd.noise.dY, noise.dY)
-    ):
-        raise GridMismatchError("forward trajectories were simulated under different noise")
-
-
 def solve_backward(
-    spec: ProblemSpec,
-    u: ControlProcess,
-    fwd: ForwardTrajectories,
-    noise: NoiseBundle,
-    basis: BasisSpec = BasisSpec(),
+    spec: ProblemSpec, fwd: ForwardTrajectories, basis: BasisSpec = BasisSpec()
 ) -> BackwardTrajectories:
-    """Backward regression recursion for (y, z1, z2).
+    """Backward regression recursion for (y, z1, z2) on the forward bundle.
 
     Per step: z's from martingale-increment regressions, then the value
     update with the driver's y-argument resolved by an explicit predictor
     and one corrector evaluation.
     """
-    _check_bundles(u, fwd, noise)
-    grid = noise.grid
+    u, grid = fwd.control, fwd.grid
     P, N, m = fwd.n_paths, grid.steps, spec.dim_y
     dt = grid.dt
     times = grid.times
@@ -251,7 +242,7 @@ def solve_backward(
         t = times[i]
         xi = fwd.x[i]
         ui = u.values[i]
-        y_hat, z1[i], z2[i], rms = _regression_step(operator, i, y[i + 1], noise, dt)
+        y_hat, z1[i], z2[i], rms = _regression_step(operator, i, y[i + 1], fwd)
 
         h = spec.observation_h.value(t, xi, ui)
         z2h = z2[i] * h[:, None]
@@ -269,17 +260,13 @@ def solve_backward(
         condition_numbers=[operator.condition(i) for i in range(N)],
         residual_rms=residuals[::-1],
     )
-    return BackwardTrajectories(y=y, z1=z1, z2=z2, diagnostics=diag, operator=operator)
+    return BackwardTrajectories(
+        y=y, z1=z1, z2=z2, diagnostics=diag, operator=operator, forward=fwd
+    )
 
 
-def _adjoint_sweep(
-    spec: ProblemSpec,
-    u: ControlProcess,
-    fwd: ForwardTrajectories,
-    bwd: BackwardTrajectories,
-    noise: NoiseBundle,
-):
-    """Solve the multiplier system along a given admissible pair, as a stream.
+def _adjoint_sweep(spec: ProblemSpec, bwd: BackwardTrajectories):
+    """Solve the multiplier system along ``bwd``'s admissible pair, as a stream.
 
     Order: the forward k equation first (its drift and diffusions involve
     no other multiplier), stored whole because the reversed sweep reads it
@@ -295,11 +282,8 @@ def _adjoint_sweep(
     last, the regression diagnostics.  Of p, q1, q2, r, R1 and R2 only
     steps i and i + 1 are held while step i is solved.
     """
-    _check_bundles(u, fwd, noise)
-    operator = bwd.operator
-    if operator.states is not fwd.x and not np.array_equal(operator.states, fwd.x):
-        raise GridMismatchError("backward trajectories were solved on a different forward bundle")
-    grid = noise.grid
+    fwd, operator = bwd.forward, bwd.operator
+    u, noise, grid = fwd.control, fwd.noise, fwd.grid
     P, N = fwd.n_paths, grid.steps
     n, m = spec.dim_x, spec.dim_y
     dt = grid.dt
@@ -344,13 +328,13 @@ def _adjoint_sweep(
         ui = u.values[i]
 
         # the scalar r goes through the regression step as a (P, 1) column
-        r_hat, R1_i, R2_i, rms = _regression_step(operator, i, r_next[:, None], noise, dt)
+        r_hat, R1_i, R2_i, rms = _regression_step(operator, i, r_next[:, None], fwd)
         R1_i, R2_i = R1_i[:, 0], R2_i[:, 0]
         l_val = spec.running_l.value(t, xi, yi, z1i, z2i, ui)
         r_next = r_hat[:, 0] + (l_val + R2_i * h_all[i]) * dt
         r_residuals.append(rms)
 
-        p_hat, q1_i, q2_i, rms = _regression_step(operator, i, p_next, noise, dt)
+        p_hat, q1_i, q2_i, rms = _regression_step(operator, i, p_next, fwd)
 
         q2h = q2_i * h_all[i, :, None]
         p_arg = p_hat
@@ -375,45 +359,38 @@ def _adjoint_sweep(
     )
 
 
-def _weight_gradient(spec, u, fwd, bwd, t, i, mult, out) -> None:
+def _weight_gradient(spec, bwd, t, i, mult, out) -> None:
     """out = rho_i * H_u(t_i) at step i's final multipliers, (P, k)."""
-    hu = ham.partial_u(spec, t, fwd.x[i], bwd.y[i], bwd.z1[i], bwd.z2[i], u.values[i], mult)
+    fwd = bwd.forward
+    hu = ham.partial_u(
+        spec, t, fwd.x[i], bwd.y[i], bwd.z1[i], bwd.z2[i], fwd.control.values[i], mult
+    )
     np.multiply(fwd.rho[i][:, None], hu, out=out)
 
 
-def solve_adjoint(
-    spec: ProblemSpec,
-    u: ControlProcess,
-    fwd: ForwardTrajectories,
-    bwd: BackwardTrajectories,
-    noise: NoiseBundle,
-) -> ControlGradient:
-    """rho_i * H_u(t_i) along a given admissible pair, from one adjoint sweep.
+def solve_adjoint(spec: ProblemSpec, bwd: BackwardTrajectories) -> ControlGradient:
+    """rho_i * H_u(t_i) along ``bwd``'s admissible pair, from one adjoint sweep.
 
     The multipliers p, q1, q2, r, R1 and R2 are kept for two steps only;
     ``adjoint_trajectories`` runs the same sweep and keeps them all.
     """
-    sweep = _adjoint_sweep(spec, u, fwd, bwd, noise)
+    fwd = bwd.forward
+    sweep = _adjoint_sweep(spec, bwd)
     next(sweep)
     N, times = fwd.grid.steps, fwd.grid.times
     weighted = np.empty((N, fwd.n_paths, spec.dim_u))
     for i, mult, _, _ in islice(sweep, N):
-        _weight_gradient(spec, u, fwd, bwd, times[i], i, mult, weighted[i])
-    return ControlGradient(weighted=weighted, diagnostics=next(sweep))
+        _weight_gradient(spec, bwd, times[i], i, mult, weighted[i])
+    return ControlGradient(weighted=weighted, diagnostics=next(sweep), control=fwd.control)
 
 
-def adjoint_trajectories(
-    spec: ProblemSpec,
-    u: ControlProcess,
-    fwd: ForwardTrajectories,
-    bwd: BackwardTrajectories,
-    noise: NoiseBundle,
-) -> AdjointTrajectories:
+def adjoint_trajectories(spec: ProblemSpec, bwd: BackwardTrajectories) -> AdjointTrajectories:
     """``solve_adjoint`` with every multiplier kept, time-major.
 
     The same sweep and the same numbers; only what is stored differs.
     """
-    sweep = _adjoint_sweep(spec, u, fwd, bwd, noise)
+    fwd = bwd.forward
+    sweep = _adjoint_sweep(spec, bwd)
     k, p_T, r_T = next(sweep)
     P, N, n = fwd.n_paths, fwd.grid.steps, spec.dim_x
     times = fwd.grid.times
@@ -426,11 +403,12 @@ def adjoint_trajectories(
     R2 = np.empty((N, P))
     p[N], r[N] = p_T, r_T
     for i, mult, r_i, R1_i in islice(sweep, N):
-        _weight_gradient(spec, u, fwd, bwd, times[i], i, mult, weighted[i])
+        _weight_gradient(spec, bwd, times[i], i, mult, weighted[i])
         p[i], q1[i], q2[i], R2[i] = mult.p, mult.q1, mult.q2, mult.R2
         r[i], R1[i] = r_i, R1_i
     return AdjointTrajectories(
         weighted=weighted,
         diagnostics=next(sweep),
+        control=fwd.control,
         k=k, p=p, q1=q1, q2=q2, r=r, R1=R1, R2=R2,
     )

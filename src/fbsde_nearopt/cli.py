@@ -13,7 +13,6 @@ import configparser
 import dataclasses
 import inspect
 import json
-import math
 import os
 import sys
 import time
@@ -30,7 +29,6 @@ from .model import (
     constant_control,
     control_from_csv,
     control_to_csv,
-    make_control,
     validate_problem,
 )
 from .nearopt import certify_necessary, certify_sufficient, estimate_order, min_gap_over_A
@@ -230,10 +228,10 @@ def _write_json(payload: dict, cfg: RunConfig, name: str, command: str) -> str:
     return path
 
 
-def _oracle_epsilon(cfg: RunConfig, spec, control, fwd, bwd) -> float:
+def _oracle_epsilon(cfg: RunConfig, spec, bwd) -> float:
     """The configured epsilon, or an upper confidence bound on J(control) - J*.
 
-    ``auto`` takes J(control) on this bundle minus the Riccati value, plus
+    ``auto`` takes J(control) on the bundle ``bwd`` minus the Riccati value, plus
     three standard errors of J, floored at 0.  A point estimate clamped at
     0 would shrink the gap threshold to -3 stderr whenever Monte-Carlo noise
     puts J below J*, and an optimal control would then fail its certificate.
@@ -244,7 +242,7 @@ def _oracle_epsilon(cfg: RunConfig, spec, control, fwd, bwd) -> float:
         raise FbsdeError(
             "epsilon = auto needs the lq family oracle; set [certificate] epsilon explicitly"
         )
-    cost = evaluate_cost_strong(spec, control, fwd, bwd)
+    cost = evaluate_cost_strong(spec, bwd)
     sol = riccati_lq(cfg.lq_params())
     return max(cost.value - sol.optimal_cost + 3.0 * cost.stderr, 0.0)
 
@@ -316,17 +314,14 @@ def cmd_certify(cfg: RunConfig, control_path: str, sufficient: bool) -> int:
     control = control_from_csv(control_path, grid, spec.control_set)
 
     noise = sample_noise(grid, cfg.n_paths, cfg.seed)
-    fwd = simulate_forward(spec, control, noise)
-    bwd = solve_backward(spec, control, fwd, noise, cfg.basis())
-    epsilon = _oracle_epsilon(cfg, spec, control, fwd, bwd)
-
-    common = dict(n_paths=cfg.n_paths, seed=cfg.seed, trajectories=(fwd, bwd))
+    bwd = solve_backward(spec, simulate_forward(spec, control, noise), cfg.basis())
+    epsilon = _oracle_epsilon(cfg, spec, bwd)
     if sufficient:
         certificate = certify_sufficient(
-            spec, control, epsilon, cfg.certificate_lambda, cfg.certificate_C, **common
+            spec, bwd, epsilon, cfg.certificate_lambda, cfg.certificate_C
         )
     else:
-        certificate = certify_necessary(spec, control, epsilon, cfg.certificate_C, **common)
+        certificate = certify_necessary(spec, bwd, epsilon, cfg.certificate_C)
     _write_json(json.loads(certificate.to_json()), cfg, "certificate.json", "certify")
     print(f"verdict: {certificate.verdict} (gap {certificate.gap:.3e})")
     return EXIT_OK
@@ -341,11 +336,9 @@ def _order_point(spec, control, noise, basis, oracle_cost: float):
     that the member's bundles are freed on return, before the next member
     is simulated.
     """
-    fwd = simulate_forward(spec, control, noise)
-    bwd = solve_backward(spec, control, fwd, noise, basis)
-    epsilon = max(evaluate_cost_strong(spec, control, fwd, bwd).value - oracle_cost, 0.0)
-    adj = solve_adjoint(spec, control, fwd, bwd, noise)
-    return epsilon, min_gap_over_A(spec, control, fwd, bwd, adj, noise)
+    bwd = solve_backward(spec, simulate_forward(spec, control, noise), basis)
+    epsilon = max(evaluate_cost_strong(spec, bwd).value - oracle_cost, 0.0)
+    return epsilon, min_gap_over_A(spec, solve_adjoint(spec, bwd))
 
 
 def cmd_order_study(cfg: RunConfig) -> int:
@@ -403,10 +396,9 @@ def cmd_oracle_compare(cfg: RunConfig) -> int:
         np.full(spec.dim_u, cfg.oracle_control), grid, spec.control_set
     )
     lattice = enumerate_lattice(spec, control, grid)
-    bundle = enumerate_binomial(grid)
-    fwd = simulate_forward(spec, control, bundle)
-    bwd = solve_backward(spec, control, fwd, bundle, BasisSpec(degree=min(cfg.degree, 1)))
-    mc = evaluate_cost_strong(spec, control, fwd, bwd)
+    basis = BasisSpec(degree=min(cfg.degree, 1))
+    bwd = solve_backward(spec, simulate_forward(spec, control, enumerate_binomial(grid)), basis)
+    mc = evaluate_cost_strong(spec, bwd)
     diff = abs(lattice.cost - mc.value)
     payload = {
         "lattice_cost": lattice.cost,

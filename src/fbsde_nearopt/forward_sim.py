@@ -123,9 +123,10 @@ def _mean(v: np.ndarray) -> float:
     return math.fsum(v) / v.shape[0]
 
 
-def _per_path_cost_parts(spec, u, fwd, bwd):
+def _per_path_cost_parts(spec, bwd):
     """Per-path density-weighted running and terminal cost contributions."""
-    grid = fwd.grid
+    fwd = bwd.forward
+    u, grid = fwd.control, fwd.grid
     P, N = fwd.n_paths, grid.steps
     dt = grid.dt
     times = grid.times
@@ -137,18 +138,12 @@ def _per_path_cost_parts(spec, u, fwd, bwd):
     return running, terminal
 
 
-def evaluate_cost_strong(
-    spec: ProblemSpec, u: ControlProcess, fwd: ForwardTrajectories, bwd
-) -> CostReport:
-    """Density-weighted cost under the reference measure (Bayes form)."""
-    _check_same_grid(fwd.grid, u.grid, "evaluate_cost_strong")
-    if fwd.n_paths != bwd.y.shape[1] or bwd.y.shape[0] != fwd.grid.steps + 1:
-        raise GridMismatchError("forward and backward bundles do not match")
-    if not np.array_equal(fwd.control.values, u.values):
-        raise GridMismatchError("forward trajectories were simulated under a different control")
-
-    running, terminal = _per_path_cost_parts(spec, u, fwd, bwd)
-    P = fwd.n_paths
+def evaluate_cost_strong(spec: ProblemSpec, bwd) -> CostReport:
+    """Density-weighted cost under the reference measure (Bayes form), of the
+    control the backward bundle ``bwd`` and its forward bundle were solved
+    under."""
+    running, terminal = _per_path_cost_parts(spec, bwd)
+    P = bwd.forward.n_paths
 
     y0_mean = bwd.y[0].mean(axis=0)
     initial = float(spec.initial_gamma.value(y0_mean[None, :])[0])
@@ -188,9 +183,8 @@ def evaluate_cost_weak(
     _check_same_grid(u.grid, grid, "evaluate_cost_weak")
     weak_spec = without_observation(spec)
     noise = sample_noise(grid, n_paths, seed)
-    fwd = simulate_forward(weak_spec, u, noise)
-    bwd = solve_backward(weak_spec, u, fwd, noise, basis or BasisSpec())
-    return evaluate_cost_strong(weak_spec, u, fwd, bwd)
+    bwd = solve_backward(weak_spec, simulate_forward(weak_spec, u, noise), basis or BasisSpec())
+    return evaluate_cost_strong(weak_spec, bwd)
 
 
 def control_distance(u: ControlProcess, v: ControlProcess) -> float:

@@ -15,7 +15,7 @@ import csv
 import functools
 import json
 from dataclasses import dataclass, field, fields, replace
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 

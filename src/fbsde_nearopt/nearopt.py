@@ -5,9 +5,11 @@ H_u . (u - u_eps) along the candidate's trajectories; its infimum over the
 admissible class decouples per time step for deterministic piecewise
 controls and is realized by exact linear minimization over the control set.
 The gap reads only rho * H_u from the adjoint (``bsde.ControlGradient``),
-taken at the control the adjoint was solved under; the certificates and
-the optimizer get it from ``solve_adjoint``, which keeps no multiplier
-beyond two steps.
+which holds the control u_eps it was taken at.  The certificates take the
+backward bundle of u_eps, which holds its forward bundle and noise, and get
+the gradient from ``solve_adjoint``, which keeps no multiplier beyond two
+steps; their provenance reads the seed, path count and grid from that
+bundle.
 """
 
 from __future__ import annotations
@@ -31,41 +33,21 @@ from .bsde import (
 from .errors import FbsdeError, GridMismatchError, PreconditionError
 from .forward_sim import ForwardTrajectories, evaluate_cost_strong, simulate_forward
 from .hamiltonian import ConvexityReport, check_H_convexity
-from .model import ControlProcess, ProblemSpec, linear_minimize_over_U, make_control
-from .paths import NoiseBundle, sample_noise
+from .model import ControlProcess, ProblemSpec, linear_minimize_over_U
+from .paths import NoiseBundle
 
 
-def _gap_statistics(weighted_hu: np.ndarray, direction: np.ndarray, dt: float):
-    """Mean and stderr of sum_i dt * <rho_i H_u_i, d_i> over paths."""
-    per_path = np.einsum("ipk,ik->p", weighted_hu, direction) * dt
+def necessary_gap(grad: ControlGradient, u: ControlProcess) -> tuple[float, float]:
+    """Gap of the candidate u against the control the gradient was taken at:
+    mean and stderr over paths of sum_i dt * <rho_i H_u_i, u_i - u_eps_i>."""
+    base = grad.control
+    if not u.grid.matches(base.grid):
+        raise GridMismatchError("candidate control lives on a different grid")
+    per_path = np.einsum("ipk,ik->p", grad.weighted, u.values - base.values) * base.grid.dt
     P = per_path.shape[0]
     gap = math.fsum(per_path) / P
     stderr = float(np.std(per_path, ddof=1) / np.sqrt(P)) if P > 1 else 0.0
     return gap, stderr
-
-
-def _check_base_control(u_eps: ControlProcess, fwd: ForwardTrajectories) -> None:
-    """The gradient was taken under fwd's control; the gap must be too."""
-    if not np.array_equal(fwd.control.values, u_eps.values):
-        raise GridMismatchError(
-            "the base control differs from the control the adjoint was solved under"
-        )
-
-
-def necessary_gap(
-    spec: ProblemSpec,
-    u_eps: ControlProcess,
-    u: ControlProcess,
-    fwd: ForwardTrajectories,
-    bwd: BackwardTrajectories,
-    adj: ControlGradient,
-    noise: NoiseBundle,
-) -> tuple[float, float]:
-    """Gap of the candidate u against the base control u_eps."""
-    if not u.grid.matches(u_eps.grid):
-        raise GridMismatchError("candidate control lives on a different grid")
-    _check_base_control(u_eps, fwd)
-    return _gap_statistics(adj.weighted, u.values - u_eps.values, fwd.grid.dt)
 
 
 class GapResult(NamedTuple):
@@ -74,27 +56,18 @@ class GapResult(NamedTuple):
     minimizer: ControlProcess
 
 
-def min_gap_over_A(
-    spec: ProblemSpec,
-    u_eps: ControlProcess,
-    fwd: ForwardTrajectories,
-    bwd: BackwardTrajectories,
-    adj: ControlGradient,
-    noise: NoiseBundle,
-) -> GapResult:
+def min_gap_over_A(spec: ProblemSpec, grad: ControlGradient) -> GapResult:
     """Infimum of the gap over deterministic admissible controls.
 
     Decouples per step: v_i minimizes <mean(rho_i H_u_i), .> over U, so the
     result is never positive (u_eps itself is feasible).
     """
-    _check_base_control(u_eps, fwd)
-    weighted = adj.weighted
-    g_bar = weighted.mean(axis=1)
+    g_bar = grad.weighted.mean(axis=1)
     v = np.stack(
         [linear_minimize_over_U(g_bar[i], spec.control_set) for i in range(g_bar.shape[0])]
     )
-    minimizer = ControlProcess(values=v, grid=u_eps.grid)
-    gap, stderr = _gap_statistics(weighted, v - u_eps.values, fwd.grid.dt)
+    minimizer = ControlProcess(values=v, grid=grad.control.grid)
+    gap, stderr = necessary_gap(grad, minimizer)
     return GapResult(gap=gap, stderr=stderr, minimizer=minimizer)
 
 
@@ -134,51 +107,31 @@ def run_pipeline(
 ):
     """Forward, backward and adjoint bundles under one control and noise,
     with every multiplier of the adjoint kept (``adjoint_trajectories``)."""
-    fwd = simulate_forward(spec, u, noise)
-    bwd = solve_backward(spec, u, fwd, noise, basis)
-    return fwd, bwd, adjoint_trajectories(spec, u, fwd, bwd, noise)
+    bwd = solve_backward(spec, simulate_forward(spec, u, noise), basis)
+    return bwd.forward, bwd, adjoint_trajectories(spec, bwd)
 
 
-def _certificate_gap(spec, u_eps, n_paths, seed, basis, trajectories) -> GapResult:
-    """Minimal gap of u_eps: adjoint and gap on the given forward+backward
-    trajectories, or on a fresh pipeline when none are given."""
-    if trajectories is None:
-        noise = sample_noise(u_eps.grid, n_paths, seed)
-        fwd = simulate_forward(spec, u_eps, noise)
-        bwd = solve_backward(spec, u_eps, fwd, noise, basis)
-    else:
-        fwd, bwd = trajectories
-        if fwd.n_paths != n_paths or fwd.noise.seed != seed:
-            raise GridMismatchError(
-                f"trajectories hold {fwd.n_paths} paths from seed {fwd.noise.seed}, "
-                f"certificate asks for {n_paths} paths from seed {seed}"
-            )
-    adj = solve_adjoint(spec, u_eps, fwd, bwd, fwd.noise)
-    return min_gap_over_A(spec, u_eps, fwd, bwd, adj, fwd.noise)
+def _provenance(spec: ProblemSpec, fwd: ForwardTrajectories, threshold: float) -> dict:
+    return {
+        "instance": spec.label,
+        "seed": fwd.noise.seed,
+        "n_paths": fwd.n_paths,
+        "grid": {"horizon": fwd.grid.horizon, "steps": fwd.grid.steps},
+        "threshold": threshold,
+    }
 
 
 def certify_necessary(
-    spec: ProblemSpec,
-    u_eps: ControlProcess,
-    epsilon: float,
-    C: float,
-    *,
-    n_paths: int = 100_000,
-    seed: int = 0,
-    basis: BasisSpec = BasisSpec(),
-    trajectories: tuple[ForwardTrajectories, BackwardTrajectories] | None = None,
+    spec: ProblemSpec, bwd: BackwardTrajectories, epsilon: float, C: float
 ) -> Certificate:
-    """Check the order-epsilon^(1/2) lower bound on the minimal gap.
-
-    ``trajectories`` are the (forward, backward) bundles of u_eps on the
-    n_paths-path noise drawn from seed, when the caller has them already;
-    only the adjoint and the gap then run, with the backward sweep's basis.
-    """
+    """Check the order-epsilon^(1/2) lower bound on the minimal gap of the
+    control ``bwd`` was solved under; the adjoint and the gap run on its
+    bundle."""
     if epsilon < 0.0:
         raise FbsdeError("epsilon must be >= 0")
     if C <= 0.0:
         raise FbsdeError("C must be positive")
-    result = _certificate_gap(spec, u_eps, n_paths, seed, basis, trajectories)
+    result = min_gap_over_A(spec, solve_adjoint(spec, bwd))
     threshold = -C * math.sqrt(epsilon) - 3.0 * result.stderr
     verdict = "necessary-holds" if result.gap >= threshold else "necessary-violated"
     return Certificate(
@@ -188,13 +141,7 @@ def certify_necessary(
         constant_C=C,
         order_lambda=0.5,
         verdict=verdict,
-        provenance={
-            "instance": spec.label,
-            "seed": seed,
-            "n_paths": n_paths,
-            "grid": {"horizon": u_eps.grid.horizon, "steps": u_eps.grid.steps},
-            "threshold": threshold,
-        },
+        provenance=_provenance(spec, bwd.forward, threshold),
     )
 
 
@@ -209,30 +156,30 @@ def _require_sufficient_structure(spec: ProblemSpec) -> None:
 
 def certify_sufficient(
     spec: ProblemSpec,
-    u_eps: ControlProcess,
+    bwd: BackwardTrajectories,
     epsilon: float,
     lambda_exp: float,
     C: float,
     *,
-    n_paths: int = 100_000,
-    seed: int = 0,
-    basis: BasisSpec = BasisSpec(),
     convexity: ConvexityReport | None = None,
     convexity_probes: int = 24,
-    trajectories: tuple[ForwardTrajectories, BackwardTrajectories] | None = None,
 ) -> Certificate:
     """Convexity plus gap condition under the control-free observation density.
 
     Verdict is sufficient-near-optimal only when every sampled convexity
     probe passes and the minimal gap clears -C eps^lambda; a convexity
-    witness or a failed gap both yield inconclusive.  ``trajectories`` as
-    in certify_necessary.
+    witness or a failed gap both yield inconclusive.  The gap is that of
+    the control ``bwd`` was solved under, on its bundle; the convexity
+    probes are drawn from the bundle's noise seed, or from seed 0 for the
+    unseeded binomial bundle, so that every verdict is reproducible.
     """
     _require_sufficient_structure(spec)
     if epsilon < 0.0 or C <= 0.0:
         raise FbsdeError("need epsilon >= 0 and C > 0")
+    fwd = bwd.forward
+    seed = 0 if fwd.noise.seed is None else fwd.noise.seed
     report = convexity or check_H_convexity(spec, n_probes=convexity_probes, seed=seed)
-    result = _certificate_gap(spec, u_eps, n_paths, seed, basis, trajectories)
+    result = min_gap_over_A(spec, solve_adjoint(spec, bwd))
     threshold = -C * epsilon**lambda_exp - 3.0 * result.stderr
 
     if not report.passed:
@@ -252,11 +199,7 @@ def certify_sufficient(
         order_lambda=lambda_exp,
         verdict=verdict,
         provenance={
-            "instance": spec.label,
-            "seed": seed,
-            "n_paths": n_paths,
-            "grid": {"horizon": u_eps.grid.horizon, "steps": u_eps.grid.steps},
-            "threshold": threshold,
+            **_provenance(spec, fwd, threshold),
             "convexity": json.loads(report.to_json()),
             "reason": reason,
         },
@@ -300,16 +243,16 @@ def cost_difference_representation(
     P, N = noise.n_paths, grid.steps
 
     fwd_e, bwd_e, adj_e = run_pipeline(spec, u_eps, noise, basis)
-    fwd_u = simulate_forward(spec, u, noise)
-    bwd_u = solve_backward(spec, u, fwd_u, noise, basis)
+    bwd_u = solve_backward(spec, simulate_forward(spec, u, noise), basis)
+    fwd_u = bwd_u.forward
     if not np.allclose(fwd_u.rho[N], fwd_e.rho[N], rtol=1e-10):
         raise PreconditionError(
             "density weights differ between controls; observation drift is "
             "not actually control-free"
         )
 
-    cost_u = evaluate_cost_strong(spec, u, fwd_u, bwd_u)
-    cost_e = evaluate_cost_strong(spec, u_eps, fwd_e, bwd_e)
+    cost_u = evaluate_cost_strong(spec, bwd_u)
+    cost_e = evaluate_cost_strong(spec, bwd_e)
     lhs = cost_u.value - cost_e.value
 
     per_path_rhs = np.zeros(P)

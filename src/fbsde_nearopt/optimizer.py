@@ -68,10 +68,8 @@ class DescentTrace:
 
 
 def _evaluate(spec, u, noise, basis):
-    fwd = simulate_forward(spec, u, noise)
-    bwd = solve_backward(spec, u, fwd, noise, basis)
-    cost = evaluate_cost_strong(spec, u, fwd, bwd)
-    return fwd, bwd, cost
+    bwd = solve_backward(spec, simulate_forward(spec, u, noise), basis)
+    return bwd, evaluate_cost_strong(spec, bwd)
 
 
 def smp_descent(spec: ProblemSpec, u0: ControlProcess, params: DescentParams) -> DescentTrace:
@@ -82,15 +80,14 @@ def smp_descent(spec: ProblemSpec, u0: ControlProcess, params: DescentParams) ->
     noise = sample_noise(u0.grid, params.n_paths, params.seed)
 
     u = u0
-    fwd, bwd, cost = _evaluate(spec, u, noise, params.basis)
+    bwd, cost = _evaluate(spec, u, noise, params.basis)
     rows: list[DescentRow] = []
     controls: list[ControlProcess] = [u]
     converged = False
     stop_reason = "max_iter reached"
 
     for j in range(params.max_iter + 1):
-        adj = solve_adjoint(spec, u, fwd, bwd, noise)
-        gap = min_gap_over_A(spec, u, fwd, bwd, adj, noise)
+        gap = min_gap_over_A(spec, solve_adjoint(spec, bwd))
 
         if abs(gap.gap) <= params.tol_gap:
             rows.append(
@@ -111,7 +108,7 @@ def smp_descent(spec: ProblemSpec, u0: ControlProcess, params: DescentParams) ->
             candidate = ControlProcess(
                 values=u.values + step * (gap.minimizer.values - u.values), grid=u.grid
             )
-            fwd_c, bwd_c, cost_c = _evaluate(spec, candidate, noise, params.basis)
+            bwd_c, cost_c = _evaluate(spec, candidate, noise, params.basis)
             if cost_c.value <= cost.value + params.armijo_c * (step * gap.gap):
                 break
         else:
@@ -123,7 +120,7 @@ def smp_descent(spec: ProblemSpec, u0: ControlProcess, params: DescentParams) ->
 
         moved = control_distance(candidate, u)
         rows.append(DescentRow(j, cost.value, cost.stderr, gap.gap, gap.stderr, step, moved))
-        u, fwd, bwd, cost = candidate, fwd_c, bwd_c, cost_c
+        u, bwd, cost = candidate, bwd_c, cost_c
         controls.append(u)
 
     return DescentTrace(
@@ -174,6 +171,6 @@ def perturbation_family(
     noise = sample_noise(u_star.grid, n_paths, seed)
     family = []
     for control in controls:
-        cost = _evaluate(spec, control, noise, basis)[2]
+        cost = _evaluate(spec, control, noise, basis)[1]
         family.append((control, max(cost.value - oracle_cost, 0.0)))
     return family

@@ -63,8 +63,8 @@ def girsanov_run():
     start = time.time()
     noise = sample_noise(grid, 100_000, seed=101)
     fwd = simulate_forward(spec, u, noise)
-    bwd = solve_backward(spec, u, fwd, noise)
-    strong = evaluate_cost_strong(spec, u, fwd, bwd)
+    bwd = solve_backward(spec, fwd)
+    strong = evaluate_cost_strong(spec, bwd)
     weak = evaluate_cost_weak(spec, u, seed=102, n_paths=100_000, grid=grid)
     elapsed = time.time() - start
     rho_terminal = fwd.rho[-1].copy()
@@ -93,7 +93,7 @@ def order_study(lq_spec, lq_params, lq_riccati):
     members = []
     for control, epsilon in family:
         fwd, bwd, adj = run_pipeline(lq_spec, control, noise)
-        gap = min_gap_over_A(lq_spec, control, fwd, bwd, adj, noise)
+        gap = min_gap_over_A(lq_spec, adj)
         members.append((control, epsilon, gap.gap, gap.stderr))
     exponent, constant = estimate_order([(eps, gap) for _, eps, gap, _ in members])
     return members, exponent, constant
@@ -127,8 +127,8 @@ def test_criterion_2_lattice_equivalence():
             lattice = enumerate_lattice(spec, u, grid)
             bundle = enumerate_binomial(grid)
             fwd = simulate_forward(spec, u, bundle)
-            bwd = solve_backward(spec, u, fwd, bundle, BasisSpec(degree=1))
-            mc = evaluate_cost_strong(spec, u, fwd, bwd)
+            bwd = solve_backward(spec, fwd, BasisSpec(degree=1))
+            mc = evaluate_cost_strong(spec, bwd)
             worst = max(worst, abs(mc.value - lattice.cost))
     elapsed = time.time() - start
     ok = worst <= 1e-12 and elapsed <= 10.0
@@ -144,7 +144,7 @@ def test_criterion_3_bsde_accuracy():
         noise = sample_noise(grid, 100_000, seed=105)
         u = constant_control([0.0], grid, spec.control_set)
         fwd = simulate_forward(spec, u, noise)
-        bwd = solve_backward(spec, u, fwd, noise, BasisSpec(degree=2))
+        bwd = solve_backward(spec, fwd, BasisSpec(degree=2))
         exact = np.exp(-beta * (1.0 - grid.times))[:, None, None] * fwd.x
         return float(
             np.sqrt(np.mean((bwd.y - exact) ** 2)) / np.sqrt(np.mean(exact**2))
@@ -210,17 +210,20 @@ def test_criterion_6_necessary_order(order_study):
 def test_criterion_7_sufficient_verdicts(lq_spec, lq_params, lq_riccati, order_study):
     members, _, constant = order_study
     control, epsilon, _, _ = members[1]  # delta = 0.05 member
+    noise = sample_noise(control.grid, 20_000, seed=107)
     cert = certify_sufficient(
-        lq_spec, control, epsilon, lambda_exp=0.5, C=constant,
-        n_paths=20_000, seed=107,
+        lq_spec, solve_backward(lq_spec, simulate_forward(lq_spec, control, noise)),
+        epsilon, lambda_exp=0.5, C=constant,
     )
     bound_holds = epsilon <= constant * epsilon**0.5
 
     dw = builtin_instance("double_well")
     grid = make_time_grid(1.0, 16)
     u = constant_control([0.0], grid, dw.control_set)
+    dw_noise = sample_noise(grid, 4000, seed=108)
     dw_cert = certify_sufficient(
-        dw, u, epsilon=0.1, lambda_exp=0.5, C=constant, n_paths=4000, seed=108
+        dw, solve_backward(dw, simulate_forward(dw, u, dw_noise)),
+        epsilon=0.1, lambda_exp=0.5, C=constant,
     )
     witness = dw_cert.provenance["convexity"]["witness"]
     ok = (
@@ -294,7 +297,7 @@ def test_criterion_9_invariant_suites(girsanov_run, lq_spec):
             vals = ispec.control_set.sample(rng, 8)
             ctrl = make_control(vals, g8, ispec.control_set)
             f8, b8, a8 = run_pipeline(ispec, ctrl, n8)
-            gap_ok &= min_gap_over_A(ispec, ctrl, f8, b8, a8, n8).gap <= 1e-12
+            gap_ok &= min_gap_over_A(ispec, a8).gap <= 1e-12
     details.append(f"min_gap <= 0 always={gap_ok}")
 
     # Hamiltonian partials against central differences at 100 points

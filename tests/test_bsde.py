@@ -7,7 +7,6 @@ import pytest
 from fbsde_nearopt import (
     BasisSpec,
     ControlGradient,
-    GridMismatchError,
     LQParams,
     RegressionError,
     adjoint_trajectories,
@@ -38,8 +37,8 @@ from _instances import (
 
 def _full_pipeline(spec, u, noise, basis=BasisSpec()):
     fwd = simulate_forward(spec, u, noise)
-    bwd = solve_backward(spec, u, fwd, noise, basis)
-    adj = adjoint_trajectories(spec, u, fwd, bwd, noise)
+    bwd = solve_backward(spec, fwd, basis)
+    adj = adjoint_trajectories(spec, bwd)
     return fwd, bwd, adj
 
 
@@ -126,7 +125,7 @@ def test_martingale_representation():
     noise = sample_noise(grid, 100_000, seed=3)
     u = constant_control([0.0], grid, spec.control_set)
     fwd = simulate_forward(spec, u, noise)
-    bwd = solve_backward(spec, u, fwd, noise, BasisSpec(degree=2))
+    bwd = solve_backward(spec, fwd, BasisSpec(degree=2))
     # root-mean-square over paths and steps; pointwise tails carry fit noise
     assert np.sqrt(np.mean((bwd.y - fwd.x) ** 2)) <= 0.05
     assert np.sqrt(np.mean((bwd.z1 - 1.0) ** 2)) <= 0.05
@@ -155,7 +154,7 @@ def test_constant_terminal_data():
     noise = sample_noise(grid, 2000, seed=4)
     u = constant_control([0.0], grid, spec.control_set)
     fwd = simulate_forward(spec, u, noise)
-    bwd = solve_backward(spec, u, fwd, noise)
+    bwd = solve_backward(spec, fwd)
     # floor set by the 1e-10 ridge, amplified by 1/dt in the z extraction
     assert np.max(np.abs(bwd.y - 3.5)) <= 1e-8
     assert np.max(np.abs(bwd.z1)) <= 5e-8
@@ -169,7 +168,7 @@ def test_linear_driver_closed_form_small_scale():
     noise = sample_noise(grid, 20_000, seed=5)
     u = constant_control([0.0], grid, spec.control_set)
     fwd = simulate_forward(spec, u, noise)
-    bwd = solve_backward(spec, u, fwd, noise)
+    bwd = solve_backward(spec, fwd)
     exact = np.exp(-beta * (1.0 - grid.times))[:, None, None] * fwd.x
     rel = np.sqrt(np.mean((bwd.y - exact) ** 2)) / np.sqrt(np.mean(exact**2))
     assert rel <= 0.10
@@ -181,7 +180,7 @@ def test_terminal_pinning_exact():
         noise = sample_noise(grid, 1000, seed=6)
         u = constant_control([0.1], grid, spec.control_set)
         fwd = simulate_forward(spec, u, noise)
-        bwd = solve_backward(spec, u, fwd, noise)
+        bwd = solve_backward(spec, fwd)
         assert np.array_equal(bwd.y[-1], fwd.x[-1])
 
 
@@ -190,49 +189,10 @@ def test_backward_diagnostics_recorded(lq_spec):
     noise = sample_noise(grid, 1000, seed=7)
     u = constant_control([0.0], grid, lq_spec.control_set)
     fwd = simulate_forward(lq_spec, u, noise)
-    bwd = solve_backward(lq_spec, u, fwd, noise)
+    bwd = solve_backward(lq_spec, fwd)
     assert len(bwd.diagnostics.condition_numbers) == 8
     assert all(np.isfinite(bwd.diagnostics.condition_numbers))
     assert "basis_degree" in bwd.diagnostics.to_json()
-
-
-def test_bundle_check_compares_every_increment(lq_spec):
-    grid = make_time_grid(1.0, 4)
-    noise = sample_noise(grid, 200, seed=7)
-    u = constant_control([0.0], grid, lq_spec.control_set)
-    fwd = simulate_forward(lq_spec, u, noise)
-    bwd = solve_backward(lq_spec, u, fwd, noise)
-
-    # an equal copy is not the same object and must still be accepted
-    copy = dataclasses.replace(noise, dW=noise.dW.copy(), dY=noise.dY.copy())
-    solve_adjoint(lq_spec, u, fwd, solve_backward(lq_spec, u, fwd, copy), copy)
-
-    dW = noise.dW.copy()
-    dW[:, 1:] += 0.1
-    for other in (
-        dataclasses.replace(noise, dW=dW),
-        dataclasses.replace(noise, dY=noise.dY + 0.1),
-    ):
-        assert np.array_equal(other.dW[:, 0], noise.dW[:, 0])
-        with pytest.raises(GridMismatchError, match="different noise"):
-            solve_backward(lq_spec, u, fwd, other)
-        with pytest.raises(GridMismatchError, match="different noise"):
-            solve_adjoint(lq_spec, u, fwd, bwd, other)
-
-
-def test_adjoint_rejects_backward_from_another_forward_bundle(lq_spec):
-    grid = make_time_grid(1.0, 4)
-    noise = sample_noise(grid, 200, seed=7)
-    u = constant_control([0.0], grid, lq_spec.control_set)
-    v = constant_control([0.3], grid, lq_spec.control_set)
-    fwd_u = simulate_forward(lq_spec, u, noise)
-    fwd_v = simulate_forward(lq_spec, v, noise)
-    bwd_u = solve_backward(lq_spec, u, fwd_u, noise)
-    with pytest.raises(GridMismatchError, match="different forward bundle"):
-        solve_adjoint(lq_spec, v, fwd_v, bwd_u, noise)
-    # an equal copy of the states is the same bundle
-    copy = dataclasses.replace(fwd_u, x=fwd_u.x.copy())
-    solve_adjoint(lq_spec, u, copy, bwd_u, noise)
 
 
 def test_one_factorization_per_step_per_pipeline(monkeypatch, lq_spec):
@@ -293,14 +253,14 @@ def _stream_case(name, n_paths, steps):
         u = constant_control([0.2], grid, spec.control_set)
     noise = sample_noise(grid, n_paths, seed=15)
     fwd = simulate_forward(spec, u, noise)
-    return spec, u, noise, fwd, solve_backward(spec, u, fwd, noise)
+    return spec, u, noise, fwd, solve_backward(spec, fwd)
 
 
 @pytest.mark.parametrize("name", ["lq2", "lq_obs", "scalar_nonlinear"])
 def test_production_adjoint_streams_the_collected_gradient(name):
     spec, u, noise, fwd, bwd = _stream_case(name, 4000, 16)
-    grad = solve_adjoint(spec, u, fwd, bwd, noise)
-    adj = adjoint_trajectories(spec, u, fwd, bwd, noise)
+    grad = solve_adjoint(spec, bwd)
+    adj = adjoint_trajectories(spec, bwd)
     assert np.array_equal(grad.weighted, adj.weighted)
     # rho_i * H_u at each step's final multipliers, from the collected ones
     for i, t in enumerate(noise.grid.times[:-1]):
@@ -317,7 +277,7 @@ def test_production_adjoint_keeps_two_steps_of_multipliers():
     P, N = fwd.n_paths, noise.grid.steps
     tracemalloc.start()
     try:
-        grad = solve_adjoint(spec, u, fwd, bwd, noise)
+        grad = solve_adjoint(spec, bwd)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -198,7 +198,7 @@ def test_auto_epsilon_is_an_upper_confidence_bound(tmp_path):
 
     noise = sample_noise(grid, run.n_paths, run.seed)
     fwd = simulate_forward(spec, u_star, noise)
-    cost = evaluate_cost_strong(spec, u_star, fwd, solve_backward(spec, u_star, fwd, noise))
+    cost = evaluate_cost_strong(spec, solve_backward(spec, fwd))
     assert cost.value - sol.optimal_cost < 0.0
     assert cert["epsilon"] == max(cost.value - sol.optimal_cost + 3.0 * cost.stderr, 0.0)
     assert cert["epsilon"] > 0.0
@@ -297,13 +297,14 @@ def test_certify_runs_each_layer_once(tmp_path, layer_calls, sufficient):
     run = cli.load_config(cfg)
     spec = run.instance()
     u = control_from_csv(str(control), run.grid(), spec.control_set)
-    common = dict(n_paths=run.n_paths, seed=run.seed, basis=run.basis())
+    noise = sample_noise(run.grid(), run.n_paths, run.seed)
+    bwd = solve_backward(spec, simulate_forward(spec, u, noise), run.basis())
     if sufficient:
         cert = certify_sufficient(
-            spec, u, payload["epsilon"], run.certificate_lambda, run.certificate_C, **common
+            spec, bwd, payload["epsilon"], run.certificate_lambda, run.certificate_C
         )
     else:
-        cert = certify_necessary(spec, u, payload["epsilon"], run.certificate_C, **common)
+        cert = certify_necessary(spec, bwd, payload["epsilon"], run.certificate_C)
     assert json.loads(cert.to_json()) == payload
 
 

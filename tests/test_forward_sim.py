@@ -29,9 +29,8 @@ from _instances import constant_running_cost_instance, explosive_instance, pure_
 
 
 def _pipeline(spec, u, noise):
-    fwd = simulate_forward(spec, u, noise)
-    bwd = solve_backward(spec, u, fwd, noise)
-    return fwd, bwd
+    bwd = solve_backward(spec, simulate_forward(spec, u, noise))
+    return bwd.forward, bwd
 
 
 def test_zero_observation_gives_unit_density(lq_spec):
@@ -107,7 +106,7 @@ def test_zero_cost_exactly_zero():
     noise = sample_noise(grid, 100, seed=6)
     u = constant_control([0.0], grid, spec.control_set)
     fwd, bwd = _pipeline(spec, u, noise)
-    report = evaluate_cost_strong(spec, u, fwd, bwd)
+    report = evaluate_cost_strong(spec, bwd)
     assert report.value == 0.0
     assert report.running == 0.0 and report.terminal == 0.0 and report.initial == 0.0
 
@@ -118,7 +117,7 @@ def test_constant_running_cost_integrates_exactly():
     noise = sample_noise(grid, 50, seed=7)
     u = constant_control([0.0], grid, spec.control_set)
     fwd, bwd = _pipeline(spec, u, noise)
-    report = evaluate_cost_strong(spec, u, fwd, bwd)
+    report = evaluate_cost_strong(spec, bwd)
     assert report.value == 1.0
     assert report.stderr == 0.0
 
@@ -128,19 +127,9 @@ def test_cost_parts_sum(lq_spec):
     noise = sample_noise(grid, 400, seed=8)
     u = constant_control([-0.4], grid, lq_spec.control_set)
     fwd, bwd = _pipeline(lq_spec, u, noise)
-    report = evaluate_cost_strong(lq_spec, u, fwd, bwd)
+    report = evaluate_cost_strong(lq_spec, bwd)
     assert report.value == report.running + report.terminal + report.initial
     assert report.stderr >= 0.0
-
-
-def test_cost_rejects_mismatched_control(lq_spec):
-    grid = make_time_grid(1.0, 8)
-    noise = sample_noise(grid, 100, seed=9)
-    u = constant_control([-0.4], grid, lq_spec.control_set)
-    other = constant_control([0.4], grid, lq_spec.control_set)
-    fwd, bwd = _pipeline(lq_spec, u, noise)
-    with pytest.raises(GridMismatchError):
-        evaluate_cost_strong(lq_spec, other, fwd, bwd)
 
 
 def test_lq_cost_matches_lattice_oracle(lq_spec):
@@ -152,7 +141,7 @@ def test_lq_cost_matches_lattice_oracle(lq_spec):
     lattice = enumerate_lattice(lq_spec, u, grid)
     noise = sample_noise(grid, 50_000, seed=10)
     fwd, bwd = _pipeline(lq_spec, u, noise)
-    report = evaluate_cost_strong(lq_spec, u, fwd, bwd)
+    report = evaluate_cost_strong(lq_spec, bwd)
     assert abs(report.value - lattice.cost) <= 3.0 * report.stderr
 
 
@@ -161,7 +150,7 @@ def test_weak_equals_strong_without_observation(lq_spec):
     u = constant_control([-0.3], grid, lq_spec.control_set)
     noise = sample_noise(grid, 30_000, seed=11)
     fwd, bwd = _pipeline(lq_spec, u, noise)
-    strong = evaluate_cost_strong(lq_spec, u, fwd, bwd)
+    strong = evaluate_cost_strong(lq_spec, bwd)
     weak = evaluate_cost_weak(lq_spec, u, seed=12, n_paths=30_000, grid=grid)
     assert abs(strong.value - weak.value) <= 3.0 * math.hypot(strong.stderr, weak.stderr)
 
@@ -187,7 +176,7 @@ def test_girsanov_consistency(name):
     u = constant_control([0.15], grid, spec.control_set)
     noise = sample_noise(grid, 30_000, seed=14)
     fwd, bwd = _pipeline(spec, u, noise)
-    strong = evaluate_cost_strong(spec, u, fwd, bwd)
+    strong = evaluate_cost_strong(spec, bwd)
     weak = evaluate_cost_weak(spec, u, seed=15, n_paths=30_000, grid=grid)
     assert abs(strong.value - weak.value) <= 3.0 * math.hypot(strong.stderr, weak.stderr)
 
@@ -247,7 +236,7 @@ def test_sup_moments_stable_across_seeds(spec):
     for seed in range(5):
         noise = sample_noise(grid, 20_000, seed=seed)
         fwd = simulate_forward(spec, u, noise)
-        bwd = solve_backward(spec, u, fwd, noise)
+        bwd = solve_backward(spec, fwd)
         sup_x = np.abs(fwd.x[:, :, 0]).max(axis=0)
         sup_y = np.abs(bwd.y[:, :, 0]).max(axis=0)
         sup_rho = fwd.rho.max(axis=0)
@@ -266,7 +255,7 @@ def test_cost_report_json(lq_spec):
     noise = sample_noise(grid, 50, seed=19)
     u = constant_control([0.2], grid, lq_spec.control_set)
     fwd, bwd = _pipeline(lq_spec, u, noise)
-    report = evaluate_cost_strong(lq_spec, u, fwd, bwd)
+    report = evaluate_cost_strong(lq_spec, bwd)
     import json
 
     payload = json.loads(report.to_json())

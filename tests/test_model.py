@@ -290,8 +290,8 @@ def test_compact_and_full_outputs_give_identical_results():
         spec = _shape_contract_instance(full)
         u = constant_control([0.2, -0.1], grid, spec.control_set)
         fwd, bwd, adj = run_pipeline(spec, u, noise)
-        cost = evaluate_cost_strong(spec, u, fwd, bwd)
-        gap = min_gap_over_A(spec, u, fwd, bwd, adj, noise)
+        cost = evaluate_cost_strong(spec, bwd)
+        gap = min_gap_over_A(spec, adj)
         results.append(
             [fwd.x, fwd.rho, bwd.y, bwd.z1, bwd.z2]
             + [getattr(adj, name) for name in ("k", "p", "q1", "q2", "r", "R1", "R2")]

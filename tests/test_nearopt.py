@@ -13,6 +13,7 @@ from fbsde_nearopt import (
     certify_sufficient,
     constant_control,
     cost_difference_representation,
+    enumerate_binomial,
     estimate_order,
     make_control,
     make_time_grid,
@@ -21,9 +22,17 @@ from fbsde_nearopt import (
     riccati_open_loop_control,
     run_pipeline,
     sample_noise,
+    simulate_forward,
+    solve_adjoint,
+    solve_backward,
 )
 
 from _instances import linear_gap_instance
+
+
+def _bundle(spec, u, n_paths, seed):
+    """The backward bundle of u on n_paths paths of noise drawn from seed."""
+    return solve_backward(spec, simulate_forward(spec, u, sample_noise(u.grid, n_paths, seed)))
 
 
 @pytest.fixture(scope="module")
@@ -37,7 +46,7 @@ def lq_bundles(lq_spec):
 
 def test_gap_zero_at_base_control(lq_spec, lq_bundles):
     grid, u, noise, fwd, bwd, adj = lq_bundles
-    gap, stderr = necessary_gap(lq_spec, u, u, fwd, bwd, adj, noise)
+    gap, stderr = necessary_gap(adj, u)
     assert gap == 0.0
     assert stderr == 0.0
 
@@ -47,8 +56,8 @@ def test_gap_linear_in_direction(lq_spec, lq_bundles):
     v = constant_control([0.1], grid, lq_spec.control_set)
     doubled_vals = u.values + 2.0 * (v.values - u.values)
     doubled = make_control(doubled_vals, grid, lq_spec.control_set)
-    g1, _ = necessary_gap(lq_spec, u, v, fwd, bwd, adj, noise)
-    g2, _ = necessary_gap(lq_spec, u, doubled, fwd, bwd, adj, noise)
+    g1, _ = necessary_gap(adj, v)
+    g2, _ = necessary_gap(adj, doubled)
     assert g2 == pytest.approx(2.0 * g1, rel=1e-12)
 
 
@@ -56,18 +65,7 @@ def test_gap_grid_mismatch_rejected(lq_spec, lq_bundles):
     grid, u, noise, fwd, bwd, adj = lq_bundles
     other = constant_control([0.0], make_time_grid(1.0, 8), lq_spec.control_set)
     with pytest.raises(GridMismatchError):
-        necessary_gap(lq_spec, u, other, fwd, bwd, adj, noise)
-
-
-def test_gap_rejects_a_base_control_the_adjoint_was_not_solved_under(lq_spec, lq_bundles):
-    # the control gradient was taken at u; read at another base control it
-    # would be the gradient of the wrong control
-    grid, u, noise, fwd, bwd, adj = lq_bundles
-    other = constant_control([0.3], grid, lq_spec.control_set)
-    with pytest.raises(GridMismatchError, match="adjoint was solved under"):
-        min_gap_over_A(lq_spec, other, fwd, bwd, adj, noise)
-    with pytest.raises(GridMismatchError, match="adjoint was solved under"):
-        necessary_gap(lq_spec, other, u, fwd, bwd, adj, noise)
+        necessary_gap(adj, other)
 
 
 def test_min_gap_single_step_closed_form():
@@ -77,7 +75,7 @@ def test_min_gap_single_step_closed_form():
     u = constant_control([0.0], grid, spec.control_set)
     noise = sample_noise(grid, 500, seed=1)
     fwd, bwd, adj = run_pipeline(spec, u, noise)
-    result = min_gap_over_A(spec, u, fwd, bwd, adj, noise)
+    result = min_gap_over_A(spec, adj)
     assert np.all(result.minimizer.values == -1.0)
     assert result.gap == -2.0
 
@@ -89,7 +87,7 @@ def test_min_gap_never_positive(lq_spec):
     for _ in range(5):
         u = make_control(rng.uniform(-1, 1, (8, 1)), grid, lq_spec.control_set)
         fwd, bwd, adj = run_pipeline(lq_spec, u, noise)
-        result = min_gap_over_A(lq_spec, u, fwd, bwd, adj, noise)
+        result = min_gap_over_A(lq_spec, adj)
         assert result.gap <= 1e-12
 
 
@@ -98,7 +96,7 @@ def test_min_gap_noise_floor_at_optimum(lq_spec, lq_params, lq_riccati):
     u_star = riccati_open_loop_control(lq_riccati, lq_params, grid, lq_spec.control_set)
     noise = sample_noise(grid, 20_000, seed=4)
     fwd, bwd, adj = run_pipeline(lq_spec, u_star, noise)
-    result = min_gap_over_A(lq_spec, u_star, fwd, bwd, adj, noise)
+    result = min_gap_over_A(lq_spec, adj)
     assert result.gap >= -3.0 * result.stderr - 1e-4
 
 
@@ -110,14 +108,14 @@ def test_gap_at_optimum_against_random_candidates(lq_spec, lq_params, lq_riccati
     rng = np.random.default_rng(6)
     for _ in range(50):
         cand = make_control(rng.uniform(-1, 1, (16, 1)), grid, lq_spec.control_set)
-        gap, stderr = necessary_gap(lq_spec, u_star, cand, fwd, bwd, adj, noise)
+        gap, stderr = necessary_gap(adj, cand)
         assert gap >= -3.0 * stderr - 1e-4
 
 
 def test_certify_necessary_at_optimum(lq_spec, lq_params, lq_riccati):
     grid = make_time_grid(1.0, 16)
     u_star = riccati_open_loop_control(lq_riccati, lq_params, grid, lq_spec.control_set)
-    cert = certify_necessary(lq_spec, u_star, epsilon=0.0, C=1.0, n_paths=20_000, seed=7)
+    cert = certify_necessary(lq_spec, _bundle(lq_spec, u_star, 20_000, 7), epsilon=0.0, C=1.0)
     assert cert.verdict == "necessary-holds"
     assert cert.gap >= -3.0 * cert.gap_stderr - 1e-4
 
@@ -125,44 +123,57 @@ def test_certify_necessary_at_optimum(lq_spec, lq_params, lq_riccati):
 def test_certify_necessary_flags_adversarial_claim(lq_spec):
     grid = make_time_grid(1.0, 16)
     far = constant_control([0.9], grid, lq_spec.control_set)
-    cert = certify_necessary(lq_spec, far, epsilon=1e-8, C=1.0, n_paths=5000, seed=8)
+    cert = certify_necessary(lq_spec, _bundle(lq_spec, far, 5000, 8), epsilon=1e-8, C=1.0)
     assert cert.verdict == "necessary-violated"
 
 
 def test_certify_necessary_validates_inputs(lq_spec):
     grid = make_time_grid(1.0, 4)
     u = constant_control([0.0], grid, lq_spec.control_set)
+    bwd = _bundle(lq_spec, u, 100_000, 0)
     with pytest.raises(FbsdeError):
-        certify_necessary(lq_spec, u, epsilon=-1.0, C=1.0)
+        certify_necessary(lq_spec, bwd, epsilon=-1.0, C=1.0)
     with pytest.raises(FbsdeError):
-        certify_necessary(lq_spec, u, epsilon=0.1, C=0.0)
+        certify_necessary(lq_spec, bwd, epsilon=0.1, C=0.0)
 
 
-def test_certify_reuses_matching_trajectories_only(lq_spec, lq_bundles):
-    grid, u, noise, fwd, bwd, _ = lq_bundles
-    fresh = certify_necessary(lq_spec, u, epsilon=0.01, C=1.0, n_paths=8000, seed=0)
-    reused = certify_necessary(
-        lq_spec, u, epsilon=0.01, C=1.0, n_paths=8000, seed=0, trajectories=(fwd, bwd)
+def test_each_result_holds_what_it_was_computed_from(lq_spec):
+    # the certificates and the gap read their bundle, seed and base control
+    # from the results themselves, with no argument to contradict them
+    grid = make_time_grid(1.0, 16)
+    u = constant_control([-0.2], grid, lq_spec.control_set)
+    fwd = simulate_forward(lq_spec, u, sample_noise(grid, 3000, seed=5))
+    bwd = solve_backward(lq_spec, fwd)
+    grad = solve_adjoint(lq_spec, bwd)
+    assert bwd.forward is fwd
+    assert grad.control is fwd.control
+    result = min_gap_over_A(lq_spec, grad)
+    assert (result.gap, result.stderr) == necessary_gap(grad, result.minimizer)
+    for cert in (
+        certify_necessary(lq_spec, bwd, epsilon=0.01, C=1.0),
+        certify_sufficient(lq_spec, bwd, epsilon=0.01, lambda_exp=0.5, C=1.0),
+    ):
+        assert cert.provenance["n_paths"] == 3000
+        assert cert.provenance["seed"] == 5
+        assert cert.gap == result.gap
+
+
+def test_sufficient_verdict_on_the_unseeded_binomial_bundle_is_reproducible():
+    spec = builtin_instance("double_well")
+    grid = make_time_grid(1.0, 4)
+    u = constant_control([0.0], grid, spec.control_set)
+    bwd = solve_backward(spec, simulate_forward(spec, u, enumerate_binomial(grid)))
+    first, second = (
+        certify_sufficient(spec, bwd, epsilon=0.1, lambda_exp=0.5, C=10.0) for _ in range(2)
     )
-    assert reused == fresh
-    for n_paths, seed in ((8000, 1), (4000, 0)):
-        with pytest.raises(GridMismatchError, match="trajectories hold 8000 paths from seed 0"):
-            certify_necessary(
-                lq_spec, u, epsilon=0.01, C=1.0, n_paths=n_paths, seed=seed,
-                trajectories=(fwd, bwd),
-            )
-    other = constant_control([0.3], grid, lq_spec.control_set)
-    with pytest.raises(GridMismatchError, match="different control"):
-        certify_sufficient(
-            lq_spec, other, epsilon=0.01, lambda_exp=0.5, C=1.0, n_paths=8000, seed=0,
-            trajectories=(fwd, bwd),
-        )
+    assert first.provenance["convexity"] == second.provenance["convexity"]
+    assert first.provenance["convexity"]["witness"] is not None
 
 
 def test_certificate_json_roundtrip(lq_spec):
     grid = make_time_grid(1.0, 4)
     u = constant_control([0.0], grid, lq_spec.control_set)
-    cert = certify_necessary(lq_spec, u, epsilon=0.5, C=5.0, n_paths=1000, seed=9)
+    cert = certify_necessary(lq_spec, _bundle(lq_spec, u, 1000, 9), epsilon=0.5, C=5.0)
     payload = json.loads(cert.to_json())
     assert payload["verdict"] in ("necessary-holds", "necessary-violated")
     assert payload["provenance"]["instance"] == "lq"
@@ -173,14 +184,14 @@ def test_certify_sufficient_requires_control_free_observation():
     grid = make_time_grid(1.0, 4)
     u = constant_control([0.1], grid, spec.control_set)
     with pytest.raises(PreconditionError, match="observation drift"):
-        certify_sufficient(spec, u, epsilon=0.1, lambda_exp=0.5, C=1.0, n_paths=500, seed=0)
+        certify_sufficient(spec, _bundle(spec, u, 500, 0), epsilon=0.1, lambda_exp=0.5, C=1.0)
 
 
 def test_certify_sufficient_on_convex_lq(lq_spec, lq_params, lq_riccati):
     grid = make_time_grid(1.0, 16)
     u_star = riccati_open_loop_control(lq_riccati, lq_params, grid, lq_spec.control_set)
     cert = certify_sufficient(
-        lq_spec, u_star, epsilon=1e-4, lambda_exp=0.5, C=2.0, n_paths=20_000, seed=10
+        lq_spec, _bundle(lq_spec, u_star, 20_000, 10), epsilon=1e-4, lambda_exp=0.5, C=2.0
     )
     assert cert.verdict == "sufficient-near-optimal"
 
@@ -189,7 +200,9 @@ def test_certify_sufficient_inconclusive_on_double_well():
     spec = builtin_instance("double_well")
     grid = make_time_grid(1.0, 8)
     u = constant_control([0.0], grid, spec.control_set)
-    cert = certify_sufficient(spec, u, epsilon=0.1, lambda_exp=0.5, C=10.0, n_paths=2000, seed=11)
+    cert = certify_sufficient(
+        spec, _bundle(spec, u, 2000, 11), epsilon=0.1, lambda_exp=0.5, C=10.0
+    )
     assert cert.verdict == "inconclusive"
     assert cert.provenance["convexity"]["witness"] is not None
 
@@ -226,7 +239,7 @@ def test_cost_difference_dominates_gap_on_convex_instance(lq_spec):
         u_eps = make_control(rng.uniform(-1, 1, (16, 1)), grid, lq_spec.control_set)
         rep = cost_difference_representation(lq_spec, u, u_eps, noise)
         fwd, bwd, adj = run_pipeline(lq_spec, u_eps, noise)
-        gap, stderr = necessary_gap(lq_spec, u_eps, u, fwd, bwd, adj, noise)
+        gap, stderr = necessary_gap(adj, u)
         assert rep.rhs >= gap - 3.0 * math.hypot(rep.rhs_stderr, stderr)
 
 

@@ -10,7 +10,10 @@ from fbsde_nearopt import (
     make_time_grid,
     perturbation_family,
     riccati_open_loop_control,
+    sample_noise,
+    simulate_forward,
     smp_descent,
+    solve_backward,
 )
 
 from _instances import control_only_cost_instance, linear_gap_instance
@@ -106,9 +109,9 @@ def test_certificate_coupling_at_termination(lq_spec, lq_riccati):
     params = DescentParams(max_iter=30, n_paths=10_000, seed=9, tol_gap=1e-3)
     trace = smp_descent(lq_spec, u0, params)
     epsilon = max(trace.final_cost - lq_riccati.optimal_cost, 0.0)
-    cert = certify_necessary(
-        lq_spec, trace.final_control, epsilon=epsilon, C=2.0, n_paths=10_000, seed=10
-    )
+    noise = sample_noise(grid, 10_000, seed=10)
+    bwd = solve_backward(lq_spec, simulate_forward(lq_spec, trace.final_control, noise))
+    cert = certify_necessary(lq_spec, bwd, epsilon=epsilon, C=2.0)
     assert cert.verdict == "necessary-holds"
 
 

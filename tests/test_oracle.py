@@ -75,8 +75,8 @@ def test_lattice_matches_pipeline_bitwise(name):
     lattice = enumerate_lattice(spec, u, grid)
     bundle = enumerate_binomial(grid)
     fwd = simulate_forward(spec, u, bundle)
-    bwd = solve_backward(spec, u, fwd, bundle, BasisSpec(degree=1))
-    report = evaluate_cost_strong(spec, u, fwd, bwd)
+    bwd = solve_backward(spec, fwd, BasisSpec(degree=1))
+    report = evaluate_cost_strong(spec, bwd)
     assert abs(report.value - lattice.cost) <= 1e-12
 
 
@@ -221,9 +221,9 @@ def test_diagonal_two_dimensional_family_end_to_end():
     u_star = riccati_open_loop_control(sol, params, grid, spec.control_set)
     noise = sample_noise(grid, 8000, seed=2)
     fwd, bwd, adj = run_pipeline(spec, u_star, noise)
-    cost = evaluate_cost_strong(spec, u_star, fwd, bwd)
+    cost = evaluate_cost_strong(spec, bwd)
     assert abs(cost.value - sol.optimal_cost) / sol.optimal_cost <= 0.01
-    gap = min_gap_over_A(spec, u_star, fwd, bwd, adj, noise)
+    gap = min_gap_over_A(spec, adj)
     assert gap.gap >= -3.0 * gap.stderr - 1e-3
 
     lat_grid = make_time_grid(1.0, 3)
@@ -231,5 +231,5 @@ def test_diagonal_two_dimensional_family_end_to_end():
     lattice = enumerate_lattice(spec, u3, lat_grid)
     bundle = enumerate_binomial(lat_grid)
     f3 = simulate_forward(spec, u3, bundle)
-    b3 = solve_backward(spec, u3, f3, bundle, BasisSpec(degree=1))
-    assert abs(evaluate_cost_strong(spec, u3, f3, b3).value - lattice.cost) <= 1e-12
+    b3 = solve_backward(spec, f3, BasisSpec(degree=1))
+    assert abs(evaluate_cost_strong(spec, b3).value - lattice.cost) <= 1e-12
