@@ -59,7 +59,6 @@ from .model import (
     make_lq_instance,
     make_lq_observation_instance,
     make_scalar_nonlinear_instance,
-    project_onto_U,
     validate_problem,
 )
 from .nearopt import (
@@ -79,7 +78,6 @@ from .oracle import (
     LatticeSolution,
     RiccatiSolution,
     enumerate_lattice,
-    exhaustive_control_search,
     riccati_lq,
     riccati_open_loop_control,
 )

@@ -23,7 +23,6 @@ at, the one adjoint quantity the Hamiltonian gap needs;
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement, islice
 
@@ -140,18 +139,6 @@ class RegressionDiagnostics:
     basis_size: int
     condition_numbers: list[float] = field(default_factory=list)
     residual_rms: list[float] = field(default_factory=list)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "basis_degree": self.basis_degree,
-                "basis_size": self.basis_size,
-                "max_condition": max(self.condition_numbers, default=0.0),
-                "condition_numbers": self.condition_numbers,
-                "residual_rms": self.residual_rms,
-            },
-            sort_keys=True,
-        )
 
 
 @dataclass(frozen=True)

@@ -56,15 +56,6 @@ class MultiplierPoint:
             R2=np.atleast_1d(np.asarray(R2, dtype=float)),
         )
 
-    def scaled(self, factor: float) -> "MultiplierPoint":
-        return MultiplierPoint(
-            k=factor * self.k,
-            p=factor * self.p,
-            q1=factor * self.q1,
-            q2=factor * self.q2,
-            R2=factor * self.R2,
-        )
-
 
 def _pair(values: Array, mult: Array) -> Array:
     """Per-path <values, mult>; mult may hold one row shared by every path."""

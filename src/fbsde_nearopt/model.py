@@ -127,14 +127,6 @@ class Ball(ControlSet):
         return self.center_point + raw * radii[:, None]
 
 
-def project_onto_U(point: Array, control_set: ControlSet) -> Array:
-    """Euclidean projection onto the control set."""
-    point = np.asarray(point, dtype=float)
-    if not np.all(np.isfinite(point)):
-        raise FbsdeError("cannot project a non-finite point")
-    return control_set.project(point)
-
-
 def linear_minimize_over_U(g: Array, control_set: ControlSet) -> Array:
     """argmin over v in U of <g, v>; ties resolved to the set center."""
     g = np.asarray(g, dtype=float)
@@ -750,9 +742,6 @@ def make_scalar_nonlinear_instance(
     def b_dx(t, x, u):
         return (a * (1.0 - np.tanh(x) ** 2))[:, :, None]
 
-    def b_du(t, x, u):
-        return np.full((x.shape[0], 1, 1), b_coef)
-
     def s1_val(t, x, u):
         return sigma0 + sigma1_x * np.sin(x)
 
@@ -777,12 +766,6 @@ def make_scalar_nonlinear_instance(
     def f_dx(t, x, y, z1, z2, u):
         return (f_amp * np.cos(x))[:, :, None]
 
-    def f_dy(t, x, y, z1, z2, u):
-        return np.full((x.shape[0], 1, 1), -f_decay)
-
-    def f_dzero(t, x, y, z1, z2, u):
-        return np.zeros((x.shape[0], 1, 1))
-
     def l_val(t, x, y, z1, z2, u):
         uu = np.atleast_1d(u)
         return 0.5 * q * x[:, 0] ** 2 + 0.5 * r * float(uu @ uu)
@@ -791,39 +774,26 @@ def make_scalar_nonlinear_instance(
         return q * x
 
     def l_du(t, x, y, z1, z2, u):
-        return np.broadcast_to(r * np.atleast_1d(u)[None, :], (x.shape[0], 1)).copy()
-
-    def l_dzero(t, x, y, z1, z2, u):
-        return np.zeros((x.shape[0], 1))
-
-    zero_du = lambda t, x, u: np.zeros((x.shape[0], 1, 1))
+        return r * np.atleast_1d(u)
 
     return ProblemSpec(
         dim_x=1,
         dim_y=1,
         dim_u=1,
         horizon=horizon,
-        drift_b=Coefficient(value=b_val, dx=b_dx, du=b_du),
-        diffusion_sigma1=Coefficient(value=s1_val, dx=s1_dx, du=zero_du),
-        diffusion_sigma2=Coefficient(value=s2_val, dx=s2_dx, du=zero_du),
+        drift_b=Coefficient(value=b_val, dx=b_dx, du=lambda t, x, u: b_coef),
+        diffusion_sigma1=Coefficient(value=s1_val, dx=s1_dx, du=_zero),
+        diffusion_sigma2=Coefficient(value=s2_val, dx=s2_dx, du=_zero),
         backward_f=DriverCoefficient(
-            value=f_val, dx=f_dx, dy=f_dy, dz1=f_dzero, dz2=f_dzero, du=f_dzero
+            value=f_val, dx=f_dx, dy=lambda *args: -f_decay, dz1=_zero, dz2=_zero, du=_zero
         ),
-        observation_h=Coefficient(
-            value=h_val, dx=h_dx, du=lambda t, x, u: np.zeros((x.shape[0], 1))
-        ),
-        terminal_phi=TerminalCoefficient(
-            value=lambda x: x.copy(), dx=lambda x: np.ones((x.shape[0], 1, 1))
-        ),
-        running_l=DriverCoefficient(
-            value=l_val, dx=l_dx, dy=l_dzero, dz1=l_dzero, dz2=l_dzero, du=l_du
-        ),
+        observation_h=Coefficient(value=h_val, dx=h_dx, du=_zero),
+        terminal_phi=TerminalCoefficient(value=lambda x: x.copy(), dx=lambda x: 1.0),
+        running_l=DriverCoefficient(value=l_val, dx=l_dx, dy=_zero, dz1=_zero, dz2=_zero, du=l_du),
         terminal_Phi=TerminalCoefficient(
             value=lambda x: 0.5 * g * x[:, 0] ** 2, dx=lambda x: g * x
         ),
-        initial_gamma=InitialCoefficient(
-            value=lambda y: np.zeros(y.shape[0]), dy=lambda y: np.zeros_like(y)
-        ),
+        initial_gamma=InitialCoefficient(value=_zero, dy=_zero),
         initial_x=np.array([initial_x]),
         control_set=Ball(center_point=np.zeros(1), radius=control_radius),
         bound_sigma2_h=max(abs(sigma2_amp), abs(h_amp)) + 0.5,
@@ -852,23 +822,16 @@ def make_double_well_instance(
 
     def l_val(t, x, y, z1, z2, u):
         uu = float(np.atleast_1d(u)[0])
-        return 0.5 * q * x[:, 0] ** 2 + 0.25 * weight * np.full(
-            x.shape[0], (uu * uu - well * well) ** 2
-        )
+        return 0.5 * q * x[:, 0] ** 2 + 0.25 * weight * (uu * uu - well * well) ** 2
 
     def l_dx(t, x, y, z1, z2, u):
         return q * x
 
     def l_du(t, x, y, z1, z2, u):
         uu = float(np.atleast_1d(u)[0])
-        return np.full((x.shape[0], 1), weight * uu * (uu * uu - well * well))
+        return weight * uu * (uu * uu - well * well)
 
-    def l_dzero(t, x, y, z1, z2, u):
-        return np.zeros((x.shape[0], 1))
-
-    running = DriverCoefficient(
-        value=l_val, dx=l_dx, dy=l_dzero, dz1=l_dzero, dz2=l_dzero, du=l_du
-    )
+    running = DriverCoefficient(value=l_val, dx=l_dx, dy=_zero, dz1=_zero, dz2=_zero, du=l_du)
     return replace(base, running_l=running, label="double_well")
 
 

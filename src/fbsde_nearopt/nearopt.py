@@ -212,13 +212,8 @@ class CostDifferenceReport:
 
     lhs: float
     rhs: float
-    lhs_stderr: float
     rhs_stderr: float
     diff_stderr: float
-
-    @property
-    def combined_stderr(self) -> float:
-        return math.hypot(self.lhs_stderr, self.rhs_stderr)
 
 
 def cost_difference_representation(
@@ -302,13 +297,11 @@ def cost_difference_representation(
 
     rhs = math.fsum(per_path_rhs) / P + gamma_bracket
     rhs_stderr = float(np.std(per_path_rhs, ddof=1) / np.sqrt(P))
-    lhs_stderr = float(np.std(per_path_lhs, ddof=1) / np.sqrt(P))
     diff = per_path_lhs - per_path_rhs
     diff_stderr = float(np.std(diff, ddof=1) / np.sqrt(P))
     return CostDifferenceReport(
         lhs=lhs,
         rhs=rhs,
-        lhs_stderr=lhs_stderr,
         rhs_stderr=rhs_stderr,
         diff_stderr=diff_stderr,
     )

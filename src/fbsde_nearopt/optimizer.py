@@ -19,6 +19,10 @@ from .model import ControlProcess, ProblemSpec, make_control
 from .nearopt import min_gap_over_A
 from .paths import sample_noise
 
+# sufficient-decrease constant and halving budget of the backtracked step
+ARMIJO_C = 0.1
+MAX_HALVINGS = 25
+
 
 @dataclass(frozen=True)
 class DescentParams:
@@ -27,8 +31,6 @@ class DescentParams:
     seed: int = 0
     tol_gap: float = 1e-3
     basis: BasisSpec = field(default_factory=BasisSpec)
-    armijo_c: float = 0.1
-    max_halvings: int = 25
 
 
 @dataclass(frozen=True)
@@ -103,13 +105,13 @@ def smp_descent(spec: ProblemSpec, u0: ControlProcess, params: DescentParams) ->
             break
 
         proposal = 2.0 / (j + 2.0)
-        for h in range(params.max_halvings + 1):
+        for h in range(MAX_HALVINGS + 1):
             step = proposal * 0.5**h
             candidate = ControlProcess(
                 values=u.values + step * (gap.minimizer.values - u.values), grid=u.grid
             )
             bwd_c, cost_c = _evaluate(spec, candidate, noise, params.basis)
-            if cost_c.value <= cost.value + params.armijo_c * (step * gap.gap):
+            if cost_c.value <= cost.value + ARMIJO_C * (step * gap.gap):
                 break
         else:
             rows.append(

@@ -8,8 +8,6 @@ Riccati oracle covers the degenerate full-observation LQ family.
 
 from __future__ import annotations
 
-import itertools
-import json
 import math
 from dataclasses import dataclass
 
@@ -25,39 +23,16 @@ SY_CHILD = np.array([-1.0, -1.0, 1.0, 1.0])
 
 @dataclass(frozen=True)
 class LatticeSolution:
-    """Exact discretized cost and nodewise backward values.
+    """Exact discretized cost and nodewise forward and backward values.
 
-    ``y_levels[i]`` holds the exact y at the 4**i depth-i nodes; weights are
-    the uniform terminal path weights 4**-N.
+    ``x_levels[i]`` and ``y_levels[i]`` hold the exact x and y at the 4**i
+    depth-i nodes; every terminal path carries the uniform weight 4**-N.
     """
 
     cost: float
-    running: float
-    terminal: float
-    initial: float
     y_levels: list
-    z1_levels: list
-    z2_levels: list
     x_levels: list
-    rho_levels: list
-    weights: np.ndarray
     grid: TimeGrid
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "J": self.cost,
-                "parts": {
-                    "running": self.running,
-                    "terminal": self.terminal,
-                    "initial": self.initial,
-                },
-                "steps": self.grid.steps,
-                "paths": int(self.weights.shape[0]),
-            },
-            indent=2,
-            sort_keys=True,
-        )
 
 
 def _expand(values: np.ndarray) -> np.ndarray:
@@ -147,52 +122,7 @@ def enumerate_lattice(spec: ProblemSpec, u: ControlProcess, grid: TimeGrid) -> L
     term_mean = math.fsum(terminal) / P
     initial = float(spec.initial_gamma.value(y_levels[0])[0])
     cost = run_mean + term_mean + initial
-    return LatticeSolution(
-        cost=cost,
-        running=run_mean,
-        terminal=term_mean,
-        initial=initial,
-        y_levels=y_levels,
-        z1_levels=z1_levels,
-        z2_levels=z2_levels,
-        x_levels=x_levels,
-        rho_levels=rho_levels,
-        weights=np.full(P, 4.0**-N),
-        grid=grid,
-    )
-
-
-def exhaustive_control_search(
-    spec: ProblemSpec,
-    candidates_per_step,
-    grid: TimeGrid,
-    control_set: ControlSet | None = None,
-) -> tuple[ControlProcess, float]:
-    """Brute-force the deterministic control mesh against the exact lattice.
-
-    Ties keep the first assignment in lexicographic product order.
-    """
-    control_set = control_set or spec.control_set
-    per_step = [
-        [np.atleast_1d(np.asarray(c, dtype=float)) for c in step_candidates]
-        for step_candidates in candidates_per_step
-    ]
-    if len(per_step) != grid.steps:
-        raise OracleError(
-            f"need candidate lists for each of the {grid.steps} steps, got {len(per_step)}"
-        )
-    total = math.prod(len(cands) for cands in per_step)
-    if total > MAX_BINOMIAL_PATHS:
-        raise OracleError(f"search budget exceeded: {total} assignments > {MAX_BINOMIAL_PATHS}")
-    best_cost = math.inf
-    best_control = None
-    for assignment in itertools.product(*per_step):
-        control = make_control(np.stack(assignment), grid, control_set)
-        cost = enumerate_lattice(spec, control, grid).cost
-        if cost < best_cost:
-            best_cost = cost
-            best_control = control
-    return best_control, best_cost
+    return LatticeSolution(cost=cost, y_levels=y_levels, x_levels=x_levels, grid=grid)
 
 
 @dataclass(frozen=True)
@@ -203,7 +133,6 @@ class RiccatiSolution:
     P: np.ndarray
     gain: np.ndarray
     optimal_cost: float
-    ode_steps: int
     max_residual: float
 
     def P_at(self, t) -> np.ndarray:
@@ -212,18 +141,6 @@ class RiccatiSolution:
         for j in range(self.P.shape[1]):
             out[:, j] = np.interp(t, self.times, self.P[:, j])
         return out
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "optimal_cost": self.optimal_cost,
-                "P0": self.P[0].tolist(),
-                "ode_steps": self.ode_steps,
-                "max_residual": self.max_residual,
-            },
-            indent=2,
-            sort_keys=True,
-        )
 
 
 def _riccati_rhs(P, a, q, b2_over_r):
@@ -279,7 +196,6 @@ def riccati_lq(params: LQParams, ode_steps: int = 4000) -> RiccatiSolution:
         P=P_t,
         gain=gain,
         optimal_cost=optimal_cost,
-        ode_steps=ode_steps,
         max_residual=max_residual,
     )
 

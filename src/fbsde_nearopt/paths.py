@@ -11,7 +11,7 @@ contiguous.  The layout changes no value and not the prefix property.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,21 +51,19 @@ def make_time_grid(horizon: float, steps: int) -> TimeGrid:
 
 @dataclass(frozen=True)
 class NoiseBundle:
-    """Per-path increment matrices for (W, Y), plus provenance.
+    """Per-path increment matrices for (W, Y), plus the seed that drew them.
 
     ``dW`` and ``dY`` have shape ``(paths, steps)`` and are stored
     column-major (time-contiguous) however the bundle was built, because a
-    sweep reads one step's column at a time.  ``weights`` is None for
-    equally weighted Monte-Carlo paths; the binomial enumeration carries
-    exact uniform weights 4**-N (summing to 1 exactly, being a power of two).
+    sweep reads one step's column at a time.  Every path carries the same
+    weight: Monte-Carlo draws and the binomial enumeration alike are
+    averaged with a plain mean.
     """
 
     grid: TimeGrid
     dW: np.ndarray
     dY: np.ndarray
     seed: int | None = None
-    kind: str = "gaussian"
-    weights: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         if self.dW.shape != self.dY.shape:
@@ -97,7 +95,7 @@ def sample_noise(grid: TimeGrid, n_paths: int, seed: int) -> NoiseBundle:
     for child, out in zip(np.random.SeedSequence(seed).spawn(2), (dW, dY)):
         raw = np.random.Generator(np.random.Philox(child)).standard_normal(shape)
         np.multiply(raw, scale, out=out)
-    return NoiseBundle(grid=grid, dW=dW, dY=dY, seed=seed, kind="gaussian")
+    return NoiseBundle(grid=grid, dW=dW, dY=dY, seed=seed)
 
 
 def binomial_signs(steps: int) -> tuple[np.ndarray, np.ndarray]:
@@ -116,7 +114,7 @@ def binomial_signs(steps: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def enumerate_binomial(grid: TimeGrid) -> NoiseBundle:
-    """All 4**N sign paths with increments +/- sqrt(dt) and exact weights."""
+    """All 4**N equally likely sign paths with increments +/- sqrt(dt)."""
     n_paths = 4**grid.steps
     if n_paths > MAX_BINOMIAL_PATHS:
         raise FbsdeError(
@@ -125,13 +123,5 @@ def enumerate_binomial(grid: TimeGrid) -> NoiseBundle:
         )
     sw, sy = binomial_signs(grid.steps)
     scale = np.sqrt(grid.dt)
-    weights = np.full(n_paths, 4.0 ** -grid.steps)
-    return NoiseBundle(
-        grid=grid,
-        dW=sw * scale,
-        dY=sy * scale,
-        seed=None,
-        kind="binomial",
-        weights=weights,
-    )
+    return NoiseBundle(grid=grid, dW=sw * scale, dY=sy * scale)
 

@@ -5,7 +5,6 @@ import dataclasses
 import numpy as np
 
 from fbsde_nearopt.model import (
-    Box,
     Coefficient,
     DriverCoefficient,
     InitialCoefficient,
@@ -65,20 +64,6 @@ def control_only_cost_instance(target=0.3):
     return dataclasses.replace(
         base, running_l=scalar_driver(l_val, du=l_du), label="control_only"
     )
-
-
-def state_only_cost_instance(q=1.0):
-    """Cost ignores the control entirely (dynamics control-free too)."""
-    base = make_lq_instance(LQParams(b_coef=0.0, sigma=0.5, q=0.0, r=1.0, g=0.0, initial_x=1.0))
-
-    def l_val(t, x, y, z1, z2, u):
-        return 0.5 * q * x[:, 0] ** 2
-
-    def l_dx(t, x, y, z1, z2, u):
-        return q * x
-
-    running = dataclasses.replace(scalar_driver(l_val), dx=l_dx)
-    return dataclasses.replace(base, running_l=running, label="state_only")
 
 
 def linear_gap_instance(slope=2.0):

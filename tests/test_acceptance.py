@@ -16,7 +16,6 @@ from fbsde_nearopt import (
     MultiplierPoint,
     builtin_instance,
     certify_sufficient,
-    check_H_convexity,
     constant_control,
     control_distance,
     cost_difference_representation,

@@ -1,6 +1,5 @@
 import json
 
-import numpy as np
 import pytest
 
 from fbsde_nearopt import (

@@ -10,7 +10,6 @@ from fbsde_nearopt import (
     SimulationError,
     constant_control,
     control_distance,
-    enumerate_binomial,
     enumerate_lattice,
     evaluate_cost_strong,
     evaluate_cost_weak,

@@ -46,6 +46,10 @@ def _random_mult(spec, rng):
     )
 
 
+def _scaled(mult, factor):
+    return MultiplierPoint(**{name: factor * v for name, v in vars(mult).items()})
+
+
 def test_zero_multipliers_reduce_to_running_cost():
     spec = make_scalar_nonlinear_instance()
     rng = np.random.default_rng(0)
@@ -78,12 +82,12 @@ def test_affinity_in_multipliers():
     rng = np.random.default_rng(1)
     pt = _point(spec, rng)
     mult = _random_mult(spec, rng)
-    zero = mult.scaled(0.0)
+    zero = _scaled(mult, 0.0)
     args = (spec, pt["t"], pt["x"], pt["y"], pt["z1"], pt["z2"], pt["u"])
     base = eval_H(*args, zero)[0]
     ref = eval_H(*args, mult)[0] - base
     for lam in (-1.0, 0.5, 2.0):
-        scaled = eval_H(*args, mult.scaled(lam))[0] - base
+        scaled = eval_H(*args, _scaled(mult, lam))[0] - base
         assert scaled == pytest.approx(lam * ref, rel=1e-12, abs=1e-12)
 
 

@@ -24,7 +24,6 @@ from fbsde_nearopt import (
     make_lq_instance,
     make_time_grid,
     min_gap_over_A,
-    project_onto_U,
     run_pipeline,
     sample_noise,
     validate_problem,
@@ -38,15 +37,15 @@ BALL = Ball(center_point=np.zeros(2), radius=1.0)
 
 
 def test_projection_interior_fixed_point():
-    assert project_onto_U(np.array([0.5]), Box(lower=[-1.0], upper=[1.0]))[0] == 0.5
+    assert Box(lower=[-1.0], upper=[1.0]).project(np.array([0.5]))[0] == 0.5
 
 
 def test_projection_clamps():
-    assert project_onto_U(np.array([2.3]), Box(lower=[-1.0], upper=[1.0]))[0] == 1.0
+    assert Box(lower=[-1.0], upper=[1.0]).project(np.array([2.3]))[0] == 1.0
 
 
 def test_projection_ball_radial():
-    out = project_onto_U(np.array([3.0, 4.0]), BALL)
+    out = BALL.project(np.array([3.0, 4.0]))
     assert np.allclose(out, [0.6, 0.8])
 
 
@@ -55,8 +54,8 @@ def test_projection_ball_radial():
 def test_projection_idempotent(point):
     point = np.asarray(point)
     for cs in (BOX, BALL):
-        once = project_onto_U(point, cs)
-        assert np.allclose(project_onto_U(once, cs), once, atol=1e-12)
+        once = cs.project(point)
+        assert np.allclose(cs.project(once), once, atol=1e-12)
 
 
 def test_projection_lipschitz():
@@ -64,7 +63,7 @@ def test_projection_lipschitz():
     for _ in range(200):
         a, b = rng.normal(scale=3.0, size=(2, 2))
         for cs in (BOX, BALL):
-            pa, pb = project_onto_U(a, cs), project_onto_U(b, cs)
+            pa, pb = cs.project(a), cs.project(b)
             assert np.linalg.norm(pa - pb) <= np.linalg.norm(a - b) + 1e-12
 
 
@@ -313,6 +312,32 @@ def test_compact_outputs_come_out_in_documented_shapes():
     assert spec.backward_f.dy(0.0, x, y, y, y, u).shape == (P, 2, 2)
     assert spec.running_l.du(0.0, x, y, y, y, u).shape == (P, 2)
     assert spec.initial_gamma.dy(y).shape == (P, 2)
+
+
+def test_builtin_constant_parts_come_out_as_shared_rows():
+    # stride 0 along paths is what sends hamiltonian.vjp down its one-product path
+    P = 5
+    x = np.linspace(-1.0, 1.0, P)[:, None]
+    y = 0.5 * x
+    for family in ("scalar_nonlinear", "double_well"):
+        spec = builtin_instance(family)
+        u = spec.control_set.center() + 0.3
+        parts = {
+            "drift_b.du": spec.drift_b.du(0.0, x, u),
+            "diffusion_sigma1.du": spec.diffusion_sigma1.du(0.0, x, u),
+            "diffusion_sigma2.du": spec.diffusion_sigma2.du(0.0, x, u),
+            "observation_h.du": spec.observation_h.du(0.0, x, u),
+            "terminal_phi.dx": spec.terminal_phi.dx(x),
+            "initial_gamma.value": spec.initial_gamma.value(y),
+            "initial_gamma.dy": spec.initial_gamma.dy(y),
+        }
+        for part in ("dy", "dz1", "dz2", "du"):
+            parts[f"backward_f.{part}"] = getattr(spec.backward_f, part)(0.0, x, y, y, y, u)
+        for part in ("dy", "dz1", "dz2") + (("du",) if family == "double_well" else ()):
+            parts[f"running_l.{part}"] = getattr(spec.running_l, part)(0.0, x, y, y, y, u)
+        for name, got in parts.items():
+            assert got.shape[0] == P, (family, name)
+            assert got.strides[0] == 0 and not got.flags.writeable, (family, name)
 
 
 def test_output_that_does_not_broadcast_names_the_part():

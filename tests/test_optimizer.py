@@ -16,7 +16,7 @@ from fbsde_nearopt import (
     solve_backward,
 )
 
-from _instances import control_only_cost_instance, linear_gap_instance
+from _instances import control_only_cost_instance
 
 
 def test_pure_control_cost_converges_to_zero():

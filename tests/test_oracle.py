@@ -12,7 +12,6 @@ from fbsde_nearopt import (
     enumerate_binomial,
     enumerate_lattice,
     evaluate_cost_strong,
-    exhaustive_control_search,
     make_lq_instance,
     make_time_grid,
     riccati_lq,
@@ -22,12 +21,7 @@ from fbsde_nearopt import (
     solve_backward,
 )
 
-from _instances import (
-    constant_running_cost_instance,
-    control_only_cost_instance,
-    pure_noise_instance,
-    state_only_cost_instance,
-)
+from _instances import constant_running_cost_instance, pure_noise_instance
 
 
 # ---------------------------------------------------------------------------
@@ -90,52 +84,6 @@ def test_lattice_backward_values_match_closed_form():
         assert np.allclose(solution.y_levels[level], solution.x_levels[level], atol=1e-12)
 
 
-def test_lattice_weights_uniform():
-    spec = builtin_instance("lq")
-    grid = make_time_grid(1.0, 2)
-    u = constant_control([0.0], grid, spec.control_set)
-    solution = enumerate_lattice(spec, u, grid)
-    assert math.fsum(solution.weights) == 1.0
-    assert np.all(solution.weights == 0.0625)
-
-
-# ---------------------------------------------------------------------------
-# exhaustive search
-
-
-def test_search_ties_break_lexicographically():
-    spec = state_only_cost_instance()
-    grid = make_time_grid(1.0, 2)
-    candidates = [[np.array([0.0]), np.array([0.5])]] * 2
-    best, cost = exhaustive_control_search(spec, candidates, grid)
-    assert np.all(best.values == 0.0)
-
-
-def test_search_separable_minimum():
-    spec = control_only_cost_instance(target=0.3)
-    grid = make_time_grid(1.0, 1)
-    candidates = [[np.array([v]) for v in np.round(np.arange(0.0, 1.01, 0.1), 10)]]
-    best, cost = exhaustive_control_search(spec, candidates, grid)
-    assert best.values[0, 0] == pytest.approx(0.3)
-
-
-def test_search_budget_guard(lq_spec):
-    grid = make_time_grid(1.0, 4)
-    candidates = [[np.array([v]) for v in np.linspace(-1, 1, 50)]] * 4
-    with pytest.raises(OracleError, match="budget"):
-        exhaustive_control_search(lq_spec, candidates, grid)
-
-
-def test_search_tracks_riccati_on_lq(lq_spec, lq_params, lq_riccati):
-    grid = make_time_grid(1.0, 3)
-    mesh = [[np.array([v]) for v in np.linspace(-1.0, 1.0, 9)]] * 3
-    best, cost = exhaustive_control_search(lq_spec, mesh, grid)
-    # discrete infimum dominates the continuous one up to mesh and horizon
-    # discretization; the lattice cost at N=3 carries O(dt) bias
-    assert cost >= lq_riccati.optimal_cost - 0.02
-    assert cost <= lq_riccati.optimal_cost + 0.05
-
-
 # ---------------------------------------------------------------------------
 # Riccati oracle
 
@@ -196,13 +144,6 @@ def test_open_loop_control_is_constant_for_default_lq(lq_spec, lq_params, lq_ric
     grid = make_time_grid(1.0, 8)
     ctrl = riccati_open_loop_control(lq_riccati, lq_params, grid, lq_spec.control_set)
     assert np.allclose(ctrl.values, -0.5, atol=1e-3)
-
-
-def test_lattice_json(lq_spec):
-    grid = make_time_grid(1.0, 2)
-    u = constant_control([0.0], grid, lq_spec.control_set)
-    solution = enumerate_lattice(lq_spec, u, grid)
-    assert '"paths": 16' in solution.to_json()
 
 
 def test_diagonal_two_dimensional_family_end_to_end():

@@ -94,23 +94,15 @@ def test_binomial_enumeration_n1():
     assert bundle.n_paths == 4
     pairs = {(float(w), float(y)) for w, y in zip(bundle.dW[:, 0], bundle.dY[:, 0])}
     assert pairs == {(-1.0, -1.0), (1.0, -1.0), (-1.0, 1.0), (1.0, 1.0)}
-    assert np.all(bundle.weights == 0.25)
 
 
 def test_binomial_enumeration_n2():
     bundle = enumerate_binomial(make_time_grid(1.0, 2))
     assert bundle.n_paths == 16
-    assert math.fsum(bundle.weights) == 1.0
-
-
-def test_binomial_weights_sum_exactly():
-    for steps in (1, 3, 5):
-        bundle = enumerate_binomial(make_time_grid(1.0, steps))
-        assert math.fsum(bundle.weights) == 1.0
 
 
 def test_binomial_exact_moments_rational():
-    # first two moments of each increment are exact under the listed weights
+    # first two moments of each increment are exact under the uniform weight 4**-N
     steps = 3
     sw, sy = binomial_signs(steps)
     weight = Fraction(1, 4**steps)
