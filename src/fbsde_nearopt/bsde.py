@@ -14,11 +14,12 @@ it takes its basis from the backward sweep, reuses the same recursion for
 its backward components and integrates the forward component by explicit
 Euler.
 
-The adjoint system is solved by one sweep with two collectors.
-``solve_adjoint`` keeps p, q and r/R for two steps only and returns the
-density-weighted control gradient rho * H_u with the control it was taken
-at, the one adjoint quantity the Hamiltonian gap needs;
-``adjoint_trajectories`` keeps every multiplier.
+The adjoint system is solved by one sweep with two collectors.  Each
+reversed step evaluates the Hamiltonian's coefficient Jacobians once, for
+both corrector passes of p and for H_u.  ``solve_adjoint`` keeps p, q and
+r/R for two steps only and returns the density-weighted control gradient
+rho * H_u with the control it was taken at, the one adjoint quantity the
+Hamiltonian gap needs; ``adjoint_trajectories`` keeps every multiplier.
 """
 
 from __future__ import annotations
@@ -262,12 +263,17 @@ def _adjoint_sweep(spec: ProblemSpec, bwd: BackwardTrajectories):
     k and, through the shifted slot of the Hamiltonian partials, R2.  Both
     backward systems regress with ``bwd``'s operator, so its basis and
     per-step factorizations serve all three sweeps.  Increments of the
-    rotated observation noise are reconstructed pathwise as dY - h dt.
+    rotated observation noise are reconstructed pathwise as dY - h dt, with
+    h evaluated per step in each sweep.  Each reversed step builds one
+    ``ShiftedPartials`` at its fixed k, q1 and q2; both passes of the p
+    corrector and the collectors' H_u read its coefficient Jacobians.
 
     Yields k (N + 1, P, m) with the terminal p(T) and r(T); then, from step
-    N - 1 back to 0, the step's final ``(i, MultiplierPoint, r_i, R1_i)``;
-    last, the regression diagnostics.  Of p, q1, q2, r, R1 and R2 only
-    steps i and i + 1 are held while step i is solved.
+    N - 1 back to 0, the step's final ``(i, MultiplierPoint, ShiftedPartials,
+    r_i, R1_i)``; last, the regression diagnostics.  Of p, q1, q2, r, R1 and
+    R2 only steps i and i + 1 are held while step i is solved, and of the
+    evaluators only step i's: a collector drops it before asking for the
+    next step.
     """
     fwd, operator = bwd.forward, bwd.operator
     u, noise, grid = fwd.control, fwd.noise, fwd.grid
@@ -275,10 +281,6 @@ def _adjoint_sweep(spec: ProblemSpec, bwd: BackwardTrajectories):
     n, m = spec.dim_x, spec.dim_y
     dt = grid.dt
     times = grid.times
-
-    h_all = np.empty((N, P))
-    for i in range(N):
-        h_all[i] = spec.observation_h.value(times[i], fwd.x[i], u.values[i])
 
     # forward multiplier: dk = -H_y dt - H_z1 dW - H_z2 dW^u, k(0) = -gamma_y(y(0))
     k = np.empty((N + 1, P, m))
@@ -295,7 +297,8 @@ def _adjoint_sweep(spec: ProblemSpec, bwd: BackwardTrajectories):
         for name, arr in (("H_y", h_y), ("H_z1", h_z1), ("H_z2", h_z2)):
             if not np.isfinite(arr).all():
                 raise FbsdeError(f"non-finite Hamiltonian partial {name} at step {i}")
-        dwu = noise.dY[:, i] - h_all[i] * dt
+        h = spec.observation_h.value(t, xi, ui)
+        dwu = noise.dY[:, i] - h * dt
         k[i + 1] = ki - h_y * dt - h_z1 * noise.dW[:, i, None] - h_z2 * dwu[:, None]
 
     # value system: dr = -l dt + R1 dW + R2 dW^u, r(T) = Phi(x(T));
@@ -313,27 +316,30 @@ def _adjoint_sweep(spec: ProblemSpec, bwd: BackwardTrajectories):
         xi = fwd.x[i]
         yi, z1i, z2i = bwd.y[i], bwd.z1[i], bwd.z2[i]
         ui = u.values[i]
+        h = spec.observation_h.value(t, xi, ui)
 
         # the scalar r goes through the regression step as a (P, 1) column
         r_hat, R1_i, R2_i, rms = _regression_step(operator, i, r_next[:, None], fwd)
         R1_i, R2_i = R1_i[:, 0], R2_i[:, 0]
         l_val = spec.running_l.value(t, xi, yi, z1i, z2i, ui)
-        r_next = r_hat[:, 0] + (l_val + R2_i * h_all[i]) * dt
+        r_next = r_hat[:, 0] + (l_val + R2_i * h) * dt
         r_residuals.append(rms)
 
         p_hat, q1_i, q2_i, rms = _regression_step(operator, i, p_next, fwd)
 
-        q2h = q2_i * h_all[i, :, None]
+        q2h = q2_i * h[:, None]
+        partials = ham.ShiftedPartials(spec, t, xi, yi, z1i, z2i, ui, k[i], q1_i, q2_i)
         p_arg = p_hat
         for _ in range(2):
-            mult = ham.MultiplierPoint(k=k[i], p=p_arg, q1=q1_i, q2=q2_i, R2=R2_i)
-            h_x = ham.partial_x(spec, t, xi, yi, z1i, z2i, ui, mult)
+            h_x = partials.h_x(p_arg, R2_i)
             if not np.isfinite(h_x).all():
                 raise FbsdeError(f"non-finite Hamiltonian partial H_x at step {i}")
             p_arg = p_hat + (h_x + q2h) * dt
         p_next = p_arg
         p_residuals.append(rms)
-        yield i, ham.MultiplierPoint(k=k[i], p=p_next, q1=q1_i, q2=q2_i, R2=R2_i), r_next, R1_i
+        mult = ham.MultiplierPoint(k=k[i], p=p_next, q1=q1_i, q2=q2_i, R2=R2_i)
+        yield i, mult, partials, r_next, R1_i
+        del partials
 
     # the r and p fits at a step share one Gram matrix, so each step's
     # condition number is listed once; residuals list every r fit, then
@@ -346,15 +352,6 @@ def _adjoint_sweep(spec: ProblemSpec, bwd: BackwardTrajectories):
     )
 
 
-def _weight_gradient(spec, bwd, t, i, mult, out) -> None:
-    """out = rho_i * H_u(t_i) at step i's final multipliers, (P, k)."""
-    fwd = bwd.forward
-    hu = ham.partial_u(
-        spec, t, fwd.x[i], bwd.y[i], bwd.z1[i], bwd.z2[i], fwd.control.values[i], mult
-    )
-    np.multiply(fwd.rho[i][:, None], hu, out=out)
-
-
 def solve_adjoint(spec: ProblemSpec, bwd: BackwardTrajectories) -> ControlGradient:
     """rho_i * H_u(t_i) along ``bwd``'s admissible pair, from one adjoint sweep.
 
@@ -364,10 +361,11 @@ def solve_adjoint(spec: ProblemSpec, bwd: BackwardTrajectories) -> ControlGradie
     fwd = bwd.forward
     sweep = _adjoint_sweep(spec, bwd)
     next(sweep)
-    N, times = fwd.grid.steps, fwd.grid.times
+    N = fwd.grid.steps
     weighted = np.empty((N, fwd.n_paths, spec.dim_u))
-    for i, mult, _, _ in islice(sweep, N):
-        _weight_gradient(spec, bwd, times[i], i, mult, weighted[i])
+    for i, mult, partials, _, _ in islice(sweep, N):
+        np.multiply(fwd.rho[i][:, None], partials.h_u(mult.p, mult.R2), out=weighted[i])
+        del partials
     return ControlGradient(weighted=weighted, diagnostics=next(sweep), control=fwd.control)
 
 
@@ -380,7 +378,6 @@ def adjoint_trajectories(spec: ProblemSpec, bwd: BackwardTrajectories) -> Adjoin
     sweep = _adjoint_sweep(spec, bwd)
     k, p_T, r_T = next(sweep)
     P, N, n = fwd.n_paths, fwd.grid.steps, spec.dim_x
-    times = fwd.grid.times
     weighted = np.empty((N, P, spec.dim_u))
     p = np.empty((N + 1, P, n))
     q1 = np.empty((N, P, n))
@@ -389,8 +386,9 @@ def adjoint_trajectories(spec: ProblemSpec, bwd: BackwardTrajectories) -> Adjoin
     R1 = np.empty((N, P))
     R2 = np.empty((N, P))
     p[N], r[N] = p_T, r_T
-    for i, mult, r_i, R1_i in islice(sweep, N):
-        _weight_gradient(spec, bwd, times[i], i, mult, weighted[i])
+    for i, mult, partials, r_i, R1_i in islice(sweep, N):
+        np.multiply(fwd.rho[i][:, None], partials.h_u(mult.p, mult.R2), out=weighted[i])
+        del partials
         p[i], q1[i], q2[i], R2[i] = mult.p, mult.q1, mult.q2, mult.R2
         r[i], R1[i] = r_i, R1_i
     return AdjointTrajectories(

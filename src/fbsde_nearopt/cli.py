@@ -212,7 +212,7 @@ def _run_config(parser: configparser.ConfigParser) -> RunConfig:
     )
 
 
-def _write_json(payload: dict, cfg: RunConfig, name: str, command: str) -> str:
+def _write_json(payload: dict, cfg: RunConfig, name: str, command: str) -> None:
     os.makedirs(cfg.out_dir, exist_ok=True)
     payload = dict(payload)
     payload["meta"] = {
@@ -221,11 +221,9 @@ def _write_json(payload: dict, cfg: RunConfig, name: str, command: str) -> str:
         "seed": cfg.seed,
         "created": time.strftime("%Y-%m-%dT%H:%M:%S"),
     }
-    path = os.path.join(cfg.out_dir, name)
-    with open(path, "w") as handle:
+    with open(os.path.join(cfg.out_dir, name), "w") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")
-    return path
 
 
 def _oracle_epsilon(cfg: RunConfig, spec, bwd) -> float:
@@ -262,8 +260,8 @@ def cmd_validate(cfg: RunConfig) -> int:
     report = validate_problem(
         spec, samples=cfg.validation_samples, seed=cfg.seed, tol=cfg.validation_tol
     )
-    path = _write_json(json.loads(report.to_json()), cfg, "validate_report.json", "validate")
-    print(f"validation {'passed' if report.passed else 'FAILED'}: {path}")
+    _write_json(json.loads(report.to_json()), cfg, "validate_report.json", "validate")
+    print(f"validation {'passed' if report.passed else 'FAILED'}: validate_report.json")
     if not report.passed:
         print("failing coefficients: " + ", ".join(report.failing()))
         return EXIT_DOMAIN
@@ -283,10 +281,8 @@ def cmd_solve(cfg: RunConfig) -> int:
     )
     trace = smp_descent(spec, u0, params)
     os.makedirs(cfg.out_dir, exist_ok=True)
-    trace_path = os.path.join(cfg.out_dir, "trace.csv")
-    trace.to_csv(trace_path)
-    control_path = os.path.join(cfg.out_dir, "final_control.csv")
-    control_to_csv(trace.final_control, control_path)
+    trace.to_csv(os.path.join(cfg.out_dir, "trace.csv"))
+    control_to_csv(trace.final_control, os.path.join(cfg.out_dir, "final_control.csv"))
 
     summary = {
         "final_cost": trace.final_cost,
@@ -294,8 +290,8 @@ def cmd_solve(cfg: RunConfig) -> int:
         "iterations": len(trace.rows) - 1,
         "converged": trace.converged,
         "stop_reason": trace.stop_reason,
-        "trace": trace_path,
-        "control": control_path,
+        "trace": "trace.csv",
+        "control": "final_control.csv",
     }
     if cfg.family == "lq":
         sol = riccati_lq(cfg.lq_params())
@@ -365,8 +361,7 @@ def cmd_order_study(cfg: RunConfig) -> int:
         rows.append((delta, epsilon, gap.gap, gap.stderr))
 
     os.makedirs(cfg.out_dir, exist_ok=True)
-    csv_path = os.path.join(cfg.out_dir, "order_study.csv")
-    with open(csv_path, "w") as handle:
+    with open(os.path.join(cfg.out_dir, "order_study.csv"), "w") as handle:
         handle.write("delta,epsilon,min_gap,gap_stderr\n")
         for delta, eps, gap, stderr in rows:
             handle.write(f"{delta!r},{eps!r},{gap!r},{stderr!r}\n")
@@ -381,7 +376,7 @@ def cmd_order_study(cfg: RunConfig) -> int:
         "fitted_C": constant,
         "points": len(rows),
         "dropped_zero_deltas": dropped,
-        "csv": csv_path,
+        "csv": "order_study.csv",
     }
     _write_json(summary, cfg, "order_summary.json", "order-study")
     print(f"fitted exponent {exponent:.3f}, constant {constant:.3f}")

@@ -7,7 +7,6 @@ positive and is exact for constant observation drift.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -100,23 +99,6 @@ class CostReport:
     terminal: float
     initial: float
     initial_bias: float = 0.0
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "J": self.value,
-                "stderr": self.stderr,
-                "n_paths": self.n_paths,
-                "parts": {
-                    "running": self.running,
-                    "terminal": self.terminal,
-                    "initial": self.initial,
-                },
-                "initial_bias": self.initial_bias,
-            },
-            indent=2,
-            sort_keys=True,
-        )
 
 
 def _mean(v: np.ndarray) -> float:

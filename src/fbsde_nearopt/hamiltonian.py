@@ -6,7 +6,11 @@ The Hamiltonian pairs the running cost with every dynamics coefficient:
 
 Adjoint drifts need its partials evaluated with the last multiplier slot
 shifted to R2 - sigma2^T p - z2^T k; the shift only matters for the x- and
-u-partials, which carry the observation-drift gradient.
+u-partials, which carry the observation-drift gradient.  Those two come
+from one per-step evaluator, ``ShiftedPartials``: it holds everything but
+p and R2 fixed, so the adjoint sweep evaluates each step's coefficient
+Jacobians once.  ``partial_x``, ``partial_u``, ``shifted_slot`` and
+``eval_H_partials`` are one-off calls into it.
 """
 
 from __future__ import annotations
@@ -80,9 +84,66 @@ def eval_H(spec: ProblemSpec, t, x, y, z1, z2, u, mult: MultiplierPoint) -> Arra
     return total
 
 
+class ShiftedPartials:
+    """H_x and H_u with the shifted last slot, at one step's fixed arguments.
+
+    Built from (t, x, y, z1, z2, u) and the step's k, q1 and q2, which the
+    adjoint sweep holds fixed while it iterates p.  sigma2 and <z2, k> are
+    evaluated at construction; each of the x- and u-gradients evaluates its
+    six coefficient Jacobians, with their q1, q2 and k products, on first
+    use.  Every later call pays only the p and R2 terms.  The sums keep one
+    order, l, then the p, q1, q2 and k products, then r2s * h, so every
+    call is bitwise equal to a fresh evaluation.
+    """
+
+    def __init__(self, spec: ProblemSpec, t, x, y, z1, z2, u, k: Array, q1: Array, q2: Array):
+        self._spec = spec
+        self._args = (t, x, y, z1, z2, u)
+        self._k, self._q1, self._q2 = k, q1, q2
+        self._sigma2 = spec.diffusion_sigma2.value(t, x, u)
+        self._z2k = _pair(z2, k)
+        self._fixed: dict[str, tuple] = {}
+
+    def slot(self, p: Array, R2: Array) -> Array:
+        """R2 - <sigma2(t,x,u), p> - <z2, k>, per path."""
+        return R2 - _pair(self._sigma2, p) - self._z2k
+
+    def _terms(self, w: str) -> tuple:
+        """l_w, b_w and the q1, q2 and k products and h_w, for w in dx, du."""
+        if w not in self._fixed:
+            spec, (t, x, y, z1, z2, u) = self._spec, self._args
+            self._fixed[w] = (
+                getattr(spec.running_l, w)(t, x, y, z1, z2, u),
+                getattr(spec.drift_b, w)(t, x, u),
+                vjp(self._q1, getattr(spec.diffusion_sigma1, w)(t, x, u)),
+                vjp(self._q2, getattr(spec.diffusion_sigma2, w)(t, x, u)),
+                vjp(self._k, getattr(spec.backward_f, w)(t, x, y, z1, z2, u)),
+                getattr(spec.observation_h, w)(t, x, u),
+            )
+        return self._fixed[w]
+
+    def _gradient(self, w: str, p: Array, R2: Array) -> Array:
+        l_w, b_w, q1_term, q2_term, k_term, h_w = self._terms(w)
+        r2s = self.slot(p, R2)
+        return l_w + vjp(p, b_w) + q1_term + q2_term + k_term + r2s[:, None] * h_w
+
+    def h_x(self, p: Array, R2: Array) -> Array:
+        """x-gradient with the shifted last slot in the observation term."""
+        return self._gradient("dx", p, R2)
+
+    def h_u(self, p: Array, R2: Array) -> Array:
+        """u-gradient with the shifted last slot in the observation term."""
+        return self._gradient("du", p, R2)
+
+
+def _shifted(spec: ProblemSpec, t, x, y, z1, z2, u, mult: MultiplierPoint) -> ShiftedPartials:
+    return ShiftedPartials(spec, t, x, y, z1, z2, u, mult.k, mult.q1, mult.q2)
+
+
 def shifted_slot(spec: ProblemSpec, t, x, u, z2, mult: MultiplierPoint) -> Array:
     """R2 - <sigma2(t,x,u), p> - <z2, k>, per path."""
-    return mult.R2 - _pair(spec.diffusion_sigma2.value(t, x, u), mult.p) - _pair(z2, mult.k)
+    # the slot reads no Jacobian, so y and z1 are never asked for
+    return _shifted(spec, t, x, None, None, z2, u, mult).slot(mult.p, mult.R2)
 
 
 def _driver_gradient(spec: ProblemSpec, w: str, t, x, y, z1, z2, u, k: Array) -> Array:
@@ -104,30 +165,14 @@ def partial_z2(spec: ProblemSpec, t, x, y, z1, z2, u, k: Array) -> Array:
     return _driver_gradient(spec, "dz2", t, x, y, z1, z2, u, k)
 
 
-def _shifted_gradient(
-    spec: ProblemSpec, w: str, t, x, y, z1, z2, u, mult: MultiplierPoint, r2s: Array
-) -> Array:
-    """Gradient in w (dx or du) with the shifted slot r2s in the observation term."""
-    return (
-        getattr(spec.running_l, w)(t, x, y, z1, z2, u)
-        + vjp(mult.p, getattr(spec.drift_b, w)(t, x, u))
-        + vjp(mult.q1, getattr(spec.diffusion_sigma1, w)(t, x, u))
-        + vjp(mult.q2, getattr(spec.diffusion_sigma2, w)(t, x, u))
-        + vjp(mult.k, getattr(spec.backward_f, w)(t, x, y, z1, z2, u))
-        + r2s[:, None] * getattr(spec.observation_h, w)(t, x, u)
-    )
-
-
 def partial_x(spec: ProblemSpec, t, x, y, z1, z2, u, mult: MultiplierPoint) -> Array:
     """x-gradient with the shifted last slot in the observation term."""
-    r2s = shifted_slot(spec, t, x, u, z2, mult)
-    return _shifted_gradient(spec, "dx", t, x, y, z1, z2, u, mult, r2s)
+    return _shifted(spec, t, x, y, z1, z2, u, mult).h_x(mult.p, mult.R2)
 
 
 def partial_u(spec: ProblemSpec, t, x, y, z1, z2, u, mult: MultiplierPoint) -> Array:
     """u-gradient with the shifted last slot in the observation term."""
-    r2s = shifted_slot(spec, t, x, u, z2, mult)
-    return _shifted_gradient(spec, "du", t, x, y, z1, z2, u, mult, r2s)
+    return _shifted(spec, t, x, y, z1, z2, u, mult).h_u(mult.p, mult.R2)
 
 
 @dataclass(frozen=True)
@@ -141,13 +186,13 @@ class HPartials:
 
 def eval_H_partials(spec: ProblemSpec, t, x, y, z1, z2, u, mult: MultiplierPoint) -> HPartials:
     """All five partials, each at the shifted multiplier point."""
-    r2s = shifted_slot(spec, t, x, u, z2, mult)
+    shifted = _shifted(spec, t, x, y, z1, z2, u, mult)
     parts = HPartials(
-        dx=_shifted_gradient(spec, "dx", t, x, y, z1, z2, u, mult, r2s),
+        dx=shifted.h_x(mult.p, mult.R2),
         dy=partial_y(spec, t, x, y, z1, z2, u, mult.k),
         dz1=partial_z1(spec, t, x, y, z1, z2, u, mult.k),
         dz2=partial_z2(spec, t, x, y, z1, z2, u, mult.k),
-        du=_shifted_gradient(spec, "du", t, x, y, z1, z2, u, mult, r2s),
+        du=shifted.h_u(mult.p, mult.R2),
     )
     for name in ("dx", "dy", "dz1", "dz2", "du"):
         if not np.all(np.isfinite(getattr(parts, name))):

@@ -289,6 +289,23 @@ def test_production_adjoint_keeps_two_steps_of_multipliers():
     assert peak < k_bytes + h_bytes + grad.weighted.nbytes + 96 * P * 8
 
 
+def test_production_adjoint_holds_no_observation_drift_history():
+    # h is evaluated per step in each sweep and every evaluator is dropped
+    # with its step, so beyond k and the returned gradient only one step's
+    # work is live, about 52 (P,) columns; an (N, P) array of h would add
+    # 64 columns and cross the bound
+    spec, u, noise, fwd, bwd = _stream_case("lq2", 20_000, 64)
+    P, N = fwd.n_paths, noise.grid.steps
+    tracemalloc.start()
+    try:
+        grad = solve_adjoint(spec, bwd)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    k_bytes = (N + 1) * P * spec.dim_y * 8
+    assert peak < k_bytes + grad.weighted.nbytes + 96 * P * 8
+
+
 def test_value_system_equals_backward_state_when_f_is_minus_l():
     # both sweeps run the same regression step: with f = -l and phi = Phi the
     # value system (r, R1, R2) is the backward state (y, z1, z2) bit for bit

@@ -59,6 +59,7 @@ def test_validate_builtin_lq(tmp_path, capsys):
     assert cli.main(["--config", cfg, "validate"]) == 0
     report = json.loads((tmp_path / "out" / "validate_report.json").read_text())
     assert report["passed"] is True
+    assert capsys.readouterr().out == "validation passed: validate_report.json\n"
 
 
 def test_validate_failure_exits_one(tmp_path, monkeypatch):
@@ -125,6 +126,22 @@ def test_solve_writes_artifacts(tmp_path):
     summary = json.loads((out / "solve_summary.json").read_text())
     assert summary["relative_error"] <= 0.05
     assert summary["meta"]["command"] == "solve"
+
+
+def test_solve_outputs_name_files_relative_to_out(tmp_path):
+    # one run written to two directories differs only in meta
+    cfg = _base_config(tmp_path)
+    outputs = {}
+    for name in ("a", "b"):
+        out = tmp_path / name
+        assert cli.main(["--config", cfg, "--out", str(out), "solve"]) == 0
+        summary = json.loads((out / "solve_summary.json").read_text())
+        summary.pop("meta")
+        files = [(out / f).read_bytes() for f in (summary["trace"], summary["control"])]
+        outputs[name] = (summary, files)
+    assert outputs["a"] == outputs["b"]
+    assert outputs["a"][0]["trace"] == "trace.csv"
+    assert outputs["a"][0]["control"] == "final_control.csv"
 
 
 def test_solve_zero_iterations_single_row(tmp_path):
@@ -219,7 +236,8 @@ def test_order_study(tmp_path):
     assert summary["dropped_zero_deltas"] == 1
     assert summary["points"] == 4
     assert summary["fitted_exponent"] >= 0.4
-    csv_lines = (tmp_path / "out" / "order_study.csv").read_text().strip().splitlines()
+    assert summary["csv"] == "order_study.csv"
+    csv_lines = (tmp_path / "out" / summary["csv"]).read_text().strip().splitlines()
     assert len(csv_lines) == 5
 
 

@@ -247,17 +247,3 @@ def test_sup_moments_stable_across_seeds(spec):
         for name, vals in series.items():
             assert np.all(np.isfinite(vals))
             assert max(vals) / min(vals) < 1.2, (order, name, vals)
-
-
-def test_cost_report_json(lq_spec):
-    grid = make_time_grid(1.0, 4)
-    noise = sample_noise(grid, 50, seed=19)
-    u = constant_control([0.2], grid, lq_spec.control_set)
-    fwd, bwd = _pipeline(lq_spec, u, noise)
-    report = evaluate_cost_strong(lq_spec, bwd)
-    import json
-
-    payload = json.loads(report.to_json())
-    assert payload["parts"]["running"] + payload["parts"]["terminal"] + payload["parts"][
-        "initial"
-    ] == pytest.approx(payload["J"], abs=0.0)

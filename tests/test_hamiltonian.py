@@ -17,7 +17,7 @@ from fbsde_nearopt import (
     make_lq_observation_instance,
     make_scalar_nonlinear_instance,
 )
-from fbsde_nearopt.hamiltonian import shifted_slot, vjp
+from fbsde_nearopt.hamiltonian import ShiftedPartials, shifted_slot, vjp
 from fbsde_nearopt.model import Coefficient
 
 from _instances import concave_control_cost_instance
@@ -194,6 +194,65 @@ def test_non_finite_coefficient_detected(lq_spec):
     with pytest.raises(FbsdeError, match="drift_b"):
         eval_H(bad, 0.0, np.zeros((1, 1)), np.zeros((1, 1)), np.zeros((1, 1)),
                np.zeros((1, 1)), np.zeros(1), mult)
+
+
+# ---------------------------------------------------------------------------
+# the per-step evaluator against a fresh evaluation of the same formula
+
+
+def _reference_slot(spec, t, x, u, z2, k, p, R2):
+    sigma2 = spec.diffusion_sigma2.value(t, x, u)
+    return R2 - np.einsum("pi,pi->p", sigma2, p) - np.einsum("pi,pi->p", z2, k)
+
+
+def _reference_gradient(spec, w, t, x, y, z1, z2, u, k, p, q1, q2, r2s):
+    return (
+        getattr(spec.running_l, w)(t, x, y, z1, z2, u)
+        + vjp(p, getattr(spec.drift_b, w)(t, x, u))
+        + vjp(q1, getattr(spec.diffusion_sigma1, w)(t, x, u))
+        + vjp(q2, getattr(spec.diffusion_sigma2, w)(t, x, u))
+        + vjp(k, getattr(spec.backward_f, w)(t, x, y, z1, z2, u))
+        + r2s[:, None] * getattr(spec.observation_h, w)(t, x, u)
+    )
+
+
+@pytest.mark.parametrize(
+    "name, n_paths, shared",
+    [
+        ("lq", 500, True),
+        ("lq2", 1000, True),
+        ("lq_obs", 1000, True),
+        ("double_well", 1500, True),
+        ("scalar_nonlinear", 2000, False),
+    ],
+)
+def test_shifted_partials_bitwise_equal_to_reference(name, n_paths, shared):
+    """Two corrector passes and then H_u on one evaluator, each bitwise
+    equal to a fresh evaluation: a reordered sum fails on per-path Jacobians."""
+    spec = make_lq_instance(LQParams(dim=2)) if name == "lq2" else builtin_instance(name)
+    rng = np.random.default_rng(12)
+    n, m = spec.dim_x, spec.dim_y
+    t = 0.3
+    x, q1, q2 = (rng.normal(size=(n_paths, n)) for _ in range(3))
+    y, z1, z2, k = (rng.normal(size=(n_paths, m)) for _ in range(4))
+    u = spec.control_set.sample(rng, 1)[0]
+    R2 = rng.normal(size=n_paths)
+    jacobians = [
+        getattr(getattr(spec, c), w)(t, x, u)
+        for c in ("drift_b", "diffusion_sigma1", "diffusion_sigma2")
+        for w in ("dx", "du")
+    ]
+    assert all(J.strides[0] == 0 for J in jacobians) is shared
+
+    partials = ShiftedPartials(spec, t, x, y, z1, z2, u, k, q1, q2)
+    p = rng.normal(size=(n_paths, n))
+    for w in ("dx", "dx", "du"):
+        r2s = _reference_slot(spec, t, x, u, z2, k, p, R2)
+        assert np.array_equal(partials.slot(p, R2), r2s)
+        got = partials.h_x(p, R2) if w == "dx" else partials.h_u(p, R2)
+        want = _reference_gradient(spec, w, t, x, y, z1, z2, u, k, p, q1, q2, r2s)
+        assert np.array_equal(got, want), w
+        p = p + 0.05 * got if w == "dx" else p
 
 
 # ---------------------------------------------------------------------------
