@@ -260,7 +260,7 @@ def cmd_validate(cfg: RunConfig) -> int:
     report = validate_problem(
         spec, samples=cfg.validation_samples, seed=cfg.seed, tol=cfg.validation_tol
     )
-    _write_json(json.loads(report.to_json()), cfg, "validate_report.json", "validate")
+    _write_json(report.to_dict(), cfg, "validate_report.json", "validate")
     print(f"validation {'passed' if report.passed else 'FAILED'}: validate_report.json")
     if not report.passed:
         print("failing coefficients: " + ", ".join(report.failing()))
@@ -318,7 +318,7 @@ def cmd_certify(cfg: RunConfig, control_path: str, sufficient: bool) -> int:
         )
     else:
         certificate = certify_necessary(spec, bwd, epsilon, cfg.certificate_C)
-    _write_json(json.loads(certificate.to_json()), cfg, "certificate.json", "certify")
+    _write_json(certificate.to_dict(), cfg, "certificate.json", "certify")
     print(f"verdict: {certificate.verdict} (gap {certificate.gap:.3e})")
     return EXIT_OK
 

@@ -94,7 +94,6 @@ class CostReport:
 
     value: float
     stderr: float
-    n_paths: int
     running: float
     terminal: float
     initial: float
@@ -139,7 +138,6 @@ def evaluate_cost_strong(spec: ProblemSpec, bwd) -> CostReport:
     return CostReport(
         value=value,
         stderr=stderr,
-        n_paths=P,
         running=run_mean,
         terminal=term_mean,
         initial=initial,

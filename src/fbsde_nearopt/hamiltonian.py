@@ -11,17 +11,21 @@ from one per-step evaluator, ``ShiftedPartials``: it holds everything but
 p and R2 fixed, so the adjoint sweep evaluates each step's coefficient
 Jacobians once.  ``partial_x``, ``partial_u``, ``shifted_slot`` and
 ``eval_H_partials`` are one-off calls into it.
+
+``check_H_convexity(spec, n_probes, seed)`` probes the convexity the
+sufficient condition needs; its sample pools and eigenvalue tolerance are
+module constants, and its report records the tolerance as ``eig_tol``.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import FbsdeError
-from .model import ProblemSpec
+from .model import ProblemSpec, sample_arguments
 
 Array = np.ndarray
 
@@ -203,6 +207,13 @@ def eval_H_partials(spec: ProblemSpec, t, x, y, z1, z2, u, mult: MultiplierPoint
 # ---------------------------------------------------------------------------
 # sampled convexity diagnosis
 
+# the probe draws its states and multipliers from fixed pools of this size
+_STATE_SAMPLES = 6
+_MULT_SAMPLES = 6
+# smallest Hessian eigenvalue still read as positive semidefinite
+_EIG_TOL = -1e-6
+_ARGS = ("x", "y", "z1", "z2", "u")
+
 
 @dataclass
 class ConvexityReport:
@@ -220,20 +231,11 @@ class ConvexityReport:
     def passed(self) -> bool:
         return self.hamiltonian_ok and self.phi_ok and self.gamma_ok
 
+    def to_dict(self) -> dict:
+        return {**asdict(self), "passed": self.passed}
+
     def to_json(self) -> str:
-        payload = {
-            "passed": self.passed,
-            "hamiltonian_ok": self.hamiltonian_ok,
-            "worst_eigenvalue": self.worst_eigenvalue,
-            "witness": self.witness,
-            "phi_ok": self.phi_ok,
-            "worst_phi_violation": self.worst_phi_violation,
-            "gamma_ok": self.gamma_ok,
-            "worst_gamma_violation": self.worst_gamma_violation,
-            "n_probes": self.n_probes,
-            "eig_tol": self.eig_tol,
-        }
-        return json.dumps(payload, indent=2, sort_keys=True)
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
 def _fd_hessian(fn, v: Array, step: float = 1e-4) -> Array:
@@ -251,87 +253,55 @@ def _fd_hessian(fn, v: Array, step: float = 1e-4) -> Array:
     return hess
 
 
-def check_H_convexity(
-    spec: ProblemSpec,
-    mult_samples: int = 6,
-    state_samples: int = 6,
-    n_probes: int = 24,
-    seed: int = 0,
-    eig_tol: float = -1e-6,
-    scale: float = 1.0,
-) -> ConvexityReport:
+def check_H_convexity(spec: ProblemSpec, n_probes: int = 24, seed: int = 0) -> ConvexityReport:
     """Probe positive semidefiniteness of the joint (x,y,z1,z2,u) Hessian.
 
-    Report-only: a failing probe is returned as a witness, never raised.
-    Midpoint convexity of the terminal and initial costs is probed alongside.
+    Each probe takes a finite-difference Hessian at one of _STATE_SAMPLES
+    sampled points, one of _MULT_SAMPLES multiplier draws and a random time;
+    an eigenvalue below _EIG_TOL fails it.  Report-only: a failing probe is
+    returned as a witness, never raised.  Midpoint convexity of the terminal
+    and initial costs is probed alongside.
     """
     if n_probes < 1:
         raise FbsdeError("n_probes must be >= 1")
     rng = np.random.default_rng(seed)
-    n, m, kdim = spec.dim_x, spec.dim_y, spec.dim_u
-    states = {
-        "x": rng.normal(scale=scale, size=(state_samples, n)),
-        "y": rng.normal(scale=scale, size=(state_samples, m)),
-        "z1": rng.normal(scale=scale, size=(state_samples, m)),
-        "z2": rng.normal(scale=scale, size=(state_samples, m)),
-        "u": spec.control_set.sample(rng, state_samples),
-    }
+    n, m = spec.dim_x, spec.dim_y
+    states = sample_arguments(spec, rng, _STATE_SAMPLES)
     mults = [
         MultiplierPoint.single(
-            k=rng.normal(scale=scale, size=m),
-            p=rng.normal(scale=scale, size=n),
-            q1=rng.normal(scale=scale, size=n),
-            q2=rng.normal(scale=scale, size=n),
-            R2=rng.normal(scale=scale),
+            k=rng.normal(size=m),
+            p=rng.normal(size=n),
+            q1=rng.normal(size=n),
+            q2=rng.normal(size=n),
+            R2=rng.normal(),
         )
-        for _ in range(mult_samples)
+        for _ in range(_MULT_SAMPLES)
     ]
-
-    slices = {
-        "x": slice(0, n),
-        "y": slice(n, n + m),
-        "z1": slice(n + m, n + 2 * m),
-        "z2": slice(n + 2 * m, n + 3 * m),
-        "u": slice(n + 3 * m, n + 3 * m + kdim),
-    }
-    dim = n + 3 * m + kdim
+    # v concatenates the five arguments; slices, not np.split, keep h_of cheap
+    ends = np.cumsum([states[a].shape[1] for a in _ARGS]).tolist()
+    slices = [slice(lo, hi) for lo, hi in zip([0, *ends], ends)]
 
     worst_eig = np.inf
     witness = None
     for _ in range(n_probes):
-        si = int(rng.integers(state_samples))
-        mi = int(rng.integers(mult_samples))
+        si = int(rng.integers(_STATE_SAMPLES))
+        mi = int(rng.integers(_MULT_SAMPLES))
         t = float(rng.uniform(0.0, spec.horizon))
-        v0 = np.concatenate(
-            [states[name][si] for name in ("x", "y", "z1", "z2", "u")]
-        )
+        v0 = np.concatenate([states[a][si] for a in _ARGS])
         mult = mults[mi]
 
         def h_of(v):
-            return float(
-                eval_H(
-                    spec,
-                    t,
-                    v[slices["x"]][None, :],
-                    v[slices["y"]][None, :],
-                    v[slices["z1"]][None, :],
-                    v[slices["z2"]][None, :],
-                    v[slices["u"]],
-                    mult,
-                )[0]
-            )
+            x, y, z1, z2, u = (v[s] for s in slices)
+            row = (x[None, :], y[None, :], z1[None, :], z2[None, :])
+            return float(eval_H(spec, t, *row, u, mult)[0])
 
         eigs = np.linalg.eigvalsh(_fd_hessian(h_of, v0))
         if eigs[0] < worst_eig:
             worst_eig = float(eigs[0])
             witness = {
                 "t": t,
-                "x": states["x"][si].tolist(),
-                "y": states["y"][si].tolist(),
-                "z1": states["z1"][si].tolist(),
-                "z2": states["z2"][si].tolist(),
-                "u": states["u"][si].tolist(),
-                "eigenvalue": float(eigs[0]),
+                **{a: states[a][si].tolist() for a in _ARGS},
+                "eigenvalue": worst_eig,
             }
 
     def midpoint_violation(value_fn, points: Array) -> float:
@@ -347,7 +317,7 @@ def check_H_convexity(
     phi_gap = midpoint_violation(spec.terminal_Phi.value, states["x"])
     gamma_gap = midpoint_violation(spec.initial_gamma.value, states["y"])
 
-    hamiltonian_ok = worst_eig >= eig_tol
+    hamiltonian_ok = worst_eig >= _EIG_TOL
     return ConvexityReport(
         hamiltonian_ok=hamiltonian_ok,
         worst_eigenvalue=float(worst_eig),
@@ -357,5 +327,5 @@ def check_H_convexity(
         gamma_ok=gamma_gap <= 1e-9,
         worst_gamma_violation=gamma_gap,
         n_probes=n_probes,
-        eig_tol=eig_tol,
+        eig_tol=_EIG_TOL,
     )

@@ -7,6 +7,12 @@ broadcastable to its documented shape; ProblemSpec wraps each one once, so
 every caller gets a float (P, *out, *width) array.  An output smaller than
 that comes back as a read-only broadcast view, so no caller may write into
 a coefficient output.  All maps must be pure.
+
+``validate_problem`` audits the nine coefficients in one loop: every
+declared partial is differenced in the sampled argument it names (dx in x,
+dy in y, dz1 in z1, dz2 in z2, du in u), with the arguments each container
+takes, and the declared bound is checked on sigma2 and h.  Reports
+serialize through ``dataclasses.asdict``.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from __future__ import annotations
 import csv
 import functools
 import json
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Callable
 
 import numpy as np
@@ -195,11 +201,16 @@ def control_to_csv(control: ControlProcess, path: str) -> None:
 
 
 def control_from_csv(path: str, grid: TimeGrid, control_set: ControlSet) -> ControlProcess:
+    """Read a control written by control_to_csv; blank lines are skipped."""
     with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        next(reader)
-        rows = [[float(v) for v in row[1:]] for row in reader]
-    return make_control(np.asarray(rows), grid, control_set)
+        rows = [row for row in csv.reader(handle) if row]
+    try:
+        values = np.array([[float(v) for v in row[1:]] for row in rows[1:]], dtype=float)
+    except ValueError as exc:
+        raise FbsdeError(f"control file {path} is not a table of numbers: {exc}") from None
+    if values.ndim != 2:
+        raise FbsdeError(f"control file {path} has no control rows")
+    return make_control(values, grid, control_set)
 
 
 # ---------------------------------------------------------------------------
@@ -375,6 +386,16 @@ def without_observation(spec: ProblemSpec) -> ProblemSpec:
 # ---------------------------------------------------------------------------
 # validation
 
+# the audited coefficients in report order, and the two the bound applies to
+_AUDITED = (
+    "drift_b", "diffusion_sigma1", "diffusion_sigma2", "observation_h", "backward_f",
+    "running_l", "terminal_phi", "terminal_Phi", "initial_gamma",
+)
+_BOUNDED = ("diffusion_sigma2", "observation_h")
+
+# the sampled argument that each declared partial differentiates in
+_PART_ARG = {"dx": "x", "dy": "y", "dz1": "z1", "dz2": "z2", "du": "u"}
+
 
 @dataclass
 class CoefficientCheck:
@@ -401,81 +422,80 @@ class ValidationReport:
     def failing(self) -> list[str]:
         return [c.name for c in self.checks if not c.passed(self.tol)]
 
+    def to_dict(self) -> dict:
+        return asdict(self)
+
     def to_json(self) -> str:
-        payload = {
-            "passed": self.passed,
-            "tol": self.tol,
-            "samples": self.samples,
-            "seed": self.seed,
-            "checks": [
-                {
-                    "name": c.name,
-                    "max_discrepancy": c.max_discrepancy,
-                    "worst_partial": c.worst_partial,
-                    "worst_point": c.worst_point,
-                    "finite": c.finite,
-                    "bounded": c.bounded,
-                    "message": c.message,
-                }
-                for c in self.checks
-            ],
-        }
-        return json.dumps(payload, indent=2, sort_keys=True)
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
 _FD_STEP = 1e-5
 
 
-def _central_diff(fn: Callable[[Array], Array], point: Array, col: int) -> Array:
-    bumped_up = point.copy()
-    bumped_up[:, col] += _FD_STEP
-    bumped_dn = point.copy()
-    bumped_dn[:, col] -= _FD_STEP
-    return (fn(bumped_up) - fn(bumped_dn)) / (2.0 * _FD_STEP)
+def sample_arguments(spec: ProblemSpec, rng: np.random.Generator, count: int) -> dict[str, Array]:
+    """count standard-normal states x, y, z1, z2 and count controls drawn from U."""
+    n, m = spec.dim_x, spec.dim_y
+    return {
+        "x": rng.normal(size=(count, n)),
+        "y": rng.normal(size=(count, m)),
+        "z1": rng.normal(size=(count, m)),
+        "z2": rng.normal(size=(count, m)),
+        "u": spec.control_set.sample(rng, count),
+    }
 
 
-def _check_partials(
-    name: str,
-    value_of: Callable[[dict[str, Array]], Array],
-    partials: dict[str, tuple[Callable[[dict[str, Array]], Array], str]],
-    points: dict[str, Array],
-    bound: float | None,
+def _on_points(coeff, part: Callable, ts: Array) -> Callable[[dict[str, Array]], Array]:
+    """A part of coeff as a map from the sampled points (and times ts) to its values."""
+    if isinstance(coeff, TerminalCoefficient):
+        return lambda p: part(p["x"])
+    if isinstance(coeff, InitialCoefficient):
+        return lambda p: part(p["y"])
+    slots = ("x", "y", "z1", "z2") if isinstance(coeff, DriverCoefficient) else ("x",)
+    # a call takes one control shared by its paths: one call per sampled point
+    return lambda p: np.asarray(
+        [part(t, *(p[s][j : j + 1] for s in slots), p["u"][j])[0] for j, t in enumerate(ts)],
+        dtype=float,
+    )
+
+
+def _bumped(points: dict[str, Array], arg: str, col: int, step: float) -> dict[str, Array]:
+    moved = points[arg].copy()
+    moved[:, col] += step
+    return {**points, arg: moved}
+
+
+def _check_coefficient(
+    spec: ProblemSpec, name: str, points: dict[str, Array], ts: Array
 ) -> CoefficientCheck:
-    """Compare declared partials against central differences at sampled points."""
-    vals = np.asarray(value_of(points), dtype=float)
+    """Compare each declared partial of one coefficient against central
+    differences at the sampled points, and check its values are finite and,
+    for sigma2 and h, within the declared bound."""
+    coeff = getattr(spec, name)
+    bound = spec.bound_sigma2_h if name in _BOUNDED else None
+    value_of = _on_points(coeff, coeff.value, ts)
+    vals = value_of(points)
     finite = bool(np.all(np.isfinite(vals)))
-    bounded = True
-    if bound is not None and finite:
-        bounded = bool(np.max(np.abs(vals)) <= bound)
-    worst = 0.0
-    worst_partial = ""
-    worst_point: list[float] = []
+    bounded = bound is None or not finite or bool(np.max(np.abs(vals)) <= bound)
+    worst, worst_partial, worst_point = 0.0, "", []
     message = "" if finite else "non-finite value at a sampled point"
-    if finite:
-        for pname, (declared_fn, slot) in partials.items():
-            declared = np.asarray(declared_fn(points), dtype=float)
-            if not np.all(np.isfinite(declared)):
-                finite = False
-                message = f"non-finite partial {pname}"
-                break
-            width = points[slot].shape[1]
-            for col in range(width):
-                def slice_fn(bumped, _slot=slot):
-                    local = dict(points)
-                    local[_slot] = bumped
-                    return np.asarray(value_of(local), dtype=float)
-
-                fd = _central_diff(slice_fn, points[slot], col)
-                exact = declared[..., col]
-                disc = np.abs(exact - fd) / (1.0 + np.abs(exact))
-                j = int(np.argmax(disc))
-                if disc.flat[j] > worst:
-                    worst = float(disc.flat[j])
-                    worst_partial = f"{pname}[col {col}]"
-                    row = j if disc.ndim == 1 else np.unravel_index(j, disc.shape)[0]
-                    worst_point = [float(v) for v in points[slot][row]]
-    if not finite and not message:
-        message = "non-finite value"
+    for part in [f.name for f in fields(coeff)[1:]] if finite else []:
+        declared = _on_points(coeff, getattr(coeff, part), ts)(points)
+        if not np.all(np.isfinite(declared)):
+            finite = False
+            message = f"non-finite partial {part}"
+            break
+        arg = _PART_ARG[part]
+        for col in range(points[arg].shape[1]):
+            up = value_of(_bumped(points, arg, col, _FD_STEP))
+            down = value_of(_bumped(points, arg, col, -_FD_STEP))
+            fd = (up - down) / (2.0 * _FD_STEP)
+            exact = declared[..., col]
+            disc = np.abs(exact - fd) / (1.0 + np.abs(exact))
+            j = int(np.argmax(disc))
+            if disc.flat[j] > worst:
+                worst = float(disc.flat[j])
+                worst_partial = f"{part}[col {col}]"
+                worst_point = points[arg][np.unravel_index(j, disc.shape)[0]].tolist()
     return CoefficientCheck(
         name=name,
         max_discrepancy=worst,
@@ -490,93 +510,15 @@ def _check_partials(
 def validate_problem(
     spec: ProblemSpec, samples: int = 100, seed: int = 0, tol: float = 1e-4
 ) -> ValidationReport:
-    """Finite-difference audit of every declared partial, plus bound checks."""
+    """Finite-difference audit of every declared partial, plus the bound on sigma2 and h."""
     if samples < 1:
         raise FbsdeError("samples must be >= 1")
     if tol <= 0.0:
         raise FbsdeError("tol must be positive")
     rng = np.random.default_rng(seed)
-    n, m = spec.dim_x, spec.dim_y
     ts = rng.uniform(0.0, spec.horizon, size=samples)
-    pts = {
-        "x": rng.normal(scale=1.0, size=(samples, n)),
-        "y": rng.normal(scale=1.0, size=(samples, m)),
-        "z1": rng.normal(scale=1.0, size=(samples, m)),
-        "z2": rng.normal(scale=1.0, size=(samples, m)),
-        "u": spec.control_set.sample(rng, samples),
-    }
-
-    checks: list[CoefficientCheck] = []
-
-    def eval_rows(fn, p, with_state: bool):
-        # coefficient maps take one shared control; loop over sampled points
-        out = []
-        for j in range(p["x"].shape[0]):
-            row = {key: p[key][j : j + 1] for key in p}
-            t = ts[min(j, samples - 1)]
-            if with_state:
-                out.append(fn(t, row["x"], row["y"], row["z1"], row["z2"], p["u"][j])[0])
-            else:
-                out.append(fn(t, row["x"], p["u"][j])[0])
-        return np.asarray(out)
-
-    for name, coeff, bound in (
-        ("drift_b", spec.drift_b, None),
-        ("diffusion_sigma1", spec.diffusion_sigma1, None),
-        ("diffusion_sigma2", spec.diffusion_sigma2, spec.bound_sigma2_h),
-        ("observation_h", spec.observation_h, spec.bound_sigma2_h),
-    ):
-        checks.append(
-            _check_partials(
-                name,
-                lambda p, c=coeff: eval_rows(c.value, p, False),
-                {
-                    "dx": ((lambda p, c=coeff: eval_rows(c.dx, p, False)), "x"),
-                    "du": ((lambda p, c=coeff: eval_rows(c.du, p, False)), "u"),
-                },
-                pts,
-                bound,
-            )
-        )
-
-    for name, drv in (("backward_f", spec.backward_f), ("running_l", spec.running_l)):
-        checks.append(
-            _check_partials(
-                name,
-                lambda p, c=drv: eval_rows(c.value, p, True),
-                {
-                    "dx": ((lambda p, c=drv: eval_rows(c.dx, p, True)), "x"),
-                    "dy": ((lambda p, c=drv: eval_rows(c.dy, p, True)), "y"),
-                    "dz1": ((lambda p, c=drv: eval_rows(c.dz1, p, True)), "z1"),
-                    "dz2": ((lambda p, c=drv: eval_rows(c.dz2, p, True)), "z2"),
-                    "du": ((lambda p, c=drv: eval_rows(c.du, p, True)), "u"),
-                },
-                pts,
-                None,
-            )
-        )
-
-    for name, term in (("terminal_phi", spec.terminal_phi), ("terminal_Phi", spec.terminal_Phi)):
-        checks.append(
-            _check_partials(
-                name,
-                lambda p, c=term: c.value(p["x"]),
-                {"dx": ((lambda p, c=term: c.dx(p["x"])), "x")},
-                pts,
-                None,
-            )
-        )
-
-    checks.append(
-        _check_partials(
-            "initial_gamma",
-            lambda p: spec.initial_gamma.value(p["y"]),
-            {"dy": ((lambda p: spec.initial_gamma.dy(p["y"])), "y")},
-            pts,
-            None,
-        )
-    )
-
+    points = sample_arguments(spec, rng, samples)
+    checks = [_check_coefficient(spec, name, points, ts) for name in _AUDITED]
     passed = all(c.passed(tol) for c in checks)
     return ValidationReport(passed=passed, tol=tol, samples=samples, seed=seed, checks=checks)
 

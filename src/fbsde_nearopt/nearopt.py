@@ -32,7 +32,7 @@ from .bsde import (
 )
 from .errors import FbsdeError, GridMismatchError, PreconditionError
 from .forward_sim import ForwardTrajectories, evaluate_cost_strong, simulate_forward
-from .hamiltonian import ConvexityReport, check_H_convexity
+from .hamiltonian import check_H_convexity
 from .model import ControlProcess, ProblemSpec, linear_minimize_over_U
 from .paths import NoiseBundle
 
@@ -83,20 +83,19 @@ class Certificate:
     verdict: str
     provenance: dict
 
+    def to_dict(self) -> dict:
+        return {
+            "gap": self.gap,
+            "gap_stderr": self.gap_stderr,
+            "epsilon": self.epsilon,
+            "C": self.constant_C,
+            "lambda": self.order_lambda,
+            "verdict": self.verdict,
+            "provenance": self.provenance,
+        }
+
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "gap": self.gap,
-                "gap_stderr": self.gap_stderr,
-                "epsilon": self.epsilon,
-                "C": self.constant_C,
-                "lambda": self.order_lambda,
-                "verdict": self.verdict,
-                "provenance": self.provenance,
-            },
-            indent=2,
-            sort_keys=True,
-        )
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
 def run_pipeline(
@@ -160,9 +159,6 @@ def certify_sufficient(
     epsilon: float,
     lambda_exp: float,
     C: float,
-    *,
-    convexity: ConvexityReport | None = None,
-    convexity_probes: int = 24,
 ) -> Certificate:
     """Convexity plus gap condition under the control-free observation density.
 
@@ -170,15 +166,16 @@ def certify_sufficient(
     probe passes and the minimal gap clears -C eps^lambda; a convexity
     witness or a failed gap both yield inconclusive.  The gap is that of
     the control ``bwd`` was solved under, on its bundle; the convexity
-    probes are drawn from the bundle's noise seed, or from seed 0 for the
-    unseeded binomial bundle, so that every verdict is reproducible.
+    report is ``check_H_convexity`` at its default probe count, drawn from
+    the bundle's noise seed, or from seed 0 for the unseeded binomial
+    bundle, so that every verdict is reproducible.
     """
     _require_sufficient_structure(spec)
     if epsilon < 0.0 or C <= 0.0:
         raise FbsdeError("need epsilon >= 0 and C > 0")
     fwd = bwd.forward
     seed = 0 if fwd.noise.seed is None else fwd.noise.seed
-    report = convexity or check_H_convexity(spec, n_probes=convexity_probes, seed=seed)
+    report = check_H_convexity(spec, seed=seed)
     result = min_gap_over_A(spec, solve_adjoint(spec, bwd))
     threshold = -C * epsilon**lambda_exp - 3.0 * result.stderr
 
@@ -200,7 +197,7 @@ def certify_sufficient(
         verdict=verdict,
         provenance={
             **_provenance(spec, fwd, threshold),
-            "convexity": json.loads(report.to_json()),
+            "convexity": report.to_dict(),
             "reason": reason,
         },
     )

@@ -359,3 +359,87 @@ def test_env_var_default_outdir(tmp_path, monkeypatch):
     cfg = write_config(tmp_path, body, name="envrun.ini")
     assert cli.main(["--config", cfg, "validate"]) == 0
     assert (tmp_path / "envout" / "validate_report.json").exists()
+
+
+CHECK_KEYS = {
+    "name", "max_discrepancy", "worst_partial", "worst_point", "finite", "bounded", "message"
+}
+CONVEXITY_KEYS = {
+    "passed",
+    "hamiltonian_ok",
+    "worst_eigenvalue",
+    "witness",
+    "phi_ok",
+    "worst_phi_violation",
+    "gamma_ok",
+    "worst_gamma_violation",
+    "n_probes",
+    "eig_tol",
+}
+
+
+def test_report_key_sets(tmp_path):
+    cfg = _base_config(tmp_path)
+    assert cli.main(["--config", cfg, "validate"]) == 0
+    report = json.loads((tmp_path / "out" / "validate_report.json").read_text())
+    assert report.keys() == {"passed", "tol", "samples", "seed", "checks", "meta"}
+    assert [c["name"] for c in report["checks"]] == [
+        "drift_b",
+        "diffusion_sigma1",
+        "diffusion_sigma2",
+        "observation_h",
+        "backward_f",
+        "running_l",
+        "terminal_phi",
+        "terminal_Phi",
+        "initial_gamma",
+    ]
+    assert all(c.keys() == CHECK_KEYS for c in report["checks"])
+
+    # the double well fails its convexity probe, so the witness is filled in
+    body = BASE.format(out=tmp_path / "dw").replace("family = lq", "family = double_well")
+    cfg = write_config(tmp_path, body + "\n[certificate]\nepsilon = 0.1\n", name="dw.ini")
+    control = tmp_path / "u.csv"
+    control.write_text("step,u0\n" + "\n".join(f"{i},0.0" for i in range(8)) + "\n")
+    assert cli.main(["--config", cfg, "certify", "--control", str(control), "--sufficient"]) == 0
+    cert = json.loads((tmp_path / "dw" / "certificate.json").read_text())
+    convexity = cert["provenance"]["convexity"]
+    assert convexity.keys() == CONVEXITY_KEYS
+    assert convexity["witness"].keys() == {"t", "x", "y", "z1", "z2", "u", "eigenvalue"}
+
+
+def _control_rows(cells):
+    return "step,u0\n" + "\n".join(f"{i},{c}" for i, c in enumerate(cells)) + "\n"
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        pytest.param("", id="empty"),
+        pytest.param(_control_rows(["zero"] * 8), id="non-numeric"),
+        pytest.param(_control_rows(["0.0"] * 3 + ["0.0,0.1"] + ["0.0"] * 4), id="ragged"),
+    ],
+)
+def test_certify_malformed_control_file_exits_one(tmp_path, capsys, body):
+    cfg = _base_config(tmp_path)
+    control = tmp_path / "u.csv"
+    control.write_text(body)
+    assert cli.main(["--config", cfg, "certify", "--control", str(control)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(control) in err
+
+
+def test_certify_control_file_with_trailing_blank_line(tmp_path):
+    cfg = _base_config(tmp_path)
+    rows = _control_rows(["-0.4"] * 8)
+
+    def certificate(name, text):
+        control = tmp_path / f"{name}.csv"
+        control.write_text(text)
+        out = str(tmp_path / name)
+        assert cli.main(["--config", cfg, "--out", out, "certify", "--control", str(control)]) == 0
+        payload = json.loads((tmp_path / name / "certificate.json").read_text())
+        payload.pop("meta")
+        return payload
+
+    assert certificate("blank", rows + "\n") == certificate("plain", rows)

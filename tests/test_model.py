@@ -160,6 +160,49 @@ def test_validate_report_json(lq_spec):
     assert '"passed": true' in payload
 
 
+# one declared partial per container kind: Driver, Coefficient, Terminal, Initial
+BROKEN_PARTS = [
+    ("backward_f", "dz2"),
+    ("running_l", "dy"),
+    ("diffusion_sigma1", "du"),
+    ("terminal_phi", "dx"),
+    ("initial_gamma", "dy"),
+]
+
+
+@pytest.mark.parametrize("name, part", BROKEN_PARTS)
+def test_validate_names_the_broken_partial(name, part):
+    spec = make_lq_instance(dim=2)
+    coeff = getattr(spec, name)
+    declared = getattr(coeff, part)
+    broken = dataclasses.replace(coeff, **{part: lambda *args: declared(*args) + 1.0})
+    report = validate_problem(dataclasses.replace(spec, **{name: broken}), samples=20, seed=3)
+    assert report.failing() == [name]
+    check = {c.name: c for c in report.checks}[name]
+    assert check.worst_partial.startswith(f"{part}[col ")
+
+
+def test_validate_differentiates_each_partial_in_its_own_argument():
+    # slopes differ per argument, so a partial differenced in another
+    # argument's direction would disagree with its declared value
+    spec = make_lq_instance(dim=2)
+    eye = np.eye(2)
+    f = DriverCoefficient(
+        value=lambda t, x, y, z1, z2, u: x + 2.0 * y + 3.0 * z1 + 4.0 * z2 + 5.0 * u,
+        dx=lambda *args: eye,
+        dy=lambda *args: 2.0 * eye,
+        dz1=lambda *args: 3.0 * eye,
+        dz2=lambda *args: 4.0 * eye,
+        du=lambda *args: 5.0 * eye,
+    )
+    sigma1 = Coefficient(
+        value=lambda t, x, u: x + 5.0 * u, dx=lambda *args: eye, du=lambda *args: 5.0 * eye
+    )
+    spec = dataclasses.replace(spec, backward_f=f, diffusion_sigma1=sigma1)
+    report = validate_problem(spec, samples=20, seed=3, tol=1e-6)
+    assert report.passed, report.failing()
+
+
 def test_validate_rejects_bad_arguments(lq_spec):
     with pytest.raises(FbsdeError):
         validate_problem(lq_spec, samples=0)
