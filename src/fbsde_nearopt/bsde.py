@@ -4,7 +4,11 @@ Conditional expectations given the state, E[. | x(t_i)], come from one
 operator per forward bundle (``ConditionalExpectation``): a per-step fit on
 a polynomial basis in the standardized state, with a tiny ridge.  The
 backward state recursion extracts the martingale integrands by regressing
-the product of the next value with each noise increment.
+the product of the next value with each noise increment.  The kernel is
+column-major: each step's state is standardized from contiguous coordinate
+rows, its design is written in place into the one ``(P, B)`` buffer the
+operator holds, and the increment targets are built one contiguous column
+at a time.
 
 Each result holds what it was computed from: ``solve_backward(spec, fwd)``
 returns a ``BackwardTrajectories`` that carries ``fwd`` (and so its control
@@ -64,42 +68,54 @@ class ConditionalExpectation:
 
     Least squares per step on the basis in the standardized state, with a
     tiny ridge.  Each step's centre, scale, Gram matrix and condition number
-    are computed on first use and kept; the design matrix is rebuilt when a
-    step other than the last one used is asked for, so only one is held.
+    are computed on first use and kept.  The operator holds one column-major
+    ``(P, B)`` design buffer; the design of the step in use is written into
+    it in place, column by column, and rewritten when another step is asked
+    for.
     """
 
     def __init__(self, states: np.ndarray, basis: BasisSpec):
         self.states = states
         self.basis = basis
-        self._combos = basis.exponent_tuples(states.shape[2])
-        n_basis = len(self._combos)
+        combos = basis.exponent_tuples(states.shape[2])
+        n_basis = len(combos)
         if states.shape[1] < 10 * n_basis:
             raise RegressionError(
                 f"need at least {10 * n_basis} paths for a basis of size {n_basis}, "
                 f"got {states.shape[1]}"
             )
+        # each monomial after the constant is (its prefix's column) * (its last coordinate)
+        self._factors = [(combos.index(c[:-1]), c[-1]) for c in combos[1:]]
         self._stats: dict[int, tuple] = {}
-        self._held: tuple[int | None, np.ndarray | None] = (None, None)
+        self._buffer = np.empty((states.shape[1], n_basis), order="F")
+        self._held_step: int | None = None
 
-    def _design(self, x: np.ndarray, mean: np.ndarray, scale: np.ndarray) -> np.ndarray:
-        xc = (x - mean) / scale
-        cols = [np.ones(xc.shape[0])]
-        for combo in self._combos[1:]:
-            col = np.ones(xc.shape[0])
-            for idx in combo:
-                col = col * xc[:, idx]
-            cols.append(col)
-        return np.column_stack(cols)
+    def _design(
+        self, x: np.ndarray, mean: np.ndarray, scale: np.ndarray, out: np.ndarray
+    ) -> np.ndarray:
+        """Write the basis at states x (Q, d) into the column-major ``out`` (Q, B).
+
+        The standardized coordinates are contiguous rows, and each monomial
+        multiplies its factors left to right.
+        """
+        xc = np.subtract(x.T, mean[:, None], order="C")
+        xc /= scale[:, None]
+        out[:, 0] = 1.0
+        for j, (prefix, coord) in enumerate(self._factors, start=1):
+            np.multiply(out[:, prefix], xc[coord], out=out[:, j])
+        return out
 
     def _statistics(self, i: int) -> tuple:
         """Step i's (centre, scale, Gram matrix, condition number)."""
         if i not in self._stats:
             x = self.states[i]
-            mean = x.mean(axis=0)
-            std = x.std(axis=0)
+            coords = np.ascontiguousarray(x.T)
+            mean = coords.mean(axis=1)
+            std = coords.std(axis=1)
             scale = np.where(std > 1e-12, std, 1.0)
-            A = self._design(x, mean, scale)
-            gram = A.T @ A / x.shape[0] + RIDGE * np.eye(len(self._combos))
+            A = self._design(x, mean, scale, self._buffer)
+            self._held_step = i
+            gram = A.T @ A / x.shape[0] + RIDGE * np.eye(A.shape[1])
             condition = float(np.linalg.cond(gram))
             if not np.isfinite(condition) or condition > MAX_CONDITION:
                 raise RegressionError(
@@ -107,19 +123,23 @@ class ConditionalExpectation:
                     f"condition {condition:.3e}"
                 )
             self._stats[i] = (mean, scale, gram, condition)
-            self._held = (i, A)
         return self._stats[i]
 
     def fit(self, i: int, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Return (fitted values, coefficients) at step i; targets (P,) or (P, T)."""
+        """Return (fitted values, coefficients) at step i; targets (P,) or (P, T).
+
+        The fitted values take the targets' layout: column-major targets
+        get column-major fitted values, the same bits as ``A @ coef``.
+        """
         mean, scale, gram, _ = self._statistics(i)
-        if self._held[0] != i:
-            self._held = (i, self._design(self.states[i], mean, scale))
-        A = self._held[1]
+        A = self._buffer
+        if self._held_step != i:
+            self._design(self.states[i], mean, scale, A)
+            self._held_step = i
         flat = targets.ndim == 1
         tg = targets[:, None] if flat else targets
         coef = np.linalg.solve(gram, A.T @ tg / A.shape[0])
-        fitted = A @ coef
+        fitted = (coef.T @ A.T).T if np.isfortran(tg) else A @ coef
         if flat:
             return fitted[:, 0], coef[:, 0]
         return fitted, coef
@@ -127,7 +147,8 @@ class ConditionalExpectation:
     def evaluate(self, i: int, x: np.ndarray, coef: np.ndarray) -> np.ndarray:
         """Step i's fitted map with coefficients ``coef`` at other states (Q, d)."""
         mean, scale, _, _ = self._statistics(i)
-        return self._design(x, mean, scale) @ coef
+        out = np.empty((x.shape[0], self._buffer.shape[1]), order="F")
+        return self._design(x, mean, scale, out) @ coef
 
     def condition(self, i: int) -> float:
         """Condition number of step i's ridged Gram matrix."""
@@ -189,20 +210,24 @@ def _regression_step(
     """One backward LSMC step at step i for a (P, d) value known at step i + 1,
     on the noise that drove ``fwd``.
 
-    Returns E[v_next | x_i], the dW and dY integrands (each (P, d)) and the
-    residual RMS of the value fit.  The increment targets are centred on
-    the fitted mean: variance reduction with the same conditional expectation.
+    Returns E[v_next | x_i], the dW and dY integrands (each a (P, d) view of
+    one fit) and the residual RMS of the value fit.  The increment targets
+    are centred on the fitted mean: variance reduction with the same
+    conditional expectation.  They are built column-major, one contiguous
+    column per product.
     """
     P, d = v_next.shape
     noise, dt = fwd.noise, fwd.grid.dt
     v_hat, _ = operator.fit(i, v_next)
     resid = v_next - v_hat
-    increments = np.empty((P, 2 * d))
-    np.multiply(resid, noise.dW[:, i, None], out=increments[:, :d])
-    np.multiply(resid, noise.dY[:, i, None], out=increments[:, d:])
+    increments = np.empty((P, 2 * d), order="F")
+    for j in range(d):
+        np.multiply(resid[:, j], noise.dW[:, i], out=increments[:, j])
+        np.multiply(resid[:, j], noise.dY[:, i], out=increments[:, d + j])
     fitted, _ = operator.fit(i, increments)
+    fitted /= dt
     rms = float(np.sqrt(np.mean(resid ** 2)))
-    return v_hat, fitted[:, :d] / dt, fitted[:, d:] / dt, rms
+    return v_hat, fitted[:, :d], fitted[:, d:], rms
 
 
 def solve_backward(

@@ -19,7 +19,6 @@ module constants, and its report records the tolerance as ``eig_tol``.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -233,9 +232,6 @@ class ConvexityReport:
 
     def to_dict(self) -> dict:
         return {**asdict(self), "passed": self.passed}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
 def _fd_hessian(fn, v: Array, step: float = 1e-4) -> Array:

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import csv
 import functools
-import json
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Callable
 
@@ -424,9 +423,6 @@ class ValidationReport:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
 _FD_STEP = 1e-5

@@ -14,7 +14,6 @@ bundle.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -93,9 +92,6 @@ class Certificate:
             "verdict": self.verdict,
             "provenance": self.provenance,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
 def run_pipeline(

@@ -24,7 +24,7 @@ from fbsde_nearopt import (
     solve_backward,
 )
 from fbsde_nearopt import hamiltonian as ham
-from fbsde_nearopt.bsde import ConditionalExpectation
+from fbsde_nearopt.bsde import RIDGE, ConditionalExpectation, _regression_step
 
 from _instances import (
     linear_bsde_instance,
@@ -108,6 +108,105 @@ def test_operator_fits_do_not_depend_on_call_order():
         assert np.array_equal(fitted, fresh[i][0])
         assert np.array_equal(coef, fresh[i][1])
         assert np.array_equal(operator.evaluate(i, states[i], coef), fitted)
+
+
+def _column_stack_design(operator, i, x):
+    """Step i's design at x from ``np.column_stack`` of each monomial's factors
+    multiplied left to right: the reference the held buffer must equal."""
+    mean, scale, _, _ = operator._statistics(i)
+    xc = (x - mean) / scale
+    cols = [np.ones(x.shape[0])]
+    for combo in operator.basis.exponent_tuples(x.shape[1])[1:]:
+        col = np.ones(x.shape[0])
+        for idx in combo:
+            col = col * xc[:, idx]
+        cols.append(col)
+    return np.column_stack(cols)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("degree", [0, 1, 2, 3, 4])
+def test_held_design_equals_column_stack_reference(dim, degree):
+    rng = np.random.default_rng(10 * dim + degree)
+    states = rng.normal(loc=1.5, scale=2.0, size=(2, 400, dim))
+    operator = ConditionalExpectation(states, BasisSpec(degree=degree))
+    for i in (1, 0):
+        operator.fit(i, rng.normal(size=400))
+        held = operator._buffer
+        assert held.flags.f_contiguous
+        assert np.array_equal(held, _column_stack_design(operator, i, states[i]))
+    # evaluating at other states leaves the held design as it was
+    other = rng.normal(size=(50, dim))
+    coef = rng.normal(size=held.shape[1])
+    values = operator.evaluate(0, other, coef)
+    expected = _column_stack_design(operator, 0, other) @ coef
+    assert np.max(np.abs(values - expected)) <= 1e-12 * np.max(np.abs(expected))
+    assert operator._buffer is held
+    assert np.array_equal(held, _column_stack_design(operator, 0, states[0]))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_fit_agrees_with_lstsq_on_the_ridge_augmented_system(dim):
+    rng = np.random.default_rng(dim)
+    P = 2000
+    states = rng.normal(size=(1, P, dim))
+    targets = np.sin(states[0]) + rng.normal(scale=0.1, size=(P, dim))
+    operator = ConditionalExpectation(states, BasisSpec(degree=2))
+    fitted, coef = operator.fit(0, targets)
+    A = _column_stack_design(operator, 0, states[0])
+    B = A.shape[1]
+    # (1/P) |A c - t|^2 + RIDGE |c|^2 as one least-squares problem
+    stacked = np.vstack([A / np.sqrt(P), np.sqrt(RIDGE) * np.eye(B)])
+    rhs = np.vstack([targets / np.sqrt(P), np.zeros((B, dim))])
+    expected, *_ = np.linalg.lstsq(stacked, rhs, rcond=None)
+    assert np.linalg.norm(coef - expected) <= 1e-10 * np.linalg.norm(expected)
+    assert np.linalg.norm(fitted - A @ expected) <= 1e-10 * np.linalg.norm(A @ expected)
+    # column-major targets give column-major fitted values with the same bits
+    fitted_f, coef_f = operator.fit(0, np.asfortranarray(targets))
+    assert np.array_equal(coef_f, coef)
+    assert np.array_equal(fitted_f, fitted)
+    assert fitted_f.flags.f_contiguous
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_regression_step_matches_the_path_major_formula(dim):
+    spec = make_lq_instance(LQParams(dim=dim))
+    grid = make_time_grid(1.0, 4)
+    u = constant_control([0.1] * dim, grid, spec.control_set)
+    fwd = simulate_forward(spec, u, sample_noise(grid, 3000, seed=5))
+    operator = ConditionalExpectation(fwd.x, BasisSpec())
+    v_next = np.cos(fwd.x[3]) + fwd.x[3] ** 2
+    v_hat, z1, z2, rms = _regression_step(operator, 2, v_next, fwd)
+
+    # the same step, written path-major
+    dt = grid.dt
+    value, _ = operator.fit(2, v_next)
+    resid = v_next - value
+    increments = np.hstack([resid * fwd.noise.dW[:, 2, None], resid * fwd.noise.dY[:, 2, None]])
+    fitted, _ = operator.fit(2, increments)
+    for got, want in ((v_hat, value), (z1, fitted[:, :dim] / dt), (z2, fitted[:, dim:] / dt)):
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    assert rms == float(np.sqrt(np.mean(resid ** 2)))
+
+
+def test_one_design_buffer_serves_a_whole_backward_solve(monkeypatch):
+    spec = make_lq_instance(LQParams(dim=2))
+    grid = make_time_grid(1.0, 8)
+    u = constant_control([0.0, 0.0], grid, spec.control_set)
+    fwd = simulate_forward(spec, u, sample_noise(grid, 500, seed=7))
+    seen = []
+    fit = ConditionalExpectation.fit
+
+    def recording_fit(self, i, targets):
+        result = fit(self, i, targets)
+        seen.append((i, self._buffer.ctypes.data))
+        return result
+
+    monkeypatch.setattr(ConditionalExpectation, "fit", recording_fit)
+    solve_backward(spec, fwd)
+    assert sorted({i for i, _ in seen}) == list(range(8))
+    assert len({address for _, address in seen}) == 1
 
 
 # ---------------------------------------------------------------------------

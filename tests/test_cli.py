@@ -322,7 +322,7 @@ def test_certify_runs_each_layer_once(tmp_path, layer_calls, sufficient):
         )
     else:
         cert = certify_necessary(spec, bwd, payload["epsilon"], run.certificate_C)
-    assert json.loads(cert.to_json()) == payload
+    assert json.loads(json.dumps(cert.to_dict())) == payload
 
 
 def test_order_study_runs_one_pass_per_member(tmp_path, layer_calls):

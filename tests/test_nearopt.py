@@ -174,7 +174,7 @@ def test_certificate_json_roundtrip(lq_spec):
     grid = make_time_grid(1.0, 4)
     u = constant_control([0.0], grid, lq_spec.control_set)
     cert = certify_necessary(lq_spec, _bundle(lq_spec, u, 1000, 9), epsilon=0.5, C=5.0)
-    payload = json.loads(cert.to_json())
+    payload = json.loads(json.dumps(cert.to_dict()))
     assert payload["verdict"] in ("necessary-holds", "necessary-violated")
     assert payload["provenance"]["instance"] == "lq"
 

@@ -56,6 +56,17 @@ def test_sampling_path_prefix_reproducible():
     assert np.array_equal(small.dY, large.dY[:50])
 
 
+@pytest.mark.parametrize("seed", [4, 2024])
+@pytest.mark.parametrize("n_paths", [1, 3000])
+def test_threaded_draw_equals_a_serial_draw(seed, n_paths):
+    # each stream is drawn on its own thread; the bits are the serial ones
+    grid = make_time_grid(1.0, 16)
+    dW, dY = _c_order_draw(grid, n_paths, seed)
+    bundle = sample_noise(grid, n_paths, seed)
+    assert np.array_equal(bundle.dW, dW)
+    assert np.array_equal(bundle.dY, dY)
+
+
 def test_adjacent_seeds_differ():
     grid = make_time_grid(1.0, 4)
     a = sample_noise(grid, 10, seed=7)
