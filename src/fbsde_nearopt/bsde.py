@@ -8,7 +8,7 @@ the product of the next value with each noise increment.  The kernel is
 column-major: each step's state is standardized from contiguous coordinate
 rows, its design is written in place into the one ``(P, B)`` buffer the
 operator holds, and the increment targets are built one contiguous column
-at a time.
+at a time into a target array the operator also holds.
 
 Each result holds what it was computed from: ``solve_backward(spec, fwd)``
 returns a ``BackwardTrajectories`` that carries ``fwd`` (and so its control
@@ -71,7 +71,7 @@ class ConditionalExpectation:
     are computed on first use and kept.  The operator holds one column-major
     ``(P, B)`` design buffer; the design of the step in use is written into
     it in place, column by column, and rewritten when another step is asked
-    for.
+    for.  It also holds one column-major target array per target width.
     """
 
     def __init__(self, states: np.ndarray, basis: BasisSpec):
@@ -89,6 +89,7 @@ class ConditionalExpectation:
         self._stats: dict[int, tuple] = {}
         self._buffer = np.empty((states.shape[1], n_basis), order="F")
         self._held_step: int | None = None
+        self._targets: dict[int, np.ndarray] = {}
 
     def _design(
         self, x: np.ndarray, mean: np.ndarray, scale: np.ndarray, out: np.ndarray
@@ -104,6 +105,17 @@ class ConditionalExpectation:
         for j, (prefix, coord) in enumerate(self._factors, start=1):
             np.multiply(out[:, prefix], xc[coord], out=out[:, j])
         return out
+
+    def targets(self, width: int) -> np.ndarray:
+        """The held column-major ``(P, width)`` array that fit targets of this
+        width are built in; every step reuses it.
+
+        Per-step arrays of this size are handed back to the allocator at the
+        end of each step and faulted back in at the next.
+        """
+        if width not in self._targets:
+            self._targets[width] = np.empty((self.states.shape[1], width), order="F")
+        return self._targets[width]
 
     def _statistics(self, i: int) -> tuple:
         """Step i's (centre, scale, Gram matrix, condition number)."""
@@ -128,8 +140,8 @@ class ConditionalExpectation:
     def fit(self, i: int, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Return (fitted values, coefficients) at step i; targets (P,) or (P, T).
 
-        The fitted values take the targets' layout: column-major targets
-        get column-major fitted values, the same bits as ``A @ coef``.
+        The fitted values are column-major, so a view of one column is
+        contiguous; the transposed product has the bits of ``A @ coef``.
         """
         mean, scale, gram, _ = self._statistics(i)
         A = self._buffer
@@ -139,7 +151,7 @@ class ConditionalExpectation:
         flat = targets.ndim == 1
         tg = targets[:, None] if flat else targets
         coef = np.linalg.solve(gram, A.T @ tg / A.shape[0])
-        fitted = (coef.T @ A.T).T if np.isfortran(tg) else A @ coef
+        fitted = (coef.T @ A.T).T
         if flat:
             return fitted[:, 0], coef[:, 0]
         return fitted, coef
@@ -213,14 +225,14 @@ def _regression_step(
     Returns E[v_next | x_i], the dW and dY integrands (each a (P, d) view of
     one fit) and the residual RMS of the value fit.  The increment targets
     are centred on the fitted mean: variance reduction with the same
-    conditional expectation.  They are built column-major, one contiguous
-    column per product.
+    conditional expectation.  They are built in the operator's held target
+    array, one contiguous column per product.
     """
     P, d = v_next.shape
     noise, dt = fwd.noise, fwd.grid.dt
     v_hat, _ = operator.fit(i, v_next)
     resid = v_next - v_hat
-    increments = np.empty((P, 2 * d), order="F")
+    increments = operator.targets(2 * d)
     for j in range(d):
         np.multiply(resid[:, j], noise.dW[:, i], out=increments[:, j])
         np.multiply(resid[:, j], noise.dY[:, i], out=increments[:, d + j])

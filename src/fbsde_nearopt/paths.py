@@ -7,13 +7,10 @@ or the exhaustive binomial (+/- sqrt(dt)) enumeration used by the oracle.
 Every bundle stores its increments time-contiguous: ``(paths, steps)``
 matrices in column-major order, so the column a sweep reads at one step is
 contiguous.  The layout changes no value and not the prefix property.
-The two Monte-Carlo streams are drawn concurrently, one thread each, with
-the same bits as a serial draw.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,25 +86,15 @@ def sample_noise(grid: TimeGrid, n_paths: int, seed: int) -> NoiseBundle:
     W and Y come from two spawned Philox substreams, each filled path-major,
     so a bundle with fewer paths is a bitwise prefix of a larger one drawn
     from the same seed.  The scaling pass writes the column-major copy.
-    Each stream is drawn on its own thread, into its own output; the
-    generators release the GIL, and each stream's bits do not depend on
-    the other's.  Every array is allocated here, on the calling thread:
-    memory the workers allocated would stay in their own malloc arenas
-    and raise the process's resident peak from call to call.
     """
     if n_paths < 1:
         raise FbsdeError(f"n_paths must be >= 1, got {n_paths}")
     scale = np.sqrt(grid.dt)
     shape = (n_paths, grid.steps)
-    raws = np.empty((2, *shape))
     dW, dY = np.empty(shape, order="F"), np.empty(shape, order="F")
-
-    def draw(child: np.random.SeedSequence, raw: np.ndarray, out: np.ndarray) -> None:
-        np.random.Generator(np.random.Philox(child)).standard_normal(out=raw)
+    for child, out in zip(np.random.SeedSequence(seed).spawn(2), (dW, dY)):
+        raw = np.random.Generator(np.random.Philox(child)).standard_normal(shape)
         np.multiply(raw, scale, out=out)
-
-    with ThreadPoolExecutor(2) as pool:
-        list(pool.map(draw, np.random.SeedSequence(seed).spawn(2), raws, (dW, dY)))
     return NoiseBundle(grid=grid, dW=dW, dY=dY, seed=seed)
 
 

@@ -161,11 +161,11 @@ def test_fit_agrees_with_lstsq_on_the_ridge_augmented_system(dim):
     expected, *_ = np.linalg.lstsq(stacked, rhs, rcond=None)
     assert np.linalg.norm(coef - expected) <= 1e-10 * np.linalg.norm(expected)
     assert np.linalg.norm(fitted - A @ expected) <= 1e-10 * np.linalg.norm(A @ expected)
-    # column-major targets give column-major fitted values with the same bits
+    # fitted values are column-major, with the same bits for either target layout
     fitted_f, coef_f = operator.fit(0, np.asfortranarray(targets))
     assert np.array_equal(coef_f, coef)
     assert np.array_equal(fitted_f, fitted)
-    assert fitted_f.flags.f_contiguous
+    assert fitted.flags.f_contiguous and fitted_f.flags.f_contiguous
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -190,7 +190,7 @@ def test_regression_step_matches_the_path_major_formula(dim):
     assert rms == float(np.sqrt(np.mean(resid ** 2)))
 
 
-def test_one_design_buffer_serves_a_whole_backward_solve(monkeypatch):
+def test_one_design_and_one_target_buffer_serve_a_whole_backward_solve(monkeypatch):
     spec = make_lq_instance(LQParams(dim=2))
     grid = make_time_grid(1.0, 8)
     u = constant_control([0.0, 0.0], grid, spec.control_set)
@@ -200,13 +200,18 @@ def test_one_design_buffer_serves_a_whole_backward_solve(monkeypatch):
 
     def recording_fit(self, i, targets):
         result = fit(self, i, targets)
-        seen.append((i, self._buffer.ctypes.data))
+        # holding each target keeps a per-step array from reusing a freed address
+        seen.append((i, self._buffer.ctypes.data, targets))
         return result
 
     monkeypatch.setattr(ConditionalExpectation, "fit", recording_fit)
     solve_backward(spec, fwd)
-    assert sorted({i for i, _ in seen}) == list(range(8))
-    assert len({address for _, address in seen}) == 1
+    assert sorted({i for i, _, _ in seen}) == list(range(8))
+    assert len({address for _, address, _ in seen}) == 1
+    # each step fits the value, then the (P, 4) increments in the held target array
+    increments = [targets for _, _, targets in seen[1::2]]
+    assert all(t.shape == (500, 4) and t.flags.f_contiguous for t in increments)
+    assert len({id(t) for t in increments}) == 1
 
 
 # ---------------------------------------------------------------------------

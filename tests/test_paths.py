@@ -56,17 +56,6 @@ def test_sampling_path_prefix_reproducible():
     assert np.array_equal(small.dY, large.dY[:50])
 
 
-@pytest.mark.parametrize("seed", [4, 2024])
-@pytest.mark.parametrize("n_paths", [1, 3000])
-def test_threaded_draw_equals_a_serial_draw(seed, n_paths):
-    # each stream is drawn on its own thread; the bits are the serial ones
-    grid = make_time_grid(1.0, 16)
-    dW, dY = _c_order_draw(grid, n_paths, seed)
-    bundle = sample_noise(grid, n_paths, seed)
-    assert np.array_equal(bundle.dW, dW)
-    assert np.array_equal(bundle.dY, dY)
-
-
 def test_adjacent_seeds_differ():
     grid = make_time_grid(1.0, 4)
     a = sample_noise(grid, 10, seed=7)
@@ -143,12 +132,14 @@ def _assert_time_contiguous(bundle):
 
 def test_sampled_noise_is_time_contiguous_with_unchanged_values():
     grid = make_time_grid(1.0, 6)
-    bundle = sample_noise(grid, 300, seed=9)
-    _assert_time_contiguous(bundle)
-    dW, dY = _c_order_draw(grid, 300, seed=9)
-    assert bundle.dW.shape == dW.shape
-    assert np.array_equal(bundle.dW, dW)
-    assert np.array_equal(bundle.dY, dY)
+    for seed, n_paths in ((9, 300), (4, 1), (4, 3000), (2024, 1), (2024, 3000)):
+        bundle = sample_noise(grid, n_paths, seed=seed)
+        if n_paths > 1:
+            _assert_time_contiguous(bundle)
+        dW, dY = _c_order_draw(grid, n_paths, seed=seed)
+        assert bundle.dW.shape == dW.shape
+        assert np.array_equal(bundle.dW, dW)
+        assert np.array_equal(bundle.dY, dY)
 
 
 def test_binomial_noise_is_time_contiguous_with_unchanged_values():
