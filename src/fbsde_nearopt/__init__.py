@@ -53,7 +53,6 @@ from .model import (
     ValidationReport,
     builtin_instance,
     constant_control,
-    linear_minimize_over_U,
     make_control,
     make_double_well_instance,
     make_lq_instance,

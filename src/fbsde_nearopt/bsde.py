@@ -1,22 +1,23 @@
-"""Least-squares Monte-Carlo backward solvers.
+"""Backward solvers: least-squares Monte Carlo, and exact on the binomial tree.
 
-Conditional expectations given the state, E[. | x(t_i)], come from one
-operator per forward bundle (``ConditionalExpectation``): a per-step fit on
-a polynomial basis in the standardized state, with a tiny ridge.  The
-backward state recursion extracts the martingale integrands by regressing
-the product of the next value with each noise increment.  The kernel is
-column-major: each step's state is standardized from contiguous coordinate
-rows, its design is written in place into the one ``(P, B)`` buffer the
-operator holds, and the increment targets are built one contiguous column
-at a time into a target array the operator also holds.
+Conditional expectations come from one operator per forward bundle:
+``ConditionalExpectation``, E[. | x(t_i)] as a per-step fit on a polynomial
+basis in the standardized state with a tiny ridge, or, on the enumerated
+binomial bundle, the exact ``TreeExpectation`` (the random-walk scheme of
+Briand, Delyon and Memin).  One backward recursion and one adjoint sweep run
+with either; the backward state recursion extracts the martingale integrands
+by fitting the product of the next value with each noise increment.  The
+regression kernel is column-major: each step's state is standardized from
+contiguous coordinate rows, its design is written in place into the one
+``(P, B)`` buffer the operator holds, and the increment targets are built
+one contiguous column at a time into a target array the operator also holds.
 
 Each result holds what it was computed from: ``solve_backward(spec, fwd)``
 returns a ``BackwardTrajectories`` that carries ``fwd`` (and so its control
 and noise) and the operator it regressed with, and the adjoint solvers take
-only that result.  The adjoint system regresses with the same operator, so
-it takes its basis from the backward sweep, reuses the same recursion for
-its backward components and integrates the forward component by explicit
-Euler.
+only that result.  The adjoint system uses the same operator, reuses the
+same recursion for its backward components and integrates the forward
+component by explicit Euler.
 
 The adjoint system is solved by one sweep with two collectors.  Each
 reversed step evaluates the Hamiltonian's coefficient Jacobians once, for
@@ -28,6 +29,7 @@ Hamiltonian gap needs; ``adjoint_trajectories`` keeps every multiplier.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement, islice
 
@@ -63,7 +65,27 @@ class BasisSpec:
         return len(self.exponent_tuples(dim))
 
 
-class ConditionalExpectation:
+class _Operator:
+    """A per-step conditional expectation: ``fit``, ``condition`` and the
+    held ``targets`` arrays, over ``n_paths`` paths."""
+
+    def __init__(self, n_paths: int):
+        self._n_paths = n_paths
+        self._targets: dict[int, np.ndarray] = {}
+
+    def targets(self, width: int) -> np.ndarray:
+        """The held column-major ``(P, width)`` array that fit targets of this
+        width are built in; every step reuses it.
+
+        Per-step arrays of this size are handed back to the allocator at the
+        end of each step and faulted back in at the next.
+        """
+        if width not in self._targets:
+            self._targets[width] = np.empty((self._n_paths, width), order="F")
+        return self._targets[width]
+
+
+class ConditionalExpectation(_Operator):
     """E[. | x(t_i)] on one forward bundle's states ``(N + 1, P, d)``.
 
     Least squares per step on the basis in the standardized state, with a
@@ -75,6 +97,7 @@ class ConditionalExpectation:
     """
 
     def __init__(self, states: np.ndarray, basis: BasisSpec):
+        super().__init__(states.shape[1])
         self.states = states
         self.basis = basis
         combos = basis.exponent_tuples(states.shape[2])
@@ -89,7 +112,6 @@ class ConditionalExpectation:
         self._stats: dict[int, tuple] = {}
         self._buffer = np.empty((states.shape[1], n_basis), order="F")
         self._held_step: int | None = None
-        self._targets: dict[int, np.ndarray] = {}
 
     def _design(
         self, x: np.ndarray, mean: np.ndarray, scale: np.ndarray, out: np.ndarray
@@ -105,17 +127,6 @@ class ConditionalExpectation:
         for j, (prefix, coord) in enumerate(self._factors, start=1):
             np.multiply(out[:, prefix], xc[coord], out=out[:, j])
         return out
-
-    def targets(self, width: int) -> np.ndarray:
-        """The held column-major ``(P, width)`` array that fit targets of this
-        width are built in; every step reuses it.
-
-        Per-step arrays of this size are handed back to the allocator at the
-        end of each step and faulted back in at the next.
-        """
-        if width not in self._targets:
-            self._targets[width] = np.empty((self.states.shape[1], width), order="F")
-        return self._targets[width]
 
     def _statistics(self, i: int) -> tuple:
         """Step i's (centre, scale, Gram matrix, condition number)."""
@@ -167,10 +178,26 @@ class ConditionalExpectation:
         return self._statistics(i)[3]
 
 
+class TreeExpectation(_Operator):
+    """Exact E[. | F_i] on the binomial bundle of ``steps`` steps: the mean
+    over each depth-i node's contiguous block of 4**(N - i) paths."""
+
+    def __init__(self, steps: int):
+        super().__init__(4**steps)
+
+    def fit(self, i: int, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Return (block means repeated over each block, node means) at step
+        i; targets (P,) or (P, T)."""
+        nodes = 4**i
+        coef = targets.reshape(nodes, -1, *targets.shape[1:]).mean(axis=1)
+        return np.repeat(coef, targets.shape[0] // nodes, axis=0), coef
+
+    def condition(self, i: int) -> float:
+        return 1.0
+
+
 @dataclass
 class RegressionDiagnostics:
-    basis_degree: int
-    basis_size: int
     condition_numbers: list[float] = field(default_factory=list)
     residual_rms: list[float] = field(default_factory=list)
 
@@ -187,7 +214,7 @@ class BackwardTrajectories:
     z1: np.ndarray
     z2: np.ndarray
     diagnostics: RegressionDiagnostics
-    operator: ConditionalExpectation
+    operator: ConditionalExpectation | TreeExpectation
     forward: ForwardTrajectories
 
 
@@ -217,9 +244,9 @@ class AdjointTrajectories(ControlGradient):
 
 
 def _regression_step(
-    operator: ConditionalExpectation, i: int, v_next: np.ndarray, fwd: ForwardTrajectories
+    operator: _Operator, i: int, v_next: np.ndarray, fwd: ForwardTrajectories
 ):
-    """One backward LSMC step at step i for a (P, d) value known at step i + 1,
+    """One backward step at step i for a (P, d) value known at step i + 1,
     on the noise that drove ``fwd``.
 
     Returns E[v_next | x_i], the dW and dY integrands (each a (P, d) view of
@@ -245,11 +272,20 @@ def _regression_step(
 def solve_backward(
     spec: ProblemSpec, fwd: ForwardTrajectories, basis: BasisSpec = BasisSpec()
 ) -> BackwardTrajectories:
-    """Backward regression recursion for (y, z1, z2) on the forward bundle.
+    """Backward regression recursion for (y, z1, z2) on the forward bundle."""
+    return _backward_sweep(spec, fwd, lambda: ConditionalExpectation(fwd.x, basis))
 
-    Per step: z's from martingale-increment regressions, then the value
-    update with the driver's y-argument resolved by an explicit predictor
-    and one corrector evaluation.
+
+def _backward_sweep(
+    spec: ProblemSpec, fwd: ForwardTrajectories, make_operator: Callable[[], _Operator]
+) -> BackwardTrajectories:
+    """The backward recursion for (y, z1, z2) with the operator ``make_operator()``.
+
+    Per step: z's from martingale-increment fits, then the value update with
+    the driver's y-argument resolved by an explicit predictor and one
+    corrector evaluation.  The operator is built after the trajectories are
+    allocated: built before them, its design buffer raises the peak RSS of a
+    line search's repeated solves (by 5 % on lq_obs at 20k x 32 under glibc).
     """
     u, grid = fwd.control, fwd.grid
     P, N, m = fwd.n_paths, grid.steps, spec.dim_y
@@ -260,7 +296,7 @@ def solve_backward(
     z1 = np.empty((N, P, m))
     z2 = np.empty((N, P, m))
     y[N] = spec.terminal_phi.value(fwd.x[N])
-    operator = ConditionalExpectation(fwd.x, basis)
+    operator = make_operator()
     residuals = []
 
     for i in reversed(range(N)):
@@ -280,8 +316,6 @@ def solve_backward(
         residuals.append(rms)
 
     diag = RegressionDiagnostics(
-        basis_degree=basis.degree,
-        basis_size=basis.size(spec.dim_x),
         condition_numbers=[operator.condition(i) for i in range(N)],
         residual_rms=residuals[::-1],
     )
@@ -298,8 +332,8 @@ def _adjoint_sweep(spec: ProblemSpec, bwd: BackwardTrajectories):
     backwards; then one reversed sweep that, per step, solves the scalar
     value system (r, R1, R2) and then the backward p system, which consumes
     k and, through the shifted slot of the Hamiltonian partials, R2.  Both
-    backward systems regress with ``bwd``'s operator, so its basis and
-    per-step factorizations serve all three sweeps.  Increments of the
+    backward systems fit with ``bwd``'s operator, so its per-step
+    factorizations serve all three sweeps.  Increments of the
     rotated observation noise are reconstructed pathwise as dY - h dt, with
     h evaluated per step in each sweep.  Each reversed step builds one
     ``ShiftedPartials`` at its fixed k, q1 and q2; both passes of the p
@@ -314,8 +348,7 @@ def _adjoint_sweep(spec: ProblemSpec, bwd: BackwardTrajectories):
     """
     fwd, operator = bwd.forward, bwd.operator
     u, noise, grid = fwd.control, fwd.noise, fwd.grid
-    P, N = fwd.n_paths, grid.steps
-    n, m = spec.dim_x, spec.dim_y
+    P, N, m = fwd.n_paths, grid.steps, spec.dim_y
     dt = grid.dt
     times = grid.times
 
@@ -382,8 +415,6 @@ def _adjoint_sweep(spec: ProblemSpec, bwd: BackwardTrajectories):
     # condition number is listed once; residuals list every r fit, then
     # every p fit; both from the last step back
     yield RegressionDiagnostics(
-        basis_degree=operator.basis.degree,
-        basis_size=operator.basis.size(n),
         condition_numbers=[operator.condition(i) for i in reversed(range(N))],
         residual_rms=r_residuals + p_residuals,
     )

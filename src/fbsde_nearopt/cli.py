@@ -34,14 +34,15 @@ from .model import (
 from .nearopt import certify_necessary, certify_sufficient, estimate_order, min_gap_over_A
 from .optimizer import DescentParams, perturbed_controls, smp_descent
 from .oracle import enumerate_lattice, riccati_lq, riccati_open_loop_control
-from .paths import enumerate_binomial, make_time_grid, sample_noise
+from .paths import MAX_BINOMIAL_PATHS, enumerate_binomial, make_time_grid, sample_noise
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_USAGE = 2
 
 ENV_OUT_DIR = "FBSDE_NEAROPT_OUT"
-MAX_ORACLE_STEPS = 5
+# the largest N whose 4**N lattice paths fit the binomial budget
+MAX_ORACLE_STEPS = (MAX_BINOMIAL_PATHS.bit_length() - 1) // 2
 
 _SECTION_KEYS = {
     "grid": {"horizon", "steps"},

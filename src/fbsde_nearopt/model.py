@@ -132,14 +132,6 @@ class Ball(ControlSet):
         return self.center_point + raw * radii[:, None]
 
 
-def linear_minimize_over_U(g: Array, control_set: ControlSet) -> Array:
-    """argmin over v in U of <g, v>; ties resolved to the set center."""
-    g = np.asarray(g, dtype=float)
-    if not np.all(np.isfinite(g)):
-        raise FbsdeError("linear minimization needs a finite objective vector")
-    return control_set.linear_minimize(g)
-
-
 # ---------------------------------------------------------------------------
 # controls
 

@@ -32,7 +32,7 @@ from .bsde import (
 from .errors import FbsdeError, GridMismatchError, PreconditionError
 from .forward_sim import ForwardTrajectories, evaluate_cost_strong, simulate_forward
 from .hamiltonian import check_H_convexity
-from .model import ControlProcess, ProblemSpec, linear_minimize_over_U
+from .model import ControlProcess, ProblemSpec
 from .paths import NoiseBundle
 
 
@@ -62,9 +62,10 @@ def min_gap_over_A(spec: ProblemSpec, grad: ControlGradient) -> GapResult:
     result is never positive (u_eps itself is feasible).
     """
     g_bar = grad.weighted.mean(axis=1)
-    v = np.stack(
-        [linear_minimize_over_U(g_bar[i], spec.control_set) for i in range(g_bar.shape[0])]
-    )
+    finite = np.isfinite(g_bar).all(axis=1)
+    if not finite.all():
+        raise FbsdeError(f"non-finite mean rho * H_u at step {int(np.argmin(finite))}")
+    v = np.stack([spec.control_set.linear_minimize(g) for g in g_bar])
     minimizer = ControlProcess(values=v, grid=grad.control.grid)
     gap, stderr = necessary_gap(grad, minimizer)
     return GapResult(gap=gap, stderr=stderr, minimizer=minimizer)

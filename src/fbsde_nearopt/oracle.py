@@ -1,21 +1,24 @@
 """Independent ground truth: exact lattice enumeration and the Riccati oracle.
 
 The binomial lattice walks every joint sign path of the two noises, so
-expectations are exact sums and backward values are exact conditional
-averages over the four children of each node; no regression enters.  The
+expectations are exact sums.  Its forward values come from a node-level
+recursion of its own; its backward values come from the pipeline's backward
+recursion run with the exact tree operator, whose conditional expectations
+are averages over each node's descendants, so no regression enters.  The
 Riccati oracle covers the degenerate full-observation LQ family.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .bsde import BackwardTrajectories, TreeExpectation, _backward_sweep
 from .errors import OracleError
+from .forward_sim import ForwardTrajectories, evaluate_cost_strong
 from .model import ControlProcess, ControlSet, LQParams, ProblemSpec, make_control
-from .paths import MAX_BINOMIAL_PATHS, TimeGrid
+from .paths import MAX_BINOMIAL_PATHS, TimeGrid, enumerate_binomial
 
 SW_CHILD = np.array([-1.0, 1.0, -1.0, 1.0])
 SY_CHILD = np.array([-1.0, -1.0, 1.0, 1.0])
@@ -23,16 +26,15 @@ SY_CHILD = np.array([-1.0, -1.0, 1.0, 1.0])
 
 @dataclass(frozen=True)
 class LatticeSolution:
-    """Exact discretized cost and nodewise forward and backward values.
+    """Exact discretized cost and the exact backward values on all 4**N paths.
 
-    ``x_levels[i]`` and ``y_levels[i]`` hold the exact x and y at the 4**i
-    depth-i nodes; every terminal path carries the uniform weight 4**-N.
+    ``backward`` holds (y, z1, z2) and, through ``backward.forward``, the
+    lattice's x and rho per path; ``adjoint_trajectories(spec, backward)``
+    gives the exact multipliers.  Every path carries the uniform weight 4**-N.
     """
 
     cost: float
-    y_levels: list
-    x_levels: list
-    grid: TimeGrid
+    backward: BackwardTrajectories
 
 
 def _expand(values: np.ndarray) -> np.ndarray:
@@ -44,8 +46,10 @@ def enumerate_lattice(spec: ProblemSpec, u: ControlProcess, grid: TimeGrid) -> L
     """Exact expectation of the discretized cost over all 4**N sign paths.
 
     The forward recursion mirrors the Euler/log-density scheme of the
-    Monte-Carlo simulator term for term (same expression grouping), so the
-    cost agrees bitwise with the pipeline fed the enumerated bundle.
+    Monte-Carlo simulator term for term (same expression grouping), node by
+    node; its values are then repeated over each node's paths, and the
+    backward values and the cost come from the pipeline's own recursion and
+    cost reduction with the exact tree operator.
     """
     N = grid.steps
     if 4**N > MAX_BINOMIAL_PATHS:
@@ -54,12 +58,11 @@ def enumerate_lattice(spec: ProblemSpec, u: ControlProcess, grid: TimeGrid) -> L
         )
     if not u.grid.matches(grid):
         raise OracleError("control grid does not match the lattice grid")
-    n, m = spec.dim_x, spec.dim_y
     dt = grid.dt
     sqdt = np.sqrt(dt)
     times = grid.times
 
-    x_levels = [np.broadcast_to(spec.initial_x, (1, n)).astype(float)]
+    x_levels = [np.broadcast_to(spec.initial_x, (1, spec.dim_x)).astype(float)]
     log_rho_levels = [np.zeros(1)]
     for i in range(N):
         xi = x_levels[i]
@@ -83,46 +86,16 @@ def enumerate_lattice(spec: ProblemSpec, u: ControlProcess, grid: TimeGrid) -> L
             + h_rep * dy
             - 0.5 * h_rep * h_rep * dt
         )
-    rho_levels = [np.exp(lr) for lr in log_rho_levels]
 
-    # exact backward induction: average over the four children of each node
-    y_levels: list = [None] * (N + 1)
-    z1_levels: list = [None] * N
-    z2_levels: list = [None] * N
-    y_levels[N] = spec.terminal_phi.value(x_levels[N])
-    for i in reversed(range(N)):
-        Q = 4**i
-        y_next = y_levels[i + 1].reshape(Q, 4, m)
-        y_hat = y_next.mean(axis=1)
-        z1 = (y_next * SW_CHILD[None, :, None]).mean(axis=1) * sqdt / dt
-        z2 = (y_next * SY_CHILD[None, :, None]).mean(axis=1) * sqdt / dt
-        xi = x_levels[i]
-        ui = u.values[i]
-        z2h = z2 * spec.observation_h.value(times[i], xi, ui)[:, None]
-        y_arg = y_hat
-        for _ in range(2):
-            f_val = spec.backward_f.value(times[i], xi, y_arg, z1, z2, ui)
-            y_arg = y_hat - (f_val - z2h) * dt
-        y_levels[i] = y_arg
-        z1_levels[i] = z1
-        z2_levels[i] = z2
-
-    # cost reduction, expression-for-expression the Monte-Carlo one
+    # each depth-i node's 4**(N - i) paths are contiguous (enumerate_binomial)
     P = 4**N
-    running = np.zeros(P)
-    for i in range(N):
-        Q = 4**i
-        l_val = spec.running_l.value(
-            times[i], x_levels[i], y_levels[i], z1_levels[i], z2_levels[i], u.values[i]
-        )
-        contrib = rho_levels[i] * l_val * dt
-        running = running + np.repeat(contrib, P // Q)
-    terminal = rho_levels[N] * spec.terminal_Phi.value(x_levels[N])
-    run_mean = math.fsum(running) / P
-    term_mean = math.fsum(terminal) / P
-    initial = float(spec.initial_gamma.value(y_levels[0])[0])
-    cost = run_mean + term_mean + initial
-    return LatticeSolution(cost=cost, y_levels=y_levels, x_levels=x_levels, grid=grid)
+    fwd = ForwardTrajectories(
+        x=np.stack([np.repeat(xl, P // xl.shape[0], axis=0) for xl in x_levels]),
+        rho=np.stack([np.repeat(np.exp(lr), P // lr.shape[0]) for lr in log_rho_levels]),
+        grid=grid, control=u, noise=enumerate_binomial(grid),
+    )
+    bwd = _backward_sweep(spec, fwd, lambda: TreeExpectation(N))
+    return LatticeSolution(cost=evaluate_cost_strong(spec, bwd).value, backward=bwd)
 
 
 @dataclass(frozen=True)

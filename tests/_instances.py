@@ -11,7 +11,7 @@ from fbsde_nearopt.model import (
     LQParams,
     TerminalCoefficient,
     make_lq_instance,
-    make_scalar_nonlinear_instance,
+    zero_driver,
 )
 
 
@@ -168,13 +168,12 @@ def nan_observation_instance():
     return dataclasses.replace(base, observation_h=h, label="nan_h")
 
 
-def value_as_backward_instance():
-    """scalar_nonlinear with driver f = -l and terminal map phi = Phi.
+def value_as_backward_instance(base):
+    """``base`` with driver f = -l and terminal map phi = Phi.
 
-    l does not depend on y, so the backward state (y, z1, z2) solves the
+    When l does not depend on y, the backward state (y, z1, z2) solves the
     value system's equation dr = -l dt + R1 dW + R2 dW^u, r(T) = Phi(x(T)).
     """
-    base = make_scalar_nonlinear_instance()
     l, Phi = base.running_l, base.terminal_Phi
 
     def negated(fn):
@@ -192,5 +191,26 @@ def value_as_backward_instance():
         value=lambda x: Phi.value(x)[:, None], dx=lambda x: Phi.dx(x)[:, None, :]
     )
     return dataclasses.replace(
-        base, backward_f=driver, terminal_phi=phi, label="value_as_backward"
+        base,
+        backward_f=driver,
+        terminal_phi=phi,
+        phi_linear=False,
+        label=f"{base.label}_value_as_backward",
+    )
+
+
+def cost_through_y_twin(base):
+    """``value_as_backward_instance(base)`` with l = Phi = 0 and gamma(y) = y.
+
+    The cost is carried by the backward state alone: with f = -l the twin's
+    y(0) is the original's running plus terminal cost, so on h == 0 families
+    J_twin = J exactly.  (With h != 0 the driver's z2 * h term is only the
+    linearized density, and the two differ by O(dt).)
+    """
+    return dataclasses.replace(
+        value_as_backward_instance(base),
+        running_l=zero_driver(),
+        terminal_Phi=TerminalCoefficient(value=lambda x: 0.0, dx=lambda x: 0.0),
+        initial_gamma=InitialCoefficient(value=lambda y: y[:, 0], dy=lambda y: 1.0),
+        label=f"{base.label}_twin",
     )

@@ -24,7 +24,7 @@ from fbsde_nearopt import (
     solve_backward,
 )
 from fbsde_nearopt import hamiltonian as ham
-from fbsde_nearopt.bsde import RIDGE, ConditionalExpectation, _regression_step
+from fbsde_nearopt.bsde import RIDGE, ConditionalExpectation, TreeExpectation, _regression_step
 
 from _instances import (
     linear_bsde_instance,
@@ -55,6 +55,19 @@ def _residual_rms(operator, i, targets):
 
 # ---------------------------------------------------------------------------
 # conditional-expectation operator
+
+
+def test_tree_expectation_is_the_block_mean():
+    # two steps, 16 paths: a depth-1 node's descendants are 4 contiguous paths
+    operator = TreeExpectation(2)
+    targets = np.arange(32.0).reshape(16, 2)
+    fitted, coef = operator.fit(1, targets)
+    assert np.array_equal(coef, targets.reshape(4, 4, 2).mean(axis=1))
+    assert np.array_equal(fitted, np.repeat(coef, 4, axis=0))
+    flat, root = operator.fit(0, targets[:, 0])
+    assert np.array_equal(flat, np.full(16, 15.0)) and np.array_equal(root, [15.0])
+    assert operator.targets(2).shape == (16, 2) and operator.targets(2) is operator.targets(2)
+    assert operator.condition(1) == 1.0
 
 
 def test_regression_reproduces_constants():
@@ -313,8 +326,9 @@ def test_adjoint_takes_its_basis_from_the_backward_sweep(lq_spec):
     noise = sample_noise(grid, 500, seed=7)
     u = constant_control([0.0], grid, lq_spec.control_set)
     fwd, bwd, adj = _full_pipeline(lq_spec, u, noise, BasisSpec(degree=1))
-    assert adj.diagnostics.basis_degree == bwd.diagnostics.basis_degree == 1
-    assert adj.diagnostics.basis_size == bwd.diagnostics.basis_size == 2
+    # a degree-2 operator of its own would list other condition numbers
+    assert bwd.operator.basis == BasisSpec(degree=1)
+    assert adj.diagnostics.condition_numbers == bwd.diagnostics.condition_numbers[::-1]
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +427,7 @@ def test_production_adjoint_holds_no_observation_drift_history():
 def test_value_system_equals_backward_state_when_f_is_minus_l():
     # both sweeps run the same regression step: with f = -l and phi = Phi the
     # value system (r, R1, R2) is the backward state (y, z1, z2) bit for bit
-    spec = value_as_backward_instance()
+    spec = value_as_backward_instance(make_scalar_nonlinear_instance())
     grid = make_time_grid(1.0, 16)
     noise = sample_noise(grid, 2000, seed=13)
     u = constant_control([0.2], grid, spec.control_set)

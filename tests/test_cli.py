@@ -91,7 +91,7 @@ def test_missing_config_exits_two(tmp_path, capsys):
         ("\n[instance]", "stray = 1\n[instance]"),
         ("seed = 3", "seed = -3"),
         ("[output]", "[bsde]\ndegree = 7\n\n[output]"),
-        ("[output]", "[oracle]\nsteps = 8\n\n[output]"),
+        ("[output]", "[oracle]\nsteps = 10\n\n[output]"),
     ],
     ids=[
         "unknown-section",
@@ -259,7 +259,7 @@ def test_oracle_compare_runs_at_its_step_limit(tmp_path):
     cfg = _base_config(tmp_path, extra=f"\n[oracle]\nsteps = {cli.MAX_ORACLE_STEPS}\n")
     assert cli.main(["--config", cfg, "oracle-compare"]) == 0
     payload = json.loads((tmp_path / "out" / "oracle_compare.json").read_text())
-    assert payload["steps"] == cli.MAX_ORACLE_STEPS == 5
+    assert payload["steps"] == cli.MAX_ORACLE_STEPS == 9
 
 
 def test_seed_flag_and_determinism(tmp_path):

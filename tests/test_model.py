@@ -20,7 +20,6 @@ from fbsde_nearopt import (
     builtin_instance,
     constant_control,
     evaluate_cost_strong,
-    linear_minimize_over_U,
     make_control,
     make_lq_instance,
     make_time_grid,
@@ -69,18 +68,18 @@ def test_projection_lipschitz():
 
 
 def test_linear_minimize_box_sign_rule():
-    out = linear_minimize_over_U(np.array([2.0, -3.0]), BOX)
+    out = BOX.linear_minimize(np.array([2.0, -3.0]))
     assert np.allclose(out, [-1.0, 1.0])
 
 
 def test_linear_minimize_zero_gives_center():
-    assert np.allclose(linear_minimize_over_U(np.zeros(2), BOX), [0.0, 0.0])
-    assert np.allclose(linear_minimize_over_U(np.zeros(2), BALL), [0.0, 0.0])
+    assert np.allclose(BOX.linear_minimize(np.zeros(2)), [0.0, 0.0])
+    assert np.allclose(BALL.linear_minimize(np.zeros(2)), [0.0, 0.0])
 
 
 def test_linear_minimize_ball_antipodal():
     ball = Ball(center_point=np.zeros(2), radius=2.0)
-    out = linear_minimize_over_U(np.array([1.0, 0.0]), ball)
+    out = ball.linear_minimize(np.array([1.0, 0.0]))
     assert np.allclose(out, [-2.0, 0.0])
 
 
@@ -88,7 +87,7 @@ def test_linear_minimize_beats_random_points():
     rng = np.random.default_rng(1)
     for cs in (BOX, BALL):
         g = rng.normal(size=2)
-        best = float(g @ linear_minimize_over_U(g, cs))
+        best = float(g @ cs.linear_minimize(g))
         samples = cs.sample(rng, 1000)
         assert np.all(best <= samples @ g + 1e-12)
 

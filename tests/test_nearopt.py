@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from fbsde_nearopt import (
+    ControlGradient,
     FbsdeError,
     GridMismatchError,
     PreconditionError,
@@ -26,6 +27,8 @@ from fbsde_nearopt import (
     solve_adjoint,
     solve_backward,
 )
+
+from fbsde_nearopt.bsde import RegressionDiagnostics
 
 from _instances import linear_gap_instance
 
@@ -89,6 +92,17 @@ def test_min_gap_never_positive(lq_spec):
         fwd, bwd, adj = run_pipeline(lq_spec, u, noise)
         result = min_gap_over_A(lq_spec, adj)
         assert result.gap <= 1e-12
+
+
+def test_min_gap_names_the_first_non_finite_step(lq_spec):
+    grid = make_time_grid(1.0, 4)
+    u = constant_control([0.0], grid, lq_spec.control_set)
+    weighted = np.ones((4, 10, 1))
+    weighted[2, 3] = np.nan
+    weighted[3, 0] = np.inf
+    grad = ControlGradient(weighted=weighted, diagnostics=RegressionDiagnostics(), control=u)
+    with pytest.raises(FbsdeError, match="non-finite mean rho \\* H_u at step 2$"):
+        min_gap_over_A(lq_spec, grad)
 
 
 def test_min_gap_noise_floor_at_optimum(lq_spec, lq_params, lq_riccati):
