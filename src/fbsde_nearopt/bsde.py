@@ -12,6 +12,12 @@ contiguous coordinate rows, its design is written in place into the one
 ``(P, B)`` buffer the operator holds, and the increment targets are built
 one contiguous column at a time into a target array the operator also holds.
 
+Every trajectory, y, z1, z2 here and k, p, q1, q2 in the adjoint, is
+allocated like the forward state: ``(steps, P, d)`` with column-major
+per-step slices, so the per-step updates and the fits' targets run along
+the contiguous path axis.  The collected rho * H_u stays C-ordered: the
+gap's reductions over paths round differently on column-major steps.
+
 Each result holds what it was computed from: ``solve_backward(spec, fwd)``
 returns a ``BackwardTrajectories`` that carries ``fwd`` (and so its control
 and noise) and the operator it regressed with, and the adjoint solvers take
@@ -37,7 +43,7 @@ import numpy as np
 
 from . import hamiltonian as ham
 from .errors import FbsdeError, RegressionError
-from .forward_sim import ForwardTrajectories
+from .forward_sim import ForwardTrajectories, _trajectory
 from .model import ControlProcess, ProblemSpec
 
 RIDGE = 1e-10
@@ -132,7 +138,7 @@ class ConditionalExpectation(_Operator):
         """Step i's (centre, scale, Gram matrix, condition number)."""
         if i not in self._stats:
             x = self.states[i]
-            coords = np.ascontiguousarray(x.T)
+            coords = x.T
             mean = coords.mean(axis=1)
             std = coords.std(axis=1)
             scale = np.where(std > 1e-12, std, 1.0)
@@ -204,7 +210,8 @@ class RegressionDiagnostics:
 
 @dataclass(frozen=True)
 class BackwardTrajectories:
-    """Backward state, time-major: y[i] is (paths, m); z's live on steps.
+    """Backward state, time-major: y[i] is a column-major (paths, m) view;
+    z's live on steps.
 
     ``forward`` is the bundle the sweep was solved on and ``operator`` the
     conditional expectation it regressed with; the adjoint sweep reuses both.
@@ -220,9 +227,9 @@ class BackwardTrajectories:
 
 @dataclass(frozen=True)
 class ControlGradient:
-    """rho_i * H_u(t_i) per step and path, (N, P, k) time-major: what the
-    Hamiltonian gap reads from the adjoint system, with the control it was
-    taken at."""
+    """rho_i * H_u(t_i) per step and path, (N, P, k) time-major and
+    C-ordered: what the Hamiltonian gap reads from the adjoint system, with
+    the control it was taken at."""
 
     weighted: np.ndarray
     diagnostics: RegressionDiagnostics
@@ -232,7 +239,8 @@ class ControlGradient:
 @dataclass(frozen=True)
 class AdjointTrajectories(ControlGradient):
     """The control gradient with the multipliers (k, p, q1, q2) and the value
-    system (r, R1, R2) of every step, time-major."""
+    system (r, R1, R2) of every step, time-major; the multipliers' per-step
+    slices are column-major."""
 
     k: np.ndarray
     p: np.ndarray
@@ -292,9 +300,9 @@ def _backward_sweep(
     dt = grid.dt
     times = grid.times
 
-    y = np.empty((N + 1, P, m))
-    z1 = np.empty((N, P, m))
-    z2 = np.empty((N, P, m))
+    y = _trajectory(N + 1, P, m)
+    z1 = _trajectory(N, P, m)
+    z2 = _trajectory(N, P, m)
     y[N] = spec.terminal_phi.value(fwd.x[N])
     operator = make_operator()
     residuals = []
@@ -353,7 +361,7 @@ def _adjoint_sweep(spec: ProblemSpec, bwd: BackwardTrajectories):
     times = grid.times
 
     # forward multiplier: dk = -H_y dt - H_z1 dW - H_z2 dW^u, k(0) = -gamma_y(y(0))
-    k = np.empty((N + 1, P, m))
+    k = _trajectory(N + 1, P, m)
     k[0] = -spec.initial_gamma.dy(bwd.y[0])
     for i in range(N):
         t = times[i]
@@ -373,11 +381,14 @@ def _adjoint_sweep(spec: ProblemSpec, bwd: BackwardTrajectories):
 
     # value system: dr = -l dt + R1 dW + R2 dW^u, r(T) = Phi(x(T));
     # state multiplier: dp = -H_x dt + q1 dW + q2 dW^u,
-    # p(T) = Phi_x(x(T)) - phi_x(x(T))^T k(T); both regressed as C-ordered
-    # arrays, whatever layout the coefficients return
+    # p(T) = Phi_x(x(T)) - phi_x(x(T))^T k(T), written into a trajectory step
+    # whatever layout the coefficients return
     r_next = np.ascontiguousarray(spec.terminal_Phi.value(fwd.x[N]))
-    p_next = np.ascontiguousarray(
-        spec.terminal_Phi.dx(fwd.x[N]) - ham.vjp(k[N], spec.terminal_phi.dx(fwd.x[N]))
+    p_next = _trajectory(1, P, spec.dim_x)[0]
+    np.subtract(
+        spec.terminal_Phi.dx(fwd.x[N]),
+        ham.vjp(k[N], spec.terminal_phi.dx(fwd.x[N])),
+        out=p_next,
     )
     yield k, p_next, r_next
     r_residuals, p_residuals = [], []
@@ -447,9 +458,9 @@ def adjoint_trajectories(spec: ProblemSpec, bwd: BackwardTrajectories) -> Adjoin
     k, p_T, r_T = next(sweep)
     P, N, n = fwd.n_paths, fwd.grid.steps, spec.dim_x
     weighted = np.empty((N, P, spec.dim_u))
-    p = np.empty((N + 1, P, n))
-    q1 = np.empty((N, P, n))
-    q2 = np.empty((N, P, n))
+    p = _trajectory(N + 1, P, n)
+    q1 = _trajectory(N, P, n)
+    q2 = _trajectory(N, P, n)
     r = np.empty((N + 1, P))
     R1 = np.empty((N, P))
     R2 = np.empty((N, P))

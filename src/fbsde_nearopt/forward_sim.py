@@ -3,6 +3,11 @@
 The state advances with drift b - sigma2*h against the two reference-measure
 noises; the density weight rho is advanced in log space so that it stays
 positive and is exact for constant observation drift.
+
+Every trajectory (the state here, the backward and adjoint processes in
+``bsde``) is a time-major ``(steps, P, d)`` array stored as ``(steps, d, P)``:
+each step's ``(P, d)`` slice is column-major, so every per-step product,
+pairing and reduction runs along the contiguous path axis.
 """
 
 from __future__ import annotations
@@ -24,15 +29,29 @@ def _check_same_grid(a: TimeGrid, b: TimeGrid, what: str) -> None:
         raise GridMismatchError(f"{what}: grids differ ({a} vs {b})")
 
 
+def _trajectory(steps: int, paths: int, dim: int) -> np.ndarray:
+    """An empty ``(steps, paths, dim)`` trajectory whose per-step
+    ``(paths, dim)`` slices are column-major."""
+    return np.empty((steps, dim, paths)).swapaxes(1, 2)
+
+
 @dataclass(frozen=True)
 class ForwardTrajectories:
-    """States x and density weights rho, time-major: x[i] is (paths, n)."""
+    """States x and density weights rho, time-major: x[i] is (paths, n).
+
+    ``x`` is stored with column-major per-step slices however the bundle was
+    built, as every trajectory is; ``x[i]`` is contiguous along paths.
+    """
 
     x: np.ndarray
     rho: np.ndarray
     grid: TimeGrid
     control: ControlProcess
     noise: NoiseBundle
+
+    def __post_init__(self) -> None:
+        x = np.ascontiguousarray(self.x.swapaxes(1, 2)).swapaxes(1, 2)
+        object.__setattr__(self, "x", x)
 
     @property
     def n_paths(self) -> int:
@@ -51,7 +70,7 @@ def simulate_forward(
     dt = grid.dt
     times = grid.times
 
-    x = np.empty((N + 1, P, n))
+    x = _trajectory(N + 1, P, n)
     log_rho = np.empty((N + 1, P))
     x[0] = spec.initial_x[None, :]
     log_rho[0] = 0.0
@@ -64,11 +83,12 @@ def simulate_forward(
         s1 = spec.diffusion_sigma1.value(t, xi, ui)
         s2 = spec.diffusion_sigma2.value(t, xi, ui)
         h = spec.observation_h.value(t, xi, ui)
+        # a product of broadcast views would come out C-ordered: lay it out like x
         x[i + 1] = (
             xi
-            + (b - s2 * h[:, None]) * dt
-            + s1 * noise.dW[:, i, None]
-            + s2 * noise.dY[:, i, None]
+            + (b - np.multiply(s2, h[:, None], order="F")) * dt
+            + np.multiply(s1, noise.dW[:, i, None], order="F")
+            + np.multiply(s2, noise.dY[:, i, None], order="F")
         )
         log_rho[i + 1] = log_rho[i] + h * noise.dY[:, i] - 0.5 * h * h * dt
         # one reduction per step; NaN fails the comparison, so it is caught too

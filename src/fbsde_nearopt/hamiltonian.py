@@ -14,7 +14,9 @@ Jacobians once.  ``partial_x``, ``partial_u``, ``shifted_slot`` and
 
 ``check_H_convexity(spec, n_probes, seed)`` probes the convexity the
 sufficient condition needs; its sample pools and eigenvalue tolerance are
-module constants, and its report records the tolerance as ``eig_tol``.
+module constants, and its report records the tolerance as ``eig_tol``.  A
+probe evaluates its whole finite-difference stencil with one ``eval_H``
+call per distinct control value among the stencil's points.
 """
 
 from __future__ import annotations
@@ -34,12 +36,18 @@ def vjp(v, J) -> Array:
 
     v may hold one row (MultiplierPoint.single), shared by every path.  A
     Jacobian that is the same on every path (a broadcast view, stride 0
-    along paths) is contracted with one matrix product.  np.dot, not @:
-    at rows == cols == 1 the matmul path is several times slower than einsum.
+    along paths) is contracted with one matrix product, computed as
+    (J[0]^T v^T)^T so that it comes out column-major like the trajectories;
+    its bits are those of v J[0] with v in either layout.  A single column
+    has no layout and is v J[0] over C-ordered rows: from three rows on,
+    BLAS rounds the column-major matrix-vector product differently.  np.dot,
+    not @: at rows == cols == 1 the matmul path is 3.5x slower.
     """
     v = np.broadcast_to(v, J.shape[:2])
     if J.strides[0] == 0:
-        return np.dot(v, J[0])
+        if J.shape[2] == 1:
+            return np.dot(np.ascontiguousarray(v), J[0])
+        return np.dot(J[0].T, v.T).T
     return np.einsum("pij,pi->pj", J, v)
 
 
@@ -128,7 +136,10 @@ class ShiftedPartials:
     def _gradient(self, w: str, p: Array, R2: Array) -> Array:
         l_w, b_w, q1_term, q2_term, k_term, h_w = self._terms(w)
         r2s = self.slot(p, R2)
-        return l_w + vjp(p, b_w) + q1_term + q2_term + k_term + r2s[:, None] * h_w
+        return (
+            l_w + vjp(p, b_w) + q1_term + q2_term + k_term
+            + np.multiply(r2s[:, None], h_w, order="F")
+        )
 
     def h_x(self, p: Array, R2: Array) -> Array:
         """x-gradient with the shifted last slot in the observation term."""
@@ -235,17 +246,22 @@ class ConvexityReport:
 
 
 def _fd_hessian(fn, v: Array, step: float = 1e-4) -> Array:
+    """Central-difference Hessian of fn at v, fn mapping stencil rows (Q, dim)
+    to values (Q,).
+
+    Each index pair i <= j has four corners, v stepped by +-step in i and
+    then in j, and all corners are evaluated in one call.
+    """
     dim = v.shape[0]
+    i, j = np.triu_indices(dim)
+    pairs = np.arange(i.size)[:, None]
+    corners = np.tile(v, (i.size, 4, 1))
+    # corners (+, +), (+, -), (-, +), (-, -): step i, then j
+    corners[pairs, np.arange(4), i[:, None]] += np.array([step, step, -step, -step])
+    corners[pairs, np.arange(4), j[:, None]] += np.array([step, -step, step, -step])
+    f = fn(corners.reshape(-1, dim)).reshape(i.size, 4)
     hess = np.empty((dim, dim))
-    for i in range(dim):
-        for j in range(i, dim):
-            vpp = v.copy(); vpp[i] += step; vpp[j] += step
-            vpm = v.copy(); vpm[i] += step; vpm[j] -= step
-            vmp = v.copy(); vmp[i] -= step; vmp[j] += step
-            vmm = v.copy(); vmm[i] -= step; vmm[j] -= step
-            hess[i, j] = hess[j, i] = (fn(vpp) - fn(vpm) - fn(vmp) + fn(vmm)) / (
-                4.0 * step * step
-            )
+    hess[i, j] = hess[j, i] = (f[:, 0] - f[:, 1] - f[:, 2] + f[:, 3]) / (4.0 * step * step)
     return hess
 
 
@@ -273,7 +289,7 @@ def check_H_convexity(spec: ProblemSpec, n_probes: int = 24, seed: int = 0) -> C
         )
         for _ in range(_MULT_SAMPLES)
     ]
-    # v concatenates the five arguments; slices, not np.split, keep h_of cheap
+    # v concatenates the five arguments, sliced back out per stencil row
     ends = np.cumsum([states[a].shape[1] for a in _ARGS]).tolist()
     slices = [slice(lo, hi) for lo, hi in zip([0, *ends], ends)]
 
@@ -286,10 +302,14 @@ def check_H_convexity(spec: ProblemSpec, n_probes: int = 24, seed: int = 0) -> C
         v0 = np.concatenate([states[a][si] for a in _ARGS])
         mult = mults[mi]
 
-        def h_of(v):
-            x, y, z1, z2, u = (v[s] for s in slices)
-            row = (x[None, :], y[None, :], z1[None, :], z2[None, :])
-            return float(eval_H(spec, t, *row, u, mult)[0])
+        def h_of(rows):
+            # the control is shared by a call's paths: one call per control value
+            x, y, z1, z2, u = (rows[:, s] for s in slices)
+            out = np.empty(rows.shape[0])
+            for value in np.unique(u, axis=0):
+                at = (u == value).all(axis=1)
+                out[at] = eval_H(spec, t, x[at], y[at], z1[at], z2[at], value, mult)
+            return out
 
         eigs = np.linalg.eigvalsh(_fd_hessian(h_of, v0))
         if eigs[0] < worst_eig:

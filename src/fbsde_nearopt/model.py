@@ -2,7 +2,10 @@
 
 Coefficient callables are vectorized over a leading path axis: state
 arguments arrive as (P, n) arrays (y, z1, z2 as (P, m)) and the control as
-a flat (k,) vector shared by all paths.  A callable may return anything
+a flat (k,) vector shared by all paths.  In the pipeline the state
+arguments are column-major views, one step of a trajectory; a value must
+not depend on the layout, and elementwise numpy keeps it, so a map built
+from elementwise operations returns column-major output.  A callable may return anything
 broadcastable to its documented shape; ProblemSpec wraps each one once, so
 every caller gets a float (P, *out, *width) array.  An output smaller than
 that comes back as a read-only broadcast view, so no caller may write into

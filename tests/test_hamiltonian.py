@@ -18,6 +18,7 @@ from fbsde_nearopt import (
     make_lq_observation_instance,
     make_scalar_nonlinear_instance,
 )
+from fbsde_nearopt import hamiltonian as ham
 from fbsde_nearopt.hamiltonian import ShiftedPartials, shifted_slot, vjp
 from fbsde_nearopt.model import Coefficient
 
@@ -175,6 +176,41 @@ def test_quadratic_terminal_midpoint_exact(lq_spec):
 def test_convexity_report_json(lq_spec):
     report = check_H_convexity(lq_spec, n_probes=5, seed=9)
     assert json.loads(json.dumps(report.to_dict()))["passed"] is True
+
+
+def _point_by_point_fd_hessian(fn, v, step=1e-4):
+    """The probe's stencil evaluated one point at a time, pair by pair."""
+    def at(w):
+        return fn(w[None, :])[0]
+
+    dim = v.shape[0]
+    hess = np.empty((dim, dim))
+    for i in range(dim):
+        for j in range(i, dim):
+            vpp = v.copy(); vpp[i] += step; vpp[j] += step
+            vpm = v.copy(); vpm[i] += step; vpm[j] -= step
+            vmp = v.copy(); vmp[i] -= step; vmp[j] += step
+            vmm = v.copy(); vmm[i] -= step; vmm[j] -= step
+            hess[i, j] = hess[j, i] = (at(vpp) - at(vpm) - at(vmp) + at(vmm)) / (
+                4.0 * step * step
+            )
+    return hess
+
+
+@pytest.mark.parametrize("name", ["lq2", "lq_obs", "scalar_nonlinear", "double_well", "concave"])
+def test_convexity_report_bitwise_equal_to_point_by_point_stencil(name, monkeypatch):
+    """The whole stencil in one call per control value reports the bits of
+    one eval_H call per stencil point."""
+    if name == "concave":
+        spec = concave_control_cost_instance()
+    else:
+        spec = make_lq_instance(LQParams(dim=2)) if name == "lq2" else builtin_instance(name)
+    for seed in (0, 5):
+        batched = check_H_convexity(spec, n_probes=8, seed=seed).to_dict()
+        with monkeypatch.context() as patch:
+            patch.setattr(ham, "_fd_hessian", _point_by_point_fd_hessian)
+            reference = check_H_convexity(spec, n_probes=8, seed=seed).to_dict()
+        assert json.dumps(batched) == json.dumps(reference)
 
 
 def test_probe_count_validated(lq_spec):
