@@ -31,6 +31,12 @@ both corrector passes of p and for H_u.  ``solve_adjoint`` keeps p, q and
 r/R for two steps only and returns the density-weighted control gradient
 rho * H_u with the control it was taken at, the one adjoint quantity the
 Hamiltonian gap needs; ``adjoint_trajectories`` keeps every multiplier.
+
+Work that a structurally zero coefficient part (``model.structurally_zero``)
+makes identically zero is skipped: the k sweep's partials whose f and l
+parts are both zero, the Jacobian products and shifted slot in
+``ShiftedPartials``, and the backward corrector's second pass when f itself
+is zero.
 """
 
 from __future__ import annotations
@@ -44,7 +50,7 @@ import numpy as np
 from . import hamiltonian as ham
 from .errors import FbsdeError, RegressionError
 from .forward_sim import ForwardTrajectories, _trajectory
-from .model import ControlProcess, ProblemSpec
+from .model import ControlProcess, ProblemSpec, structurally_zero
 
 RIDGE = 1e-10
 MAX_CONDITION = 1e14
@@ -291,9 +297,10 @@ def _backward_sweep(
 
     Per step: z's from martingale-increment fits, then the value update with
     the driver's y-argument resolved by an explicit predictor and one
-    corrector evaluation.  The operator is built after the trajectories are
-    allocated: built before them, its design buffer raises the peak RSS of a
-    line search's repeated solves (by 5 % on lq_obs at 20k x 32 under glibc).
+    corrector evaluation, which a structurally zero f skips.  The operator is
+    built after the trajectories are allocated: built before them, its
+    design buffer raises the peak RSS of a line search's repeated solves (by
+    5 % on lq_obs at 20k x 32 under glibc).
     """
     u, grid = fwd.control, fwd.grid
     P, N, m = fwd.n_paths, grid.steps, spec.dim_y
@@ -306,6 +313,8 @@ def _backward_sweep(
     y[N] = spec.terminal_phi.value(fwd.x[N])
     operator = make_operator()
     residuals = []
+    # a structurally zero f never reads y_arg, so the corrector pass would repeat the predictor
+    passes = 1 if structurally_zero(spec.backward_f.value) else 2
 
     for i in reversed(range(N)):
         t = times[i]
@@ -317,7 +326,7 @@ def _backward_sweep(
         z2h = z2[i] * h[:, None]
 
         y_arg = y_hat
-        for _ in range(2):
+        for _ in range(passes):
             f_val = spec.backward_f.value(t, xi, y_arg, z1[i], z2[i], ui)
             y_arg = y_hat - (f_val - z2h) * dt
         y[i] = y_arg
@@ -343,9 +352,12 @@ def _adjoint_sweep(spec: ProblemSpec, bwd: BackwardTrajectories):
     backward systems fit with ``bwd``'s operator, so its per-step
     factorizations serve all three sweeps.  Increments of the
     rotated observation noise are reconstructed pathwise as dY - h dt, with
-    h evaluated per step in each sweep.  Each reversed step builds one
-    ``ShiftedPartials`` at its fixed k, q1 and q2; both passes of the p
-    corrector and the collectors' H_u read its coefficient Jacobians.
+    h evaluated per step in the reversed sweep, and in the k sweep only
+    while H_z2 is live.  The k sweep calls only the partials whose f or l
+    part is not structurally zero; with none, k stays at k(0).  Each
+    reversed step builds one ``ShiftedPartials`` at its fixed k, q1 and q2;
+    both passes of the p corrector and the collectors' H_u read its
+    coefficient Jacobians.
 
     Yields k (N + 1, P, m) with the terminal p(T) and r(T); then, from step
     N - 1 back to 0, the step's final ``(i, MultiplierPoint, ShiftedPartials,
@@ -360,7 +372,19 @@ def _adjoint_sweep(spec: ProblemSpec, bwd: BackwardTrajectories):
     dt = grid.dt
     times = grid.times
 
-    # forward multiplier: dk = -H_y dt - H_z1 dW - H_z2 dW^u, k(0) = -gamma_y(y(0))
+    # forward multiplier: dk = -H_y dt - H_z1 dW - H_z2 dW^u, k(0) = -gamma_y(y(0)),
+    # with dW^u = dY - h dt; a term whose f and l partials are both
+    # structurally zero is dropped, and with it the partial's call
+    increments = {
+        "y": lambda i, t, xi, ui: dt,
+        "z1": lambda i, t, xi, ui: noise.dW[:, i, None],
+        "z2": lambda i, t, xi, ui: (noise.dY[:, i] - spec.observation_h.value(t, xi, ui) * dt)[:, None],
+    }
+    live = [
+        (f"H_{slot}", getattr(ham, f"partial_{slot}"), increment)
+        for slot, increment in increments.items()
+        if not all(structurally_zero(getattr(c, f"d{slot}")) for c in (spec.backward_f, spec.running_l))
+    ]
     k = _trajectory(N + 1, P, m)
     k[0] = -spec.initial_gamma.dy(bwd.y[0])
     for i in range(N):
@@ -368,16 +392,13 @@ def _adjoint_sweep(spec: ProblemSpec, bwd: BackwardTrajectories):
         xi = fwd.x[i]
         yi, z1i, z2i = bwd.y[i], bwd.z1[i], bwd.z2[i]
         ui = u.values[i]
-        ki = k[i]
-        h_y = ham.partial_y(spec, t, xi, yi, z1i, z2i, ui, ki)
-        h_z1 = ham.partial_z1(spec, t, xi, yi, z1i, z2i, ui, ki)
-        h_z2 = ham.partial_z2(spec, t, xi, yi, z1i, z2i, ui, ki)
-        for name, arr in (("H_y", h_y), ("H_z1", h_z1), ("H_z2", h_z2)):
-            if not np.isfinite(arr).all():
+        ki = k_next = k[i]
+        for name, partial, increment in live:
+            grad = partial(spec, t, xi, yi, z1i, z2i, ui, ki)
+            if not np.isfinite(grad).all():
                 raise FbsdeError(f"non-finite Hamiltonian partial {name} at step {i}")
-        h = spec.observation_h.value(t, xi, ui)
-        dwu = noise.dY[:, i] - h * dt
-        k[i + 1] = ki - h_y * dt - h_z1 * noise.dW[:, i, None] - h_z2 * dwu[:, None]
+            k_next = k_next - grad * increment(i, t, xi, ui)
+        k[i + 1] = k_next
 
     # value system: dr = -l dt + R1 dW + R2 dW^u, r(T) = Phi(x(T));
     # state multiplier: dp = -H_x dt + q1 dW + q2 dW^u,

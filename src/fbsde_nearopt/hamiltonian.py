@@ -9,8 +9,11 @@ shifted to R2 - sigma2^T p - z2^T k; the shift only matters for the x- and
 u-partials, which carry the observation-drift gradient.  Those two come
 from one per-step evaluator, ``ShiftedPartials``: it holds everything but
 p and R2 fixed, so the adjoint sweep evaluates each step's coefficient
-Jacobians once.  ``partial_x``, ``partial_u``, ``shifted_slot`` and
-``eval_H_partials`` are one-off calls into it.
+Jacobians once.  It skips every term of a structurally zero Jacobian
+(``model.structurally_zero``), and the shifted slot altogether when the
+h Jacobian is one: on the full-observation LQ family only l_x + b_x^T p
+and l_u + b_u^T p remain.  ``partial_x``, ``partial_u``, ``shifted_slot``
+and ``eval_H_partials`` are one-off calls into it.
 
 ``check_H_convexity(spec, n_probes, seed)`` probes the convexity the
 sufficient condition needs; its sample pools and eigenvalue tolerance are
@@ -26,7 +29,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import FbsdeError
-from .model import ProblemSpec, sample_arguments
+from .model import ProblemSpec, sample_arguments, structurally_zero
 
 Array = np.ndarray
 
@@ -99,47 +102,69 @@ class ShiftedPartials:
     """H_x and H_u with the shifted last slot, at one step's fixed arguments.
 
     Built from (t, x, y, z1, z2, u) and the step's k, q1 and q2, which the
-    adjoint sweep holds fixed while it iterates p.  sigma2 and <z2, k> are
-    evaluated at construction; each of the x- and u-gradients evaluates its
-    six coefficient Jacobians, with their q1, q2 and k products, on first
-    use.  Every later call pays only the p and R2 terms.  The sums keep one
-    order, l, then the p, q1, q2 and k products, then r2s * h, so every
-    call is bitwise equal to a fresh evaluation.
+    adjoint sweep holds fixed while it iterates p.  Each of the x- and
+    u-gradients evaluates its coefficient Jacobians, with their q1, q2 and
+    k products, on first use; a structurally zero Jacobian is neither
+    evaluated nor multiplied.  The slot, with the sigma2 and <z2, k> it
+    reads, is evaluated on first use, which a gradient makes only when its
+    h Jacobian is not structurally zero.  Every later call pays only the p
+    and R2 terms.  The sums add the present terms in one order, l, then the
+    p, q1, q2 and k products, then r2s * h, so every call is bitwise equal
+    to a fresh evaluation; a dropped term is exactly zero, so at most the
+    sign of a zero differs from the sum over all six.
     """
 
     def __init__(self, spec: ProblemSpec, t, x, y, z1, z2, u, k: Array, q1: Array, q2: Array):
         self._spec = spec
         self._args = (t, x, y, z1, z2, u)
         self._k, self._q1, self._q2 = k, q1, q2
-        self._sigma2 = spec.diffusion_sigma2.value(t, x, u)
-        self._z2k = _pair(z2, k)
+        self._slot_fixed: tuple | None = None
         self._fixed: dict[str, tuple] = {}
 
     def slot(self, p: Array, R2: Array) -> Array:
         """R2 - <sigma2(t,x,u), p> - <z2, k>, per path."""
-        return R2 - _pair(self._sigma2, p) - self._z2k
+        if self._slot_fixed is None:
+            t, x, _, _, z2, u = self._args
+            self._slot_fixed = (self._spec.diffusion_sigma2.value(t, x, u), _pair(z2, self._k))
+        sigma2, z2k = self._slot_fixed
+        return R2 - _pair(sigma2, p) - z2k
 
     def _terms(self, w: str) -> tuple:
-        """l_w, b_w and the q1, q2 and k products and h_w, for w in dx, du."""
+        """l_w, b_w, the q1, q2 and k products and h_w, for w in dx, du;
+        None in place of a structurally zero Jacobian and its product."""
         if w not in self._fixed:
             spec, (t, x, y, z1, z2, u) = self._spec, self._args
+
+            def jacobian(coeff, *args):
+                part = getattr(coeff, w)
+                return None if structurally_zero(part) else part(*args)
+
+            def product(v, J):
+                return None if J is None else vjp(v, J)
+
             self._fixed[w] = (
-                getattr(spec.running_l, w)(t, x, y, z1, z2, u),
-                getattr(spec.drift_b, w)(t, x, u),
-                vjp(self._q1, getattr(spec.diffusion_sigma1, w)(t, x, u)),
-                vjp(self._q2, getattr(spec.diffusion_sigma2, w)(t, x, u)),
-                vjp(self._k, getattr(spec.backward_f, w)(t, x, y, z1, z2, u)),
-                getattr(spec.observation_h, w)(t, x, u),
+                jacobian(spec.running_l, t, x, y, z1, z2, u),
+                jacobian(spec.drift_b, t, x, u),
+                product(self._q1, jacobian(spec.diffusion_sigma1, t, x, u)),
+                product(self._q2, jacobian(spec.diffusion_sigma2, t, x, u)),
+                product(self._k, jacobian(spec.backward_f, t, x, y, z1, z2, u)),
+                jacobian(spec.observation_h, t, x, u),
             )
         return self._fixed[w]
 
     def _gradient(self, w: str, p: Array, R2: Array) -> Array:
         l_w, b_w, q1_term, q2_term, k_term, h_w = self._terms(w)
-        r2s = self.slot(p, R2)
-        return (
-            l_w + vjp(p, b_w) + q1_term + q2_term + k_term
-            + np.multiply(r2s[:, None], h_w, order="F")
-        )
+        terms = [l_w, None if b_w is None else vjp(p, b_w), q1_term, q2_term, k_term]
+        if h_w is not None:
+            terms.append(np.multiply(self.slot(p, R2)[:, None], h_w, order="F"))
+        present = [term for term in terms if term is not None]
+        if len(present) > 1:
+            return sum(present[1:], present[0])
+        if present:
+            # a lone term may be a coefficient's read-only output
+            return np.array(present[0], order="F")
+        width = self._spec.dim_x if w == "dx" else self._spec.dim_u
+        return np.zeros((self._args[1].shape[0], width), order="F")
 
     def h_x(self, p: Array, R2: Array) -> Array:
         """x-gradient with the shifted last slot in the observation term."""

@@ -9,7 +9,9 @@ from elementwise operations returns column-major output.  A callable may return 
 broadcastable to its documented shape; ProblemSpec wraps each one once, so
 every caller gets a float (P, *out, *width) array.  An output smaller than
 that comes back as a read-only broadcast view, so no caller may write into
-a coefficient output.  All maps must be pure.
+a coefficient output.  All maps must be pure.  A part given as the zero
+part of ``zero_coefficient()`` / ``zero_driver()`` is ``structurally_zero``:
+the adjoint skips the products and partials it would make vanish.
 
 ``validate_problem`` audits the nine coefficients in one loop: every
 declared partial is differenced in the sampled argument it names (dx in x,
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import inspect
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Callable
 
@@ -255,6 +258,14 @@ class InitialCoefficient:
 def _zero(*args) -> float:
     """Any coefficient part that is identically zero."""
     return 0.0
+
+
+def structurally_zero(part: Callable) -> bool:
+    """Whether a coefficient part is the zero part ``zero_coefficient()`` and
+    ``zero_driver()`` are built from, seen through ``functools.wraps``
+    wrappers such as ``_shaped``'s.  Decided from the spec alone: a map that
+    merely returns zero is not structurally zero."""
+    return inspect.unwrap(part) is _zero
 
 
 def zero_coefficient() -> Coefficient:

@@ -121,12 +121,32 @@ def _riccati_rhs(P, a, q, b2_over_r):
     return 2.0 * a * P + q - b2_over_r * P * P
 
 
+def _riccati_coordinate(g, a, q, b2_over_r, dtau: float, ode_steps: int) -> tuple[list, int | None]:
+    """One diagonal coordinate's RK4 values P(tau_s) in Python floats, and the
+    first tau step at which |P| exceeds 1e8 (None if it never does; the
+    values stop there)."""
+    values = [g]
+    p0 = g
+    for s in range(ode_steps):
+        k1 = _riccati_rhs(p0, a, q, b2_over_r)
+        k2 = _riccati_rhs(p0 + 0.5 * dtau * k1, a, q, b2_over_r)
+        k3 = _riccati_rhs(p0 + 0.5 * dtau * k2, a, q, b2_over_r)
+        k4 = _riccati_rhs(p0 + dtau * k3, a, q, b2_over_r)
+        p0 = p0 + dtau / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if abs(p0) > 1e8:
+            return values, s + 1
+        values.append(p0)
+    return values, None
+
+
 def riccati_lq(params: LQParams, ode_steps: int = 4000) -> RiccatiSolution:
     """Classical LQ oracle for the h == 0, sigma2 == 0 degenerate family.
 
     Integrates the (diagonal) Riccati equation backward from P(T) = g with
     classical fourth-order one-step integration and returns the optimal cost
-    0.5 x0' P(0) x0 + 0.5 * sum_i sigma_i^2 * integral of P_i.
+    0.5 x0' P(0) x0 + 0.5 * sum_i sigma_i^2 * integral of P_i.  Each
+    coordinate is integrated on its own in Python floats: the same IEEE
+    operations as a loop over arrays, without numpy's per-call overhead.
     """
     if ode_steps < 1000:
         raise OracleError("riccati_lq needs ode_steps >= 1000")
@@ -138,19 +158,15 @@ def riccati_lq(params: LQParams, ode_steps: int = 4000) -> RiccatiSolution:
     T = params.horizon
     dtau = T / ode_steps
 
-    P_tau = np.empty((ode_steps + 1, params.dim))
-    P_tau[0] = g
-    for s in range(ode_steps):
-        p0 = P_tau[s]
-        k1 = _riccati_rhs(p0, a, q, b2_over_r)
-        k2 = _riccati_rhs(p0 + 0.5 * dtau * k1, a, q, b2_over_r)
-        k3 = _riccati_rhs(p0 + 0.5 * dtau * k2, a, q, b2_over_r)
-        k4 = _riccati_rhs(p0 + dtau * k3, a, q, b2_over_r)
-        P_tau[s + 1] = p0 + dtau / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if np.any(np.abs(P_tau[s + 1]) > 1e8):
-            raise OracleError(f"Riccati blow-up at tau step {s + 1}")
+    columns = [
+        _riccati_coordinate(*coefficients, dtau, ode_steps)
+        for coefficients in zip(g.tolist(), a.tolist(), q.tolist(), b2_over_r.tolist())
+    ]
+    blow_ups = [step for _, step in columns if step is not None]
+    if blow_ups:
+        raise OracleError(f"Riccati blow-up at tau step {min(blow_ups)}")
 
-    P_t = P_tau[::-1].copy()
+    P_t = np.array([values[::-1] for values, _ in columns]).T.copy()
     times = np.linspace(0.0, T, ode_steps + 1)
     gain = -(arr["b_coef"] / arr["r"])[None, :] * P_t
 
@@ -185,12 +201,15 @@ def riccati_open_loop_control(
     samples gain * mean at the left node of every simulation step.
     """
     arr = params.arrays()
-    a, b = arr["a"], arr["b_coef"]
-    fine_dt = sol.times[1] - sol.times[0]
+    fine_dt = float(sol.times[1] - sol.times[0])
     mean = np.empty_like(sol.P)
-    mean[0] = arr["initial_x"]
-    for s in range(sol.times.shape[0] - 1):
-        mean[s + 1] = mean[s] + (a * mean[s] + b * sol.gain[s] * mean[s]) * fine_dt
+    # each coordinate in Python floats, the same operations as over arrays
+    for j, (a, b, m) in enumerate(zip(arr["a"].tolist(), arr["b_coef"].tolist(), arr["initial_x"].tolist())):
+        path = [m]
+        for gain in sol.gain[:-1, j].tolist():
+            m = m + (a * m + b * gain * m) * fine_dt
+            path.append(m)
+        mean[:, j] = path
     values = np.empty((grid.steps, params.dim))
     for i, t in enumerate(grid.times[:-1]):
         s = min(int(round(t / fine_dt)), sol.times.shape[0] - 1)

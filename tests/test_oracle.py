@@ -223,3 +223,85 @@ def test_diagonal_two_dimensional_family_end_to_end():
     f3 = simulate_forward(spec, u3, bundle)
     b3 = solve_backward(spec, f3, BasisSpec(degree=1))
     assert abs(evaluate_cost_strong(spec, b3).value - lattice.cost) <= 1e-12
+
+
+def _array_riccati(params, ode_steps=4000):
+    """The RK4 Riccati integration as one loop over coordinate arrays, with
+    the closed-loop mean of the open-loop control: the reference that the
+    scalar-float oracle must match bit for bit.  Returns (P, gain, cost,
+    mean) or raises OracleError at the first tau step any coordinate
+    exceeds 1e8."""
+    arr = params.arrays()
+    a, q, g = arr["a"], arr["q"], arr["g"]
+    b2_over_r = arr["b_coef"] ** 2 / arr["r"]
+    T = params.horizon
+    dtau = T / ode_steps
+
+    def rhs(P):
+        return 2.0 * a * P + q - b2_over_r * P * P
+
+    P_tau = np.empty((ode_steps + 1, params.dim))
+    P_tau[0] = g
+    for s in range(ode_steps):
+        p0 = P_tau[s]
+        k1 = rhs(p0)
+        k2 = rhs(p0 + 0.5 * dtau * k1)
+        k3 = rhs(p0 + 0.5 * dtau * k2)
+        k4 = rhs(p0 + dtau * k3)
+        P_tau[s + 1] = p0 + dtau / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if np.any(np.abs(P_tau[s + 1]) > 1e8):
+            raise OracleError(f"Riccati blow-up at tau step {s + 1}")
+    P_t = P_tau[::-1].copy()
+    times = np.linspace(0.0, T, ode_steps + 1)
+    gain = -(arr["b_coef"] / arr["r"])[None, :] * P_t
+    trace_term = np.trapezoid(arr["sigma"] ** 2 * P_t, times, axis=0)
+    cost = float(0.5 * np.sum(P_t[0] * arr["initial_x"] ** 2) + 0.5 * np.sum(trace_term))
+    fine_dt = times[1] - times[0]
+    mean = np.empty_like(P_t)
+    mean[0] = arr["initial_x"]
+    for s in range(ode_steps):
+        mean[s + 1] = mean[s] + (a * mean[s] + arr["b_coef"] * gain[s] * mean[s]) * fine_dt
+    return P_t, gain, cost, mean
+
+
+RICCATI_CASES = [
+    LQParams(),
+    LQParams(dim=2, a=0.3, q=1.0),
+    LQParams(dim=3, sigma=0.2, q=0.5, g=2.0, initial_x=-0.7),
+    LQParams(
+        dim=3, a=[0.1, -0.3, 0.5], b_coef=[1.0, 2.0, 0.5], sigma=[0.1, 0.2, 0.3],
+        q=[0.0, 1.0, 2.0], r=[1.0, 0.3, 2.0], g=[1.0, 0.5, 0.0], initial_x=[1.0, -0.5, 0.2],
+    ),
+]
+
+
+@pytest.mark.parametrize("params", RICCATI_CASES, ids=["lq1", "lq2", "lq3", "lq3_vector"])
+def test_scalar_riccati_bitwise_equal_to_array_loop(params):
+    P, gain, cost, mean = _array_riccati(params)
+    sol = riccati_lq(params)
+    assert sol.P.tobytes() == P.tobytes()
+    assert sol.gain.tobytes() == gain.tobytes()
+    assert sol.optimal_cost == cost
+    grid = make_time_grid(params.horizon, 16)
+    spec = make_lq_instance(params)
+    control = riccati_open_loop_control(sol, params, grid, spec.control_set)
+    # gain * mean at each step's left node, projected into U
+    fine = [min(int(round(t / (sol.times[1] - sol.times[0]))), P.shape[0] - 1) for t in grid.times[:-1]]
+    want = np.clip(gain[fine] * mean[fine], params.control_lower, params.control_upper)
+    assert control.values.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        LQParams(a=5.0, b_coef=0.0, g=10.0, horizon=3.0),
+        # the second coordinate blows up first: the error names its step
+        LQParams(dim=2, a=[5.0, 6.0], b_coef=0.0, g=10.0, horizon=3.0),
+    ],
+)
+def test_scalar_riccati_blow_up_names_the_first_step(params):
+    with pytest.raises(OracleError) as reference:
+        _array_riccati(params)
+    with pytest.raises(OracleError) as got:
+        riccati_lq(params)
+    assert str(got.value) == str(reference.value)

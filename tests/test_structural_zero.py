@@ -1,0 +1,242 @@
+"""Skipping structurally zero coefficient parts changes no number.
+
+The adjoint drops the Jacobian products, k-sweep partials, shifted slot
+and corrector pass that a structurally zero part (``model._zero``, the part
+of ``zero_coefficient()`` and ``zero_driver()``) makes identically zero.
+A dropped term is an exact zero, so every output equals the one computed
+with nothing skipped (up to the sign of a zero, which ``np.array_equal``
+does not see).
+"""
+
+import dataclasses
+import functools
+import sys
+
+import numpy as np
+import pytest
+
+from fbsde_nearopt import (
+    LQParams,
+    adjoint_trajectories,
+    builtin_instance,
+    constant_control,
+    make_lq_instance,
+    make_lq_observation_instance,
+    make_time_grid,
+    min_gap_over_A,
+    sample_noise,
+    simulate_forward,
+    solve_adjoint,
+    solve_backward,
+)
+from fbsde_nearopt import hamiltonian as ham
+from fbsde_nearopt.forward_sim import evaluate_cost_strong
+from fbsde_nearopt.model import (
+    InitialCoefficient,
+    structurally_zero,
+    zero_coefficient,
+    zero_driver,
+)
+
+from _instances import cost_through_y_twin, value_as_backward_instance
+
+COEFFICIENTS = (
+    "drift_b", "diffusion_sigma1", "diffusion_sigma2", "backward_f", "observation_h",
+    "terminal_phi", "running_l", "terminal_Phi", "initial_gamma",
+)
+
+INSTANCES = {
+    "lq1": lambda: make_lq_instance(LQParams(dim=1)),
+    "lq2": lambda: make_lq_instance(LQParams(dim=2)),
+    "lq3": lambda: make_lq_instance(LQParams(dim=3, a=0.2, q=0.5)),
+    "lq_obs1": lambda: make_lq_observation_instance(),
+    "lq_obs2": lambda: make_lq_observation_instance(LQParams(dim=2, sigma=0.2, q=1.0)),
+    "scalar_nonlinear": lambda: builtin_instance("scalar_nonlinear"),
+    "double_well": lambda: builtin_instance("double_well"),
+    "lq_twin": lambda: cost_through_y_twin(make_lq_instance(LQParams(q=0.5))),
+    "lq_value": lambda: value_as_backward_instance(make_lq_instance(LQParams(q=0.5))),
+    "lq_obs_twin": lambda: cost_through_y_twin(make_lq_observation_instance()),
+    "lq_obs_value": lambda: value_as_backward_instance(make_lq_observation_instance()),
+    # a y-dependent f under a nonzero k: H_y is live and moves k
+    "scalar_nonlinear_gamma": lambda: dataclasses.replace(
+        builtin_instance("scalar_nonlinear"),
+        initial_gamma=InitialCoefficient(value=lambda y: 0.5 * y[:, 0] ** 2, dy=lambda y: y),
+    ),
+}
+
+
+def _outputs(spec, seed, n_paths=1000, steps=8):
+    """Every array and number the pipeline computes on one bundle."""
+    grid = make_time_grid(spec.horizon, steps)
+    u = constant_control(np.full(spec.dim_u, 0.2), grid, spec.control_set)
+    fwd = simulate_forward(spec, u, sample_noise(grid, n_paths, seed))
+    bwd = solve_backward(spec, fwd)
+    grad = solve_adjoint(spec, bwd)
+    adj = adjoint_trajectories(spec, bwd)
+    cost = evaluate_cost_strong(spec, bwd)
+    gap = min_gap_over_A(spec, grad)
+    out = {
+        "y": bwd.y, "z1": bwd.z1, "z2": bwd.z2,
+        "weighted": grad.weighted,
+        "cost": cost.value, "cost_stderr": cost.stderr,
+        "gap": gap.gap, "gap_stderr": gap.stderr, "minimizer": gap.minimizer.values,
+        "diagnostics": (grad.diagnostics, bwd.diagnostics),
+    }
+    for name in ("weighted", "k", "p", "q1", "q2", "r", "R1", "R2"):
+        out[f"adj_{name}"] = getattr(adj, name)
+    out["adj_diagnostics"] = adj.diagnostics
+    return out
+
+
+def _assert_same(got, want):
+    assert got.keys() == want.keys()
+    for name, value in want.items():
+        if isinstance(value, np.ndarray):
+            assert np.array_equal(got[name], value), name
+        else:
+            assert got[name] == value, name
+
+
+def _nothing_structurally_zero(monkeypatch):
+    """Patch the predicate to False in every package module that holds it."""
+    patched = set()
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("fbsde_nearopt"):
+            if getattr(module, "structurally_zero", None) is structurally_zero:
+                monkeypatch.setattr(module, "structurally_zero", lambda part: False)
+                patched.add(module.__name__)
+    assert {"fbsde_nearopt.hamiltonian", "fbsde_nearopt.bsde"} <= patched
+
+
+def _with_plain_zeros(spec):
+    """The same instance with every structurally zero part a plain lambda."""
+    changes = {}
+    for name in COEFFICIENTS:
+        coeff = getattr(spec, name)
+        plain = {
+            f.name: (lambda *args: 0.0)
+            for f in dataclasses.fields(coeff)
+            if structurally_zero(getattr(coeff, f.name))
+        }
+        if plain:
+            changes[name] = dataclasses.replace(coeff, **plain)
+    return dataclasses.replace(spec, **changes)
+
+
+@pytest.mark.parametrize("name", sorted(INSTANCES))
+def test_skipping_structural_zeros_changes_no_output(name, monkeypatch):
+    spec = INSTANCES[name]()
+    for seed in (3, 11):
+        skipped = _outputs(spec, seed)
+        _assert_same(_outputs(_with_plain_zeros(spec), seed), skipped)
+        with monkeypatch.context() as patch:
+            _nothing_structurally_zero(patch)
+            reference = _outputs(spec, seed)
+        _assert_same(skipped, reference)
+
+
+def test_predicate_sees_through_wraps_but_not_a_zero_valued_map():
+    spec = make_lq_instance(LQParams(dim=2))
+    assert structurally_zero(spec.backward_f.dy)  # wrapped once by the spec's shaping
+    assert structurally_zero(functools.wraps(spec.backward_f.dy)(lambda *a: 0.0))
+    assert not structurally_zero(spec.diffusion_sigma1.value)
+    assert not structurally_zero(_with_plain_zeros(spec).backward_f.dy)
+    assert all(structurally_zero(part) for part in vars(zero_coefficient()).values())
+    assert all(structurally_zero(part) for part in vars(zero_driver()).values())
+
+
+# ---------------------------------------------------------------------------
+# the work is gone, not moved: coefficient calls counted per part
+
+JACOBIANS = ("dx", "du")
+SLOT_PARTIALS = ("dy", "dz1", "dz2")
+
+
+def _counted(spec, monkeypatch):
+    """``spec`` with every coefficient part counting its calls (wrapped with
+    functools.wraps, as a tracer would), and the counts of the Hamiltonian's
+    k-sweep partials."""
+    counts = {}
+
+    def counting(key, fn):
+        @functools.wraps(fn)
+        def counted(*args):
+            counts[key] = counts.get(key, 0) + 1
+            return fn(*args)
+
+        return counted
+
+    changes = {}
+    for name in COEFFICIENTS:
+        coeff = getattr(spec, name)
+        changes[name] = dataclasses.replace(coeff, **{
+            f.name: counting(f"{name}.{f.name}", getattr(coeff, f.name))
+            for f in dataclasses.fields(coeff)
+        })
+    for slot in ("y", "z1", "z2"):
+        monkeypatch.setattr(ham, f"partial_{slot}", counting(f"partial_{slot}", getattr(ham, f"partial_{slot}")))
+    return dataclasses.replace(spec, **changes), counts
+
+
+def _adjoint_counts(spec, monkeypatch, steps=8):
+    counted, counts = _counted(spec, monkeypatch)
+    grid = make_time_grid(spec.horizon, steps)
+    u = constant_control(np.full(spec.dim_u, 0.2), grid, spec.control_set)
+    fwd = simulate_forward(counted, u, sample_noise(grid, 500, 2))
+    counts.clear()
+    bwd = solve_backward(counted, fwd)
+    backward = dict(counts)
+    counts.clear()
+    solve_adjoint(counted, bwd)
+    return backward, counts
+
+
+def test_lq_adjoint_calls_no_structurally_zero_part(monkeypatch):
+    steps = 8
+    backward, adjoint = _adjoint_counts(make_lq_instance(LQParams(dim=2)), monkeypatch, steps)
+    # the k sweep: no partial and no f or l slot partial
+    for key in ("partial_y", "partial_z1", "partial_z2"):
+        assert key not in adjoint
+    for c in ("backward_f", "running_l"):
+        for w in SLOT_PARTIALS:
+            assert f"{c}.{w}" not in adjoint
+    # ShiftedPartials: no sigma1, sigma2, f or h Jacobian, and no slot
+    for c in ("diffusion_sigma1", "diffusion_sigma2", "backward_f", "observation_h"):
+        for w in JACOBIANS:
+            assert f"{c}.{w}" not in adjoint
+    assert "diffusion_sigma2.value" not in adjoint
+    # what is left is live: l and b Jacobians, once per step each
+    for c in ("running_l", "drift_b"):
+        for w in JACOBIANS:
+            assert adjoint[f"{c}.{w}"] == steps
+    # a zero f never reads y: one driver evaluation per backward step
+    assert backward["backward_f.value"] == steps
+
+
+@pytest.mark.parametrize("family", ["lq", "lq_obs"])
+def test_twin_adjoint_still_calls_its_live_parts(family, monkeypatch):
+    steps = 8
+    base = make_lq_instance(LQParams(q=0.5)) if family == "lq" else make_lq_observation_instance()
+    backward, adjoint = _adjoint_counts(cost_through_y_twin(base), monkeypatch, steps)
+    for slot in ("y", "z1", "z2"):
+        assert adjoint[f"partial_{slot}"] == steps
+        assert adjoint[f"backward_f.d{slot}"] == steps
+    for w in JACOBIANS:
+        assert adjoint[f"backward_f.{w}"] == steps
+    assert backward["backward_f.value"] == 2 * steps
+
+
+def test_gradient_with_one_or_no_live_term_is_a_fresh_column_major_array():
+    spec = make_lq_instance(LQParams(dim=2, q=0.5))
+    lone = dataclasses.replace(spec, drift_b=dataclasses.replace(spec.drift_b, dx=zero_coefficient().dx))
+    dead = dataclasses.replace(lone, running_l=dataclasses.replace(spec.running_l, dx=zero_driver().dx))
+    rng = np.random.default_rng(8)
+    P = 50
+    x, y, z1, z2, k, q1, q2, p = (rng.normal(size=(P, 2)) for _ in range(8))
+    u, R2 = np.zeros(2), rng.normal(size=P)
+    got = ham.ShiftedPartials(lone, 0.1, x, y, z1, z2, u, k, q1, q2).h_x(p, R2)
+    assert np.array_equal(got, 0.5 * x)
+    assert got.flags.f_contiguous and got.flags.writeable
+    got = ham.ShiftedPartials(dead, 0.1, x, y, z1, z2, u, k, q1, q2).h_x(p, R2)
+    assert got.shape == (P, 2) and not got.any()
+    assert got.flags.f_contiguous and got.flags.writeable
