@@ -35,8 +35,13 @@ Hamiltonian gap needs; ``adjoint_trajectories`` keeps every multiplier.
 Work that a structurally zero coefficient part (``model.structurally_zero``)
 makes identically zero is skipped: the k sweep's partials whose f and l
 parts are both zero, the Jacobian products and shifted slot in
-``ShiftedPartials``, and the backward corrector's second pass when f itself
-is zero.
+``ShiftedPartials``, the backward corrector's second pass when f itself is
+zero and the whole backward update when h is zero too, and the p
+corrector's q2 h term when h is zero.  Work whose result nothing reads is
+skipped as well: ``solve_adjoint`` does not solve the value system when
+h's x- and u-Jacobians are both zero, since R2 then reaches neither H_x
+nor H_u, and a k that no partial moves is held as one step, read as a
+stride-0 trajectory.  ``adjoint_trajectories`` solves and stores all of it.
 """
 
 from __future__ import annotations
@@ -297,7 +302,8 @@ def _backward_sweep(
 
     Per step: z's from martingale-increment fits, then the value update with
     the driver's y-argument resolved by an explicit predictor and one
-    corrector evaluation, which a structurally zero f skips.  The operator is
+    corrector evaluation, which a structurally zero f skips; when h is
+    structurally zero too, y is the fitted mean itself.  The operator is
     built after the trajectories are allocated: built before them, its
     design buffer raises the peak RSS of a line search's repeated solves (by
     5 % on lq_obs at 20k x 32 under glibc).
@@ -313,8 +319,11 @@ def _backward_sweep(
     y[N] = spec.terminal_phi.value(fwd.x[N])
     operator = make_operator()
     residuals = []
-    # a structurally zero f never reads y_arg, so the corrector pass would repeat the predictor
-    passes = 1 if structurally_zero(spec.backward_f.value) else 2
+    # a structurally zero f never reads y_arg, so the corrector pass would
+    # repeat the predictor; with h zero too, the update adds nothing to y_hat
+    f_zero = structurally_zero(spec.backward_f.value)
+    passes = 1 if f_zero else 2
+    drift_zero = f_zero and structurally_zero(spec.observation_h.value)
 
     for i in reversed(range(N)):
         t = times[i]
@@ -322,13 +331,13 @@ def _backward_sweep(
         ui = u.values[i]
         y_hat, z1[i], z2[i], rms = _regression_step(operator, i, y[i + 1], fwd)
 
-        h = spec.observation_h.value(t, xi, ui)
-        z2h = z2[i] * h[:, None]
-
+        if not drift_zero:
+            z2h = z2[i] * spec.observation_h.value(t, xi, ui)[:, None]
         y_arg = y_hat
         for _ in range(passes):
             f_val = spec.backward_f.value(t, xi, y_arg, z1[i], z2[i], ui)
-            y_arg = y_hat - (f_val - z2h) * dt
+            if not drift_zero:
+                y_arg = y_hat - (f_val - z2h) * dt
         y[i] = y_arg
         residuals.append(rms)
 
@@ -341,30 +350,32 @@ def _backward_sweep(
     )
 
 
-def _adjoint_sweep(spec: ProblemSpec, bwd: BackwardTrajectories):
+def _adjoint_sweep(spec: ProblemSpec, bwd: BackwardTrajectories, value_system: bool):
     """Solve the multiplier system along ``bwd``'s admissible pair, as a stream.
 
     Order: the forward k equation first (its drift and diffusions involve
     no other multiplier), stored whole because the reversed sweep reads it
     backwards; then one reversed sweep that, per step, solves the scalar
-    value system (r, R1, R2) and then the backward p system, which consumes
-    k and, through the shifted slot of the Hamiltonian partials, R2.  Both
-    backward systems fit with ``bwd``'s operator, so its per-step
-    factorizations serve all three sweeps.  Increments of the
-    rotated observation noise are reconstructed pathwise as dY - h dt, with
-    h evaluated per step in the reversed sweep, and in the k sweep only
-    while H_z2 is live.  The k sweep calls only the partials whose f or l
-    part is not structurally zero; with none, k stays at k(0).  Each
-    reversed step builds one ``ShiftedPartials`` at its fixed k, q1 and q2;
-    both passes of the p corrector and the collectors' H_u read its
-    coefficient Jacobians.
+    value system (r, R1, R2) if ``value_system`` asks for it and then the
+    backward p system, which consumes k and, through the shifted slot of
+    the Hamiltonian partials, R2.  Both backward systems fit with ``bwd``'s
+    operator, so its per-step factorizations serve all three sweeps.
+    Increments of the rotated observation noise are reconstructed pathwise
+    as dY - h dt, with h evaluated per step in the reversed sweep, and in
+    the k sweep only while H_z2 is live.  The k sweep calls only the
+    partials whose f or l part is not structurally zero; with none, k stays
+    at k(0), which is held once and yielded as a read-only stride-0
+    trajectory.  Each reversed step builds one ``ShiftedPartials`` at its
+    fixed k, q1 and q2; both passes of the p corrector and the collectors'
+    H_u read its coefficient Jacobians.  A structurally zero h drops the
+    corrector's q2 h term.
 
     Yields k (N + 1, P, m) with the terminal p(T) and r(T); then, from step
     N - 1 back to 0, the step's final ``(i, MultiplierPoint, ShiftedPartials,
-    r_i, R1_i)``; last, the regression diagnostics.  Of p, q1, q2, r, R1 and
-    R2 only steps i and i + 1 are held while step i is solved, and of the
-    evaluators only step i's: a collector drops it before asking for the
-    next step.
+    r_i, R1_i)``; last, the regression diagnostics.  Without the value
+    system, r, R1 and R2 are None.  Of p, q1, q2, r, R1 and R2 only steps i
+    and i + 1 are held while step i is solved, and of the evaluators only
+    step i's: a collector drops it before asking for the next step.
     """
     fwd, operator = bwd.forward, bwd.operator
     u, noise, grid = fwd.control, fwd.noise, fwd.grid
@@ -385,9 +396,12 @@ def _adjoint_sweep(spec: ProblemSpec, bwd: BackwardTrajectories):
         for slot, increment in increments.items()
         if not all(structurally_zero(getattr(c, f"d{slot}")) for c in (spec.backward_f, spec.running_l))
     ]
-    k = _trajectory(N + 1, P, m)
+    k = _trajectory(N + 1 if live else 1, P, m)
     k[0] = -spec.initial_gamma.dy(bwd.y[0])
-    for i in range(N):
+    if not live:
+        # nothing moves k: k(0) is held once and read as every step
+        k = np.broadcast_to(k[0], (N + 1, P, m))
+    for i in range(N if live else 0):
         t = times[i]
         xi = fwd.x[i]
         yi, z1i, z2i = bwd.y[i], bwd.z1[i], bwd.z2[i]
@@ -404,7 +418,7 @@ def _adjoint_sweep(spec: ProblemSpec, bwd: BackwardTrajectories):
     # state multiplier: dp = -H_x dt + q1 dW + q2 dW^u,
     # p(T) = Phi_x(x(T)) - phi_x(x(T))^T k(T), written into a trajectory step
     # whatever layout the coefficients return
-    r_next = np.ascontiguousarray(spec.terminal_Phi.value(fwd.x[N]))
+    r_next = np.ascontiguousarray(spec.terminal_Phi.value(fwd.x[N])) if value_system else None
     p_next = _trajectory(1, P, spec.dim_x)[0]
     np.subtract(
         spec.terminal_Phi.dx(fwd.x[N]),
@@ -412,7 +426,9 @@ def _adjoint_sweep(spec: ProblemSpec, bwd: BackwardTrajectories):
         out=p_next,
     )
     yield k, p_next, r_next
+    h_zero = structurally_zero(spec.observation_h.value)
     r_residuals, p_residuals = [], []
+    R1_i = R2_i = None
     for i in reversed(range(N)):
         t = times[i]
         xi = fwd.x[i]
@@ -420,23 +436,24 @@ def _adjoint_sweep(spec: ProblemSpec, bwd: BackwardTrajectories):
         ui = u.values[i]
         h = spec.observation_h.value(t, xi, ui)
 
-        # the scalar r goes through the regression step as a (P, 1) column
-        r_hat, R1_i, R2_i, rms = _regression_step(operator, i, r_next[:, None], fwd)
-        R1_i, R2_i = R1_i[:, 0], R2_i[:, 0]
-        l_val = spec.running_l.value(t, xi, yi, z1i, z2i, ui)
-        r_next = r_hat[:, 0] + (l_val + R2_i * h) * dt
-        r_residuals.append(rms)
+        if value_system:
+            # the scalar r goes through the regression step as a (P, 1) column
+            r_hat, R1_i, R2_i, rms = _regression_step(operator, i, r_next[:, None], fwd)
+            R1_i, R2_i = R1_i[:, 0], R2_i[:, 0]
+            l_val = spec.running_l.value(t, xi, yi, z1i, z2i, ui)
+            r_next = r_hat[:, 0] + (l_val + R2_i * h) * dt
+            r_residuals.append(rms)
 
         p_hat, q1_i, q2_i, rms = _regression_step(operator, i, p_next, fwd)
 
-        q2h = q2_i * h[:, None]
+        q2h = None if h_zero else q2_i * h[:, None]
         partials = ham.ShiftedPartials(spec, t, xi, yi, z1i, z2i, ui, k[i], q1_i, q2_i)
         p_arg = p_hat
         for _ in range(2):
             h_x = partials.h_x(p_arg, R2_i)
             if not np.isfinite(h_x).all():
                 raise FbsdeError(f"non-finite Hamiltonian partial H_x at step {i}")
-            p_arg = p_hat + (h_x + q2h) * dt
+            p_arg = p_hat + (h_x if q2h is None else h_x + q2h) * dt
         p_next = p_arg
         p_residuals.append(rms)
         mult = ham.MultiplierPoint(k=k[i], p=p_next, q1=q1_i, q2=q2_i, R2=R2_i)
@@ -444,8 +461,8 @@ def _adjoint_sweep(spec: ProblemSpec, bwd: BackwardTrajectories):
         del partials
 
     # the r and p fits at a step share one Gram matrix, so each step's
-    # condition number is listed once; residuals list every r fit, then
-    # every p fit; both from the last step back
+    # condition number is listed once; residuals list every r fit the sweep
+    # ran, then every p fit; both from the last step back
     yield RegressionDiagnostics(
         condition_numbers=[operator.condition(i) for i in reversed(range(N))],
         residual_rms=r_residuals + p_residuals,
@@ -456,10 +473,14 @@ def solve_adjoint(spec: ProblemSpec, bwd: BackwardTrajectories) -> ControlGradie
     """rho_i * H_u(t_i) along ``bwd``'s admissible pair, from one adjoint sweep.
 
     The multipliers p, q1, q2, r, R1 and R2 are kept for two steps only;
-    ``adjoint_trajectories`` runs the same sweep and keeps them all.
+    ``adjoint_trajectories`` runs the same sweep and keeps them all.  R2
+    reaches H_x and H_u only through h's Jacobians, so when both are
+    structurally zero the value system (r, R1, R2) is not solved, and the
+    diagnostics list the p fits alone.
     """
     fwd = bwd.forward
-    sweep = _adjoint_sweep(spec, bwd)
+    h = spec.observation_h
+    sweep = _adjoint_sweep(spec, bwd, not (structurally_zero(h.dx) and structurally_zero(h.du)))
     next(sweep)
     N = fwd.grid.steps
     weighted = np.empty((N, fwd.n_paths, spec.dim_u))
@@ -472,12 +493,18 @@ def solve_adjoint(spec: ProblemSpec, bwd: BackwardTrajectories) -> ControlGradie
 def adjoint_trajectories(spec: ProblemSpec, bwd: BackwardTrajectories) -> AdjointTrajectories:
     """``solve_adjoint`` with every multiplier kept, time-major.
 
-    The same sweep and the same numbers; only what is stored differs.
+    The same sweep and the same numbers, with the value system solved
+    whatever h is; only what is stored differs.
     """
     fwd = bwd.forward
-    sweep = _adjoint_sweep(spec, bwd)
+    sweep = _adjoint_sweep(spec, bwd, True)
     k, p_T, r_T = next(sweep)
     P, N, n = fwd.n_paths, fwd.grid.steps, spec.dim_x
+    if not k.flags.writeable:
+        # a k that nothing moves comes as one step read as every step
+        held, k = k, _trajectory(N + 1, P, spec.dim_y)
+        k[...] = held
+
     weighted = np.empty((N, P, spec.dim_u))
     p = _trajectory(N + 1, P, n)
     q1 = _trajectory(N, P, n)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FbsdeError, GridMismatchError, SimulationError
-from .model import ControlProcess, ProblemSpec, without_observation
+from .model import ControlProcess, ProblemSpec, cost_reads_backward, without_observation
 from .paths import NoiseBundle, TimeGrid, sample_noise
 
 BLOWUP_THRESHOLD = 1e8
@@ -124,31 +124,42 @@ def _mean(v: np.ndarray) -> float:
     return math.fsum(v) / v.shape[0]
 
 
-def _per_path_cost_parts(spec, bwd):
+def _per_path_cost_parts(spec, fwd, y, z1, z2):
     """Per-path density-weighted running and terminal cost contributions."""
-    fwd = bwd.forward
     u, grid = fwd.control, fwd.grid
     P, N = fwd.n_paths, grid.steps
     dt = grid.dt
     times = grid.times
     running = np.zeros(P)
     for i in range(N):
-        l = spec.running_l.value(times[i], fwd.x[i], bwd.y[i], bwd.z1[i], bwd.z2[i], u.values[i])
+        l = spec.running_l.value(times[i], fwd.x[i], y[i], z1[i], z2[i], u.values[i])
         running = running + fwd.rho[i] * l * dt
     terminal = fwd.rho[N] * spec.terminal_Phi.value(fwd.x[N])
     return running, terminal
 
 
-def evaluate_cost_strong(spec: ProblemSpec, bwd) -> CostReport:
+def evaluate_cost_strong(spec: ProblemSpec, bundle) -> CostReport:
     """Density-weighted cost under the reference measure (Bayes form), of the
-    control the backward bundle ``bwd`` and its forward bundle were solved
-    under."""
-    running, terminal = _per_path_cost_parts(spec, bwd)
-    P = bwd.forward.n_paths
+    control the bundle was simulated under.
 
-    y0_mean = bwd.y[0].mean(axis=0)
+    ``bundle`` is a backward bundle, whose y, z1 and z2 the cost reads, or,
+    for a cost that reads none of them (``model.cost_reads_backward``), the
+    forward bundle alone: l then gets read-only zero views in its y, z1 and
+    z2 slots, and the report has the same bits as from the backward bundle.
+    """
+    if isinstance(bundle, ForwardTrajectories):
+        if cost_reads_backward(spec):
+            raise FbsdeError("this cost reads y or z: evaluate it on a backward bundle")
+        fwd = bundle
+        y = z1 = z2 = np.broadcast_to(0.0, (fwd.grid.steps + 1, fwd.n_paths, spec.dim_y))
+    else:
+        fwd, y, z1, z2 = bundle.forward, bundle.y, bundle.z1, bundle.z2
+    running, terminal = _per_path_cost_parts(spec, fwd, y, z1, z2)
+    P = fwd.n_paths
+
+    y0_mean = y[0].mean(axis=0)
     initial = float(spec.initial_gamma.value(y0_mean[None, :])[0])
-    initial_bias = _mean(spec.initial_gamma.value(bwd.y[0])) - initial
+    initial_bias = _mean(spec.initial_gamma.value(y[0])) - initial
 
     core = running + terminal
     run_mean = _mean(running)

@@ -10,8 +10,13 @@ broadcastable to its documented shape; ProblemSpec wraps each one once, so
 every caller gets a float (P, *out, *width) array.  An output smaller than
 that comes back as a read-only broadcast view, so no caller may write into
 a coefficient output.  All maps must be pure.  A part given as the zero
-part of ``zero_coefficient()`` / ``zero_driver()`` is ``structurally_zero``:
-the adjoint skips the products and partials it would make vanish.
+part of ``zero_coefficient()`` / ``zero_driver()`` is ``structurally_zero``,
+and declaring a part that way lets the pipeline skip work.  The adjoint
+skips the products and partials such a part would make vanish, the value
+system when h's Jacobians are zero and the k history when no k partial is
+live.  The backward update skips f and h when both are zero.  A cost that
+``cost_reads_backward`` finds free of y and z is measured on the forward
+bundle alone.
 
 ``validate_problem`` audits the nine coefficients in one loop: every
 declared partial is differenced in the sampled argument it names (dx in x,
@@ -266,6 +271,13 @@ def structurally_zero(part: Callable) -> bool:
     wrappers such as ``_shaped``'s.  Decided from the spec alone: a map that
     merely returns zero is not structurally zero."""
     return inspect.unwrap(part) is _zero
+
+
+def cost_reads_backward(spec: "ProblemSpec") -> bool:
+    """Whether the cost reads the backward state (y, z1, z2): unless gamma's
+    value and l's y-, z1- and z2-partials are all structurally zero."""
+    parts = (spec.initial_gamma.value, spec.running_l.dy, spec.running_l.dz1, spec.running_l.dz2)
+    return not all(structurally_zero(part) for part in parts)
 
 
 def zero_coefficient() -> Coefficient:

@@ -6,16 +6,21 @@ duality gap recorded each iteration is the certificate quantity itself.
 Common random numbers are held fixed across iterations, and the proposed
 step is backtracked until the cost decreases (sufficient-decrease rule),
 which keeps the cost trace monotone.
+
+A trial is measured on what its cost reads: when the cost reads no backward
+value (``model.cost_reads_backward``), a trial is a forward simulation and
+a cost, and the backward equation is solved only for an accepted control,
+just before its adjoint.  A cost that reads y or z solves it per trial.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .bsde import BasisSpec, solve_adjoint, solve_backward
+from .bsde import BackwardTrajectories, BasisSpec, solve_adjoint, solve_backward
 from .errors import FbsdeError
 from .forward_sim import control_distance, evaluate_cost_strong, simulate_forward
-from .model import ControlProcess, ProblemSpec, make_control
+from .model import ControlProcess, ProblemSpec, cost_reads_backward, make_control
 from .nearopt import min_gap_over_A
 from .paths import sample_noise
 
@@ -70,8 +75,20 @@ class DescentTrace:
 
 
 def _evaluate(spec, u, noise, basis):
-    bwd = solve_backward(spec, simulate_forward(spec, u, noise), basis)
-    return bwd, evaluate_cost_strong(spec, bwd)
+    """The cost of u with the bundle it was measured on: the backward bundle
+    if the cost reads y or z, the forward bundle alone if not."""
+    bundle = simulate_forward(spec, u, noise)
+    if cost_reads_backward(spec):
+        bundle = solve_backward(spec, bundle, basis)
+    return bundle, evaluate_cost_strong(spec, bundle)
+
+
+def _backward(spec, bundle, basis) -> BackwardTrajectories:
+    """The backward bundle of an evaluated control, solved here if its cost
+    did not need it."""
+    if isinstance(bundle, BackwardTrajectories):
+        return bundle
+    return solve_backward(spec, bundle, basis)
 
 
 def smp_descent(spec: ProblemSpec, u0: ControlProcess, params: DescentParams) -> DescentTrace:
@@ -82,14 +99,14 @@ def smp_descent(spec: ProblemSpec, u0: ControlProcess, params: DescentParams) ->
     noise = sample_noise(u0.grid, params.n_paths, params.seed)
 
     u = u0
-    bwd, cost = _evaluate(spec, u, noise, params.basis)
+    bundle, cost = _evaluate(spec, u, noise, params.basis)
     rows: list[DescentRow] = []
     controls: list[ControlProcess] = [u]
     converged = False
     stop_reason = "max_iter reached"
 
     for j in range(params.max_iter + 1):
-        gap = min_gap_over_A(spec, solve_adjoint(spec, bwd))
+        gap = min_gap_over_A(spec, solve_adjoint(spec, _backward(spec, bundle, params.basis)))
 
         if abs(gap.gap) <= params.tol_gap:
             rows.append(
@@ -110,7 +127,7 @@ def smp_descent(spec: ProblemSpec, u0: ControlProcess, params: DescentParams) ->
             candidate = ControlProcess(
                 values=u.values + step * (gap.minimizer.values - u.values), grid=u.grid
             )
-            bwd_c, cost_c = _evaluate(spec, candidate, noise, params.basis)
+            bundle_c, cost_c = _evaluate(spec, candidate, noise, params.basis)
             if cost_c.value <= cost.value + ARMIJO_C * (step * gap.gap):
                 break
         else:
@@ -122,7 +139,7 @@ def smp_descent(spec: ProblemSpec, u0: ControlProcess, params: DescentParams) ->
 
         moved = control_distance(candidate, u)
         rows.append(DescentRow(j, cost.value, cost.stderr, gap.gap, gap.stderr, step, moved))
-        u, bwd, cost = candidate, bwd_c, cost_c
+        u, bundle, cost = candidate, bundle_c, cost_c
         controls.append(u)
 
     return DescentTrace(

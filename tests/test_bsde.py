@@ -385,7 +385,13 @@ def test_production_adjoint_streams_the_collected_gradient(name):
         )
         hu = ham.partial_u(spec, t, fwd.x[i], bwd.y[i], bwd.z1[i], bwd.z2[i], u.values[i], mult)
         assert np.array_equal(grad.weighted[i], fwd.rho[i][:, None] * hu)
-    assert grad.diagnostics == adj.diagnostics
+    if name == "scalar_nonlinear":
+        assert grad.diagnostics == adj.diagnostics
+    else:
+        # h has no x or u Jacobian, so solve_adjoint runs the p fits alone
+        N = noise.grid.steps
+        assert grad.diagnostics.condition_numbers == adj.diagnostics.condition_numbers
+        assert grad.diagnostics.residual_rms == adj.diagnostics.residual_rms[N:]
 
 
 def test_production_adjoint_keeps_two_steps_of_multipliers():
@@ -405,6 +411,25 @@ def test_production_adjoint_keeps_two_steps_of_multipliers():
     # few dozen (P,) columns of one step's work; keeping p, q1, q2, r, R1
     # and R2 for every step would add 9 N columns here
     assert peak < k_bytes + h_bytes + grad.weighted.nbytes + 96 * P * 8
+
+
+def test_production_adjoint_holds_one_step_of_a_k_that_nothing_moves():
+    # on lq no partial moves k and h has no Jacobian: k(0) is held once
+    # instead of N + 1 copies, and the value system is not solved
+    spec, u, noise, fwd, bwd = _stream_case("lq2", 20_000, 16)
+    P, N = fwd.n_paths, noise.grid.steps
+    tracemalloc.start()
+    try:
+        grad = solve_adjoint(spec, bwd)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    h_bytes = N * P * 8
+    k0_bytes = P * spec.dim_y * 8
+    assert peak < h_bytes + grad.weighted.nbytes + k0_bytes + 96 * P * 8
+    # all of one step's work, about 24 (P,) columns, is less than the
+    # 2 (N + 1) columns that a stored k history alone would take
+    assert peak < grad.weighted.nbytes + (N + 1) * k0_bytes
 
 
 def test_production_adjoint_holds_no_observation_drift_history():

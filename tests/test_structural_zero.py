@@ -5,7 +5,9 @@ and corrector pass that a structurally zero part (``model._zero``, the part
 of ``zero_coefficient()`` and ``zero_driver()``) makes identically zero.
 A dropped term is an exact zero, so every output equals the one computed
 with nothing skipped (up to the sign of a zero, which ``np.array_equal``
-does not see).
+does not see).  What no result reads is not computed either: the value
+system when h has zero Jacobians, the backward solve of a line-search trial
+whose cost reads no backward value.
 """
 
 import dataclasses
@@ -16,6 +18,8 @@ import numpy as np
 import pytest
 
 from fbsde_nearopt import (
+    DescentParams,
+    FbsdeError,
     LQParams,
     adjoint_trajectories,
     builtin_instance,
@@ -26,19 +30,26 @@ from fbsde_nearopt import (
     min_gap_over_A,
     sample_noise,
     simulate_forward,
+    smp_descent,
     solve_adjoint,
     solve_backward,
 )
+from fbsde_nearopt import bsde, optimizer
 from fbsde_nearopt import hamiltonian as ham
 from fbsde_nearopt.forward_sim import evaluate_cost_strong
 from fbsde_nearopt.model import (
     InitialCoefficient,
+    cost_reads_backward,
     structurally_zero,
     zero_coefficient,
     zero_driver,
 )
 
-from _instances import cost_through_y_twin, value_as_backward_instance
+from _instances import (
+    constant_running_cost_instance,
+    cost_through_y_twin,
+    value_as_backward_instance,
+)
 
 COEFFICIENTS = (
     "drift_b", "diffusion_sigma1", "diffusion_sigma2", "backward_f", "observation_h",
@@ -80,7 +91,12 @@ def _outputs(spec, seed, n_paths=1000, steps=8):
         "weighted": grad.weighted,
         "cost": cost.value, "cost_stderr": cost.stderr,
         "gap": gap.gap, "gap_stderr": gap.stderr, "minimizer": gap.minimizer.values,
-        "diagnostics": (grad.diagnostics, bwd.diagnostics),
+        # solve_adjoint's p fits, listed after any value-system fits it ran
+        "diagnostics": (
+            grad.diagnostics.condition_numbers,
+            grad.diagnostics.residual_rms[-steps:],
+            bwd.diagnostics,
+        ),
     }
     for name in ("weighted", "k", "p", "q1", "q2", "r", "R1", "R2"):
         out[f"adj_{name}"] = getattr(adj, name)
@@ -240,3 +256,130 @@ def test_gradient_with_one_or_no_live_term_is_a_fresh_column_major_array():
     got = ham.ShiftedPartials(dead, 0.1, x, y, z1, z2, u, k, q1, q2).h_x(p, R2)
     assert got.shape == (P, 2) and not got.any()
     assert got.flags.f_contiguous and got.flags.writeable
+
+
+def test_adjoint_trajectories_copies_a_held_k_into_a_writable_trajectory():
+    spec = make_lq_instance(LQParams(dim=2))
+    grid = make_time_grid(spec.horizon, 8)
+    u = constant_control(np.full(2, 0.2), grid, spec.control_set)
+    bwd = solve_backward(spec, simulate_forward(spec, u, sample_noise(grid, 500, 2)))
+    held = next(bsde._adjoint_sweep(spec, bwd, True))[0]
+    assert held.strides[0] == 0 and not held.flags.writeable
+    k = adjoint_trajectories(spec, bwd).k
+    assert k.shape == (9, 500, 2) and k.flags.writeable
+    assert all(k[i].flags.f_contiguous for i in range(9))
+    assert np.array_equal(k, held)
+
+
+# ---------------------------------------------------------------------------
+# what no result reads is not computed
+
+
+def _bits(report):
+    """Every float field of a report or row, bit for bit (the sign of a zero too)."""
+    return {
+        name: value.hex() if isinstance(value, float) else value
+        for name, value in dataclasses.asdict(report).items()
+    }
+
+
+@pytest.mark.parametrize("name", sorted(INSTANCES))
+def test_cost_on_the_forward_bundle_equals_the_cost_on_the_backward_bundle(name):
+    spec = INSTANCES[name]()
+    grid = make_time_grid(spec.horizon, 8)
+    u = constant_control(np.full(spec.dim_u, 0.2), grid, spec.control_set)
+    fwd = simulate_forward(spec, u, sample_noise(grid, 1000, 5))
+    if cost_reads_backward(spec):
+        with pytest.raises(FbsdeError, match="backward bundle"):
+            evaluate_cost_strong(spec, fwd)
+    else:
+        want = _bits(evaluate_cost_strong(spec, solve_backward(spec, fwd)))
+        assert _bits(evaluate_cost_strong(spec, fwd)) == want
+
+
+def test_which_costs_read_the_backward_state():
+    readers = {name for name, make in INSTANCES.items() if cost_reads_backward(make())}
+    assert readers == {"lq_twin", "lq_obs_twin", "scalar_nonlinear_gamma"}
+    # plain-lambda partials declare nothing, so the cost is taken to read y and z
+    assert cost_reads_backward(constant_running_cost_instance())
+
+
+def _descent(spec, monkeypatch, reads_backward=None):
+    calls = {"solve_backward": 0, "simulate_forward": 0}
+    for fn in calls:
+        original = getattr(optimizer, fn)
+
+        def counted(*args, _fn=fn, _original=original):
+            calls[_fn] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(optimizer, fn, counted)
+    if reads_backward is not None:
+        monkeypatch.setattr(optimizer, "cost_reads_backward", lambda spec: reads_backward)
+    grid = make_time_grid(spec.horizon, 16)
+    u0 = constant_control(spec.control_set.center(), grid, spec.control_set)
+    trace = smp_descent(spec, u0, DescentParams(max_iter=4, n_paths=4000, seed=3))
+    return trace, calls
+
+
+def test_line_search_trials_skip_the_backward_solve(monkeypatch):
+    spec = make_lq_observation_instance()
+    with monkeypatch.context() as patch:
+        want, want_calls = _descent(spec, patch, reads_backward=True)
+    got, calls = _descent(spec, monkeypatch)
+    assert [_bits(row) for row in got.rows] == [_bits(row) for row in want.rows]
+    assert len(got.controls) == len(want.controls)
+    for a, b in zip(got.controls, want.controls):
+        assert np.array_equal(a.values, b.values)
+    assert (got.converged, got.stop_reason) == (want.converged, want.stop_reason)
+    # the start and each accepted step are solved backward once; rejected trials never
+    accepted = len(got.controls) - 1
+    assert calls["solve_backward"] == accepted + 1
+    assert calls["simulate_forward"] > calls["solve_backward"]
+    assert want_calls["solve_backward"] == want_calls["simulate_forward"] == calls["simulate_forward"]
+
+
+def test_a_cost_through_y_keeps_its_per_trial_backward_solve(monkeypatch):
+    _, calls = _descent(cost_through_y_twin(make_lq_observation_instance()), monkeypatch)
+    assert calls["solve_backward"] == calls["simulate_forward"]
+
+
+def _fit_counts(spec, monkeypatch, steps=8):
+    """Per-part coefficient calls and operator fits of solve_adjoint and of
+    adjoint_trajectories on one bundle."""
+    counted, counts = _counted(spec, monkeypatch)
+    original = bsde.ConditionalExpectation.fit
+
+    def fit(self, i, targets):
+        counts["fit"] = counts.get("fit", 0) + 1
+        return original(self, i, targets)
+
+    monkeypatch.setattr(bsde.ConditionalExpectation, "fit", fit)
+    grid = make_time_grid(spec.horizon, steps)
+    u = constant_control(np.full(spec.dim_u, 0.2), grid, spec.control_set)
+    bwd = solve_backward(counted, simulate_forward(counted, u, sample_noise(grid, 500, 2)))
+    got = {}
+    for solver in (solve_adjoint, adjoint_trajectories):
+        counts.clear()
+        solver(counted, bwd)
+        got[solver.__name__] = dict(counts)
+    return got["solve_adjoint"], got["adjoint_trajectories"]
+
+
+@pytest.mark.parametrize("family", ["lq", "lq_obs"])
+def test_adjoint_skips_the_value_system_no_gradient_reads(family, monkeypatch):
+    steps = 8
+    spec = builtin_instance(family)
+    production, full = _fit_counts(spec, monkeypatch, steps)
+    assert "running_l.value" not in production
+    assert full["running_l.value"] == steps
+    # per step: two fits for p and q, and two for r and R in the full sweep
+    assert production["fit"] == 2 * steps
+    assert full["fit"] == 2 * production["fit"]
+
+
+def test_adjoint_keeps_the_value_system_when_h_has_a_jacobian(monkeypatch):
+    steps = 8
+    production, full = _fit_counts(builtin_instance("scalar_nonlinear"), monkeypatch, steps)
+    assert production["running_l.value"] == full["running_l.value"] == steps
+    assert production["fit"] == full["fit"] == 4 * steps
