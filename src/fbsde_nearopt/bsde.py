@@ -23,7 +23,9 @@ returns a ``BackwardTrajectories`` that carries ``fwd`` (and so its control
 and noise) and the operator it regressed with, and the adjoint solvers take
 only that result.  The adjoint system uses the same operator, reuses the
 same recursion for its backward components and integrates the forward
-component by explicit Euler.
+component by explicit Euler.  ``adjoint_bundle`` and ``cost_bundle`` give
+the bundle an adjoint or a cost runs on, and solve the backward equation
+only when it reads y or z.
 
 The adjoint system is solved by one sweep with two collectors.  Each
 reversed step evaluates the Hamiltonian's coefficient Jacobians once, for
@@ -42,6 +44,9 @@ skipped as well: ``solve_adjoint`` does not solve the value system when
 h's x- and u-Jacobians are both zero, since R2 then reaches neither H_x
 nor H_u, and a k that no partial moves is held as one step, read as a
 stride-0 trajectory.  ``adjoint_trajectories`` solves and stores all of it.
+Nor is the backward equation solved for an adjoint that reads no y or z
+(``model.adjoint_reads_backward``): ``adjoint_bundle`` then builds the
+operator on the forward states alone, and the sweep reads zero views.
 """
 
 from __future__ import annotations
@@ -55,7 +60,13 @@ import numpy as np
 from . import hamiltonian as ham
 from .errors import FbsdeError, RegressionError
 from .forward_sim import ForwardTrajectories, _trajectory
-from .model import ControlProcess, ProblemSpec, structurally_zero
+from .model import (
+    ControlProcess,
+    ProblemSpec,
+    adjoint_reads_backward,
+    cost_reads_backward,
+    structurally_zero,
+)
 
 RIDGE = 1e-10
 MAX_CONDITION = 1e14
@@ -226,11 +237,13 @@ class BackwardTrajectories:
 
     ``forward`` is the bundle the sweep was solved on and ``operator`` the
     conditional expectation it regressed with; the adjoint sweep reuses both.
+    A bundle from ``adjoint_bundle`` whose adjoint reads no backward value
+    holds None for y, z1 and z2 and empty diagnostics: nothing was solved.
     """
 
-    y: np.ndarray
-    z1: np.ndarray
-    z2: np.ndarray
+    y: np.ndarray | None
+    z1: np.ndarray | None
+    z2: np.ndarray | None
     diagnostics: RegressionDiagnostics
     operator: ConditionalExpectation | TreeExpectation
     forward: ForwardTrajectories
@@ -293,6 +306,36 @@ def solve_backward(
 ) -> BackwardTrajectories:
     """Backward regression recursion for (y, z1, z2) on the forward bundle."""
     return _backward_sweep(spec, fwd, lambda: ConditionalExpectation(fwd.x, basis))
+
+
+def cost_bundle(spec: ProblemSpec, fwd: ForwardTrajectories, basis: BasisSpec = BasisSpec()):
+    """The bundle the cost of ``fwd``'s control is measured on:
+    ``solve_backward``'s when the cost reads y or z
+    (``model.cost_reads_backward``), ``fwd`` itself otherwise."""
+    return solve_backward(spec, fwd, basis) if cost_reads_backward(spec) else fwd
+
+
+def adjoint_bundle(
+    spec: ProblemSpec, fwd: ForwardTrajectories, basis: BasisSpec = BasisSpec()
+) -> BackwardTrajectories:
+    """The bundle the adjoint of ``fwd``'s control runs on.
+
+    ``solve_backward``'s when the adjoint reads y or z
+    (``model.adjoint_reads_backward``); otherwise ``fwd`` with the
+    conditional expectation on its states and no y, z1 or z2 solved.  The
+    operator computes each step's statistics on first use, so the adjoint
+    gets the same fits, bit for bit, from either bundle.
+    """
+    if adjoint_reads_backward(spec):
+        return solve_backward(spec, fwd, basis)
+    return BackwardTrajectories(
+        y=None,
+        z1=None,
+        z2=None,
+        diagnostics=RegressionDiagnostics(),
+        operator=ConditionalExpectation(fwd.x, basis),
+        forward=fwd,
+    )
 
 
 def _backward_sweep(
@@ -365,10 +408,12 @@ def _adjoint_sweep(spec: ProblemSpec, bwd: BackwardTrajectories, value_system: b
     the k sweep only while H_z2 is live.  The k sweep calls only the
     partials whose f or l part is not structurally zero; with none, k stays
     at k(0), which is held once and yielded as a read-only stride-0
-    trajectory.  Each reversed step builds one ``ShiftedPartials`` at its
-    fixed k, q1 and q2; both passes of the p corrector and the collectors'
-    H_u read its coefficient Jacobians.  A structurally zero h drops the
-    corrector's q2 h term.
+    trajectory.  A bundle without backward values (``adjoint_bundle``) is
+    read as zero y, z1 and z2 through read-only stride-0 views, and refused
+    for an adjoint that reads them.  Each reversed step builds one
+    ``ShiftedPartials`` at its fixed k, q1 and q2; both passes of the p
+    corrector and the collectors' H_u read its coefficient Jacobians.  A
+    structurally zero h drops the corrector's q2 h term.
 
     Yields k (N + 1, P, m) with the terminal p(T) and r(T); then, from step
     N - 1 back to 0, the step's final ``(i, MultiplierPoint, ShiftedPartials,
@@ -382,6 +427,11 @@ def _adjoint_sweep(spec: ProblemSpec, bwd: BackwardTrajectories, value_system: b
     P, N, m = fwd.n_paths, grid.steps, spec.dim_y
     dt = grid.dt
     times = grid.times
+    y, z1, z2 = bwd.y, bwd.z1, bwd.z2
+    if y is None:
+        if adjoint_reads_backward(spec):
+            raise FbsdeError("this adjoint reads y or z: run it on a solved backward bundle")
+        y = z1 = z2 = np.broadcast_to(0.0, (N + 1, P, m))
 
     # forward multiplier: dk = -H_y dt - H_z1 dW - H_z2 dW^u, k(0) = -gamma_y(y(0)),
     # with dW^u = dY - h dt; a term whose f and l partials are both
@@ -397,14 +447,14 @@ def _adjoint_sweep(spec: ProblemSpec, bwd: BackwardTrajectories, value_system: b
         if not all(structurally_zero(getattr(c, f"d{slot}")) for c in (spec.backward_f, spec.running_l))
     ]
     k = _trajectory(N + 1 if live else 1, P, m)
-    k[0] = -spec.initial_gamma.dy(bwd.y[0])
+    k[0] = -spec.initial_gamma.dy(y[0])
     if not live:
         # nothing moves k: k(0) is held once and read as every step
         k = np.broadcast_to(k[0], (N + 1, P, m))
     for i in range(N if live else 0):
         t = times[i]
         xi = fwd.x[i]
-        yi, z1i, z2i = bwd.y[i], bwd.z1[i], bwd.z2[i]
+        yi, z1i, z2i = y[i], z1[i], z2[i]
         ui = u.values[i]
         ki = k_next = k[i]
         for name, partial, increment in live:
@@ -432,7 +482,7 @@ def _adjoint_sweep(spec: ProblemSpec, bwd: BackwardTrajectories, value_system: b
     for i in reversed(range(N)):
         t = times[i]
         xi = fwd.x[i]
-        yi, z1i, z2i = bwd.y[i], bwd.z1[i], bwd.z2[i]
+        yi, z1i, z2i = y[i], z1[i], z2[i]
         ui = u.values[i]
         h = spec.observation_h.value(t, xi, ui)
 

@@ -146,11 +146,13 @@ def evaluate_cost_strong(spec: ProblemSpec, bundle) -> CostReport:
     for a cost that reads none of them (``model.cost_reads_backward``), the
     forward bundle alone: l then gets read-only zero views in its y, z1 and
     z2 slots, and the report has the same bits as from the backward bundle.
+    A backward bundle that holds no y (``bsde.adjoint_bundle``) counts as
+    its forward bundle.
     """
-    if isinstance(bundle, ForwardTrajectories):
+    if isinstance(bundle, ForwardTrajectories) or bundle.y is None:
         if cost_reads_backward(spec):
             raise FbsdeError("this cost reads y or z: evaluate it on a backward bundle")
-        fwd = bundle
+        fwd = getattr(bundle, "forward", bundle)
         y = z1 = z2 = np.broadcast_to(0.0, (fwd.grid.steps + 1, fwd.n_paths, spec.dim_y))
     else:
         fwd, y, z1, z2 = bundle.forward, bundle.y, bundle.z1, bundle.z2
@@ -187,15 +189,15 @@ def evaluate_cost_weak(
     """Unweighted cost under the control-dependent measure.
 
     Realized by simulating the original dynamics with (W, W^u) independent,
-    which is the strong pipeline applied to the h == 0 view of the instance.
+    which is the strong pipeline applied to the h == 0 view of the instance;
+    the backward equation is solved only for a cost that reads y or z.
     """
-    from .bsde import BasisSpec, solve_backward
+    from .bsde import BasisSpec, cost_bundle
 
     _check_same_grid(u.grid, grid, "evaluate_cost_weak")
     weak_spec = without_observation(spec)
-    noise = sample_noise(grid, n_paths, seed)
-    bwd = solve_backward(weak_spec, simulate_forward(weak_spec, u, noise), basis or BasisSpec())
-    return evaluate_cost_strong(weak_spec, bwd)
+    fwd = simulate_forward(weak_spec, u, sample_noise(grid, n_paths, seed))
+    return evaluate_cost_strong(weak_spec, cost_bundle(weak_spec, fwd, basis or BasisSpec()))
 
 
 def control_distance(u: ControlProcess, v: ControlProcess) -> float:

@@ -14,9 +14,11 @@ part of ``zero_coefficient()`` / ``zero_driver()`` is ``structurally_zero``,
 and declaring a part that way lets the pipeline skip work.  The adjoint
 skips the products and partials such a part would make vanish, the value
 system when h's Jacobians are zero and the k history when no k partial is
-live.  The backward update skips f and h when both are zero.  A cost that
-``cost_reads_backward`` finds free of y and z is measured on the forward
-bundle alone.
+live.  The backward update skips f and h when both are zero.  Work whose
+result nothing reads is skipped too: a cost that ``cost_reads_backward``
+finds free of y and z is measured on the forward bundle alone, and an
+adjoint that ``adjoint_reads_backward`` finds free of them runs without
+the backward solve.
 
 ``validate_problem`` audits the nine coefficients in one loop: every
 declared partial is differenced in the sampled argument it names (dx in x,
@@ -277,6 +279,17 @@ def cost_reads_backward(spec: "ProblemSpec") -> bool:
     """Whether the cost reads the backward state (y, z1, z2): unless gamma's
     value and l's y-, z1- and z2-partials are all structurally zero."""
     parts = (spec.initial_gamma.value, spec.running_l.dy, spec.running_l.dz1, spec.running_l.dz2)
+    return not all(structurally_zero(part) for part in parts)
+
+
+def adjoint_reads_backward(spec: "ProblemSpec") -> bool:
+    """Whether the adjoint reads the backward state (y, z1, z2): unless
+    gamma's y-partial and the y-, z1- and z2-partials of f and l are all
+    structurally zero.  With those zero, k(0) = -gamma_y = 0 and no k
+    partial is live, so k stays zero and no Hamiltonian term reads y or z."""
+    parts = [spec.initial_gamma.dy] + [
+        getattr(c, w) for c in (spec.backward_f, spec.running_l) for w in ("dy", "dz1", "dz2")
+    ]
     return not all(structurally_zero(part) for part in parts)
 
 

@@ -6,10 +6,11 @@ admissible class decouples per time step for deterministic piecewise
 controls and is realized by exact linear minimization over the control set.
 The gap reads only rho * H_u from the adjoint (``bsde.ControlGradient``),
 which holds the control u_eps it was taken at.  The certificates take the
-backward bundle of u_eps, which holds its forward bundle and noise, and get
-the gradient from ``solve_adjoint``, which keeps no multiplier beyond two
-steps; their provenance reads the seed, path count and grid from that
-bundle.
+backward bundle of u_eps (``solve_backward``'s, or ``bsde.adjoint_bundle``'s,
+which solves no y or z that the adjoint does not read), which holds its
+forward bundle and noise, and get the gradient from ``solve_adjoint``,
+which keeps no multiplier beyond two steps; their provenance reads the
+seed, path count and grid from that bundle.
 """
 
 from __future__ import annotations

@@ -9,18 +9,19 @@ which keeps the cost trace monotone.
 
 A trial is measured on what its cost reads: when the cost reads no backward
 value (``model.cost_reads_backward``), a trial is a forward simulation and
-a cost, and the backward equation is solved only for an accepted control,
-just before its adjoint.  A cost that reads y or z solves it per trial.
+a cost.  An accepted control's adjoint then runs on ``bsde.adjoint_bundle``,
+which solves the backward equation only when the adjoint reads y or z.  A
+cost that reads y or z solves it per trial.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .bsde import BackwardTrajectories, BasisSpec, solve_adjoint, solve_backward
+from .bsde import BackwardTrajectories, BasisSpec, adjoint_bundle, cost_bundle, solve_adjoint
 from .errors import FbsdeError
 from .forward_sim import control_distance, evaluate_cost_strong, simulate_forward
-from .model import ControlProcess, ProblemSpec, cost_reads_backward, make_control
+from .model import ControlProcess, ProblemSpec, make_control
 from .nearopt import min_gap_over_A
 from .paths import sample_noise
 
@@ -75,20 +76,17 @@ class DescentTrace:
 
 
 def _evaluate(spec, u, noise, basis):
-    """The cost of u with the bundle it was measured on: the backward bundle
-    if the cost reads y or z, the forward bundle alone if not."""
-    bundle = simulate_forward(spec, u, noise)
-    if cost_reads_backward(spec):
-        bundle = solve_backward(spec, bundle, basis)
+    """The cost of u with the bundle it was measured on (``cost_bundle``)."""
+    bundle = cost_bundle(spec, simulate_forward(spec, u, noise), basis)
     return bundle, evaluate_cost_strong(spec, bundle)
 
 
 def _backward(spec, bundle, basis) -> BackwardTrajectories:
-    """The backward bundle of an evaluated control, solved here if its cost
-    did not need it."""
+    """The adjoint bundle of an evaluated control: its backward bundle if
+    its cost needed one, else ``adjoint_bundle``'s."""
     if isinstance(bundle, BackwardTrajectories):
         return bundle
-    return solve_backward(spec, bundle, basis)
+    return adjoint_bundle(spec, bundle, basis)
 
 
 def smp_descent(spec: ProblemSpec, u0: ControlProcess, params: DescentParams) -> DescentTrace:

@@ -1,8 +1,10 @@
 import json
+import tracemalloc
 
 import pytest
 
 from fbsde_nearopt import (
+    bsde,
     certify_necessary,
     certify_sufficient,
     cli,
@@ -285,9 +287,10 @@ PIPELINE_LAYERS = ("sample_noise", "simulate_forward", "solve_backward")
 
 @pytest.fixture
 def layer_calls(monkeypatch):
-    """Count calls of the noise, forward and backward layers from the command paths."""
+    """Count calls of the noise, forward and backward layers from the command
+    paths, and from ``bsde``'s bundle helpers."""
     counts = dict.fromkeys(PIPELINE_LAYERS, 0)
-    for module in (cli, nearopt, optimizer):
+    for module in (cli, nearopt, optimizer, bsde):
         for name in PIPELINE_LAYERS:
             if hasattr(module, name):
 
@@ -299,14 +302,23 @@ def layer_calls(monkeypatch):
     return counts
 
 
-@pytest.mark.parametrize("sufficient", [False, True])
-def test_certify_runs_each_layer_once(tmp_path, layer_calls, sufficient):
-    cfg = _base_config(tmp_path)
+@pytest.mark.parametrize(
+    "family, sufficient",
+    [("lq", False), ("lq", True), ("scalar_nonlinear", False)],
+    ids=["False", "True", "scalar_nonlinear"],
+)
+def test_certify_runs_each_layer_once(tmp_path, layer_calls, family, sufficient):
+    block = f"[instance]\nfamily = {family}"
+    extra = "\n[certificate]\nepsilon = 0.05\n" if family != "lq" else ""
+    cfg = _base_config(tmp_path, extra=extra, family_block=block)
     control = tmp_path / "u.csv"
     control.write_text("step,u0\n" + "\n".join(f"{i},-0.4" for i in range(8)) + "\n")
-    extra = ["--sufficient"] if sufficient else []
-    assert cli.main(["--config", cfg, "certify", "--control", str(control), *extra]) == 0
-    assert layer_calls == dict.fromkeys(PIPELINE_LAYERS, 1)
+    flags = ["--sufficient"] if sufficient else []
+    assert cli.main(["--config", cfg, "certify", "--control", str(control), *flags]) == 0
+    # the lq adjoint reads no backward value, so no backward equation is
+    # solved; scalar_nonlinear's f_y is live
+    backward = 1 if family == "scalar_nonlinear" else 0
+    assert layer_calls == {"sample_noise": 1, "simulate_forward": 1, "solve_backward": backward}
 
     # the certificate equals the library's at the same seed and epsilon
     payload = json.loads((tmp_path / "out" / "certificate.json").read_text())
@@ -330,7 +342,7 @@ def test_order_study_runs_one_pass_per_member(tmp_path, layer_calls):
     body += "\n[order_study]\ndeltas = 0.0,0.05,0.1,0.2,0.3\n"
     cfg = write_config(tmp_path, body)
     assert cli.main(["--config", cfg, "order-study"]) == 0
-    assert layer_calls == {"sample_noise": 1, "simulate_forward": 4, "solve_backward": 4}
+    assert layer_calls == {"sample_noise": 1, "simulate_forward": 4, "solve_backward": 0}
 
     # each member's epsilon equals the library perturbation family's
     run = cli.load_config(cfg)
@@ -345,6 +357,34 @@ def test_order_study_runs_one_pass_per_member(tmp_path, layer_calls):
     )
     lines = (tmp_path / "out" / "order_study.csv").read_text().strip().splitlines()[1:]
     assert [float(line.split(",")[1]) for line in lines] == [eps for _, eps in family]
+
+
+def test_oracle_compare_measures_its_cost_on_the_forward_bundle(tmp_path, layer_calls):
+    assert cli.main(["--config", _base_config(tmp_path), "oracle-compare"]) == 0
+    assert layer_calls["solve_backward"] == 0
+
+
+def test_certify_on_lq_never_holds_a_backward_trajectory(tmp_path):
+    P, N, d = 20000, 16, 2
+    body = BASE.format(out=tmp_path / "out").replace("family = lq", "family = lq\ndim = 2")
+    body = body.replace("steps = 8", f"steps = {N}").replace("n_paths = 2000", f"n_paths = {P}")
+    cfg = write_config(tmp_path, body + "\n[certificate]\nepsilon = 0.01\n")
+    run = cli.load_config(cfg)
+    spec = run.instance()
+    control = str(tmp_path / "u.csv")
+    control_to_csv(constant_control([-0.4, -0.4], run.grid(), spec.control_set), control)
+    # what certify must hold at once: dW and dY, x, rho, rho * H_u, and the
+    # operator's design (6 monomials) and increment-target buffers
+    must_hold = 8 * (2 * P * N + (N + 1) * P * d + (N + 1) * P + N * P * d + P * (6 + 2 * d))
+    y_bytes = 8 * (N + 1) * P * d
+    tracemalloc.start()
+    try:
+        assert cli.main(["--config", cfg, "certify", "--control", control]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the adjoint's per-step work fits under one y trajectory; y, z1 and z2 do not
+    assert peak < must_hold + y_bytes
 
 
 def test_bad_subcommand_exits_two(tmp_path):

@@ -7,7 +7,8 @@ A dropped term is an exact zero, so every output equals the one computed
 with nothing skipped (up to the sign of a zero, which ``np.array_equal``
 does not see).  What no result reads is not computed either: the value
 system when h has zero Jacobians, the backward solve of a line-search trial
-whose cost reads no backward value.
+whose cost reads no backward value, and that of an adjoint which reads no
+backward value.
 """
 
 import dataclasses
@@ -28,6 +29,7 @@ from fbsde_nearopt import (
     make_lq_observation_instance,
     make_time_grid,
     min_gap_over_A,
+    necessary_gap,
     sample_noise,
     simulate_forward,
     smp_descent,
@@ -36,11 +38,14 @@ from fbsde_nearopt import (
 )
 from fbsde_nearopt import bsde, optimizer
 from fbsde_nearopt import hamiltonian as ham
-from fbsde_nearopt.forward_sim import evaluate_cost_strong
+from fbsde_nearopt.forward_sim import evaluate_cost_strong, evaluate_cost_weak
 from fbsde_nearopt.model import (
+    BUILTIN_FAMILIES,
     InitialCoefficient,
+    adjoint_reads_backward,
     cost_reads_backward,
     structurally_zero,
+    without_observation,
     zero_coefficient,
     zero_driver,
 )
@@ -297,6 +302,20 @@ def test_cost_on_the_forward_bundle_equals_the_cost_on_the_backward_bundle(name)
         assert _bits(evaluate_cost_strong(spec, fwd)) == want
 
 
+@pytest.mark.parametrize("name", ["lq1", "lq_obs1", "lq_obs_twin"])
+def test_weak_cost_solves_the_backward_equation_only_for_a_reader(name, monkeypatch):
+    spec = INSTANCES[name]()
+    grid = make_time_grid(spec.horizon, 8)
+    u = constant_control(np.full(spec.dim_u, 0.2), grid, spec.control_set)
+    calls = []
+    original = bsde.solve_backward
+    monkeypatch.setattr(bsde, "solve_backward", lambda *args: calls.append(1) or original(*args))
+    got = _bits(evaluate_cost_weak(spec, u, seed=5, n_paths=1000, grid=grid))
+    assert len(calls) == cost_reads_backward(without_observation(spec))
+    monkeypatch.setattr(bsde, "cost_reads_backward", lambda spec: True)
+    assert _bits(evaluate_cost_weak(spec, u, seed=5, n_paths=1000, grid=grid)) == got
+
+
 def test_which_costs_read_the_backward_state():
     readers = {name for name, make in INSTANCES.items() if cost_reads_backward(make())}
     assert readers == {"lq_twin", "lq_obs_twin", "scalar_nonlinear_gamma"}
@@ -304,22 +323,91 @@ def test_which_costs_read_the_backward_state():
     assert cost_reads_backward(constant_running_cost_instance())
 
 
-def _descent(spec, monkeypatch, reads_backward=None):
+def test_which_adjoints_read_the_backward_state():
+    readers = {name for name, make in INSTANCES.items() if adjoint_reads_backward(make())}
+    assert readers == {
+        "scalar_nonlinear", "scalar_nonlinear_gamma",
+        "lq_twin", "lq_value", "lq_obs_twin", "lq_obs_value",
+    }
+    # f_y = -0.5 on scalar_nonlinear; every other built-in keeps k at zero
+    assert {f for f in BUILTIN_FAMILIES if adjoint_reads_backward(builtin_instance(f))} == {
+        "scalar_nonlinear"
+    }
+    # plain-lambda partials declare nothing, so the adjoint is taken to read y and z
+    assert adjoint_reads_backward(constant_running_cost_instance())
+
+
+def _hex(values):
+    return [float(v).hex() for v in values]
+
+
+@pytest.mark.parametrize("name", sorted(INSTANCES))
+def test_adjoint_on_the_forward_bundle_equals_the_adjoint_on_the_backward_bundle(name):
+    spec = INSTANCES[name]()
+    grid = make_time_grid(spec.horizon, 8)
+    u = constant_control(np.full(spec.dim_u, 0.2), grid, spec.control_set)
+    fwd = simulate_forward(spec, u, sample_noise(grid, 1000, 5))
+    bundle = bsde.adjoint_bundle(spec, fwd)
+    bwd = solve_backward(spec, fwd)
+    # the backward equation is solved only for an adjoint that reads it
+    if adjoint_reads_backward(spec):
+        assert np.array_equal(bundle.y, bwd.y)
+    else:
+        assert bundle.y is bundle.z1 is bundle.z2 is None
+    got, want = solve_adjoint(spec, bundle), solve_adjoint(spec, bwd)
+    assert got.weighted.tobytes() == want.weighted.tobytes()
+    assert _hex(got.diagnostics.condition_numbers) == _hex(want.diagnostics.condition_numbers)
+    assert _hex(got.diagnostics.residual_rms) == _hex(want.diagnostics.residual_rms)
+    gap, gap_want = min_gap_over_A(spec, got), min_gap_over_A(spec, want)
+    assert _hex(gap[:2]) == _hex(gap_want[:2])
+    assert gap.minimizer.values.tobytes() == gap_want.minimizer.values.tobytes()
+    v = constant_control(np.full(spec.dim_u, -0.1), grid, spec.control_set)
+    assert _hex(necessary_gap(got, v)) == _hex(necessary_gap(want, v))
+    full, full_want = adjoint_trajectories(spec, bundle), adjoint_trajectories(spec, bwd)
+    for field in ("weighted", "k", "p", "q1", "q2", "r", "R1", "R2"):
+        assert getattr(full, field).tobytes() == getattr(full_want, field).tobytes(), field
+
+
+def test_a_bundle_without_backward_values_refuses_a_reader():
+    spec = cost_through_y_twin(make_lq_observation_instance())
+    grid = make_time_grid(spec.horizon, 8)
+    u = constant_control(np.full(spec.dim_u, 0.2), grid, spec.control_set)
+    fwd = simulate_forward(spec, u, sample_noise(grid, 1000, 5))
+    bare = dataclasses.replace(solve_backward(spec, fwd), y=None, z1=None, z2=None)
+    with pytest.raises(FbsdeError, match="backward bundle"):
+        evaluate_cost_strong(spec, bare)
+    with pytest.raises(FbsdeError, match="solved backward bundle"):
+        solve_adjoint(spec, bare)
+
+
+def _descent(spec, monkeypatch, reads_backward=None, adjoint_reads=None):
+    """A short descent with its backward solves and forward simulations
+    counted; the cost's and the adjoint's predicates can be forced."""
     calls = {"solve_backward": 0, "simulate_forward": 0}
-    for fn in calls:
-        original = getattr(optimizer, fn)
+    for module, fn in ((bsde, "solve_backward"), (optimizer, "simulate_forward")):
+        original = getattr(module, fn)
 
         def counted(*args, _fn=fn, _original=original):
             calls[_fn] += 1
             return _original(*args)
 
-        monkeypatch.setattr(optimizer, fn, counted)
+        monkeypatch.setattr(module, fn, counted)
     if reads_backward is not None:
-        monkeypatch.setattr(optimizer, "cost_reads_backward", lambda spec: reads_backward)
+        monkeypatch.setattr(bsde, "cost_reads_backward", lambda spec: reads_backward)
+    if adjoint_reads is not None:
+        monkeypatch.setattr(bsde, "adjoint_reads_backward", lambda spec: adjoint_reads)
     grid = make_time_grid(spec.horizon, 16)
     u0 = constant_control(spec.control_set.center(), grid, spec.control_set)
     trace = smp_descent(spec, u0, DescentParams(max_iter=4, n_paths=4000, seed=3))
     return trace, calls
+
+
+def _assert_same_descent(got, want):
+    assert [_bits(row) for row in got.rows] == [_bits(row) for row in want.rows]
+    assert len(got.controls) == len(want.controls)
+    for a, b in zip(got.controls, want.controls):
+        assert np.array_equal(a.values, b.values)
+    assert (got.converged, got.stop_reason) == (want.converged, want.stop_reason)
 
 
 def test_line_search_trials_skip_the_backward_solve(monkeypatch):
@@ -327,16 +415,22 @@ def test_line_search_trials_skip_the_backward_solve(monkeypatch):
     with monkeypatch.context() as patch:
         want, want_calls = _descent(spec, patch, reads_backward=True)
     got, calls = _descent(spec, monkeypatch)
-    assert [_bits(row) for row in got.rows] == [_bits(row) for row in want.rows]
-    assert len(got.controls) == len(want.controls)
-    for a, b in zip(got.controls, want.controls):
-        assert np.array_equal(a.values, b.values)
-    assert (got.converged, got.stop_reason) == (want.converged, want.stop_reason)
-    # the start and each accepted step are solved backward once; rejected trials never
-    accepted = len(got.controls) - 1
-    assert calls["solve_backward"] == accepted + 1
+    _assert_same_descent(got, want)
+    # neither the trials' costs nor the accepted steps' adjoints read y or z
+    assert calls["solve_backward"] == 0
     assert calls["simulate_forward"] > calls["solve_backward"]
     assert want_calls["solve_backward"] == want_calls["simulate_forward"] == calls["simulate_forward"]
+
+
+def test_accepted_steps_skip_the_backward_solve_their_adjoint_never_reads(monkeypatch):
+    spec = make_lq_observation_instance()
+    with monkeypatch.context() as patch:
+        want, want_calls = _descent(spec, patch, adjoint_reads=True)
+    got, calls = _descent(spec, monkeypatch)
+    _assert_same_descent(got, want)
+    # forced, the start and each accepted step are solved backward once
+    assert want_calls["solve_backward"] == len(want.controls)
+    assert calls["solve_backward"] == 0
 
 
 def test_a_cost_through_y_keeps_its_per_trial_backward_solve(monkeypatch):
