@@ -1,22 +1,20 @@
 """Alternating parent/change runs of the benchmark, collected into one BENCH file.
 
-    python3 scripts/bench_ab.py --parent ../parent --change . \\
-        --workloads certify-lq2 certify-nonlinear solve-lq_obs \\
-        --pairs 10 --seconds 20 --seed 100 --out BENCH_<n>.json
+    python3 scripts/bench_ab.py --parent ../parent --change . --out BENCH_<n>.json
 
 ``--parent`` and ``--change`` are two checkouts, each with its own
 ``perfbench/`` and ``src/`` (make the parent one with ``git archive``).
-Pair i of a workload runs ``perfbench/run.py --workload W --seed SEED + i
---seconds N --trace 0`` once in each checkout, each in a fresh process, the
-parent first in even pairs and the change first in odd ones.  The file
-holds each side's provenance line (from its first run), every run's
-end-to-end metrics and, per metric, both medians, the parent's
-interquartile range and the number of pairs the change won.
-
-``--trace-seed S`` adds one traced run (``--trace 1``) per workload and
-checkout, with its per-layer metrics.  ``--commands`` adds the wall time
-and peak RSS of each CLI command on each ``configs/*.ini``, one child
-process per command.
+The workloads and the run length are the ones the change's
+``BENCHMARK.json`` declares.  Pair i of a workload runs
+``perfbench/run.py --workload W --seed FIRST_SEED + i --seconds N --trace 0``
+once in each checkout, each in a fresh process, the parent first in even
+pairs and the change first in odd ones.  The file holds each side's
+provenance line (from its first run), every run's end-to-end metrics and,
+per metric, both medians, the parent's interquartile range and the number
+of pairs the change won.  It also holds one traced run (``--trace 1``, seed
+TRACE_SEED) per workload and checkout with its per-layer metrics, and the
+wall time and peak RSS of each CLI command on each ``configs/*.ini``, one
+child process per command.
 """
 
 from __future__ import annotations
@@ -32,6 +30,9 @@ import tempfile
 import time
 
 END_TO_END = ("op_s.p50", "peak_rss_mb", "setup_s")
+PAIRS = 10
+FIRST_SEED = 100
+TRACE_SEED = 7
 RUN_TIMEOUT_S = 1800
 CLI = "import sys; from fbsde_nearopt.cli import main; sys.exit(main(sys.argv[1:]))"
 
@@ -76,14 +77,14 @@ def summarize(pairs: list[dict]) -> dict:
     return out
 
 
-def ab_pairs(args, workload: str, provenance: dict) -> dict:
+def ab_pairs(args, workload: str, seconds: float, provenance: dict) -> dict:
     pairs = []
-    for i in range(args.pairs):
-        seed = args.seed + i
+    for i in range(PAIRS):
+        seed = FIRST_SEED + i
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         pair = {"seed": seed, "first": order[0]}
         for side in order:
-            run = perfbench(getattr(args, side), workload, seed, args.seconds, 0)
+            run = perfbench(getattr(args, side), workload, seed, seconds, 0)
             provenance.setdefault(side, run["provenance"])
             pair[side] = {**run["metrics"], "fail_frac": run["fail_frac"], "correct": run["correct"]}
         pairs.append(pair)
@@ -126,29 +127,25 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--parent", required=True, help="checkout of the parent commit")
     parser.add_argument("--change", required=True, help="checkout of the change")
-    parser.add_argument("--workloads", nargs="+", required=True)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=20.0)
-    parser.add_argument("--seed", type=int, default=100, help="workload seed of the first pair")
-    parser.add_argument("--trace-seed", type=int, help="also run each workload traced at this seed")
-    parser.add_argument("--commands", action="store_true", help="also time every CLI command per config")
     parser.add_argument("--out", required=True, help="JSON file to write")
     args = parser.parse_args(argv)
 
+    with open(os.path.join(args.change, "BENCHMARK.json")) as handle:
+        benchmark = json.load(handle)
+    workloads = [w["name"] for w in benchmark["workloads"]]
+    seconds = float(benchmark["run_seconds"])
+    sides = ("parent", "change")
     provenance: dict = {}
     report = {
-        "settings": {"pairs": args.pairs, "seconds": args.seconds, "first_seed": args.seed},
+        "settings": {"pairs": PAIRS, "seconds": seconds, "first_seed": FIRST_SEED},
         "provenance": provenance,
-        "workloads": {w: ab_pairs(args, w, provenance) for w in args.workloads},
+        "workloads": {w: ab_pairs(args, w, seconds, provenance) for w in workloads},
+        "traced": {
+            w: {side: perfbench(getattr(args, side), w, TRACE_SEED, seconds, 1)["metrics"] for side in sides}
+            for w in workloads
+        },
+        "commands": {side: command_table(getattr(args, side)) for side in sides},
     }
-    if args.trace_seed is not None:
-        report["traced"] = {
-            w: {side: perfbench(getattr(args, side), w, args.trace_seed, args.seconds, 1)["metrics"]
-                for side in ("parent", "change")}
-            for w in args.workloads
-        }
-    if args.commands:
-        report["commands"] = {side: command_table(getattr(args, side)) for side in ("parent", "change")}
     with open(args.out, "w") as handle:
         json.dump(report, handle, indent=1, sort_keys=True)
         handle.write("\n")

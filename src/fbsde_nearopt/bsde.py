@@ -316,25 +316,31 @@ def cost_bundle(spec: ProblemSpec, fwd: ForwardTrajectories, basis: BasisSpec = 
 
 
 def adjoint_bundle(
-    spec: ProblemSpec, fwd: ForwardTrajectories, basis: BasisSpec = BasisSpec()
+    spec: ProblemSpec,
+    bundle: ForwardTrajectories | BackwardTrajectories,
+    basis: BasisSpec = BasisSpec(),
 ) -> BackwardTrajectories:
-    """The bundle the adjoint of ``fwd``'s control runs on.
+    """The bundle the adjoint of ``bundle``'s control runs on.
 
-    ``solve_backward``'s when the adjoint reads y or z
-    (``model.adjoint_reads_backward``); otherwise ``fwd`` with the
-    conditional expectation on its states and no y, z1 or z2 solved.  The
-    operator computes each step's statistics on first use, so the adjoint
-    gets the same fits, bit for bit, from either bundle.
+    ``bundle`` itself when it is already a backward bundle, as
+    ``cost_bundle`` returns for a cost that reads y or z.  For a forward
+    bundle: ``solve_backward``'s when the adjoint reads y or z
+    (``model.adjoint_reads_backward``); otherwise the forward bundle with
+    the conditional expectation on its states and no y, z1 or z2 solved.
+    The operator computes each step's statistics on first use, so the
+    adjoint gets the same fits, bit for bit, from either bundle.
     """
+    if isinstance(bundle, BackwardTrajectories):
+        return bundle
     if adjoint_reads_backward(spec):
-        return solve_backward(spec, fwd, basis)
+        return solve_backward(spec, bundle, basis)
     return BackwardTrajectories(
         y=None,
         z1=None,
         z2=None,
         diagnostics=RegressionDiagnostics(),
-        operator=ConditionalExpectation(fwd.x, basis),
-        forward=fwd,
+        operator=ConditionalExpectation(bundle.x, basis),
+        forward=bundle,
     )
 
 

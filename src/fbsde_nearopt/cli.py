@@ -311,7 +311,8 @@ def cmd_certify(cfg: RunConfig, control_path: str, sufficient: bool) -> int:
     control = control_from_csv(control_path, grid, spec.control_set)
 
     noise = sample_noise(grid, cfg.n_paths, cfg.seed)
-    bwd = adjoint_bundle(spec, simulate_forward(spec, control, noise), cfg.basis())
+    fwd = simulate_forward(spec, control, noise)
+    bwd = adjoint_bundle(spec, cost_bundle(spec, fwd, cfg.basis()), cfg.basis())
     epsilon = _oracle_epsilon(cfg, spec, bwd)
     if sufficient:
         certificate = certify_sufficient(
@@ -333,7 +334,8 @@ def _order_point(spec, control, noise, basis, oracle_cost: float):
     that the member's bundles are freed on return, before the next member
     is simulated.
     """
-    bwd = adjoint_bundle(spec, simulate_forward(spec, control, noise), basis)
+    fwd = simulate_forward(spec, control, noise)
+    bwd = adjoint_bundle(spec, cost_bundle(spec, fwd, basis), basis)
     epsilon = max(evaluate_cost_strong(spec, bwd).value - oracle_cost, 0.0)
     return epsilon, min_gap_over_A(spec, solve_adjoint(spec, bwd))
 

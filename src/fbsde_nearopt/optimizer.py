@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .bsde import BackwardTrajectories, BasisSpec, adjoint_bundle, cost_bundle, solve_adjoint
+from .bsde import BasisSpec, adjoint_bundle, cost_bundle, solve_adjoint
 from .errors import FbsdeError
 from .forward_sim import control_distance, evaluate_cost_strong, simulate_forward
 from .model import ControlProcess, ProblemSpec, make_control
@@ -81,14 +81,6 @@ def _evaluate(spec, u, noise, basis):
     return bundle, evaluate_cost_strong(spec, bundle)
 
 
-def _backward(spec, bundle, basis) -> BackwardTrajectories:
-    """The adjoint bundle of an evaluated control: its backward bundle if
-    its cost needed one, else ``adjoint_bundle``'s."""
-    if isinstance(bundle, BackwardTrajectories):
-        return bundle
-    return adjoint_bundle(spec, bundle, basis)
-
-
 def smp_descent(spec: ProblemSpec, u0: ControlProcess, params: DescentParams) -> DescentTrace:
     """Iterate toward a gap-certified control from an admissible start."""
     for i, v in enumerate(u0.values):
@@ -104,7 +96,7 @@ def smp_descent(spec: ProblemSpec, u0: ControlProcess, params: DescentParams) ->
     stop_reason = "max_iter reached"
 
     for j in range(params.max_iter + 1):
-        gap = min_gap_over_A(spec, solve_adjoint(spec, _backward(spec, bundle, params.basis)))
+        gap = min_gap_over_A(spec, solve_adjoint(spec, adjoint_bundle(spec, bundle, params.basis)))
 
         if abs(gap.gap) <= params.tol_gap:
             rows.append(

@@ -116,6 +116,14 @@ def linear_gamma_instance(c=0.7):
     return dataclasses.replace(base, initial_gamma=gamma, label="linear_gamma")
 
 
+def constant_gamma_instance(c=0.5):
+    """gamma(y) = c: the cost reads y(0) through gamma's value, but
+    k(0) = -gamma_y = 0, so the adjoint reads no backward value."""
+    base = make_lq_instance(LQParams())
+    gamma = dataclasses.replace(base.initial_gamma, value=lambda y: np.full(y.shape[0], c))
+    return dataclasses.replace(base, initial_gamma=gamma, label="constant_gamma")
+
+
 def concave_control_cost_instance():
     """Running cost with a -|u|^2 term (Hessian eigenvalue -2 in u)."""
     base = make_lq_instance(LQParams(q=1.0))

@@ -19,7 +19,13 @@ from fbsde_nearopt import (
     simulate_forward,
     solve_backward,
 )
-from fbsde_nearopt.model import BUILTIN_FAMILIES, control_from_csv, control_to_csv
+from fbsde_nearopt.model import (
+    BUILTIN_FAMILIES,
+    adjoint_reads_backward,
+    control_from_csv,
+    control_to_csv,
+    cost_reads_backward,
+)
 
 
 def write_config(tmp_path, body, name="run.ini"):
@@ -353,6 +359,46 @@ def test_order_study_runs_one_pass_per_member(tmp_path, layer_calls):
     direction = constant_control([run.direction], run.grid(), spec.control_set)
     family = perturbation_family(
         spec, u_star, [0.05, 0.1, 0.2, 0.3], direction, sol.optimal_cost,
+        n_paths=run.n_paths, seed=run.seed, basis=run.basis(),
+    )
+    lines = (tmp_path / "out" / "order_study.csv").read_text().strip().splitlines()[1:]
+    assert [float(line.split(",")[1]) for line in lines] == [eps for _, eps in family]
+
+
+def test_certify_and_order_study_measure_a_cost_that_reads_y(tmp_path, monkeypatch, layer_calls):
+    """gamma = 0.5: the cost reads y(0) and the adjoint reads no backward
+    value, so each pass solves the backward equation once, for the cost, and
+    runs the adjoint on that bundle."""
+    from _instances import constant_gamma_instance
+
+    spec = constant_gamma_instance()
+    assert cost_reads_backward(spec) and not adjoint_reads_backward(spec)
+    monkeypatch.setattr(cli.RunConfig, "instance", lambda self: spec)
+    body = BASE.format(out=tmp_path / "out") + "\n[order_study]\ndeltas = 0.1,0.2,0.3\n"
+    cfg = write_config(tmp_path, body)
+    control = tmp_path / "u.csv"
+    control.write_text("step,u0\n" + "\n".join(f"{i},-0.4" for i in range(8)) + "\n")
+    # epsilon = auto measures the cost on the bundle certify runs the adjoint on
+    assert cli.main(["--config", cfg, "certify", "--control", str(control)]) == 0
+    assert cli.main(["--config", cfg, "order-study"]) == 0
+    assert layer_calls["solve_backward"] == 1 + 3
+
+    run = cli.load_config(cfg)
+    sol = riccati_lq(run.lq_params())
+    u = control_from_csv(str(control), run.grid(), spec.control_set)
+    noise = sample_noise(run.grid(), run.n_paths, run.seed)
+    bwd = solve_backward(spec, simulate_forward(spec, u, noise), run.basis())
+    cost = evaluate_cost_strong(spec, bwd)
+    epsilon = max(cost.value - sol.optimal_cost + 3.0 * cost.stderr, 0.0)
+    payload = json.loads((tmp_path / "out" / "certificate.json").read_text())
+    payload.pop("meta")
+    cert = certify_necessary(spec, bwd, epsilon, run.certificate_C)
+    assert json.loads(json.dumps(cert.to_dict())) == payload
+
+    u_star = riccati_open_loop_control(sol, run.lq_params(), run.grid(), spec.control_set)
+    direction = constant_control([run.direction], run.grid(), spec.control_set)
+    family = perturbation_family(
+        spec, u_star, [0.1, 0.2, 0.3], direction, sol.optimal_cost,
         n_paths=run.n_paths, seed=run.seed, basis=run.basis(),
     )
     lines = (tmp_path / "out" / "order_study.csv").read_text().strip().splitlines()[1:]
