@@ -43,7 +43,11 @@ corrector's q2 h term when h is zero.  Work whose result nothing reads is
 skipped as well: ``solve_adjoint`` does not solve the value system when
 h's x- and u-Jacobians are both zero, since R2 then reaches neither H_x
 nor H_u, and a k that no partial moves is held as one step, read as a
-stride-0 trajectory.  ``adjoint_trajectories`` solves and stores all of it.
+stride-0 trajectory.  Nor does ``solve_adjoint`` fit the p step's
+martingale increments when nothing reads q1 or q2
+(``model.adjoint_reads_integrands``: sigma1's and sigma2's Jacobians and h
+itself are structurally zero); that also leaves dY unread.
+``adjoint_trajectories`` solves and stores all of it.
 Nor is the backward equation solved for an adjoint that reads no y or z
 (``model.adjoint_reads_backward``): ``adjoint_bundle`` then builds the
 operator on the forward states alone, and the sweep reads zero views.
@@ -64,6 +68,7 @@ from .model import (
     ControlProcess,
     ProblemSpec,
     adjoint_reads_backward,
+    adjoint_reads_integrands,
     cost_reads_backward,
     structurally_zero,
 )
@@ -276,7 +281,11 @@ class AdjointTrajectories(ControlGradient):
 
 
 def _regression_step(
-    operator: _Operator, i: int, v_next: np.ndarray, fwd: ForwardTrajectories
+    operator: _Operator,
+    i: int,
+    v_next: np.ndarray,
+    fwd: ForwardTrajectories,
+    integrands: bool = True,
 ):
     """One backward step at step i for a (P, d) value known at step i + 1,
     on the noise that drove ``fwd``.
@@ -285,19 +294,22 @@ def _regression_step(
     one fit) and the residual RMS of the value fit.  The increment targets
     are centred on the fitted mean: variance reduction with the same
     conditional expectation.  They are built in the operator's held target
-    array, one contiguous column per product.
+    array, one contiguous column per product.  Without ``integrands`` the
+    increment fit is not run and both integrands are None.
     """
     P, d = v_next.shape
     noise, dt = fwd.noise, fwd.grid.dt
     v_hat, _ = operator.fit(i, v_next)
     resid = v_next - v_hat
+    rms = float(np.sqrt(np.mean(resid ** 2)))
+    if not integrands:
+        return v_hat, None, None, rms
     increments = operator.targets(2 * d)
     for j in range(d):
         np.multiply(resid[:, j], noise.dW[:, i], out=increments[:, j])
         np.multiply(resid[:, j], noise.dY[:, i], out=increments[:, d + j])
     fitted, _ = operator.fit(i, increments)
     fitted /= dt
-    rms = float(np.sqrt(np.mean(resid ** 2)))
     return v_hat, fitted[:, :d], fitted[:, d:], rms
 
 
@@ -399,7 +411,9 @@ def _backward_sweep(
     )
 
 
-def _adjoint_sweep(spec: ProblemSpec, bwd: BackwardTrajectories, value_system: bool):
+def _adjoint_sweep(
+    spec: ProblemSpec, bwd: BackwardTrajectories, value_system: bool, integrands: bool = True
+):
     """Solve the multiplier system along ``bwd``'s admissible pair, as a stream.
 
     Order: the forward k equation first (its drift and diffusions involve
@@ -419,7 +433,10 @@ def _adjoint_sweep(spec: ProblemSpec, bwd: BackwardTrajectories, value_system: b
     for an adjoint that reads them.  Each reversed step builds one
     ``ShiftedPartials`` at its fixed k, q1 and q2; both passes of the p
     corrector and the collectors' H_u read its coefficient Jacobians.  A
-    structurally zero h drops the corrector's q2 h term.
+    structurally zero h drops the corrector's q2 h term.  Without
+    ``integrands`` the p step runs its value fit alone and q1 and q2 are
+    None: only a caller that reads neither may ask for that
+    (``model.adjoint_reads_integrands``).
 
     Yields k (N + 1, P, m) with the terminal p(T) and r(T); then, from step
     N - 1 back to 0, the step's final ``(i, MultiplierPoint, ShiftedPartials,
@@ -500,7 +517,7 @@ def _adjoint_sweep(spec: ProblemSpec, bwd: BackwardTrajectories, value_system: b
             r_next = r_hat[:, 0] + (l_val + R2_i * h) * dt
             r_residuals.append(rms)
 
-        p_hat, q1_i, q2_i, rms = _regression_step(operator, i, p_next, fwd)
+        p_hat, q1_i, q2_i, rms = _regression_step(operator, i, p_next, fwd, integrands)
 
         q2h = None if h_zero else q2_i * h[:, None]
         partials = ham.ShiftedPartials(spec, t, xi, yi, z1i, z2i, ui, k[i], q1_i, q2_i)
@@ -532,11 +549,15 @@ def solve_adjoint(spec: ProblemSpec, bwd: BackwardTrajectories) -> ControlGradie
     ``adjoint_trajectories`` runs the same sweep and keeps them all.  R2
     reaches H_x and H_u only through h's Jacobians, so when both are
     structurally zero the value system (r, R1, R2) is not solved, and the
-    diagnostics list the p fits alone.
+    diagnostics list the p fits alone.  When nothing reads q1 or q2
+    (``model.adjoint_reads_integrands``), the p step's increment fit is not
+    run either; its value fit and residual are, so the diagnostics are the
+    same.
     """
     fwd = bwd.forward
     h = spec.observation_h
-    sweep = _adjoint_sweep(spec, bwd, not (structurally_zero(h.dx) and structurally_zero(h.du)))
+    value_system = not (structurally_zero(h.dx) and structurally_zero(h.du))
+    sweep = _adjoint_sweep(spec, bwd, value_system, adjoint_reads_integrands(spec))
     next(sweep)
     N = fwd.grid.steps
     weighted = np.empty((N, fwd.n_paths, spec.dim_u))

@@ -2,7 +2,12 @@
 
 The state advances with drift b - sigma2*h against the two reference-measure
 noises; the density weight rho is advanced in log space so that it stays
-positive and is exact for constant observation drift.
+positive and is exact for constant observation drift.  What a structurally
+zero part (``model.structurally_zero``) makes vanish is not computed: with
+sigma2 zero the state step has no sigma2 terms, and with h zero rho is
+identically one, held as one step and read as a stride-0 trajectory.
+Then the forward simulation reads no dY, which ``sample_noise`` draws only
+on its first read.
 
 Every trajectory (the state here, the backward and adjoint processes in
 ``bsde``) is a time-major ``(steps, P, d)`` array stored as ``(steps, d, P)``:
@@ -18,7 +23,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FbsdeError, GridMismatchError, SimulationError
-from .model import ControlProcess, ProblemSpec, cost_reads_backward, without_observation
+from .model import (
+    ControlProcess,
+    ProblemSpec,
+    cost_reads_backward,
+    structurally_zero,
+    without_observation,
+)
 from .paths import NoiseBundle, TimeGrid, sample_noise
 
 BLOWUP_THRESHOLD = 1e8
@@ -41,6 +52,8 @@ class ForwardTrajectories:
 
     ``x`` is stored with column-major per-step slices however the bundle was
     built, as every trajectory is; ``x[i]`` is contiguous along paths.
+    ``rho`` is (steps + 1, paths); for a structurally zero h it is one step
+    of ones read as every step, a read-only stride-0 view.
     """
 
     x: np.ndarray
@@ -61,7 +74,14 @@ class ForwardTrajectories:
 def simulate_forward(
     spec: ProblemSpec, u: ControlProcess, noise: NoiseBundle
 ) -> ForwardTrajectories:
-    """Euler step for x, exact exponential-martingale step for rho."""
+    """Euler step for x, exact exponential-martingale step for rho.
+
+    A structurally zero sigma2 drops the state step's sigma2 * h and
+    sigma2 * dY terms; a structurally zero h holds rho as one step of ones,
+    read as a read-only stride-0 trajectory.  With both zero, dY is never
+    read.  A dropped term is an exact zero, so at most the sign of a zero
+    differs from the full step.
+    """
     _check_same_grid(u.grid, noise.grid, "simulate_forward")
     if u.dim != spec.dim_u:
         raise FbsdeError(f"control dim {u.dim} != spec dim_u {spec.dim_u}")
@@ -69,11 +89,14 @@ def simulate_forward(
     P, N, n = noise.n_paths, grid.steps, spec.dim_x
     dt = grid.dt
     times = grid.times
+    s2_zero = structurally_zero(spec.diffusion_sigma2.value)
+    h_zero = structurally_zero(spec.observation_h.value)
 
     x = _trajectory(N + 1, P, n)
-    log_rho = np.empty((N + 1, P))
     x[0] = spec.initial_x[None, :]
-    log_rho[0] = 0.0
+    if not h_zero:
+        log_rho = np.empty((N + 1, P))
+        log_rho[0] = 0.0
 
     for i in range(N):
         t = times[i]
@@ -81,16 +104,21 @@ def simulate_forward(
         ui = u.values[i]
         b = spec.drift_b.value(t, xi, ui)
         s1 = spec.diffusion_sigma1.value(t, xi, ui)
-        s2 = spec.diffusion_sigma2.value(t, xi, ui)
-        h = spec.observation_h.value(t, xi, ui)
+        if not (s2_zero and h_zero):
+            h = spec.observation_h.value(t, xi, ui)
         # a product of broadcast views would come out C-ordered: lay it out like x
-        x[i + 1] = (
-            xi
-            + (b - np.multiply(s2, h[:, None], order="F")) * dt
-            + np.multiply(s1, noise.dW[:, i, None], order="F")
-            + np.multiply(s2, noise.dY[:, i, None], order="F")
-        )
-        log_rho[i + 1] = log_rho[i] + h * noise.dY[:, i] - 0.5 * h * h * dt
+        if s2_zero:
+            x[i + 1] = xi + b * dt + np.multiply(s1, noise.dW[:, i, None], order="F")
+        else:
+            s2 = spec.diffusion_sigma2.value(t, xi, ui)
+            x[i + 1] = (
+                xi
+                + (b - np.multiply(s2, h[:, None], order="F")) * dt
+                + np.multiply(s1, noise.dW[:, i, None], order="F")
+                + np.multiply(s2, noise.dY[:, i, None], order="F")
+            )
+        if not h_zero:
+            log_rho[i + 1] = log_rho[i] + h * noise.dY[:, i] - 0.5 * h * h * dt
         # one reduction per step; NaN fails the comparison, so it is caught too
         if not np.abs(x[i + 1]).max() <= BLOWUP_THRESHOLD:
             bad = ~(np.abs(x[i + 1]) <= BLOWUP_THRESHOLD).all(axis=1)
@@ -100,7 +128,9 @@ def simulate_forward(
                 f"x = {x[i + 1, j]}"
             )
 
-    return ForwardTrajectories(x=x, rho=np.exp(log_rho), grid=grid, control=u, noise=noise)
+    # h == 0: rho is identically one, held once and read as every step
+    rho = np.broadcast_to(np.ones(P), (N + 1, P)) if h_zero else np.exp(log_rho)
+    return ForwardTrajectories(x=x, rho=rho, grid=grid, control=u, noise=noise)
 
 
 @dataclass(frozen=True)

@@ -16,9 +16,12 @@ skips the products and partials such a part would make vanish, the value
 system when h's Jacobians are zero and the k history when no k partial is
 live.  The backward update skips f and h when both are zero.  Work whose
 result nothing reads is skipped too: a cost that ``cost_reads_backward``
-finds free of y and z is measured on the forward bundle alone, and an
-adjoint that ``adjoint_reads_backward`` finds free of them runs without
-the backward solve.
+finds free of y and z is measured on the forward bundle alone, an adjoint
+that ``adjoint_reads_backward`` finds free of them runs without the
+backward solve, and a control gradient that ``adjoint_reads_integrands``
+finds free of q1 and q2 runs without the adjoint's increment fits.  The
+forward simulation drops the sigma2 terms when sigma2 is zero and holds
+the density as ones when h is zero, so neither reads dY.
 
 ``validate_problem`` audits the nine coefficients in one loop: every
 declared partial is differenced in the sampled argument it names (dx in x,
@@ -290,6 +293,17 @@ def adjoint_reads_backward(spec: "ProblemSpec") -> bool:
     parts = [spec.initial_gamma.dy] + [
         getattr(c, w) for c in (spec.backward_f, spec.running_l) for w in ("dy", "dz1", "dz2")
     ]
+    return not all(structurally_zero(part) for part in parts)
+
+
+def adjoint_reads_integrands(spec: "ProblemSpec") -> bool:
+    """Whether the control gradient reads the adjoint's martingale
+    integrands (q1, q2): unless sigma1's and sigma2's x- and u-Jacobians and
+    h's value are all structurally zero.  Those are the only parts H_x, H_u
+    and the p corrector multiply q1 and q2 by."""
+    parts = [
+        getattr(c, w) for c in (spec.diffusion_sigma1, spec.diffusion_sigma2) for w in ("dx", "du")
+    ] + [spec.observation_h.value]
     return not all(structurally_zero(part) for part in parts)
 
 

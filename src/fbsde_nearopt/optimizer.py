@@ -117,6 +117,8 @@ def smp_descent(spec: ProblemSpec, u0: ControlProcess, params: DescentParams) ->
             candidate = ControlProcess(
                 values=u.values + step * (gap.minimizer.values - u.values), grid=u.grid
             )
+            # drop the rejected trial's bundle before the next one is simulated
+            bundle_c = None
             bundle_c, cost_c = _evaluate(spec, candidate, noise, params.basis)
             if cost_c.value <= cost.value + ARMIJO_C * (step * gap.gap):
                 break

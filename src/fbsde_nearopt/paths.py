@@ -6,7 +6,10 @@ under the reference measure.  Bundles are either Gaussian Monte-Carlo draws
 or the exhaustive binomial (+/- sqrt(dt)) enumeration used by the oracle.
 Every bundle stores its increments time-contiguous: ``(paths, steps)``
 matrices in column-major order, so the column a sweep reads at one step is
-contiguous.  The layout changes no value and not the prefix property.
+contiguous.  The layout changes no value and not the prefix property.  A
+Monte-Carlo bundle draws dY on its first read, from the same substream it
+was always drawn from, so a run whose instance reads no dY (sigma2 and h
+structurally zero) never draws it and every reader gets the same bits.
 """
 
 from __future__ import annotations
@@ -57,7 +60,8 @@ class NoiseBundle:
     column-major (time-contiguous) however the bundle was built, because a
     sweep reads one step's column at a time.  Every path carries the same
     weight: Monte-Carlo draws and the binomial enumeration alike are
-    averaged with a plain mean.
+    averaged with a plain mean.  A bundle from ``sample_noise`` draws dY on
+    its first read; until then the instance holds no dY.
     """
 
     grid: TimeGrid
@@ -75,9 +79,26 @@ class NoiseBundle:
         object.__setattr__(self, "dW", np.asfortranarray(self.dW))
         object.__setattr__(self, "dY", np.asfortranarray(self.dY))
 
+    def __getattr__(self, name: str):
+        # reached only for an attribute the instance does not hold: an undrawn dY
+        state = vars(self)
+        if name != "dY" or "_dY_child" not in state:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        state["dY"] = _draw(state["_dY_child"], self.dW.shape, np.sqrt(self.grid.dt))
+        del state["_dY_child"]
+        return state["dY"]
+
     @property
     def n_paths(self) -> int:
         return self.dW.shape[0]
+
+
+def _draw(child: np.random.SeedSequence, shape: tuple[int, int], scale: float) -> np.ndarray:
+    """Standard normals from ``child``'s Philox stream, filled path-major and
+    scaled into a column-major matrix."""
+    out = np.empty(shape, order="F")
+    raw = np.random.Generator(np.random.Philox(child)).standard_normal(shape)
+    return np.multiply(raw, scale, out=out)
 
 
 def sample_noise(grid: TimeGrid, n_paths: int, seed: int) -> NoiseBundle:
@@ -85,17 +106,18 @@ def sample_noise(grid: TimeGrid, n_paths: int, seed: int) -> NoiseBundle:
 
     W and Y come from two spawned Philox substreams, each filled path-major,
     so a bundle with fewer paths is a bitwise prefix of a larger one drawn
-    from the same seed.  The scaling pass writes the column-major copy.
+    from the same seed.  The scaling pass writes the column-major copy.  dW
+    is drawn here and dY on its first read, from the same substream, so
+    every reader gets the same bits and a run that never reads dY never
+    draws it.
     """
     if n_paths < 1:
         raise FbsdeError(f"n_paths must be >= 1, got {n_paths}")
-    scale = np.sqrt(grid.dt)
-    shape = (n_paths, grid.steps)
-    dW, dY = np.empty(shape, order="F"), np.empty(shape, order="F")
-    for child, out in zip(np.random.SeedSequence(seed).spawn(2), (dW, dY)):
-        raw = np.random.Generator(np.random.Philox(child)).standard_normal(shape)
-        np.multiply(raw, scale, out=out)
-    return NoiseBundle(grid=grid, dW=dW, dY=dY, seed=seed)
+    w_child, y_child = np.random.SeedSequence(seed).spawn(2)
+    dW = _draw(w_child, (n_paths, grid.steps), np.sqrt(grid.dt))
+    bundle = object.__new__(NoiseBundle)
+    vars(bundle).update(grid=grid, dW=dW, seed=seed, _dY_child=y_child)
+    return bundle
 
 
 def binomial_signs(steps: int) -> tuple[np.ndarray, np.ndarray]:

@@ -160,3 +160,21 @@ def test_replaced_noise_is_time_contiguous():
     _assert_time_contiguous(replaced)
     assert np.array_equal(replaced.dW, dW)
     assert np.array_equal(replaced.dY, dY)
+
+
+def test_sampled_dY_is_drawn_on_first_read_with_the_eager_bits():
+    grid = make_time_grid(1.0, 6)
+    want_w, want_y = _c_order_draw(grid, 300, seed=9)
+    bundle = sample_noise(grid, 300, seed=9)
+    assert np.array_equal(bundle.dW, want_w)
+    # reading dW does not draw dY, and the instance holds no dY until it is read
+    assert "dY" not in vars(bundle)
+    dY = bundle.dY
+    assert np.array_equal(dY, want_y) and dY.flags.f_contiguous
+    assert vars(bundle)["dY"] is dY and bundle.dY is dY
+    # the prefix property holds for a lazily drawn dY, read in either order
+    small, large = sample_noise(grid, 50, seed=9), sample_noise(grid, 400, seed=9)
+    assert np.array_equal(large.dY[:50], small.dY)
+    # a replaced bundle draws the same dY
+    replaced = dataclasses.replace(sample_noise(grid, 300, seed=9), seed=None)
+    assert np.array_equal(replaced.dY, want_y)

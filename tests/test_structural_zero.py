@@ -5,15 +5,18 @@ and corrector pass that a structurally zero part (``model._zero``, the part
 of ``zero_coefficient()`` and ``zero_driver()``) makes identically zero.
 A dropped term is an exact zero, so every output equals the one computed
 with nothing skipped (up to the sign of a zero, which ``np.array_equal``
-does not see).  What no result reads is not computed either: the value
-system when h has zero Jacobians, the backward solve of a line-search trial
-whose cost reads no backward value, and that of an adjoint which reads no
-backward value.
+does not see); the forward step drops sigma2's terms and holds rho as ones
+in the same way.  What no result reads is not computed either: the value
+system when h has zero Jacobians, the adjoint's increment fit when nothing
+reads q1 or q2, the dY draw when nothing reads dY, the backward solve of a
+line-search trial whose cost reads no backward value, and that of an
+adjoint which reads no backward value.
 """
 
 import dataclasses
 import functools
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -43,6 +46,7 @@ from fbsde_nearopt.model import (
     BUILTIN_FAMILIES,
     InitialCoefficient,
     adjoint_reads_backward,
+    adjoint_reads_integrands,
     cost_reads_backward,
     structurally_zero,
     without_observation,
@@ -92,6 +96,7 @@ def _outputs(spec, seed, n_paths=1000, steps=8):
     cost = evaluate_cost_strong(spec, bwd)
     gap = min_gap_over_A(spec, grad)
     out = {
+        "x": fwd.x, "rho": fwd.rho,
         "y": bwd.y, "z1": bwd.z1, "z2": bwd.z2,
         "weighted": grad.weighted,
         "cost": cost.value, "cost_stderr": cost.stderr,
@@ -126,7 +131,9 @@ def _nothing_structurally_zero(monkeypatch):
             if getattr(module, "structurally_zero", None) is structurally_zero:
                 monkeypatch.setattr(module, "structurally_zero", lambda part: False)
                 patched.add(module.__name__)
-    assert {"fbsde_nearopt.hamiltonian", "fbsde_nearopt.bsde"} <= patched
+    assert {
+        "fbsde_nearopt.hamiltonian", "fbsde_nearopt.bsde", "fbsde_nearopt.forward_sim"
+    } <= patched
 
 
 def _with_plain_zeros(spec):
@@ -337,6 +344,52 @@ def test_which_adjoints_read_the_backward_state():
     assert adjoint_reads_backward(constant_running_cost_instance())
 
 
+def test_which_gradients_read_the_adjoint_integrands():
+    readers = {name for name, make in INSTANCES.items() if adjoint_reads_integrands(make())}
+    assert readers == {
+        "lq_obs1", "lq_obs2", "lq_obs_twin", "lq_obs_value",
+        "scalar_nonlinear", "scalar_nonlinear_gamma",
+    }
+    # h = 0.5 on lq_obs; sigma1's and sigma2's Jacobians on scalar_nonlinear
+    assert {f for f in BUILTIN_FAMILIES if adjoint_reads_integrands(builtin_instance(f))} == {
+        "lq_obs", "scalar_nonlinear"
+    }
+    # plain-lambda parts declare nothing, so q1 and q2 are taken to be read
+    assert adjoint_reads_integrands(_with_plain_zeros(make_lq_instance()))
+
+
+@pytest.mark.parametrize("family", sorted(BUILTIN_FAMILIES))
+def test_certify_pipeline_draws_dY_only_where_it_is_read(family):
+    spec = builtin_instance(family)
+    grid = make_time_grid(spec.horizon, 8)
+    u = constant_control(np.full(spec.dim_u, 0.2), grid, spec.control_set)
+    noise = sample_noise(grid, 1000, 5)
+    fwd = simulate_forward(spec, u, noise)
+    bundle = bsde.adjoint_bundle(spec, bsde.cost_bundle(spec, fwd))
+    evaluate_cost_strong(spec, bundle)
+    min_gap_over_A(spec, solve_adjoint(spec, bundle))
+    # sigma2 and h are zero on lq and double_well: no step reads dY
+    assert ("dY" in vars(noise)) == (family in ("lq_obs", "scalar_nonlinear"))
+
+
+def test_forward_simulation_on_lq_never_holds_a_density_trajectory():
+    spec = make_lq_instance()
+    P, N = 20000, 16
+    grid = make_time_grid(spec.horizon, N)
+    u = constant_control(np.full(spec.dim_u, 0.2), grid, spec.control_set)
+    noise = sample_noise(grid, P, 5)
+    tracemalloc.start()
+    try:
+        fwd = simulate_forward(spec, u, noise)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    x_bytes = rho_bytes = 8 * (N + 1) * P
+    assert fwd.rho.strides[0] == 0 and not fwd.rho.flags.writeable
+    # x and one step's work: neither log rho nor rho is a trajectory
+    assert peak < x_bytes + rho_bytes
+
+
 def _hex(values):
     return [float(v).hex() for v in values]
 
@@ -467,9 +520,10 @@ def test_adjoint_skips_the_value_system_no_gradient_reads(family, monkeypatch):
     production, full = _fit_counts(spec, monkeypatch, steps)
     assert "running_l.value" not in production
     assert full["running_l.value"] == steps
-    # per step: two fits for p and q, and two for r and R in the full sweep
-    assert production["fit"] == 2 * steps
-    assert full["fit"] == 2 * production["fit"]
+    # per step: two fits for p and q, and two for r and R in the full sweep;
+    # on lq nothing reads q1 or q2, so p's increment fit is not run
+    assert production["fit"] == (steps if family == "lq" else 2 * steps)
+    assert full["fit"] == 4 * steps
 
 
 def test_adjoint_keeps_the_value_system_when_h_has_a_jacobian(monkeypatch):
