@@ -20,12 +20,12 @@ gap's reductions over paths round differently on column-major steps.
 
 Each result holds what it was computed from: ``solve_backward(spec, fwd)``
 returns a ``BackwardTrajectories`` that carries ``fwd`` (and so its control
-and noise) and the operator it regressed with, and the adjoint solvers take
-only that result.  The adjoint system uses the same operator, reuses the
-same recursion for its backward components and integrates the forward
-component by explicit Euler.  ``adjoint_bundle`` and ``cost_bundle`` give
-the bundle an adjoint or a cost runs on, and solve the backward equation
-only when it reads y or z.
+and noise) and the operator it regressed with, and the cost and the adjoint
+solvers take only that result.  The adjoint system uses the same operator,
+reuses the same recursion for its backward components and integrates the
+forward component by explicit Euler.  ``backward_bundle`` gives the bundle
+a cost and an adjoint run on, and solves the backward equation only when
+one of them reads y or z (``model.reads_backward``).
 
 The adjoint system is solved by one sweep with two collectors.  Each
 reversed step evaluates the Hamiltonian's coefficient Jacobians once, for
@@ -47,15 +47,14 @@ stride-0 trajectory.  Nor does ``solve_adjoint`` fit the p step's
 martingale increments when nothing reads q1 or q2
 (``model.adjoint_reads_integrands``: sigma1's and sigma2's Jacobians and h
 itself are structurally zero); that also leaves dY unread.
-``adjoint_trajectories`` solves and stores all of it.
-Nor is the backward equation solved for an adjoint that reads no y or z
-(``model.adjoint_reads_backward``): ``adjoint_bundle`` then builds the
-operator on the forward states alone, and the sweep reads zero views.
+``adjoint_trajectories`` solves and stores all of it.  Where
+``model.reads_backward`` is false, k stays at k(0) = 0 and is held, and the
+sweep reads zero views for a y, z1 and z2 that ``backward_bundle`` did not
+solve.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement, islice
 
@@ -67,9 +66,8 @@ from .forward_sim import ForwardTrajectories, _trajectory
 from .model import (
     ControlProcess,
     ProblemSpec,
-    adjoint_reads_backward,
     adjoint_reads_integrands,
-    cost_reads_backward,
+    reads_backward,
     structurally_zero,
 )
 
@@ -93,9 +91,6 @@ class BasisSpec:
         for total in range(self.degree + 1):
             combos.extend(combinations_with_replacement(range(dim), total))
         return combos
-
-    def size(self, dim: int) -> int:
-        return len(self.exponent_tuples(dim))
 
 
 class _Operator:
@@ -124,9 +119,11 @@ class ConditionalExpectation(_Operator):
     Least squares per step on the basis in the standardized state, with a
     tiny ridge.  Each step's centre, scale, Gram matrix and condition number
     are computed on first use and kept.  The operator holds one column-major
-    ``(P, B)`` design buffer; the design of the step in use is written into
-    it in place, column by column, and rewritten when another step is asked
-    for.  It also holds one column-major target array per target width.
+    ``(P, B)`` design buffer, allocated at the first fit, so an operator
+    that never fits holds none and refuses no path count; the design of the
+    step in use is written into it in place, column by column, and
+    rewritten when another step is asked for.  It also holds one
+    column-major target array per target width.
     """
 
     def __init__(self, states: np.ndarray, basis: BasisSpec):
@@ -134,16 +131,11 @@ class ConditionalExpectation(_Operator):
         self.states = states
         self.basis = basis
         combos = basis.exponent_tuples(states.shape[2])
-        n_basis = len(combos)
-        if states.shape[1] < 10 * n_basis:
-            raise RegressionError(
-                f"need at least {10 * n_basis} paths for a basis of size {n_basis}, "
-                f"got {states.shape[1]}"
-            )
+        self._n_basis = len(combos)
         # each monomial after the constant is (its prefix's column) * (its last coordinate)
         self._factors = [(combos.index(c[:-1]), c[-1]) for c in combos[1:]]
         self._stats: dict[int, tuple] = {}
-        self._buffer = np.empty((states.shape[1], n_basis), order="F")
+        self._buffer: np.ndarray | None = None
         self._held_step: int | None = None
 
     def _design(
@@ -163,6 +155,14 @@ class ConditionalExpectation(_Operator):
 
     def _statistics(self, i: int) -> tuple:
         """Step i's (centre, scale, Gram matrix, condition number)."""
+        if self._buffer is None:
+            n_paths, n_basis = self.states.shape[1], self._n_basis
+            if n_paths < 10 * n_basis:
+                raise RegressionError(
+                    f"need at least {10 * n_basis} paths for a basis of size {n_basis}, "
+                    f"got {n_paths}"
+                )
+            self._buffer = np.empty((n_paths, n_basis), order="F")
         if i not in self._stats:
             x = self.states[i]
             coords = x.T
@@ -203,7 +203,7 @@ class ConditionalExpectation(_Operator):
     def evaluate(self, i: int, x: np.ndarray, coef: np.ndarray) -> np.ndarray:
         """Step i's fitted map with coefficients ``coef`` at other states (Q, d)."""
         mean, scale, _, _ = self._statistics(i)
-        out = np.empty((x.shape[0], self._buffer.shape[1]), order="F")
+        out = np.empty((x.shape[0], self._n_basis), order="F")
         return self._design(x, mean, scale, out) @ coef
 
     def condition(self, i: int) -> float:
@@ -242,8 +242,9 @@ class BackwardTrajectories:
 
     ``forward`` is the bundle the sweep was solved on and ``operator`` the
     conditional expectation it regressed with; the adjoint sweep reuses both.
-    A bundle from ``adjoint_bundle`` whose adjoint reads no backward value
-    holds None for y, z1 and z2 and empty diagnostics: nothing was solved.
+    A bundle from ``backward_bundle`` for a spec that does not
+    ``model.reads_backward`` holds None for y, z1 and z2 and empty
+    diagnostics: nothing was solved.
     """
 
     y: np.ndarray | None
@@ -252,6 +253,16 @@ class BackwardTrajectories:
     diagnostics: RegressionDiagnostics
     operator: ConditionalExpectation | TreeExpectation
     forward: ForwardTrajectories
+
+    def values(self, spec: ProblemSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(y, z1, z2), or, when nothing was solved, read-only zero views of
+        the trajectory shape; refused for a spec that reads them."""
+        if self.y is not None:
+            return self.y, self.z1, self.z2
+        if reads_backward(spec):
+            raise FbsdeError("this spec reads y or z: run it on a solved backward bundle")
+        zero = np.broadcast_to(0.0, (self.forward.grid.steps + 1, self.forward.n_paths, spec.dim_y))
+        return zero, zero, zero
 
 
 @dataclass(frozen=True)
@@ -317,57 +328,42 @@ def solve_backward(
     spec: ProblemSpec, fwd: ForwardTrajectories, basis: BasisSpec = BasisSpec()
 ) -> BackwardTrajectories:
     """Backward regression recursion for (y, z1, z2) on the forward bundle."""
-    return _backward_sweep(spec, fwd, lambda: ConditionalExpectation(fwd.x, basis))
+    return _backward_sweep(spec, fwd, ConditionalExpectation(fwd.x, basis))
 
 
-def cost_bundle(spec: ProblemSpec, fwd: ForwardTrajectories, basis: BasisSpec = BasisSpec()):
-    """The bundle the cost of ``fwd``'s control is measured on:
-    ``solve_backward``'s when the cost reads y or z
-    (``model.cost_reads_backward``), ``fwd`` itself otherwise."""
-    return solve_backward(spec, fwd, basis) if cost_reads_backward(spec) else fwd
-
-
-def adjoint_bundle(
-    spec: ProblemSpec,
-    bundle: ForwardTrajectories | BackwardTrajectories,
-    basis: BasisSpec = BasisSpec(),
+def backward_bundle(
+    spec: ProblemSpec, fwd: ForwardTrajectories, basis: BasisSpec = BasisSpec()
 ) -> BackwardTrajectories:
-    """The bundle the adjoint of ``bundle``'s control runs on.
-
-    ``bundle`` itself when it is already a backward bundle, as
-    ``cost_bundle`` returns for a cost that reads y or z.  For a forward
-    bundle: ``solve_backward``'s when the adjoint reads y or z
-    (``model.adjoint_reads_backward``); otherwise the forward bundle with
-    the conditional expectation on its states and no y, z1 or z2 solved.
-    The operator computes each step's statistics on first use, so the
-    adjoint gets the same fits, bit for bit, from either bundle.
+    """The bundle the cost and the adjoint of ``fwd``'s control run on:
+    ``solve_backward``'s when either reads y or z (``model.reads_backward``),
+    otherwise ``fwd`` with the conditional expectation on its states and no
+    y, z1 or z2 solved.  The operator computes each step's statistics on
+    first use, so the adjoint gets the same fits, bit for bit, from either.
     """
-    if isinstance(bundle, BackwardTrajectories):
-        return bundle
-    if adjoint_reads_backward(spec):
-        return solve_backward(spec, bundle, basis)
+    if reads_backward(spec):
+        return solve_backward(spec, fwd, basis)
     return BackwardTrajectories(
         y=None,
         z1=None,
         z2=None,
         diagnostics=RegressionDiagnostics(),
-        operator=ConditionalExpectation(bundle.x, basis),
-        forward=bundle,
+        operator=ConditionalExpectation(fwd.x, basis),
+        forward=fwd,
     )
 
 
 def _backward_sweep(
-    spec: ProblemSpec, fwd: ForwardTrajectories, make_operator: Callable[[], _Operator]
+    spec: ProblemSpec, fwd: ForwardTrajectories, operator: _Operator
 ) -> BackwardTrajectories:
-    """The backward recursion for (y, z1, z2) with the operator ``make_operator()``.
+    """The backward recursion for (y, z1, z2) with ``operator``.
 
     Per step: z's from martingale-increment fits, then the value update with
     the driver's y-argument resolved by an explicit predictor and one
     corrector evaluation, which a structurally zero f skips; when h is
-    structurally zero too, y is the fitted mean itself.  The operator is
-    built after the trajectories are allocated: built before them, its
-    design buffer raises the peak RSS of a line search's repeated solves (by
-    5 % on lq_obs at 20k x 32 under glibc).
+    structurally zero too, y is the fitted mean itself.  The operator's
+    buffers are allocated at its first fit, after the trajectories: before
+    them, the design buffer raises the peak RSS of a line search's repeated
+    solves (by 5 % on lq_obs at 20k x 32 under glibc).
     """
     u, grid = fwd.control, fwd.grid
     P, N, m = fwd.n_paths, grid.steps, spec.dim_y
@@ -378,7 +374,6 @@ def _backward_sweep(
     z1 = _trajectory(N, P, m)
     z2 = _trajectory(N, P, m)
     y[N] = spec.terminal_phi.value(fwd.x[N])
-    operator = make_operator()
     residuals = []
     # a structurally zero f never reads y_arg, so the corrector pass would
     # repeat the predictor; with h zero too, the update adds nothing to y_hat
@@ -425,12 +420,12 @@ def _adjoint_sweep(
     operator, so its per-step factorizations serve all three sweeps.
     Increments of the rotated observation noise are reconstructed pathwise
     as dY - h dt, with h evaluated per step in the reversed sweep, and in
-    the k sweep only while H_z2 is live.  The k sweep calls only the
-    partials whose f or l part is not structurally zero; with none, k stays
-    at k(0), which is held once and yielded as a read-only stride-0
-    trajectory.  A bundle without backward values (``adjoint_bundle``) is
-    read as zero y, z1 and z2 through read-only stride-0 views, and refused
-    for an adjoint that reads them.  Each reversed step builds one
+    the k sweep only while H_z2 is live.  The k sweep runs only where
+    ``model.reads_backward`` holds, and calls only the partials whose f or l
+    part is not structurally zero; otherwise k stays at k(0), which is held
+    once and yielded as a read-only stride-0 trajectory.  A bundle without
+    backward values (``backward_bundle``) is read as zero y, z1 and z2
+    (``BackwardTrajectories.values``).  Each reversed step builds one
     ``ShiftedPartials`` at its fixed k, q1 and q2; both passes of the p
     corrector and the collectors' H_u read its coefficient Jacobians.  A
     structurally zero h drops the corrector's q2 h term.  Without
@@ -450,15 +445,12 @@ def _adjoint_sweep(
     P, N, m = fwd.n_paths, grid.steps, spec.dim_y
     dt = grid.dt
     times = grid.times
-    y, z1, z2 = bwd.y, bwd.z1, bwd.z2
-    if y is None:
-        if adjoint_reads_backward(spec):
-            raise FbsdeError("this adjoint reads y or z: run it on a solved backward bundle")
-        y = z1 = z2 = np.broadcast_to(0.0, (N + 1, P, m))
+    y, z1, z2 = bwd.values(spec)
 
     # forward multiplier: dk = -H_y dt - H_z1 dW - H_z2 dW^u, k(0) = -gamma_y(y(0)),
-    # with dW^u = dY - h dt; a term whose f and l partials are both
-    # structurally zero is dropped, and with it the partial's call
+    # with dW^u = dY - h dt; k stays zero unless the spec reads y or z, and a
+    # term whose f and l partials are both structurally zero is dropped, and
+    # with it the partial's call
     increments = {
         "y": lambda i, t, xi, ui: dt,
         "z1": lambda i, t, xi, ui: noise.dW[:, i, None],
@@ -468,7 +460,7 @@ def _adjoint_sweep(
         (f"H_{slot}", getattr(ham, f"partial_{slot}"), increment)
         for slot, increment in increments.items()
         if not all(structurally_zero(getattr(c, f"d{slot}")) for c in (spec.backward_f, spec.running_l))
-    ]
+    ] if reads_backward(spec) else []
     k = _trajectory(N + 1 if live else 1, P, m)
     k[0] = -spec.initial_gamma.dy(y[0])
     if not live:

@@ -19,7 +19,7 @@ import time
 
 import numpy as np
 
-from .bsde import MAX_DEGREE, BasisSpec, adjoint_bundle, cost_bundle, solve_adjoint
+from .bsde import MAX_DEGREE, BasisSpec, backward_bundle, solve_adjoint
 from .errors import FbsdeError
 from .forward_sim import evaluate_cost_strong, simulate_forward
 from .model import (
@@ -311,8 +311,7 @@ def cmd_certify(cfg: RunConfig, control_path: str, sufficient: bool) -> int:
     control = control_from_csv(control_path, grid, spec.control_set)
 
     noise = sample_noise(grid, cfg.n_paths, cfg.seed)
-    fwd = simulate_forward(spec, control, noise)
-    bwd = adjoint_bundle(spec, cost_bundle(spec, fwd, cfg.basis()), cfg.basis())
+    bwd = backward_bundle(spec, simulate_forward(spec, control, noise), cfg.basis())
     epsilon = _oracle_epsilon(cfg, spec, bwd)
     if sufficient:
         certificate = certify_sufficient(
@@ -334,8 +333,7 @@ def _order_point(spec, control, noise, basis, oracle_cost: float):
     that the member's bundles are freed on return, before the next member
     is simulated.
     """
-    fwd = simulate_forward(spec, control, noise)
-    bwd = adjoint_bundle(spec, cost_bundle(spec, fwd, basis), basis)
+    bwd = backward_bundle(spec, simulate_forward(spec, control, noise), basis)
     epsilon = max(evaluate_cost_strong(spec, bwd).value - oracle_cost, 0.0)
     return epsilon, min_gap_over_A(spec, solve_adjoint(spec, bwd))
 
@@ -396,7 +394,7 @@ def cmd_oracle_compare(cfg: RunConfig) -> int:
     lattice = enumerate_lattice(spec, control, grid)
     basis = BasisSpec(degree=min(cfg.degree, 1))
     fwd = simulate_forward(spec, control, enumerate_binomial(grid))
-    mc = evaluate_cost_strong(spec, cost_bundle(spec, fwd, basis))
+    mc = evaluate_cost_strong(spec, backward_bundle(spec, fwd, basis))
     diff = abs(lattice.cost - mc.value)
     payload = {
         "lattice_cost": lattice.cost,

@@ -26,7 +26,6 @@ from .errors import FbsdeError, GridMismatchError, SimulationError
 from .model import (
     ControlProcess,
     ProblemSpec,
-    cost_reads_backward,
     structurally_zero,
     without_observation,
 )
@@ -154,6 +153,12 @@ def _mean(v: np.ndarray) -> float:
     return math.fsum(v) / v.shape[0]
 
 
+def _stderr(v: np.ndarray) -> float:
+    """Standard error of the mean of per-path values; 0 for a single path."""
+    P = v.shape[0]
+    return float(np.std(v, ddof=1) / np.sqrt(P)) if P > 1 else 0.0
+
+
 def _per_path_cost_parts(spec, fwd, y, z1, z2):
     """Per-path density-weighted running and terminal cost contributions."""
     u, grid = fwd.control, fwd.grid
@@ -168,26 +173,17 @@ def _per_path_cost_parts(spec, fwd, y, z1, z2):
     return running, terminal
 
 
-def evaluate_cost_strong(spec: ProblemSpec, bundle) -> CostReport:
+def evaluate_cost_strong(spec: ProblemSpec, bwd) -> CostReport:
     """Density-weighted cost under the reference measure (Bayes form), of the
-    control the bundle was simulated under.
+    control the backward bundle ``bwd`` was simulated under.
 
-    ``bundle`` is a backward bundle, whose y, z1 and z2 the cost reads, or,
-    for a cost that reads none of them (``model.cost_reads_backward``), the
-    forward bundle alone: l then gets read-only zero views in its y, z1 and
-    z2 slots, and the report has the same bits as from the backward bundle.
-    A backward bundle that holds no y (``bsde.adjoint_bundle``) counts as
-    its forward bundle.
+    A bundle from ``bsde.backward_bundle`` that solved no y, z1 or z2 (the
+    spec does not ``model.reads_backward``) gives l read-only zero views in
+    those slots, and the report has the same bits as from a solved bundle.
     """
-    if isinstance(bundle, ForwardTrajectories) or bundle.y is None:
-        if cost_reads_backward(spec):
-            raise FbsdeError("this cost reads y or z: evaluate it on a backward bundle")
-        fwd = getattr(bundle, "forward", bundle)
-        y = z1 = z2 = np.broadcast_to(0.0, (fwd.grid.steps + 1, fwd.n_paths, spec.dim_y))
-    else:
-        fwd, y, z1, z2 = bundle.forward, bundle.y, bundle.z1, bundle.z2
+    fwd = bwd.forward
+    y, z1, z2 = bwd.values(spec)
     running, terminal = _per_path_cost_parts(spec, fwd, y, z1, z2)
-    P = fwd.n_paths
 
     y0_mean = y[0].mean(axis=0)
     initial = float(spec.initial_gamma.value(y0_mean[None, :])[0])
@@ -197,10 +193,9 @@ def evaluate_cost_strong(spec: ProblemSpec, bundle) -> CostReport:
     run_mean = _mean(running)
     term_mean = _mean(terminal)
     value = run_mean + term_mean + initial
-    stderr = float(np.std(core, ddof=1) / np.sqrt(P)) if P > 1 else 0.0
     return CostReport(
         value=value,
-        stderr=stderr,
+        stderr=_stderr(core),
         running=run_mean,
         terminal=term_mean,
         initial=initial,
@@ -220,14 +215,15 @@ def evaluate_cost_weak(
 
     Realized by simulating the original dynamics with (W, W^u) independent,
     which is the strong pipeline applied to the h == 0 view of the instance;
-    the backward equation is solved only for a cost that reads y or z.
+    the backward equation is solved only for a cost that reads y or z
+    (``bsde.backward_bundle``).
     """
-    from .bsde import BasisSpec, cost_bundle
+    from .bsde import BasisSpec, backward_bundle
 
     _check_same_grid(u.grid, grid, "evaluate_cost_weak")
     weak_spec = without_observation(spec)
     fwd = simulate_forward(weak_spec, u, sample_noise(grid, n_paths, seed))
-    return evaluate_cost_strong(weak_spec, cost_bundle(weak_spec, fwd, basis or BasisSpec()))
+    return evaluate_cost_strong(weak_spec, backward_bundle(weak_spec, fwd, basis or BasisSpec()))
 
 
 def control_distance(u: ControlProcess, v: ControlProcess) -> float:

@@ -15,11 +15,10 @@ and declaring a part that way lets the pipeline skip work.  The adjoint
 skips the products and partials such a part would make vanish, the value
 system when h's Jacobians are zero and the k history when no k partial is
 live.  The backward update skips f and h when both are zero.  Work whose
-result nothing reads is skipped too: a cost that ``cost_reads_backward``
-finds free of y and z is measured on the forward bundle alone, an adjoint
-that ``adjoint_reads_backward`` finds free of them runs without the
-backward solve, and a control gradient that ``adjoint_reads_integrands``
-finds free of q1 and q2 runs without the adjoint's increment fits.  The
+result nothing reads is skipped too: where ``reads_backward`` finds that
+neither the cost nor the adjoint reads y or z, the backward equation is not
+solved, and a control gradient that ``adjoint_reads_integrands`` finds free
+of q1 and q2 runs without the adjoint's increment fits.  The
 forward simulation drops the sigma2 terms when sigma2 is zero and holds
 the density as ones when h is zero, so neither reads dY.
 
@@ -278,21 +277,14 @@ def structurally_zero(part: Callable) -> bool:
     return inspect.unwrap(part) is _zero
 
 
-def cost_reads_backward(spec: "ProblemSpec") -> bool:
-    """Whether the cost reads the backward state (y, z1, z2): unless gamma's
-    value and l's y-, z1- and z2-partials are all structurally zero."""
-    parts = (spec.initial_gamma.value, spec.running_l.dy, spec.running_l.dz1, spec.running_l.dz2)
-    return not all(structurally_zero(part) for part in parts)
-
-
-def adjoint_reads_backward(spec: "ProblemSpec") -> bool:
-    """Whether the adjoint reads the backward state (y, z1, z2): unless
-    gamma's y-partial and the y-, z1- and z2-partials of f and l are all
-    structurally zero.  With those zero, k(0) = -gamma_y = 0 and no k
-    partial is live, so k stays zero and no Hamiltonian term reads y or z."""
-    parts = [spec.initial_gamma.dy] + [
-        getattr(c, w) for c in (spec.backward_f, spec.running_l) for w in ("dy", "dz1", "dz2")
-    ]
+def reads_backward(spec: "ProblemSpec") -> bool:
+    """Whether the cost or the adjoint reads the backward state (y, z1, z2):
+    unless gamma's value and y-partial and l's y-, z1- and z2-partials are
+    all structurally zero.  With those zero, k(0) = -gamma_y = 0 and the k
+    equation is linear and homogeneous in k, so k stays zero, f's partials
+    multiply only zero, and neither the cost nor H reads y or z."""
+    gamma, l = spec.initial_gamma, spec.running_l
+    parts = (gamma.value, gamma.dy, l.dy, l.dz1, l.dz2)
     return not all(structurally_zero(part) for part in parts)
 
 
@@ -368,7 +360,6 @@ class ProblemSpec:
     initial_x: Array
     control_set: ControlSet
     bound_sigma2_h: float = 100.0
-    h_control_free: bool = False
     phi_linear: bool = False
     label: str = "custom"
 
@@ -384,6 +375,13 @@ class ProblemSpec:
             raise FbsdeError("control set dimension must equal dim_u")
         object.__setattr__(self, "initial_x", x0)
         self._shape_coefficients()
+
+    @property
+    def h_control_free(self) -> bool:
+        """Whether the observation drift h is free of state and control: its
+        x- and u-Jacobians are structurally zero."""
+        h = self.observation_h
+        return structurally_zero(h.dx) and structurally_zero(h.du)
 
     def _shape_coefficients(self) -> None:
         """Wrap every coefficient part to return its (P, *out, *width) shape."""
@@ -422,7 +420,6 @@ def without_observation(spec: ProblemSpec) -> ProblemSpec:
     return replace(
         spec,
         observation_h=zero_coefficient(),
-        h_control_free=True,
         label=spec.label + "+h0",
     )
 
@@ -661,7 +658,6 @@ def make_lq_instance(params: LQParams | None = None, **overrides) -> ProblemSpec
             upper=np.full(n, params.control_upper),
         ),
         bound_sigma2_h=1.0,
-        h_control_free=True,
         phi_linear=True,
         label="lq",
     )
@@ -692,7 +688,6 @@ def make_lq_observation_instance(
         diffusion_sigma2=sig2,
         observation_h=h,
         bound_sigma2_h=max(abs(float(h_const)), float(np.max(np.abs(s2)))) + 1.0,
-        h_control_free=True,
         label="lq_obs",
     )
 
@@ -780,7 +775,6 @@ def make_scalar_nonlinear_instance(
         initial_x=np.array([initial_x]),
         control_set=Ball(center_point=np.zeros(1), radius=control_radius),
         bound_sigma2_h=max(abs(sigma2_amp), abs(h_amp)) + 0.5,
-        h_control_free=False,
         phi_linear=True,
         label="scalar_nonlinear",
     )

@@ -6,9 +6,9 @@ admissible class decouples per time step for deterministic piecewise
 controls and is realized by exact linear minimization over the control set.
 The gap reads only rho * H_u from the adjoint (``bsde.ControlGradient``),
 which holds the control u_eps it was taken at.  The certificates take the
-backward bundle of u_eps (``solve_backward``'s, or ``bsde.adjoint_bundle``'s,
-which solves no y or z that the adjoint does not read), which holds its
-forward bundle and noise, and get the gradient from ``solve_adjoint``,
+backward bundle of u_eps (``solve_backward``'s, or ``bsde.backward_bundle``'s,
+which solves y, z1 and z2 only where ``model.reads_backward``), which holds
+its forward bundle and noise, and get the gradient from ``solve_adjoint``,
 which keeps no multiplier beyond two steps; their provenance reads the
 seed, path count and grid from that bundle.
 """
@@ -31,7 +31,7 @@ from .bsde import (
     solve_backward,
 )
 from .errors import FbsdeError, GridMismatchError, PreconditionError
-from .forward_sim import ForwardTrajectories, evaluate_cost_strong, simulate_forward
+from .forward_sim import ForwardTrajectories, _mean, _stderr, evaluate_cost_strong, simulate_forward
 from .hamiltonian import check_H_convexity
 from .model import ControlProcess, ProblemSpec
 from .paths import NoiseBundle
@@ -44,10 +44,7 @@ def necessary_gap(grad: ControlGradient, u: ControlProcess) -> tuple[float, floa
     if not u.grid.matches(base.grid):
         raise GridMismatchError("candidate control lives on a different grid")
     per_path = np.einsum("ipk,ik->p", grad.weighted, u.values - base.values) * base.grid.dt
-    P = per_path.shape[0]
-    gap = math.fsum(per_path) / P
-    stderr = float(np.std(per_path, ddof=1) / np.sqrt(P)) if P > 1 else 0.0
-    return gap, stderr
+    return _mean(per_path), _stderr(per_path)
 
 
 class GapResult(NamedTuple):
@@ -290,15 +287,11 @@ def cost_difference_representation(
     g_dy = spec.initial_gamma.dy(y0_e[None, :])[0]
     gamma_bracket = g_u - g_e - float(g_dy @ (y0_u - y0_e))
 
-    rhs = math.fsum(per_path_rhs) / P + gamma_bracket
-    rhs_stderr = float(np.std(per_path_rhs, ddof=1) / np.sqrt(P))
-    diff = per_path_lhs - per_path_rhs
-    diff_stderr = float(np.std(diff, ddof=1) / np.sqrt(P))
     return CostDifferenceReport(
         lhs=lhs,
-        rhs=rhs,
-        rhs_stderr=rhs_stderr,
-        diff_stderr=diff_stderr,
+        rhs=_mean(per_path_rhs) + gamma_bracket,
+        rhs_stderr=_stderr(per_path_rhs),
+        diff_stderr=_stderr(per_path_lhs - per_path_rhs),
     )
 
 

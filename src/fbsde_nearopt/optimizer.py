@@ -7,18 +7,18 @@ Common random numbers are held fixed across iterations, and the proposed
 step is backtracked until the cost decreases (sufficient-decrease rule),
 which keeps the cost trace monotone.
 
-A trial is measured on what its cost reads: when the cost reads no backward
-value (``model.cost_reads_backward``), a trial is a forward simulation and
-a cost.  An accepted control's adjoint then runs on ``bsde.adjoint_bundle``,
-which solves the backward equation only when the adjoint reads y or z.  A
-cost that reads y or z solves it per trial.
+Each control's cost is measured on ``bsde.backward_bundle``, which solves
+the backward equation only when the cost or the adjoint reads y or z
+(``model.reads_backward``), and an accepted control's adjoint runs on the
+bundle its cost was measured on.  That bundle is dropped before the line
+search, so the trials never hold it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .bsde import BasisSpec, adjoint_bundle, cost_bundle, solve_adjoint
+from .bsde import BasisSpec, backward_bundle, solve_adjoint
 from .errors import FbsdeError
 from .forward_sim import control_distance, evaluate_cost_strong, simulate_forward
 from .model import ControlProcess, ProblemSpec, make_control
@@ -76,8 +76,8 @@ class DescentTrace:
 
 
 def _evaluate(spec, u, noise, basis):
-    """The cost of u with the bundle it was measured on (``cost_bundle``)."""
-    bundle = cost_bundle(spec, simulate_forward(spec, u, noise), basis)
+    """The cost of u with the bundle it was measured on (``backward_bundle``)."""
+    bundle = backward_bundle(spec, simulate_forward(spec, u, noise), basis)
     return bundle, evaluate_cost_strong(spec, bundle)
 
 
@@ -96,7 +96,9 @@ def smp_descent(spec: ProblemSpec, u0: ControlProcess, params: DescentParams) ->
     stop_reason = "max_iter reached"
 
     for j in range(params.max_iter + 1):
-        gap = min_gap_over_A(spec, solve_adjoint(spec, adjoint_bundle(spec, bundle, params.basis)))
+        gap = min_gap_over_A(spec, solve_adjoint(spec, bundle))
+        # nothing reads the bundle again: drop it before the line search
+        bundle = None
 
         if abs(gap.gap) <= params.tol_gap:
             rows.append(

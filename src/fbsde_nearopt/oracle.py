@@ -94,7 +94,7 @@ def enumerate_lattice(spec: ProblemSpec, u: ControlProcess, grid: TimeGrid) -> L
         rho=np.stack([np.repeat(np.exp(lr), P // lr.shape[0]) for lr in log_rho_levels]),
         grid=grid, control=u, noise=enumerate_binomial(grid),
     )
-    bwd = _backward_sweep(spec, fwd, lambda: TreeExpectation(N))
+    bwd = _backward_sweep(spec, fwd, TreeExpectation(N))
     return LatticeSolution(cost=evaluate_cost_strong(spec, bwd).value, backward=bwd)
 
 

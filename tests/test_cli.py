@@ -21,10 +21,9 @@ from fbsde_nearopt import (
 )
 from fbsde_nearopt.model import (
     BUILTIN_FAMILIES,
-    adjoint_reads_backward,
     control_from_csv,
     control_to_csv,
-    cost_reads_backward,
+    reads_backward,
 )
 
 
@@ -321,10 +320,9 @@ def test_certify_runs_each_layer_once(tmp_path, layer_calls, family, sufficient)
     control.write_text("step,u0\n" + "\n".join(f"{i},-0.4" for i in range(8)) + "\n")
     flags = ["--sufficient"] if sufficient else []
     assert cli.main(["--config", cfg, "certify", "--control", str(control), *flags]) == 0
-    # the lq adjoint reads no backward value, so no backward equation is
-    # solved; scalar_nonlinear's f_y is live
-    backward = 1 if family == "scalar_nonlinear" else 0
-    assert layer_calls == {"sample_noise": 1, "simulate_forward": 1, "solve_backward": backward}
+    # neither the cost nor the adjoint reads y or z on lq or scalar_nonlinear
+    # (its f_y only ever multiplies k = 0), so no backward equation is solved
+    assert layer_calls == {"sample_noise": 1, "simulate_forward": 1, "solve_backward": 0}
 
     # the certificate equals the library's at the same seed and epsilon
     payload = json.loads((tmp_path / "out" / "certificate.json").read_text())
@@ -366,13 +364,12 @@ def test_order_study_runs_one_pass_per_member(tmp_path, layer_calls):
 
 
 def test_certify_and_order_study_measure_a_cost_that_reads_y(tmp_path, monkeypatch, layer_calls):
-    """gamma = 0.5: the cost reads y(0) and the adjoint reads no backward
-    value, so each pass solves the backward equation once, for the cost, and
-    runs the adjoint on that bundle."""
+    """gamma = 0.5: the cost reads y(0), so each pass solves the backward
+    equation once and runs the cost and the adjoint on that bundle."""
     from _instances import constant_gamma_instance
 
     spec = constant_gamma_instance()
-    assert cost_reads_backward(spec) and not adjoint_reads_backward(spec)
+    assert reads_backward(spec)
     monkeypatch.setattr(cli.RunConfig, "instance", lambda self: spec)
     body = BASE.format(out=tmp_path / "out") + "\n[order_study]\ndeltas = 0.1,0.2,0.3\n"
     cfg = write_config(tmp_path, body)
@@ -403,6 +400,12 @@ def test_certify_and_order_study_measure_a_cost_that_reads_y(tmp_path, monkeypat
     )
     lines = (tmp_path / "out" / "order_study.csv").read_text().strip().splitlines()[1:]
     assert [float(line.split(",")[1]) for line in lines] == [eps for _, eps in family]
+
+
+def test_oracle_compare_runs_at_one_step(tmp_path):
+    # 4 paths are too few to regress on, and a cost that reads no y or z never does
+    cfg = _base_config(tmp_path, extra="\n[oracle]\nsteps = 1\n")
+    assert cli.main(["--config", cfg, "oracle-compare"]) == 0
 
 
 def test_oracle_compare_measures_its_cost_on_the_forward_bundle(tmp_path, layer_calls):

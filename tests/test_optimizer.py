@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from fbsde_nearopt import (
     DescentParams,
     FbsdeError,
     certify_necessary,
+    make_lq_observation_instance,
     constant_control,
     make_control,
     make_time_grid,
@@ -15,6 +18,7 @@ from fbsde_nearopt import (
     smp_descent,
     solve_backward,
 )
+from fbsde_nearopt import optimizer
 
 from _instances import control_only_cost_instance
 
@@ -159,3 +163,30 @@ def test_family_projection_keeps_feasibility(lq_spec, lq_params, lq_riccati):
     control, _ = family[0]
     assert np.all(control.values <= 1.0)
     assert np.all(control.values >= -1.0)
+
+
+def test_line_search_does_not_hold_the_current_bundle(monkeypatch):
+    # lq_obs: h = 0.5, so rho is a trajectory as large as x
+    spec = make_lq_observation_instance()
+    P, N = 20000, 16
+    grid = make_time_grid(spec.horizon, N)
+    u0 = constant_control(spec.control_set.center(), grid, spec.control_set)
+    live = []
+    original = optimizer.simulate_forward
+
+    def traced(*args):
+        live.append(tracemalloc.get_traced_memory()[0])
+        return original(*args)
+
+    monkeypatch.setattr(optimizer, "simulate_forward", traced)
+    tracemalloc.start()
+    try:
+        smp_descent(spec, u0, DescentParams(max_iter=2, n_paths=P, seed=3))
+    finally:
+        tracemalloc.stop()
+    noise_bytes = 8 * 2 * N * P
+    x_bytes = 8 * (N + 1) * P
+    # every trial starts with the noise and no bundle; the current control's
+    # x and rho, each of x_bytes, would exceed the bound
+    assert len(live) > 2
+    assert max(live[1:]) < noise_bytes + x_bytes

@@ -8,9 +8,8 @@ with nothing skipped (up to the sign of a zero, which ``np.array_equal``
 does not see); the forward step drops sigma2's terms and holds rho as ones
 in the same way.  What no result reads is not computed either: the value
 system when h has zero Jacobians, the adjoint's increment fit when nothing
-reads q1 or q2, the dY draw when nothing reads dY, the backward solve of a
-line-search trial whose cost reads no backward value, and that of an
-adjoint which reads no backward value.
+reads q1 or q2, the dY draw when nothing reads dY, and the backward solve
+and the k sweep where neither the cost nor the adjoint reads y or z.
 """
 
 import dataclasses
@@ -45,9 +44,8 @@ from fbsde_nearopt.forward_sim import evaluate_cost_strong, evaluate_cost_weak
 from fbsde_nearopt.model import (
     BUILTIN_FAMILIES,
     InitialCoefficient,
-    adjoint_reads_backward,
     adjoint_reads_integrands,
-    cost_reads_backward,
+    reads_backward,
     structurally_zero,
     without_observation,
     zero_coefficient,
@@ -301,12 +299,11 @@ def test_cost_on_the_forward_bundle_equals_the_cost_on_the_backward_bundle(name)
     grid = make_time_grid(spec.horizon, 8)
     u = constant_control(np.full(spec.dim_u, 0.2), grid, spec.control_set)
     fwd = simulate_forward(spec, u, sample_noise(grid, 1000, 5))
-    if cost_reads_backward(spec):
-        with pytest.raises(FbsdeError, match="backward bundle"):
-            evaluate_cost_strong(spec, fwd)
-    else:
-        want = _bits(evaluate_cost_strong(spec, solve_backward(spec, fwd)))
-        assert _bits(evaluate_cost_strong(spec, fwd)) == want
+    bundle = bsde.backward_bundle(spec, fwd)
+    # the backward equation is solved only where the spec reads it
+    assert (bundle.y is not None) == reads_backward(spec)
+    want = _bits(evaluate_cost_strong(spec, solve_backward(spec, fwd)))
+    assert _bits(evaluate_cost_strong(spec, bundle)) == want
 
 
 @pytest.mark.parametrize("name", ["lq1", "lq_obs1", "lq_obs_twin"])
@@ -318,30 +315,18 @@ def test_weak_cost_solves_the_backward_equation_only_for_a_reader(name, monkeypa
     original = bsde.solve_backward
     monkeypatch.setattr(bsde, "solve_backward", lambda *args: calls.append(1) or original(*args))
     got = _bits(evaluate_cost_weak(spec, u, seed=5, n_paths=1000, grid=grid))
-    assert len(calls) == cost_reads_backward(without_observation(spec))
-    monkeypatch.setattr(bsde, "cost_reads_backward", lambda spec: True)
+    assert len(calls) == reads_backward(without_observation(spec))
+    monkeypatch.setattr(bsde, "reads_backward", lambda spec: True)
     assert _bits(evaluate_cost_weak(spec, u, seed=5, n_paths=1000, grid=grid)) == got
 
 
-def test_which_costs_read_the_backward_state():
-    readers = {name for name, make in INSTANCES.items() if cost_reads_backward(make())}
+def test_which_specs_read_the_backward_state():
+    readers = {name for name, make in INSTANCES.items() if reads_backward(make())}
     assert readers == {"lq_twin", "lq_obs_twin", "scalar_nonlinear_gamma"}
-    # plain-lambda partials declare nothing, so the cost is taken to read y and z
-    assert cost_reads_backward(constant_running_cost_instance())
-
-
-def test_which_adjoints_read_the_backward_state():
-    readers = {name for name, make in INSTANCES.items() if adjoint_reads_backward(make())}
-    assert readers == {
-        "scalar_nonlinear", "scalar_nonlinear_gamma",
-        "lq_twin", "lq_value", "lq_obs_twin", "lq_obs_value",
-    }
-    # f_y = -0.5 on scalar_nonlinear; every other built-in keeps k at zero
-    assert {f for f in BUILTIN_FAMILIES if adjoint_reads_backward(builtin_instance(f))} == {
-        "scalar_nonlinear"
-    }
-    # plain-lambda partials declare nothing, so the adjoint is taken to read y and z
-    assert adjoint_reads_backward(constant_running_cost_instance())
+    # no built-in reads y or z: on scalar_nonlinear f_y = -0.5 multiplies only k = 0
+    assert not any(reads_backward(builtin_instance(f)) for f in BUILTIN_FAMILIES)
+    # plain-lambda partials declare nothing, so y and z are taken to be read
+    assert reads_backward(constant_running_cost_instance())
 
 
 def test_which_gradients_read_the_adjoint_integrands():
@@ -365,7 +350,7 @@ def test_certify_pipeline_draws_dY_only_where_it_is_read(family):
     u = constant_control(np.full(spec.dim_u, 0.2), grid, spec.control_set)
     noise = sample_noise(grid, 1000, 5)
     fwd = simulate_forward(spec, u, noise)
-    bundle = bsde.adjoint_bundle(spec, bsde.cost_bundle(spec, fwd))
+    bundle = bsde.backward_bundle(spec, fwd)
     evaluate_cost_strong(spec, bundle)
     min_gap_over_A(spec, solve_adjoint(spec, bundle))
     # sigma2 and h are zero on lq and double_well: no step reads dY
@@ -400,10 +385,10 @@ def test_adjoint_on_the_forward_bundle_equals_the_adjoint_on_the_backward_bundle
     grid = make_time_grid(spec.horizon, 8)
     u = constant_control(np.full(spec.dim_u, 0.2), grid, spec.control_set)
     fwd = simulate_forward(spec, u, sample_noise(grid, 1000, 5))
-    bundle = bsde.adjoint_bundle(spec, fwd)
+    bundle = bsde.backward_bundle(spec, fwd)
     bwd = solve_backward(spec, fwd)
-    # the backward equation is solved only for an adjoint that reads it
-    if adjoint_reads_backward(spec):
+    # the backward equation is solved only for a spec that reads it
+    if reads_backward(spec):
         assert np.array_equal(bundle.y, bwd.y)
     else:
         assert bundle.y is bundle.z1 is bundle.z2 is None
@@ -433,9 +418,9 @@ def test_a_bundle_without_backward_values_refuses_a_reader():
         solve_adjoint(spec, bare)
 
 
-def _descent(spec, monkeypatch, reads_backward=None, adjoint_reads=None):
+def _descent(spec, monkeypatch, reads=None):
     """A short descent with its backward solves and forward simulations
-    counted; the cost's and the adjoint's predicates can be forced."""
+    counted; ``model.reads_backward`` can be forced."""
     calls = {"solve_backward": 0, "simulate_forward": 0}
     for module, fn in ((bsde, "solve_backward"), (optimizer, "simulate_forward")):
         original = getattr(module, fn)
@@ -445,10 +430,8 @@ def _descent(spec, monkeypatch, reads_backward=None, adjoint_reads=None):
             return _original(*args)
 
         monkeypatch.setattr(module, fn, counted)
-    if reads_backward is not None:
-        monkeypatch.setattr(bsde, "cost_reads_backward", lambda spec: reads_backward)
-    if adjoint_reads is not None:
-        monkeypatch.setattr(bsde, "adjoint_reads_backward", lambda spec: adjoint_reads)
+    if reads is not None:
+        monkeypatch.setattr(bsde, "reads_backward", lambda spec: reads)
     grid = make_time_grid(spec.horizon, 16)
     u0 = constant_control(spec.control_set.center(), grid, spec.control_set)
     trace = smp_descent(spec, u0, DescentParams(max_iter=4, n_paths=4000, seed=3))
@@ -466,29 +449,41 @@ def _assert_same_descent(got, want):
 def test_line_search_trials_skip_the_backward_solve(monkeypatch):
     spec = make_lq_observation_instance()
     with monkeypatch.context() as patch:
-        want, want_calls = _descent(spec, patch, reads_backward=True)
+        want, want_calls = _descent(spec, patch, reads=True)
     got, calls = _descent(spec, monkeypatch)
     _assert_same_descent(got, want)
-    # neither the trials' costs nor the accepted steps' adjoints read y or z
+    # neither the trials' costs nor the accepted steps' adjoints read y or z;
+    # forced, every evaluation is solved backward once
     assert calls["solve_backward"] == 0
     assert calls["simulate_forward"] > calls["solve_backward"]
     assert want_calls["solve_backward"] == want_calls["simulate_forward"] == calls["simulate_forward"]
 
 
-def test_accepted_steps_skip_the_backward_solve_their_adjoint_never_reads(monkeypatch):
-    spec = make_lq_observation_instance()
-    with monkeypatch.context() as patch:
-        want, want_calls = _descent(spec, patch, adjoint_reads=True)
-    got, calls = _descent(spec, monkeypatch)
-    _assert_same_descent(got, want)
-    # forced, the start and each accepted step are solved backward once
-    assert want_calls["solve_backward"] == len(want.controls)
-    assert calls["solve_backward"] == 0
-
-
 def test_a_cost_through_y_keeps_its_per_trial_backward_solve(monkeypatch):
     _, calls = _descent(cost_through_y_twin(make_lq_observation_instance()), monkeypatch)
     assert calls["solve_backward"] == calls["simulate_forward"]
+
+
+def test_scalar_nonlinear_runs_neither_the_backward_solve_nor_the_k_sweep(monkeypatch):
+    spec = builtin_instance("scalar_nonlinear")
+    grid = make_time_grid(spec.horizon, 8)
+    u = constant_control(np.full(spec.dim_u, 0.2), grid, spec.control_set)
+    fwd = simulate_forward(spec, u, sample_noise(grid, 1000, 5))
+    calls = []
+    for module, name in ((bsde, "solve_backward"), (ham, "partial_y")):
+        original = getattr(module, name)
+        monkeypatch.setattr(
+            module, name, lambda *args, _fn=original, _name=name: calls.append(_name) or _fn(*args)
+        )
+    with monkeypatch.context() as patch:
+        patch.setattr(bsde, "reads_backward", lambda spec: True)
+        want = solve_adjoint(spec, bsde.backward_bundle(spec, fwd))
+    # forced, y is solved and f_y moves k by exact zeros at every step
+    assert calls.count("solve_backward") == 1 and calls.count("partial_y") == 8
+    calls.clear()
+    got = solve_adjoint(spec, bsde.backward_bundle(spec, fwd))
+    assert calls == []
+    assert got.weighted.tobytes() == want.weighted.tobytes()
 
 
 def _fit_counts(spec, monkeypatch, steps=8):
