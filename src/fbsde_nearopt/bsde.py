@@ -12,11 +12,10 @@ contiguous coordinate rows, its design is written in place into the one
 ``(P, B)`` buffer the operator holds, and the increment targets are built
 one contiguous column at a time into a target array the operator also holds.
 
-Every trajectory, y, z1, z2 here and k, p, q1, q2 in the adjoint, is
-allocated like the forward state: ``(steps, P, d)`` with column-major
-per-step slices, so the per-step updates and the fits' targets run along
-the contiguous path axis.  The collected rho * H_u stays C-ordered: the
-gap's reductions over paths round differently on column-major steps.
+Every trajectory, y, z1, z2 here and k, p, q1, q2 and rho * H_u in the
+adjoint, is allocated like the forward state: ``(steps, P, d)`` with
+column-major per-step slices, so the per-step updates, the fits' targets
+and the gap's reductions over paths run along the contiguous path axis.
 
 Each result holds what it was computed from: ``solve_backward(spec, fwd)``
 returns a ``BackwardTrajectories`` that carries ``fwd`` (and so its control
@@ -29,16 +28,19 @@ one of them reads y or z (``model.reads_backward``).
 
 The adjoint system is solved by one sweep with two collectors.  Each
 reversed step evaluates the Hamiltonian's coefficient Jacobians once, for
-both corrector passes of p and for H_u.  ``solve_adjoint`` keeps p, q and
-r/R for two steps only and returns the density-weighted control gradient
-rho * H_u with the control it was taken at, the one adjoint quantity the
-Hamiltonian gap needs; ``adjoint_trajectories`` keeps every multiplier.
+both corrector passes of p and for H_u.  The Hamiltonian gap is folded
+into the sweep (``_GapFold``): its minimum decouples per step for
+deterministic piecewise controls, so each step's rho_i * H_u gives its
+path mean, that step's minimizer over U and its term of a per-path sum.
+``solve_adjoint`` keeps p, q and r/R for two steps only and rho * H_u for
+one, and returns the fold (``ControlGradient``) with the control it was
+taken at; ``adjoint_trajectories`` keeps every step of all of them.
 
 Work that a structurally zero coefficient part (``model.structurally_zero``)
 makes identically zero is skipped: the k sweep's partials whose f and l
 parts are both zero, the Jacobian products and shifted slot in
-``ShiftedPartials``, the backward corrector's second pass when f itself is
-zero and the whole backward update when h is zero too, and the p
+``ShiftedPartials``, the backward corrector's second pass when f itself
+is zero and the whole backward update when h is zero too, and the p
 corrector's q2 h term when h is zero.  Work whose result nothing reads is
 skipped as well: ``solve_adjoint`` does not solve the value system when
 h's x- and u-Jacobians are both zero, since R2 then reaches neither H_x
@@ -48,9 +50,10 @@ martingale increments when nothing reads q1 or q2
 (``model.adjoint_reads_integrands``: sigma1's and sigma2's Jacobians and h
 itself are structurally zero); that also leaves dY unread.
 ``adjoint_trajectories`` solves and stores all of it.  Where
-``model.reads_backward`` is false, k stays at k(0) = 0 and is held, and the
-sweep reads zero views for a y, z1 and z2 that ``backward_bundle`` did not
-solve.
+``model.reads_backward`` is false, k stays at k(0) = 0 and is held,
+``ShiftedPartials`` drops its products with k and f's Jacobians with them,
+and the sweep reads zero views for a y, z1 and z2 that ``backward_bundle``
+did not solve.
 """
 
 from __future__ import annotations
@@ -267,21 +270,29 @@ class BackwardTrajectories:
 
 @dataclass(frozen=True)
 class ControlGradient:
-    """rho_i * H_u(t_i) per step and path, (N, P, k) time-major and
-    C-ordered: what the Hamiltonian gap reads from the adjoint system, with
-    the control it was taken at."""
+    """The Hamiltonian gap's reading of the adjoint system, folded over paths
+    one step at a time (``_GapFold``), with the control it was taken at.
 
-    weighted: np.ndarray
+    ``means`` (N, k) holds the path mean of rho_i * H_u(t_i) per step,
+    ``minimizer`` the control v_i minimizing <means[i], .> over U at every
+    step, and ``per_path_gap`` (P,) the sum over steps of
+    dt * <rho_i H_u_i, v_i - u_i> per path, added from step N - 1 down.
+    """
+
+    means: np.ndarray
+    minimizer: ControlProcess
+    per_path_gap: np.ndarray
     diagnostics: RegressionDiagnostics
     control: ControlProcess
 
 
 @dataclass(frozen=True)
 class AdjointTrajectories(ControlGradient):
-    """The control gradient with the multipliers (k, p, q1, q2) and the value
-    system (r, R1, R2) of every step, time-major; the multipliers' per-step
-    slices are column-major."""
+    """The folded gap with rho * H_u (``weighted``), the multipliers (k, p,
+    q1, q2) and the value system (r, R1, R2) of every step, time-major; the
+    per-step slices of ``weighted`` and of the multipliers are column-major."""
 
+    weighted: np.ndarray
     k: np.ndarray
     p: np.ndarray
     q1: np.ndarray
@@ -289,6 +300,56 @@ class AdjointTrajectories(ControlGradient):
     r: np.ndarray
     R1: np.ndarray
     R2: np.ndarray
+
+
+def _add_gap_step(per_path: np.ndarray, weighted: np.ndarray, direction: np.ndarray, dt: float) -> None:
+    """Add dt * <weighted, direction> into ``per_path`` (P,), for one step's
+    rho * H_u (P, k) and a direction (k,); column by column, so the bits do
+    not depend on the layout of ``weighted``."""
+    term = weighted[:, 0] * direction[0]
+    for j in range(1, weighted.shape[1]):
+        term += weighted[:, j] * direction[j]
+    term *= dt
+    per_path += term
+
+
+class _GapFold:
+    """The Hamiltonian gap folded into an adjoint sweep, one step at a time.
+
+    ``add(i, weighted)`` takes step i's rho_i * H_u (P, k), from step N - 1
+    down to 0, and is done with it when it returns, so a caller may reuse
+    one buffer.  Step i's minimizer is the exact linear minimizer over U of
+    the path mean, and its term dt * <rho_i H_u_i, v_i - u_i> is added per
+    path (``_add_gap_step``).  A non-finite path mean is recorded and the
+    step skipped; ``fields`` then names the earliest such step.
+    """
+
+    def __init__(self, spec: ProblemSpec, control: ControlProcess, n_paths: int):
+        self._control_set = spec.control_set
+        self._control = control
+        self._means = np.empty(control.values.shape)
+        self._minimizer = np.empty(control.values.shape)
+        self._per_path = np.zeros(n_paths)
+        self._first_bad: int | None = None
+
+    def add(self, i: int, weighted: np.ndarray) -> None:
+        mean = self._means[i] = weighted.mean(axis=0)
+        if not np.isfinite(mean).all():
+            self._first_bad = i
+            return
+        v = self._minimizer[i] = self._control_set.linear_minimize(mean)
+        _add_gap_step(self._per_path, weighted, v - self._control.values[i], self._control.grid.dt)
+
+    def fields(self) -> dict:
+        """The ``ControlGradient`` fields the fold gives, diagnostics aside."""
+        if self._first_bad is not None:
+            raise FbsdeError(f"non-finite mean rho * H_u at step {self._first_bad}")
+        return {
+            "means": self._means,
+            "minimizer": ControlProcess(values=self._minimizer, grid=self._control.grid),
+            "per_path_gap": self._per_path,
+            "control": self._control,
+        }
 
 
 def _regression_step(
@@ -426,9 +487,11 @@ def _adjoint_sweep(
     once and yielded as a read-only stride-0 trajectory.  A bundle without
     backward values (``backward_bundle``) is read as zero y, z1 and z2
     (``BackwardTrajectories.values``).  Each reversed step builds one
-    ``ShiftedPartials`` at its fixed k, q1 and q2; both passes of the p
-    corrector and the collectors' H_u read its coefficient Jacobians.  A
-    structurally zero h drops the corrector's q2 h term.  Without
+    ``ShiftedPartials`` at its fixed k, q1 and q2, with k given as None
+    (zero) where ``model.reads_backward`` is false, so that f's Jacobians
+    are not evaluated; both passes of the p corrector and the collectors'
+    H_u read its coefficient Jacobians.  A structurally zero h drops the
+    corrector's q2 h term.  Without
     ``integrands`` the p step runs its value fit alone and q1 and q2 are
     None: only a caller that reads neither may ask for that
     (``model.adjoint_reads_integrands``).
@@ -492,6 +555,9 @@ def _adjoint_sweep(
     )
     yield k, p_next, r_next
     h_zero = structurally_zero(spec.observation_h.value)
+    # where the spec reads no y or z, k = k(0) = 0: ShiftedPartials drops its
+    # products with k, which would add exact zeros
+    k_read = reads_backward(spec)
     r_residuals, p_residuals = [], []
     R1_i = R2_i = None
     for i in reversed(range(N)):
@@ -512,7 +578,8 @@ def _adjoint_sweep(
         p_hat, q1_i, q2_i, rms = _regression_step(operator, i, p_next, fwd, integrands)
 
         q2h = None if h_zero else q2_i * h[:, None]
-        partials = ham.ShiftedPartials(spec, t, xi, yi, z1i, z2i, ui, k[i], q1_i, q2_i)
+        k_i = k[i] if k_read else None
+        partials = ham.ShiftedPartials(spec, t, xi, yi, z1i, z2i, ui, k_i, q1_i, q2_i)
         p_arg = p_hat
         for _ in range(2):
             h_x = partials.h_x(p_arg, R2_i)
@@ -535,13 +602,16 @@ def _adjoint_sweep(
 
 
 def solve_adjoint(spec: ProblemSpec, bwd: BackwardTrajectories) -> ControlGradient:
-    """rho_i * H_u(t_i) along ``bwd``'s admissible pair, from one adjoint sweep.
+    """The Hamiltonian gap's fold of rho_i * H_u(t_i) along ``bwd``'s
+    admissible pair, from one adjoint sweep.
 
-    The multipliers p, q1, q2, r, R1 and R2 are kept for two steps only;
-    ``adjoint_trajectories`` runs the same sweep and keeps them all.  R2
-    reaches H_x and H_u only through h's Jacobians, so when both are
-    structurally zero the value system (r, R1, R2) is not solved, and the
-    diagnostics list the p fits alone.  When nothing reads q1 or q2
+    Each reversed step writes rho_i * H_u into one held column-major (P, k)
+    buffer, which ``_GapFold`` reads before the next step; no (N, P, k)
+    array is built.  The multipliers p, q1, q2, r, R1 and R2 are kept for
+    two steps only; ``adjoint_trajectories`` runs the same sweep and keeps
+    them all.  R2 reaches H_x and H_u only through h's Jacobians, so when
+    both are structurally zero the value system (r, R1, R2) is not solved,
+    and the diagnostics list the p fits alone.  When nothing reads q1 or q2
     (``model.adjoint_reads_integrands``), the p step's increment fit is not
     run either; its value fit and residual are, so the diagnostics are the
     same.
@@ -551,19 +621,20 @@ def solve_adjoint(spec: ProblemSpec, bwd: BackwardTrajectories) -> ControlGradie
     value_system = not (structurally_zero(h.dx) and structurally_zero(h.du))
     sweep = _adjoint_sweep(spec, bwd, value_system, adjoint_reads_integrands(spec))
     next(sweep)
-    N = fwd.grid.steps
-    weighted = np.empty((N, fwd.n_paths, spec.dim_u))
-    for i, mult, partials, _, _ in islice(sweep, N):
-        np.multiply(fwd.rho[i][:, None], partials.h_u(mult.p, mult.R2), out=weighted[i])
+    buffer = np.empty((fwd.n_paths, spec.dim_u), order="F")
+    fold = _GapFold(spec, fwd.control, fwd.n_paths)
+    for i, mult, partials, _, _ in islice(sweep, fwd.grid.steps):
+        np.multiply(fwd.rho[i][:, None], partials.h_u(mult.p, mult.R2), out=buffer)
         del partials
-    return ControlGradient(weighted=weighted, diagnostics=next(sweep), control=fwd.control)
+        fold.add(i, buffer)
+    return ControlGradient(**fold.fields(), diagnostics=next(sweep))
 
 
 def adjoint_trajectories(spec: ProblemSpec, bwd: BackwardTrajectories) -> AdjointTrajectories:
-    """``solve_adjoint`` with every multiplier kept, time-major.
+    """``solve_adjoint`` with rho * H_u and every multiplier kept, time-major.
 
-    The same sweep and the same numbers, with the value system solved
-    whatever h is; only what is stored differs.
+    The same sweep, the same fold and the same numbers, with the value
+    system solved whatever h is; only what is stored differs.
     """
     fwd = bwd.forward
     sweep = _adjoint_sweep(spec, bwd, True)
@@ -574,7 +645,7 @@ def adjoint_trajectories(spec: ProblemSpec, bwd: BackwardTrajectories) -> Adjoin
         held, k = k, _trajectory(N + 1, P, spec.dim_y)
         k[...] = held
 
-    weighted = np.empty((N, P, spec.dim_u))
+    weighted = _trajectory(N, P, spec.dim_u)
     p = _trajectory(N + 1, P, n)
     q1 = _trajectory(N, P, n)
     q2 = _trajectory(N, P, n)
@@ -582,14 +653,16 @@ def adjoint_trajectories(spec: ProblemSpec, bwd: BackwardTrajectories) -> Adjoin
     R1 = np.empty((N, P))
     R2 = np.empty((N, P))
     p[N], r[N] = p_T, r_T
+    fold = _GapFold(spec, fwd.control, P)
     for i, mult, partials, r_i, R1_i in islice(sweep, N):
         np.multiply(fwd.rho[i][:, None], partials.h_u(mult.p, mult.R2), out=weighted[i])
         del partials
+        fold.add(i, weighted[i])
         p[i], q1[i], q2[i], R2[i] = mult.p, mult.q1, mult.q2, mult.R2
         r[i], R1[i] = r_i, R1_i
     return AdjointTrajectories(
-        weighted=weighted,
+        **fold.fields(),
         diagnostics=next(sweep),
-        control=fwd.control,
+        weighted=weighted,
         k=k, p=p, q1=q1, q2=q2, r=r, R1=R1, R2=R2,
     )

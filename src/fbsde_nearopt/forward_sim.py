@@ -128,7 +128,7 @@ def simulate_forward(
             )
 
     # h == 0: rho is identically one, held once and read as every step
-    rho = np.broadcast_to(np.ones(P), (N + 1, P)) if h_zero else np.exp(log_rho)
+    rho = np.broadcast_to(np.ones(P), (N + 1, P)) if h_zero else np.exp(log_rho, out=log_rho)
     return ForwardTrajectories(x=x, rho=rho, grid=grid, control=u, noise=noise)
 
 

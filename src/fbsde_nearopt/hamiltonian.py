@@ -10,10 +10,12 @@ u-partials, which carry the observation-drift gradient.  Those two come
 from one per-step evaluator, ``ShiftedPartials``: it holds everything but
 p and R2 fixed, so the adjoint sweep evaluates each step's coefficient
 Jacobians once.  It skips every term of a structurally zero Jacobian
-(``model.structurally_zero``), and the shifted slot altogether when the
-h Jacobian is one: on the full-observation LQ family only l_x + b_x^T p
-and l_u + b_u^T p remain.  ``partial_x``, ``partial_u``, ``shifted_slot``
-and ``eval_H_partials`` are one-off calls into it.
+(``model.structurally_zero``) or of a multiplier the sweep knows to be
+zero (k where ``model.reads_backward`` is false), and the shifted slot
+altogether when the h Jacobian is one: on the full-observation LQ family
+only l_x + b_x^T p and l_u + b_u^T p remain.  ``partial_x``,
+``partial_u``, ``shifted_slot`` and ``eval_H_partials`` are one-off calls
+into it.
 
 ``check_H_convexity(spec, n_probes, seed)`` probes the convexity the
 sufficient condition needs; its sample pools and eigenvalue tolerance are
@@ -105,13 +107,15 @@ class ShiftedPartials:
     adjoint sweep holds fixed while it iterates p.  Each of the x- and
     u-gradients evaluates its coefficient Jacobians, with their q1, q2 and
     k products, on first use; a structurally zero Jacobian is neither
-    evaluated nor multiplied.  The slot, with the sigma2 and <z2, k> it
-    reads, is evaluated on first use, which a gradient makes only when its
-    h Jacobian is not structurally zero.  Every later call pays only the p
-    and R2 terms.  The sums add the present terms in one order, l, then the
-    p, q1, q2 and k products, then r2s * h, so every call is bitwise equal
-    to a fresh evaluation; a dropped term is exactly zero, so at most the
-    sign of a zero differs from the sum over all six.
+    evaluated nor multiplied, and a multiplier given as None is zero: its
+    Jacobian is not evaluated and, for k, the slot's <z2, k> is dropped.
+    The slot, with the sigma2 and <z2, k> it reads, is evaluated on first
+    use, which a gradient makes only when its h Jacobian is not
+    structurally zero.  Every later call pays only the p and R2 terms.  The
+    sums add the present terms in one order, l, then the p, q1, q2 and k
+    products, then r2s * h, so every call is bitwise equal to a fresh
+    evaluation; a dropped term is exactly zero, so at most the sign of a
+    zero differs from the sum over all six.
     """
 
     def __init__(self, spec: ProblemSpec, t, x, y, z1, z2, u, k: Array, q1: Array, q2: Array):
@@ -125,9 +129,11 @@ class ShiftedPartials:
         """R2 - <sigma2(t,x,u), p> - <z2, k>, per path."""
         if self._slot_fixed is None:
             t, x, _, _, z2, u = self._args
-            self._slot_fixed = (self._spec.diffusion_sigma2.value(t, x, u), _pair(z2, self._k))
+            z2k = None if self._k is None else _pair(z2, self._k)
+            self._slot_fixed = (self._spec.diffusion_sigma2.value(t, x, u), z2k)
         sigma2, z2k = self._slot_fixed
-        return R2 - _pair(sigma2, p) - z2k
+        slot = R2 - _pair(sigma2, p)
+        return slot if z2k is None else slot - z2k
 
     def _terms(self, w: str) -> tuple:
         """l_w, b_w, the q1, q2 and k products and h_w, for w in dx, du;
@@ -139,15 +145,16 @@ class ShiftedPartials:
                 part = getattr(coeff, w)
                 return None if structurally_zero(part) else part(*args)
 
-            def product(v, J):
+            def product(v, coeff, *args):
+                J = None if v is None else jacobian(coeff, *args)
                 return None if J is None else vjp(v, J)
 
             self._fixed[w] = (
                 jacobian(spec.running_l, t, x, y, z1, z2, u),
                 jacobian(spec.drift_b, t, x, u),
-                product(self._q1, jacobian(spec.diffusion_sigma1, t, x, u)),
-                product(self._q2, jacobian(spec.diffusion_sigma2, t, x, u)),
-                product(self._k, jacobian(spec.backward_f, t, x, y, z1, z2, u)),
+                product(self._q1, spec.diffusion_sigma1, t, x, u),
+                product(self._q2, spec.diffusion_sigma2, t, x, u),
+                product(self._k, spec.backward_f, t, x, y, z1, z2, u),
                 jacobian(spec.observation_h, t, x, u),
             )
         return self._fixed[w]

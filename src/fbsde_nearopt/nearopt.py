@@ -4,13 +4,18 @@ The necessary-condition gap is the density-weighted time integral of
 H_u . (u - u_eps) along the candidate's trajectories; its infimum over the
 admissible class decouples per time step for deterministic piecewise
 controls and is realized by exact linear minimization over the control set.
-The gap reads only rho * H_u from the adjoint (``bsde.ControlGradient``),
-which holds the control u_eps it was taken at.  The certificates take the
-backward bundle of u_eps (``solve_backward``'s, or ``bsde.backward_bundle``'s,
-which solves y, z1 and z2 only where ``model.reads_backward``), which holds
-its forward bundle and noise, and get the gradient from ``solve_adjoint``,
-which keeps no multiplier beyond two steps; their provenance reads the
-seed, path count and grid from that bundle.
+The adjoint sweep folds that minimum in step by step, from step N - 1
+down (``bsde.solve_adjoint``): ``min_gap_over_A`` reads the per-path sums
+and the minimizer of the resulting ``bsde.ControlGradient``, which holds
+the control u_eps it was taken at, and no rho * H_u array over steps and
+paths exists.  ``necessary_gap`` prices any other candidate against an
+``adjoint_trajectories`` result, which keeps rho * H_u, adding its steps
+in the same order.  The certificates take the backward bundle of u_eps
+(``solve_backward``'s, or ``bsde.backward_bundle``'s, which solves y, z1
+and z2 only where ``model.reads_backward``), which holds its forward
+bundle and noise, and get the fold from ``solve_adjoint``, which keeps no
+multiplier beyond two steps; their provenance reads the seed, path count
+and grid from that bundle.
 """
 
 from __future__ import annotations
@@ -23,9 +28,11 @@ import numpy as np
 
 from . import hamiltonian as ham
 from .bsde import (
+    AdjointTrajectories,
     BackwardTrajectories,
     BasisSpec,
     ControlGradient,
+    _add_gap_step,
     adjoint_trajectories,
     solve_adjoint,
     solve_backward,
@@ -37,13 +44,17 @@ from .model import ControlProcess, ProblemSpec
 from .paths import NoiseBundle
 
 
-def necessary_gap(grad: ControlGradient, u: ControlProcess) -> tuple[float, float]:
-    """Gap of the candidate u against the control the gradient was taken at:
-    mean and stderr over paths of sum_i dt * <rho_i H_u_i, u_i - u_eps_i>."""
-    base = grad.control
+def necessary_gap(adj: AdjointTrajectories, u: ControlProcess) -> tuple[float, float]:
+    """Gap of the candidate u against the control the adjoint was taken at:
+    mean and stderr over paths of sum_i dt * <rho_i H_u_i, u_i - u_eps_i>,
+    added from step N - 1 down as the adjoint sweep's fold adds it, so at
+    the minimizer it is ``min_gap_over_A``'s result bit for bit."""
+    base = adj.control
     if not u.grid.matches(base.grid):
         raise GridMismatchError("candidate control lives on a different grid")
-    per_path = np.einsum("ipk,ik->p", grad.weighted, u.values - base.values) * base.grid.dt
+    per_path = np.zeros(adj.weighted.shape[1])
+    for i in reversed(range(base.grid.steps)):
+        _add_gap_step(per_path, adj.weighted[i], u.values[i] - base.values[i], base.grid.dt)
     return _mean(per_path), _stderr(per_path)
 
 
@@ -57,16 +68,12 @@ def min_gap_over_A(spec: ProblemSpec, grad: ControlGradient) -> GapResult:
     """Infimum of the gap over deterministic admissible controls.
 
     Decouples per step: v_i minimizes <mean(rho_i H_u_i), .> over U, so the
-    result is never positive (u_eps itself is feasible).
+    result is never positive (u_eps itself is feasible).  The adjoint sweep
+    that built ``grad`` for ``spec`` folded each step as it was solved; this
+    reads the per-path sums and the minimizer.
     """
-    g_bar = grad.weighted.mean(axis=1)
-    finite = np.isfinite(g_bar).all(axis=1)
-    if not finite.all():
-        raise FbsdeError(f"non-finite mean rho * H_u at step {int(np.argmin(finite))}")
-    v = np.stack([spec.control_set.linear_minimize(g) for g in g_bar])
-    minimizer = ControlProcess(values=v, grid=grad.control.grid)
-    gap, stderr = necessary_gap(grad, minimizer)
-    return GapResult(gap=gap, stderr=stderr, minimizer=minimizer)
+    gap = grad.per_path_gap
+    return GapResult(gap=_mean(gap), stderr=_stderr(gap), minimizer=grad.minimizer)
 
 
 @dataclass(frozen=True)

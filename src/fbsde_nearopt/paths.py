@@ -21,6 +21,7 @@ import numpy as np
 from .errors import FbsdeError
 
 MAX_BINOMIAL_PATHS = 10**6
+DRAW_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -95,10 +96,21 @@ class NoiseBundle:
 
 def _draw(child: np.random.SeedSequence, shape: tuple[int, int], scale: float) -> np.ndarray:
     """Standard normals from ``child``'s Philox stream, filled path-major and
-    scaled into a column-major matrix."""
+    scaled into a column-major matrix.
+
+    The stream is drawn in blocks of ``DRAW_BLOCK`` paths into one held
+    block, each scaled into its rows of the matrix: the bits of a single
+    path-major draw of the whole matrix, without its (P, N) temporary.
+    """
+    n_paths, steps = shape
     out = np.empty(shape, order="F")
-    raw = np.random.Generator(np.random.Philox(child)).standard_normal(shape)
-    return np.multiply(raw, scale, out=out)
+    generator = np.random.Generator(np.random.Philox(child))
+    block = np.empty((min(DRAW_BLOCK, n_paths), steps))
+    for start in range(0, n_paths, DRAW_BLOCK):
+        rows = block[: min(DRAW_BLOCK, n_paths - start)]
+        generator.standard_normal(out=rows)
+        np.multiply(rows, scale, out=out[start : start + rows.shape[0]])
+    return out
 
 
 def sample_noise(grid: TimeGrid, n_paths: int, seed: int) -> NoiseBundle:
@@ -106,10 +118,10 @@ def sample_noise(grid: TimeGrid, n_paths: int, seed: int) -> NoiseBundle:
 
     W and Y come from two spawned Philox substreams, each filled path-major,
     so a bundle with fewer paths is a bitwise prefix of a larger one drawn
-    from the same seed.  The scaling pass writes the column-major copy.  dW
-    is drawn here and dY on its first read, from the same substream, so
-    every reader gets the same bits and a run that never reads dY never
-    draws it.
+    from the same seed.  The scaling pass writes each block of paths into
+    the column-major matrix.  dW is drawn here and dY on its first read,
+    from the same substream, so every reader gets the same bits and a run
+    that never reads dY never draws it.
     """
     if n_paths < 1:
         raise FbsdeError(f"n_paths must be >= 1, got {n_paths}")

@@ -377,14 +377,20 @@ def test_production_adjoint_streams_the_collected_gradient(name):
     spec, u, noise, fwd, bwd = _stream_case(name, 4000, 16)
     grad = solve_adjoint(spec, bwd)
     adj = adjoint_trajectories(spec, bwd)
-    assert np.array_equal(grad.weighted, adj.weighted)
     # rho_i * H_u at each step's final multipliers, from the collected ones
     for i, t in enumerate(noise.grid.times[:-1]):
         mult = ham.MultiplierPoint(
             k=adj.k[i], p=adj.p[i], q1=adj.q1[i], q2=adj.q2[i], R2=adj.R2[i]
         )
         hu = ham.partial_u(spec, t, fwd.x[i], bwd.y[i], bwd.z1[i], bwd.z2[i], u.values[i], mult)
-        assert np.array_equal(grad.weighted[i], fwd.rho[i][:, None] * hu)
+        assert np.array_equal(adj.weighted[i], fwd.rho[i][:, None] * hu)
+        assert adj.weighted[i].flags.f_contiguous
+        # each step is folded as it is solved: its path mean and minimizer
+        assert np.array_equal(grad.means[i], adj.weighted[i].mean(axis=0))
+        assert np.array_equal(grad.minimizer.values[i], spec.control_set.linear_minimize(grad.means[i]))
+    for field in ("means", "per_path_gap"):
+        assert getattr(grad, field).tobytes() == getattr(adj, field).tobytes(), field
+    assert grad.minimizer.values.tobytes() == adj.minimizer.values.tobytes()
     if name == "scalar_nonlinear":
         assert grad.diagnostics == adj.diagnostics
     else:
@@ -394,23 +400,32 @@ def test_production_adjoint_streams_the_collected_gradient(name):
         assert grad.diagnostics.residual_rms == adj.diagnostics.residual_rms[N:]
 
 
+def test_production_adjoint_returns_no_per_step_and_path_array():
+    spec, u, noise, fwd, bwd = _stream_case("lq2", 4000, 16)
+    P, N = fwd.n_paths, noise.grid.steps
+    grad = solve_adjoint(spec, bwd)
+    assert type(grad) is ControlGradient
+    arrays = {f: v for f, v in vars(grad).items() if isinstance(v, np.ndarray)}
+    assert {f: v.shape for f, v in arrays.items()} == {"means": (N, 2), "per_path_gap": (P,)}
+    assert all(v.size < N * P for v in arrays.values())
+
+
 def test_production_adjoint_keeps_two_steps_of_multipliers():
     spec, u, noise, fwd, bwd = _stream_case("lq2", 20_000, 16)
     P, N = fwd.n_paths, noise.grid.steps
     tracemalloc.start()
     try:
-        grad = solve_adjoint(spec, bwd)
+        solve_adjoint(spec, bwd)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert type(grad) is ControlGradient
-    assert [f for f, v in vars(grad).items() if isinstance(v, np.ndarray)] == ["weighted"]
     k_bytes = (N + 1) * P * spec.dim_y * 8
     h_bytes = N * P * 8
-    # beyond k, the observation drift h and the returned gradient, only a
-    # few dozen (P,) columns of one step's work; keeping p, q1, q2, r, R1
-    # and R2 for every step would add 9 N columns here
-    assert peak < k_bytes + h_bytes + grad.weighted.nbytes + 96 * P * 8
+    # beyond k and the observation drift h, only a few dozen (P,) columns
+    # of one step's work, with the held rho * H_u and the per-path gap;
+    # keeping p, q1, q2, r, R1 and R2 for every step would add 9 N columns
+    # here, and rho * H_u for every step 2 N
+    assert peak < k_bytes + h_bytes + 96 * P * 8
 
 
 def test_production_adjoint_holds_one_step_of_a_k_that_nothing_moves():
@@ -420,33 +435,33 @@ def test_production_adjoint_holds_one_step_of_a_k_that_nothing_moves():
     P, N = fwd.n_paths, noise.grid.steps
     tracemalloc.start()
     try:
-        grad = solve_adjoint(spec, bwd)
+        solve_adjoint(spec, bwd)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     h_bytes = N * P * 8
     k0_bytes = P * spec.dim_y * 8
-    assert peak < h_bytes + grad.weighted.nbytes + k0_bytes + 96 * P * 8
+    assert peak < h_bytes + k0_bytes + 96 * P * 8
     # all of one step's work, about 24 (P,) columns, is less than the
     # 2 (N + 1) columns that a stored k history alone would take
-    assert peak < grad.weighted.nbytes + (N + 1) * k0_bytes
+    assert peak < (N + 1) * k0_bytes
 
 
 def test_production_adjoint_holds_no_observation_drift_history():
     # h is evaluated per step in each sweep and every evaluator is dropped
-    # with its step, so beyond k and the returned gradient only one step's
-    # work is live, about 52 (P,) columns; an (N, P) array of h would add
-    # 64 columns and cross the bound
+    # with its step, so beyond k only one step's work is live, about 52
+    # (P,) columns; an (N, P) array of h would add 64 columns and cross
+    # the bound
     spec, u, noise, fwd, bwd = _stream_case("lq2", 20_000, 64)
     P, N = fwd.n_paths, noise.grid.steps
     tracemalloc.start()
     try:
-        grad = solve_adjoint(spec, bwd)
+        solve_adjoint(spec, bwd)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     k_bytes = (N + 1) * P * spec.dim_y * 8
-    assert peak < k_bytes + grad.weighted.nbytes + 96 * P * 8
+    assert peak < k_bytes + 96 * P * 8
 
 
 def test_value_system_equals_backward_state_when_f_is_minus_l():

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -5,16 +6,17 @@ import numpy as np
 import pytest
 
 from fbsde_nearopt import (
-    ControlGradient,
     FbsdeError,
     GridMismatchError,
     PreconditionError,
+    adjoint_trajectories,
     builtin_instance,
     certify_necessary,
     certify_sufficient,
     constant_control,
     cost_difference_representation,
     enumerate_binomial,
+    enumerate_lattice,
     estimate_order,
     make_control,
     make_time_grid,
@@ -27,8 +29,6 @@ from fbsde_nearopt import (
     solve_adjoint,
     solve_backward,
 )
-
-from fbsde_nearopt.bsde import RegressionDiagnostics
 
 from _instances import linear_gap_instance
 
@@ -94,15 +94,55 @@ def test_min_gap_never_positive(lq_spec):
         assert result.gap <= 1e-12
 
 
-def test_min_gap_names_the_first_non_finite_step(lq_spec):
+def test_min_gap_names_the_first_non_finite_step():
+    # rho * H_u is NaN at step 2 and infinite at step 3; the sweep meets
+    # step 3 first and still names step 2
+    base = linear_gap_instance(slope=2.0)
+
+    def l_du(t, x, y, z1, z2, u):
+        value = np.inf if t >= 0.75 else np.nan if t >= 0.5 else 2.0
+        return np.full((x.shape[0], 1), value)
+
+    spec = dataclasses.replace(base, running_l=dataclasses.replace(base.running_l, du=l_du))
     grid = make_time_grid(1.0, 4)
-    u = constant_control([0.0], grid, lq_spec.control_set)
-    weighted = np.ones((4, 10, 1))
-    weighted[2, 3] = np.nan
-    weighted[3, 0] = np.inf
-    grad = ControlGradient(weighted=weighted, diagnostics=RegressionDiagnostics(), control=u)
-    with pytest.raises(FbsdeError, match="non-finite mean rho \\* H_u at step 2$"):
-        min_gap_over_A(lq_spec, grad)
+    bwd = _bundle(spec, constant_control([0.0], grid, spec.control_set), 200, 1)
+    for solver in (solve_adjoint, adjoint_trajectories):
+        with pytest.raises(FbsdeError, match="non-finite mean rho \\* H_u at step 2$"):
+            solver(spec, bwd)
+
+
+FOLD_CASES = {
+    "lq1": lambda: builtin_instance("lq", dim=1),
+    "lq2": lambda: builtin_instance("lq", dim=2),
+    "lq3": lambda: builtin_instance("lq", dim=3),
+    "lq_obs": lambda: builtin_instance("lq_obs"),
+    "scalar_nonlinear": lambda: builtin_instance("scalar_nonlinear"),
+    "double_well": lambda: builtin_instance("double_well"),
+}
+
+
+@pytest.mark.parametrize("tree", [False, True], ids=["lsmc", "binomial_tree"])
+@pytest.mark.parametrize("name", sorted(FOLD_CASES))
+def test_folded_gap_equals_the_gap_of_the_kept_trajectories(name, tree):
+    # solve_adjoint folds each step as the sweep solves it and keeps no
+    # rho * H_u; adjoint_trajectories keeps it, and necessary_gap re-adds it
+    # in the sweep's step order: the same bits either way
+    spec = FOLD_CASES[name]()
+    grid = make_time_grid(spec.horizon, 4 if tree else 16)
+    values = np.random.default_rng(12).uniform(-0.5, 0.5, (grid.steps, spec.dim_u))
+    u = make_control(values, grid, spec.control_set, project=True)
+    bwd = enumerate_lattice(spec, u, grid).backward if tree else _bundle(spec, u, 3000, 13)
+    grad, adj = solve_adjoint(spec, bwd), adjoint_trajectories(spec, bwd)
+    result, kept = min_gap_over_A(spec, grad), min_gap_over_A(spec, adj)
+    assert result.gap < 0.0
+    hexed = [float(v).hex() for v in (result.gap, result.stderr)]
+    assert [float(v).hex() for v in (kept.gap, kept.stderr)] == hexed
+    assert [float(v).hex() for v in necessary_gap(adj, result.minimizer)] == hexed
+    assert result.minimizer.values.tobytes() == kept.minimizer.values.tobytes()
+    assert grad.means.tobytes() == adj.means.tobytes()
+    assert grad.per_path_gap.tobytes() == adj.per_path_gap.tobytes()
+    for i in range(grid.steps):
+        assert np.array_equal(grad.means[i], adj.weighted[i].mean(axis=0))
 
 
 def test_min_gap_noise_floor_at_optimum(lq_spec, lq_params, lq_riccati):
@@ -162,7 +202,8 @@ def test_each_result_holds_what_it_was_computed_from(lq_spec):
     assert bwd.forward is fwd
     assert grad.control is fwd.control
     result = min_gap_over_A(lq_spec, grad)
-    assert (result.gap, result.stderr) == necessary_gap(grad, result.minimizer)
+    full = adjoint_trajectories(lq_spec, bwd)
+    assert (result.gap, result.stderr) == necessary_gap(full, result.minimizer)
     for cert in (
         certify_necessary(lq_spec, bwd, epsilon=0.01, C=1.0),
         certify_sufficient(lq_spec, bwd, epsilon=0.01, lambda_exp=0.5, C=1.0),

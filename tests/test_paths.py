@@ -1,12 +1,13 @@
 import dataclasses
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from fbsde_nearopt import FbsdeError, enumerate_binomial, make_time_grid, sample_noise
-from fbsde_nearopt.paths import binomial_signs
+from fbsde_nearopt.paths import DRAW_BLOCK, binomial_signs
 
 
 def _c_order_draw(grid, n_paths, seed):
@@ -140,6 +141,25 @@ def test_sampled_noise_is_time_contiguous_with_unchanged_values():
         assert bundle.dW.shape == dW.shape
         assert np.array_equal(bundle.dW, dW)
         assert np.array_equal(bundle.dY, dY)
+
+
+def test_blocked_draw_has_the_bits_of_one_draw_without_its_temporary():
+    # a path count that is not a multiple of the block: the last block is short
+    grid = make_time_grid(1.0, 3)
+    n_paths = 4 * DRAW_BLOCK + 5
+    sample_noise(grid, 10, seed=21)  # first-use allocations of the generator machinery
+    tracemalloc.start()
+    try:
+        bundle = sample_noise(grid, n_paths, seed=21)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    dW, dY = _c_order_draw(grid, n_paths, seed=21)
+    assert bundle.dW.tobytes(order="C") == dW.tobytes()
+    assert bundle.dY.tobytes(order="C") == dY.tobytes()
+    # the matrix, one block of paths (a quarter of it here) and the
+    # generator's few dozen kB; a whole-matrix draw would hold it twice
+    assert peak < 1.5 * bundle.dW.nbytes
 
 
 def test_binomial_noise_is_time_contiguous_with_unchanged_values():

@@ -96,7 +96,7 @@ def _outputs(spec, seed, n_paths=1000, steps=8):
     out = {
         "x": fwd.x, "rho": fwd.rho,
         "y": bwd.y, "z1": bwd.z1, "z2": bwd.z2,
-        "weighted": grad.weighted,
+        "means": grad.means, "per_path_gap": grad.per_path_gap,
         "cost": cost.value, "cost_stderr": cost.stderr,
         "gap": gap.gap, "gap_stderr": gap.stderr, "minimizer": gap.minimizer.values,
         # solve_adjoint's p fits, listed after any value-system fits it ran
@@ -106,7 +106,7 @@ def _outputs(spec, seed, n_paths=1000, steps=8):
             bwd.diagnostics,
         ),
     }
-    for name in ("weighted", "k", "p", "q1", "q2", "r", "R1", "R2"):
+    for name in ("means", "per_path_gap", "weighted", "k", "p", "q1", "q2", "r", "R1", "R2"):
         out[f"adj_{name}"] = getattr(adj, name)
     out["adj_diagnostics"] = adj.diagnostics
     return out
@@ -393,16 +393,17 @@ def test_adjoint_on_the_forward_bundle_equals_the_adjoint_on_the_backward_bundle
     else:
         assert bundle.y is bundle.z1 is bundle.z2 is None
     got, want = solve_adjoint(spec, bundle), solve_adjoint(spec, bwd)
-    assert got.weighted.tobytes() == want.weighted.tobytes()
+    for field in ("means", "per_path_gap"):
+        assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
     assert _hex(got.diagnostics.condition_numbers) == _hex(want.diagnostics.condition_numbers)
     assert _hex(got.diagnostics.residual_rms) == _hex(want.diagnostics.residual_rms)
     gap, gap_want = min_gap_over_A(spec, got), min_gap_over_A(spec, want)
     assert _hex(gap[:2]) == _hex(gap_want[:2])
     assert gap.minimizer.values.tobytes() == gap_want.minimizer.values.tobytes()
-    v = constant_control(np.full(spec.dim_u, -0.1), grid, spec.control_set)
-    assert _hex(necessary_gap(got, v)) == _hex(necessary_gap(want, v))
     full, full_want = adjoint_trajectories(spec, bundle), adjoint_trajectories(spec, bwd)
-    for field in ("weighted", "k", "p", "q1", "q2", "r", "R1", "R2"):
+    v = constant_control(np.full(spec.dim_u, -0.1), grid, spec.control_set)
+    assert _hex(necessary_gap(full, v)) == _hex(necessary_gap(full_want, v))
+    for field in ("means", "per_path_gap", "weighted", "k", "p", "q1", "q2", "r", "R1", "R2"):
         assert getattr(full, field).tobytes() == getattr(full_want, field).tobytes(), field
 
 
@@ -483,7 +484,33 @@ def test_scalar_nonlinear_runs_neither_the_backward_solve_nor_the_k_sweep(monkey
     calls.clear()
     got = solve_adjoint(spec, bsde.backward_bundle(spec, fwd))
     assert calls == []
-    assert got.weighted.tobytes() == want.weighted.tobytes()
+    for field in ("means", "per_path_gap"):
+        assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
+    assert got.minimizer.values.tobytes() == want.minimizer.values.tobytes()
+
+
+def test_scalar_nonlinear_adjoint_evaluates_no_f_jacobian(monkeypatch):
+    # no y or z is read, so k = k(0) = 0: ShiftedPartials drops f_x^T k and
+    # the slot's <z2, k>, and with them f's x-Jacobian at every step
+    steps = 8
+    counted, counts = _counted(builtin_instance("scalar_nonlinear"), monkeypatch)
+    grid = make_time_grid(counted.horizon, steps)
+    u = constant_control(np.full(counted.dim_u, 0.2), grid, counted.control_set)
+    fwd = simulate_forward(counted, u, sample_noise(grid, 500, 2))
+    counts.clear()
+    got = solve_adjoint(counted, bsde.backward_bundle(counted, fwd))
+    assert "backward_f.dx" not in counts and "backward_f.du" not in counts
+    with monkeypatch.context() as patch:
+        patch.setattr(bsde, "reads_backward", lambda spec: True)
+        counts.clear()
+        want = solve_adjoint(counted, bsde.backward_bundle(counted, fwd))
+    # forced, k is swept and read: f_x is evaluated once per step and
+    # multiplies k = 0 into exact zeros, which change no bit
+    assert counts["backward_f.dx"] == steps
+    for field in ("means", "per_path_gap"):
+        assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
+    assert got.minimizer.values.tobytes() == want.minimizer.values.tobytes()
+    assert got.diagnostics == want.diagnostics
 
 
 def _fit_counts(spec, monkeypatch, steps=8):
