@@ -335,7 +335,7 @@ def _order_point(spec, control, noise, basis, oracle_cost: float):
     """
     bwd = backward_bundle(spec, simulate_forward(spec, control, noise), basis)
     epsilon = max(evaluate_cost_strong(spec, bwd).value - oracle_cost, 0.0)
-    return epsilon, min_gap_over_A(spec, solve_adjoint(spec, bwd))
+    return epsilon, min_gap_over_A(solve_adjoint(spec, bwd))
 
 
 def cmd_order_study(cfg: RunConfig) -> int:

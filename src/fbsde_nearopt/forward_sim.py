@@ -7,7 +7,10 @@ zero part (``model.structurally_zero``) makes vanish is not computed: with
 sigma2 zero the state step has no sigma2 terms, and with h zero rho is
 identically one, held as one step and read as a stride-0 trajectory.
 Then the forward simulation reads no dY, which ``sample_noise`` draws only
-on its first read.
+on its first read.  Where it does read dY, it reads it before dW, so the
+two streams are drawn at once.  The Euler sweep and the per-path cost run
+on path shards (``paths``), each shard over every step on its own rows;
+the reductions across paths stay on the calling thread.
 
 Every trajectory (the state here, the backward and adjoint processes in
 ``bsde``) is a time-major ``(steps, P, d)`` array stored as ``(steps, d, P)``:
@@ -29,7 +32,7 @@ from .model import (
     structurally_zero,
     without_observation,
 )
-from .paths import NoiseBundle, TimeGrid, sample_noise
+from .paths import NoiseBundle, TimeGrid, _on_path_shards, sample_noise
 
 BLOWUP_THRESHOLD = 1e8
 
@@ -80,6 +83,11 @@ def simulate_forward(
     read as a read-only stride-0 trajectory.  With both zero, dY is never
     read.  A dropped term is an exact zero, so at most the sign of a zero
     differs from the full step.
+
+    Each path shard (``paths``) runs the whole time loop on its rows of x
+    and log rho.  A failure raises what the single sweep would: the one at
+    the earliest step, a coefficient's exception before a blow-up at the
+    same step, the lowest path on a tie.
     """
     _check_same_grid(u.grid, noise.grid, "simulate_forward")
     if u.dim != spec.dim_u:
@@ -96,39 +104,64 @@ def simulate_forward(
     if not h_zero:
         log_rho = np.empty((N + 1, P))
         log_rho[0] = 0.0
+    # dY before dW: a dW that sample_noise is still drawing is drawn meanwhile.
+    # Both are read after x and log rho are allocated: reading them first
+    # placed the arrays so that every later sweep on the bundle ran about
+    # 30 % slower (20k paths, 2-core Xeon).
+    dY = None if s2_zero and h_zero else noise.dY
+    dW = noise.dW
 
-    for i in range(N):
-        t = times[i]
-        xi = x[i]
-        ui = u.values[i]
-        b = spec.drift_b.value(t, xi, ui)
-        s1 = spec.diffusion_sigma1.value(t, xi, ui)
-        if not (s2_zero and h_zero):
-            h = spec.observation_h.value(t, xi, ui)
-        # a product of broadcast views would come out C-ordered: lay it out like x
-        if s2_zero:
-            x[i + 1] = xi + b * dt + np.multiply(s1, noise.dW[:, i, None], order="F")
-        else:
-            s2 = spec.diffusion_sigma2.value(t, xi, ui)
-            x[i + 1] = (
-                xi
-                + (b - np.multiply(s2, h[:, None], order="F")) * dt
-                + np.multiply(s1, noise.dW[:, i, None], order="F")
-                + np.multiply(s2, noise.dY[:, i, None], order="F")
-            )
+    def sweep(lo: int, hi: int):
+        """Paths [lo, hi) through every step: None, or the first failure as
+        (step, 0 for an exception before the blow-up check or 1 for a
+        blow-up, the exception)."""
+        xs, dWs = x[:, lo:hi], dW[lo:hi]
+        if dY is not None:
+            dYs = dY[lo:hi]
         if not h_zero:
-            log_rho[i + 1] = log_rho[i] + h * noise.dY[:, i] - 0.5 * h * h * dt
-        # one reduction per step; NaN fails the comparison, so it is caught too
-        if not np.abs(x[i + 1]).max() <= BLOWUP_THRESHOLD:
-            bad = ~(np.abs(x[i + 1]) <= BLOWUP_THRESHOLD).all(axis=1)
-            j = int(np.argmax(bad))
-            raise SimulationError(
-                f"state blow-up or non-finite value at step {i + 1}, path {j}: "
-                f"x = {x[i + 1, j]}"
-            )
+            log_rhos = log_rho[:, lo:hi]
+        for i in range(N):
+            t = times[i]
+            xi = xs[i]
+            ui = u.values[i]
+            try:
+                b = spec.drift_b.value(t, xi, ui)
+                s1 = spec.diffusion_sigma1.value(t, xi, ui)
+                if dY is not None:
+                    h = spec.observation_h.value(t, xi, ui)
+                # a product of broadcast views would come out C-ordered: lay it out like x
+                if s2_zero:
+                    xs[i + 1] = xi + b * dt + np.multiply(s1, dWs[:, i, None], order="F")
+                else:
+                    s2 = spec.diffusion_sigma2.value(t, xi, ui)
+                    xs[i + 1] = (
+                        xi
+                        + (b - np.multiply(s2, h[:, None], order="F")) * dt
+                        + np.multiply(s1, dWs[:, i, None], order="F")
+                        + np.multiply(s2, dYs[:, i, None], order="F")
+                    )
+                if not h_zero:
+                    log_rhos[i + 1] = log_rhos[i] + h * dYs[:, i] - 0.5 * h * h * dt
+            except Exception as exc:
+                return i, 0, exc
+            # one reduction per step; NaN fails the comparison, so it is caught too
+            if not np.abs(xs[i + 1]).max() <= BLOWUP_THRESHOLD:
+                bad = ~(np.abs(xs[i + 1]) <= BLOWUP_THRESHOLD).all(axis=1)
+                j = int(np.argmax(bad))
+                return i, 1, SimulationError(
+                    f"state blow-up or non-finite value at step {i + 1}, path {lo + j}: "
+                    f"x = {xs[i + 1, j]}"
+                )
+        if not h_zero:
+            np.exp(log_rhos, out=log_rhos)
+        return None
 
+    failures = [failure for failure in _on_path_shards(sweep, P) if failure is not None]
+    if failures:
+        # min keeps the first of equal keys: the lowest shard
+        raise min(failures, key=lambda failure: failure[:2])[2]
     # h == 0: rho is identically one, held once and read as every step
-    rho = np.broadcast_to(np.ones(P), (N + 1, P)) if h_zero else np.exp(log_rho, out=log_rho)
+    rho = np.broadcast_to(np.ones(P), (N + 1, P)) if h_zero else log_rho
     return ForwardTrajectories(x=x, rho=rho, grid=grid, control=u, noise=noise)
 
 
@@ -160,16 +193,24 @@ def _stderr(v: np.ndarray) -> float:
 
 
 def _per_path_cost_parts(spec, fwd, y, z1, z2):
-    """Per-path density-weighted running and terminal cost contributions."""
+    """Per-path density-weighted running and terminal cost contributions,
+    accumulated on path shards (``paths``)."""
     u, grid = fwd.control, fwd.grid
     P, N = fwd.n_paths, grid.steps
     dt = grid.dt
     times = grid.times
+    x, rho = fwd.x, fwd.rho
     running = np.zeros(P)
-    for i in range(N):
-        l = spec.running_l.value(times[i], fwd.x[i], y[i], z1[i], z2[i], u.values[i])
-        running = running + fwd.rho[i] * l * dt
-    terminal = fwd.rho[N] * spec.terminal_Phi.value(fwd.x[N])
+    terminal = np.empty(P)
+
+    def accumulate(lo: int, hi: int) -> None:
+        rows = slice(lo, hi)
+        for i in range(N):
+            l = spec.running_l.value(times[i], x[i, rows], y[i, rows], z1[i, rows], z2[i, rows], u.values[i])
+            running[rows] += rho[i, rows] * l * dt
+        terminal[rows] = rho[N, rows] * spec.terminal_Phi.value(x[N, rows])
+
+    _on_path_shards(accumulate, P)
     return running, terminal
 
 

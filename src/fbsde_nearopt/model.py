@@ -9,7 +9,11 @@ from elementwise operations returns column-major output.  A callable may return 
 broadcastable to its documented shape; ProblemSpec wraps each one once, so
 every caller gets a float (P, *out, *width) array.  An output smaller than
 that comes back as a read-only broadcast view, so no caller may write into
-a coefficient output.  All maps must be pure.  A part given as the zero
+a coefficient output.  All maps must be pure.  Every map must also be
+row-wise (row j of its output depends only on row j of its arguments) and
+safe to call from two threads at once, because the forward sweep and the
+cost run on path shards (``paths``), each passing only its own rows; a
+pure map built from per-row operations is both.  A part given as the zero
 part of ``zero_coefficient()`` / ``zero_driver()`` is ``structurally_zero``,
 and declaring a part that way lets the pipeline skip work.  The adjoint
 skips the products and partials such a part would make vanish, the value

@@ -64,13 +64,13 @@ class GapResult(NamedTuple):
     minimizer: ControlProcess
 
 
-def min_gap_over_A(spec: ProblemSpec, grad: ControlGradient) -> GapResult:
+def min_gap_over_A(grad: ControlGradient) -> GapResult:
     """Infimum of the gap over deterministic admissible controls.
 
     Decouples per step: v_i minimizes <mean(rho_i H_u_i), .> over U, so the
     result is never positive (u_eps itself is feasible).  The adjoint sweep
-    that built ``grad`` for ``spec`` folded each step as it was solved; this
-    reads the per-path sums and the minimizer.
+    that built ``grad`` folded each step as it was solved; this reads the
+    per-path sums and the minimizer.
     """
     gap = grad.per_path_gap
     return GapResult(gap=_mean(gap), stderr=_stderr(gap), minimizer=grad.minimizer)
@@ -132,7 +132,7 @@ def certify_necessary(
         raise FbsdeError("epsilon must be >= 0")
     if C <= 0.0:
         raise FbsdeError("C must be positive")
-    result = min_gap_over_A(spec, solve_adjoint(spec, bwd))
+    result = min_gap_over_A(solve_adjoint(spec, bwd))
     threshold = -C * math.sqrt(epsilon) - 3.0 * result.stderr
     verdict = "necessary-holds" if result.gap >= threshold else "necessary-violated"
     return Certificate(
@@ -178,7 +178,7 @@ def certify_sufficient(
     fwd = bwd.forward
     seed = 0 if fwd.noise.seed is None else fwd.noise.seed
     report = check_H_convexity(spec, seed=seed)
-    result = min_gap_over_A(spec, solve_adjoint(spec, bwd))
+    result = min_gap_over_A(solve_adjoint(spec, bwd))
     threshold = -C * epsilon**lambda_exp - 3.0 * result.stderr
 
     if not report.passed:

@@ -96,7 +96,7 @@ def smp_descent(spec: ProblemSpec, u0: ControlProcess, params: DescentParams) ->
     stop_reason = "max_iter reached"
 
     for j in range(params.max_iter + 1):
-        gap = min_gap_over_A(spec, solve_adjoint(spec, bundle))
+        gap = min_gap_over_A(solve_adjoint(spec, bundle))
         # nothing reads the bundle again: drop it before the line search
         bundle = None
 

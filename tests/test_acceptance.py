@@ -92,7 +92,7 @@ def order_study(lq_spec, lq_params, lq_riccati):
     members = []
     for control, epsilon in family:
         fwd, bwd, adj = run_pipeline(lq_spec, control, noise)
-        gap = min_gap_over_A(lq_spec, adj)
+        gap = min_gap_over_A(adj)
         members.append((control, epsilon, gap.gap, gap.stderr))
     exponent, constant = estimate_order([(eps, gap) for _, eps, gap, _ in members])
     return members, exponent, constant
@@ -296,7 +296,7 @@ def test_criterion_9_invariant_suites(girsanov_run, lq_spec):
             vals = ispec.control_set.sample(rng, 8)
             ctrl = make_control(vals, g8, ispec.control_set)
             f8, b8, a8 = run_pipeline(ispec, ctrl, n8)
-            gap_ok &= min_gap_over_A(ispec, a8).gap <= 1e-12
+            gap_ok &= min_gap_over_A(a8).gap <= 1e-12
     details.append(f"min_gap <= 0 always={gap_ok}")
 
     # Hamiltonian partials against central differences at 100 points

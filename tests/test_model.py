@@ -333,7 +333,7 @@ def test_compact_and_full_outputs_give_identical_results():
         u = constant_control([0.2, -0.1], grid, spec.control_set)
         fwd, bwd, adj = run_pipeline(spec, u, noise)
         cost = evaluate_cost_strong(spec, bwd)
-        gap = min_gap_over_A(spec, adj)
+        gap = min_gap_over_A(adj)
         results.append(
             [fwd.x, fwd.rho, bwd.y, bwd.z1, bwd.z2]
             + [getattr(adj, name) for name in ("k", "p", "q1", "q2", "r", "R1", "R2")]

@@ -78,7 +78,7 @@ def test_min_gap_single_step_closed_form():
     u = constant_control([0.0], grid, spec.control_set)
     noise = sample_noise(grid, 500, seed=1)
     fwd, bwd, adj = run_pipeline(spec, u, noise)
-    result = min_gap_over_A(spec, adj)
+    result = min_gap_over_A(adj)
     assert np.all(result.minimizer.values == -1.0)
     assert result.gap == -2.0
 
@@ -90,7 +90,7 @@ def test_min_gap_never_positive(lq_spec):
     for _ in range(5):
         u = make_control(rng.uniform(-1, 1, (8, 1)), grid, lq_spec.control_set)
         fwd, bwd, adj = run_pipeline(lq_spec, u, noise)
-        result = min_gap_over_A(lq_spec, adj)
+        result = min_gap_over_A(adj)
         assert result.gap <= 1e-12
 
 
@@ -133,7 +133,7 @@ def test_folded_gap_equals_the_gap_of_the_kept_trajectories(name, tree):
     u = make_control(values, grid, spec.control_set, project=True)
     bwd = enumerate_lattice(spec, u, grid).backward if tree else _bundle(spec, u, 3000, 13)
     grad, adj = solve_adjoint(spec, bwd), adjoint_trajectories(spec, bwd)
-    result, kept = min_gap_over_A(spec, grad), min_gap_over_A(spec, adj)
+    result, kept = min_gap_over_A(grad), min_gap_over_A(adj)
     assert result.gap < 0.0
     hexed = [float(v).hex() for v in (result.gap, result.stderr)]
     assert [float(v).hex() for v in (kept.gap, kept.stderr)] == hexed
@@ -150,7 +150,7 @@ def test_min_gap_noise_floor_at_optimum(lq_spec, lq_params, lq_riccati):
     u_star = riccati_open_loop_control(lq_riccati, lq_params, grid, lq_spec.control_set)
     noise = sample_noise(grid, 20_000, seed=4)
     fwd, bwd, adj = run_pipeline(lq_spec, u_star, noise)
-    result = min_gap_over_A(lq_spec, adj)
+    result = min_gap_over_A(adj)
     assert result.gap >= -3.0 * result.stderr - 1e-4
 
 
@@ -201,7 +201,7 @@ def test_each_result_holds_what_it_was_computed_from(lq_spec):
     grad = solve_adjoint(lq_spec, bwd)
     assert bwd.forward is fwd
     assert grad.control is fwd.control
-    result = min_gap_over_A(lq_spec, grad)
+    result = min_gap_over_A(grad)
     full = adjoint_trajectories(lq_spec, bwd)
     assert (result.gap, result.stderr) == necessary_gap(full, result.minimizer)
     for cert in (

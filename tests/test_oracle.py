@@ -106,8 +106,8 @@ def test_cost_through_y_twin_on_the_tree(name, steps):
     twin_tree = enumerate_lattice(twin, u, grid).backward
     adj = adjoint_trajectories(twin, twin_tree)
     assert np.all(adj.k == -1.0)
-    exact = min_gap_over_A(spec, solve_adjoint(spec, tree)).gap
-    assert abs(min_gap_over_A(twin, adj).gap - exact) <= 1e-12
+    exact = min_gap_over_A(solve_adjoint(spec, tree)).gap
+    assert abs(min_gap_over_A(adj).gap - exact) <= 1e-12
     if name in ("lq", "double_well"):
         # h == 0: y(0) is the running plus terminal cost exactly; with h != 0
         # the driver's z2 * h is the linearized density and they differ by O(dt)
@@ -128,8 +128,8 @@ def test_lsmc_backward_state_matches_the_tree(name):
 def test_lsmc_min_gap_matches_the_exact_gap_on_scalar_nonlinear(steps):
     # measured relative differences: 8.1e-7 at 4 steps, 2.2e-7 at 6
     spec, _, _, tree, lsmc = _lattice_case("scalar_nonlinear", steps)
-    exact = min_gap_over_A(spec, solve_adjoint(spec, tree)).gap
-    fitted = min_gap_over_A(spec, solve_adjoint(spec, lsmc)).gap
+    exact = min_gap_over_A(solve_adjoint(spec, tree)).gap
+    fitted = min_gap_over_A(solve_adjoint(spec, lsmc)).gap
     assert abs(fitted - exact) <= 5e-6 * abs(exact)
 
 
@@ -213,7 +213,7 @@ def test_diagonal_two_dimensional_family_end_to_end():
     fwd, bwd, adj = run_pipeline(spec, u_star, noise)
     cost = evaluate_cost_strong(spec, bwd)
     assert abs(cost.value - sol.optimal_cost) / sol.optimal_cost <= 0.01
-    gap = min_gap_over_A(spec, adj)
+    gap = min_gap_over_A(adj)
     assert gap.gap >= -3.0 * gap.stderr - 1e-3
 
     lat_grid = make_time_grid(1.0, 3)

@@ -92,7 +92,7 @@ def _outputs(spec, seed, n_paths=1000, steps=8):
     grad = solve_adjoint(spec, bwd)
     adj = adjoint_trajectories(spec, bwd)
     cost = evaluate_cost_strong(spec, bwd)
-    gap = min_gap_over_A(spec, grad)
+    gap = min_gap_over_A(grad)
     out = {
         "x": fwd.x, "rho": fwd.rho,
         "y": bwd.y, "z1": bwd.z1, "z2": bwd.z2,
@@ -352,7 +352,7 @@ def test_certify_pipeline_draws_dY_only_where_it_is_read(family):
     fwd = simulate_forward(spec, u, noise)
     bundle = bsde.backward_bundle(spec, fwd)
     evaluate_cost_strong(spec, bundle)
-    min_gap_over_A(spec, solve_adjoint(spec, bundle))
+    min_gap_over_A(solve_adjoint(spec, bundle))
     # sigma2 and h are zero on lq and double_well: no step reads dY
     assert ("dY" in vars(noise)) == (family in ("lq_obs", "scalar_nonlinear"))
 
@@ -397,7 +397,7 @@ def test_adjoint_on_the_forward_bundle_equals_the_adjoint_on_the_backward_bundle
         assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
     assert _hex(got.diagnostics.condition_numbers) == _hex(want.diagnostics.condition_numbers)
     assert _hex(got.diagnostics.residual_rms) == _hex(want.diagnostics.residual_rms)
-    gap, gap_want = min_gap_over_A(spec, got), min_gap_over_A(spec, want)
+    gap, gap_want = min_gap_over_A(got), min_gap_over_A(want)
     assert _hex(gap[:2]) == _hex(gap_want[:2])
     assert gap.minimizer.values.tobytes() == gap_want.minimizer.values.tobytes()
     full, full_want = adjoint_trajectories(spec, bundle), adjoint_trajectories(spec, bwd)
