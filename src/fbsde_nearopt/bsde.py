@@ -24,7 +24,7 @@ solvers take only that result.  The adjoint system uses the same operator,
 reuses the same recursion for its backward components and integrates the
 forward component by explicit Euler.  ``backward_bundle`` gives the bundle
 a cost and an adjoint run on, and solves the backward equation only when
-one of them reads y or z (``model.reads_backward``).
+one of them reads y or z.
 
 The adjoint system is solved by one sweep with two collectors.  Each
 reversed step evaluates the Hamiltonian's coefficient Jacobians once, for
@@ -36,29 +36,14 @@ path mean, that step's minimizer over U and its term of a per-path sum.
 one, and returns the fold (``ControlGradient``) with the control it was
 taken at; ``adjoint_trajectories`` keeps every step of all of them.
 
-Work that a structurally zero coefficient part (``model.structurally_zero``)
-makes identically zero is skipped: the k sweep's partials whose f and l
-parts are both zero, the Jacobian products and shifted slot in
-``ShiftedPartials``, the backward corrector's second pass when f itself
-is zero and the whole backward update when h is zero too, and the p
-corrector's q2 h term when h is zero.  Work whose result nothing reads is
-skipped as well: ``solve_adjoint`` does not solve the value system when
-h's x- and u-Jacobians are both zero, since R2 then reaches neither H_x
-nor H_u, and a k that no partial moves is held as one step, read as a
-stride-0 trajectory.  Nor does ``solve_adjoint`` fit the p step's
-martingale increments when nothing reads q1 or q2
-(``model.adjoint_reads_integrands``: sigma1's and sigma2's Jacobians and h
-itself are structurally zero); that also leaves dY unread.
-``adjoint_trajectories`` solves and stores all of it.  Where
-``model.reads_backward`` is false, k stays at k(0) = 0 and is held,
-``ShiftedPartials`` drops its products with k and f's Jacobians with them,
-and the sweep reads zero views for a y, z1 and z2 that ``backward_bundle``
-did not solve.
+Every sweep skips the terms that ``model.LiveTerms`` finds dead;
+``adjoint_trajectories`` solves the value system and the p integrands
+whatever the spec.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import combinations_with_replacement, islice
 
 import numpy as np
@@ -66,13 +51,7 @@ import numpy as np
 from . import hamiltonian as ham
 from .errors import FbsdeError, RegressionError
 from .forward_sim import ForwardTrajectories, _trajectory
-from .model import (
-    ControlProcess,
-    ProblemSpec,
-    adjoint_reads_integrands,
-    reads_backward,
-    structurally_zero,
-)
+from .model import ControlProcess, LiveTerms, ProblemSpec, live_terms
 
 RIDGE = 1e-10
 MAX_CONDITION = 1e14
@@ -245,8 +224,8 @@ class BackwardTrajectories:
 
     ``forward`` is the bundle the sweep was solved on and ``operator`` the
     conditional expectation it regressed with; the adjoint sweep reuses both.
-    A bundle from ``backward_bundle`` for a spec that does not
-    ``model.reads_backward`` holds None for y, z1 and z2 and empty
+    A bundle from ``backward_bundle`` for a spec without
+    ``model.LiveTerms.backward`` holds None for y, z1 and z2 and empty
     diagnostics: nothing was solved.
     """
 
@@ -262,7 +241,7 @@ class BackwardTrajectories:
         the trajectory shape; refused for a spec that reads them."""
         if self.y is not None:
             return self.y, self.z1, self.z2
-        if reads_backward(spec):
+        if live_terms(spec).backward:
             raise FbsdeError("this spec reads y or z: run it on a solved backward bundle")
         zero = np.broadcast_to(0.0, (self.forward.grid.steps + 1, self.forward.n_paths, spec.dim_y))
         return zero, zero, zero
@@ -396,12 +375,12 @@ def backward_bundle(
     spec: ProblemSpec, fwd: ForwardTrajectories, basis: BasisSpec = BasisSpec()
 ) -> BackwardTrajectories:
     """The bundle the cost and the adjoint of ``fwd``'s control run on:
-    ``solve_backward``'s when either reads y or z (``model.reads_backward``),
+    ``solve_backward``'s when either reads y or z (``model.LiveTerms``),
     otherwise ``fwd`` with the conditional expectation on its states and no
     y, z1 or z2 solved.  The operator computes each step's statistics on
     first use, so the adjoint gets the same fits, bit for bit, from either.
     """
-    if reads_backward(spec):
+    if live_terms(spec).backward:
         return solve_backward(spec, fwd, basis)
     return BackwardTrajectories(
         y=None,
@@ -420,11 +399,10 @@ def _backward_sweep(
 
     Per step: z's from martingale-increment fits, then the value update with
     the driver's y-argument resolved by an explicit predictor and one
-    corrector evaluation, which a structurally zero f skips; when h is
-    structurally zero too, y is the fitted mean itself.  The operator's
-    buffers are allocated at its first fit, after the trajectories: before
-    them, the design buffer raises the peak RSS of a line search's repeated
-    solves (by 5 % on lq_obs at 20k x 32 under glibc).
+    corrector evaluation, where ``model.LiveTerms`` finds them live.  The
+    operator's buffers are allocated at its first fit, after the
+    trajectories: before them, the design buffer raises the peak RSS of a
+    line search's repeated solves (by 5 % on lq_obs at 20k x 32 under glibc).
     """
     u, grid = fwd.control, fwd.grid
     P, N, m = fwd.n_paths, grid.steps, spec.dim_y
@@ -436,11 +414,9 @@ def _backward_sweep(
     z2 = _trajectory(N, P, m)
     y[N] = spec.terminal_phi.value(fwd.x[N])
     residuals = []
-    # a structurally zero f never reads y_arg, so the corrector pass would
-    # repeat the predictor; with h zero too, the update adds nothing to y_hat
-    f_zero = structurally_zero(spec.backward_f.value)
-    passes = 1 if f_zero else 2
-    drift_zero = f_zero and structurally_zero(spec.observation_h.value)
+    live = live_terms(spec)
+    passes = 2 if live.driver else 1
+    update = live.driver or live.density
 
     for i in reversed(range(N)):
         t = times[i]
@@ -448,12 +424,12 @@ def _backward_sweep(
         ui = u.values[i]
         y_hat, z1[i], z2[i], rms = _regression_step(operator, i, y[i + 1], fwd)
 
-        if not drift_zero:
+        if update:
             z2h = z2[i] * spec.observation_h.value(t, xi, ui)[:, None]
         y_arg = y_hat
         for _ in range(passes):
             f_val = spec.backward_f.value(t, xi, y_arg, z1[i], z2[i], ui)
-            if not drift_zero:
+            if update:
                 y_arg = y_hat - (f_val - z2h) * dt
         y[i] = y_arg
         residuals.append(rms)
@@ -467,34 +443,24 @@ def _backward_sweep(
     )
 
 
-def _adjoint_sweep(
-    spec: ProblemSpec, bwd: BackwardTrajectories, value_system: bool, integrands: bool = True
-):
-    """Solve the multiplier system along ``bwd``'s admissible pair, as a stream.
+def _adjoint_sweep(spec: ProblemSpec, bwd: BackwardTrajectories, live: LiveTerms):
+    """Solve the multiplier system along ``bwd``'s admissible pair, as a
+    stream, skipping the terms that ``live`` finds dead.
 
     Order: the forward k equation first (its drift and diffusions involve
     no other multiplier), stored whole because the reversed sweep reads it
     backwards; then one reversed sweep that, per step, solves the scalar
-    value system (r, R1, R2) if ``value_system`` asks for it and then the
-    backward p system, which consumes k and, through the shifted slot of
-    the Hamiltonian partials, R2.  Both backward systems fit with ``bwd``'s
-    operator, so its per-step factorizations serve all three sweeps.
-    Increments of the rotated observation noise are reconstructed pathwise
-    as dY - h dt, with h evaluated per step in the reversed sweep, and in
-    the k sweep only while H_z2 is live.  The k sweep runs only where
-    ``model.reads_backward`` holds, and calls only the partials whose f or l
-    part is not structurally zero; otherwise k stays at k(0), which is held
-    once and yielded as a read-only stride-0 trajectory.  A bundle without
-    backward values (``backward_bundle``) is read as zero y, z1 and z2
-    (``BackwardTrajectories.values``).  Each reversed step builds one
-    ``ShiftedPartials`` at its fixed k, q1 and q2, with k given as None
-    (zero) where ``model.reads_backward`` is false, so that f's Jacobians
-    are not evaluated; both passes of the p corrector and the collectors'
-    H_u read its coefficient Jacobians.  A structurally zero h drops the
-    corrector's q2 h term.  Without
-    ``integrands`` the p step runs its value fit alone and q1 and q2 are
-    None: only a caller that reads neither may ask for that
-    (``model.adjoint_reads_integrands``).
+    value system (r, R1, R2) and then the backward p system, which consumes
+    k and, through the shifted slot of the Hamiltonian partials, R2.  Both
+    backward systems fit with ``bwd``'s operator, so its per-step
+    factorizations serve all three sweeps.  Increments of the rotated
+    observation noise are reconstructed pathwise as dY - h dt, with h
+    evaluated per step in the reversed sweep, and in the k sweep only while
+    H_z2 is live.  A bundle without backward values (``backward_bundle``)
+    is read as zero y, z1 and z2 (``BackwardTrajectories.values``).  Each
+    reversed step builds one ``ShiftedPartials`` at its fixed k, q1 and q2;
+    both passes of the p corrector and the collectors' H_u read its
+    coefficient Jacobians.
 
     Yields k (N + 1, P, m) with the terminal p(T) and r(T); then, from step
     N - 1 back to 0, the step's final ``(i, MultiplierPoint, ShiftedPartials,
@@ -511,31 +477,28 @@ def _adjoint_sweep(
     y, z1, z2 = bwd.values(spec)
 
     # forward multiplier: dk = -H_y dt - H_z1 dW - H_z2 dW^u, k(0) = -gamma_y(y(0)),
-    # with dW^u = dY - h dt; k stays zero unless the spec reads y or z, and a
-    # term whose f and l partials are both structurally zero is dropped, and
-    # with it the partial's call
+    # with dW^u = dY - h dt
     increments = {
         "y": lambda i, t, xi, ui: dt,
         "z1": lambda i, t, xi, ui: noise.dW[:, i, None],
         "z2": lambda i, t, xi, ui: (noise.dY[:, i] - spec.observation_h.value(t, xi, ui) * dt)[:, None],
     }
-    live = [
-        (f"H_{slot}", getattr(ham, f"partial_{slot}"), increment)
-        for slot, increment in increments.items()
-        if not all(structurally_zero(getattr(c, f"d{slot}")) for c in (spec.backward_f, spec.running_l))
-    ] if reads_backward(spec) else []
-    k = _trajectory(N + 1 if live else 1, P, m)
+    moving = [
+        (f"H_{slot}", getattr(ham, f"partial_{slot}"), increments[slot])
+        for slot in (live.k_partials if live.backward else ())
+    ]
+    k = _trajectory(N + 1 if moving else 1, P, m)
     k[0] = -spec.initial_gamma.dy(y[0])
-    if not live:
+    if not moving:
         # nothing moves k: k(0) is held once and read as every step
         k = np.broadcast_to(k[0], (N + 1, P, m))
-    for i in range(N if live else 0):
+    for i in range(N if moving else 0):
         t = times[i]
         xi = fwd.x[i]
         yi, z1i, z2i = y[i], z1[i], z2[i]
         ui = u.values[i]
         ki = k_next = k[i]
-        for name, partial, increment in live:
+        for name, partial, increment in moving:
             grad = partial(spec, t, xi, yi, z1i, z2i, ui, ki)
             if not np.isfinite(grad).all():
                 raise FbsdeError(f"non-finite Hamiltonian partial {name} at step {i}")
@@ -546,7 +509,7 @@ def _adjoint_sweep(
     # state multiplier: dp = -H_x dt + q1 dW + q2 dW^u,
     # p(T) = Phi_x(x(T)) - phi_x(x(T))^T k(T), written into a trajectory step
     # whatever layout the coefficients return
-    r_next = np.ascontiguousarray(spec.terminal_Phi.value(fwd.x[N])) if value_system else None
+    r_next = np.ascontiguousarray(spec.terminal_Phi.value(fwd.x[N])) if live.value_system else None
     p_next = _trajectory(1, P, spec.dim_x)[0]
     np.subtract(
         spec.terminal_Phi.dx(fwd.x[N]),
@@ -554,10 +517,6 @@ def _adjoint_sweep(
         out=p_next,
     )
     yield k, p_next, r_next
-    h_zero = structurally_zero(spec.observation_h.value)
-    # where the spec reads no y or z, k = k(0) = 0: ShiftedPartials drops its
-    # products with k, which would add exact zeros
-    k_read = reads_backward(spec)
     r_residuals, p_residuals = [], []
     R1_i = R2_i = None
     for i in reversed(range(N)):
@@ -567,7 +526,7 @@ def _adjoint_sweep(
         ui = u.values[i]
         h = spec.observation_h.value(t, xi, ui)
 
-        if value_system:
+        if live.value_system:
             # the scalar r goes through the regression step as a (P, 1) column
             r_hat, R1_i, R2_i, rms = _regression_step(operator, i, r_next[:, None], fwd)
             R1_i, R2_i = R1_i[:, 0], R2_i[:, 0]
@@ -575,10 +534,10 @@ def _adjoint_sweep(
             r_next = r_hat[:, 0] + (l_val + R2_i * h) * dt
             r_residuals.append(rms)
 
-        p_hat, q1_i, q2_i, rms = _regression_step(operator, i, p_next, fwd, integrands)
+        p_hat, q1_i, q2_i, rms = _regression_step(operator, i, p_next, fwd, live.integrands)
 
-        q2h = None if h_zero else q2_i * h[:, None]
-        k_i = k[i] if k_read else None
+        q2h = q2_i * h[:, None] if live.density else None
+        k_i = k[i] if live.backward else None
         partials = ham.ShiftedPartials(spec, t, xi, yi, z1i, z2i, ui, k_i, q1_i, q2_i)
         p_arg = p_hat
         for _ in range(2):
@@ -609,17 +568,11 @@ def solve_adjoint(spec: ProblemSpec, bwd: BackwardTrajectories) -> ControlGradie
     buffer, which ``_GapFold`` reads before the next step; no (N, P, k)
     array is built.  The multipliers p, q1, q2, r, R1 and R2 are kept for
     two steps only; ``adjoint_trajectories`` runs the same sweep and keeps
-    them all.  R2 reaches H_x and H_u only through h's Jacobians, so when
-    both are structurally zero the value system (r, R1, R2) is not solved,
-    and the diagnostics list the p fits alone.  When nothing reads q1 or q2
-    (``model.adjoint_reads_integrands``), the p step's increment fit is not
-    run either; its value fit and residual are, so the diagnostics are the
-    same.
+    them all.  Without the value system the diagnostics list the p fits
+    alone; without the integrands they are the same.
     """
     fwd = bwd.forward
-    h = spec.observation_h
-    value_system = not (structurally_zero(h.dx) and structurally_zero(h.du))
-    sweep = _adjoint_sweep(spec, bwd, value_system, adjoint_reads_integrands(spec))
+    sweep = _adjoint_sweep(spec, bwd, live_terms(spec))
     next(sweep)
     buffer = np.empty((fwd.n_paths, spec.dim_u), order="F")
     fold = _GapFold(spec, fwd.control, fwd.n_paths)
@@ -634,10 +587,11 @@ def adjoint_trajectories(spec: ProblemSpec, bwd: BackwardTrajectories) -> Adjoin
     """``solve_adjoint`` with rho * H_u and every multiplier kept, time-major.
 
     The same sweep, the same fold and the same numbers, with the value
-    system solved whatever h is; only what is stored differs.
+    system and the p integrands solved whatever the spec; only what is
+    stored differs.
     """
     fwd = bwd.forward
-    sweep = _adjoint_sweep(spec, bwd, True)
+    sweep = _adjoint_sweep(spec, bwd, replace(live_terms(spec), value_system=True, integrands=True))
     k, p_T, r_T = next(sweep)
     P, N, n = fwd.n_paths, fwd.grid.steps, spec.dim_x
     if not k.flags.writeable:

@@ -29,6 +29,7 @@ from .model import (
     constant_control,
     control_from_csv,
     control_to_csv,
+    live_terms,
     validate_problem,
 )
 from .nearopt import certify_necessary, certify_sufficient, estimate_order, min_gap_over_A
@@ -221,6 +222,7 @@ def _write_json(payload: dict, cfg: RunConfig, name: str, command: str) -> None:
         "instance": cfg.family,
         "seed": cfg.seed,
         "created": time.strftime("%Y-%m-%dT%H:%M:%S"),
+        "live_terms": dataclasses.asdict(live_terms(cfg.instance())),
     }
     with open(os.path.join(cfg.out_dir, name), "w") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)

@@ -2,15 +2,11 @@
 
 The state advances with drift b - sigma2*h against the two reference-measure
 noises; the density weight rho is advanced in log space so that it stays
-positive and is exact for constant observation drift.  What a structurally
-zero part (``model.structurally_zero``) makes vanish is not computed: with
-sigma2 zero the state step has no sigma2 terms, and with h zero rho is
-identically one, held as one step and read as a stride-0 trajectory.
-Then the forward simulation reads no dY, which ``sample_noise`` draws only
-on its first read.  Where it does read dY, it reads it before dW, so the
-two streams are drawn at once.  The Euler sweep and the per-path cost run
-on path shards (``paths``), each shard over every step on its own rows;
-the reductions across paths stay on the calling thread.
+positive and is exact for constant observation drift.  The terms it skips
+are those ``model.LiveTerms`` finds dead.  Where it reads dY, it reads it
+before dW, so the two streams are drawn at once.  The Euler sweep and the
+per-path cost run on path shards (``paths``), each shard over every step
+on its own rows; the reductions across paths stay on the calling thread.
 
 Every trajectory (the state here, the backward and adjoint processes in
 ``bsde``) is a time-major ``(steps, P, d)`` array stored as ``(steps, d, P)``:
@@ -29,7 +25,7 @@ from .errors import FbsdeError, GridMismatchError, SimulationError
 from .model import (
     ControlProcess,
     ProblemSpec,
-    structurally_zero,
+    live_terms,
     without_observation,
 )
 from .paths import NoiseBundle, TimeGrid, _on_path_shards, sample_noise
@@ -76,13 +72,9 @@ class ForwardTrajectories:
 def simulate_forward(
     spec: ProblemSpec, u: ControlProcess, noise: NoiseBundle
 ) -> ForwardTrajectories:
-    """Euler step for x, exact exponential-martingale step for rho.
-
-    A structurally zero sigma2 drops the state step's sigma2 * h and
-    sigma2 * dY terms; a structurally zero h holds rho as one step of ones,
-    read as a read-only stride-0 trajectory.  With both zero, dY is never
-    read.  A dropped term is an exact zero, so at most the sign of a zero
-    differs from the full step.
+    """Euler step for x, exact exponential-martingale step for rho, with
+    the sigma2 terms and the density only where they are live
+    (``model.LiveTerms``).
 
     Each path shard (``paths``) runs the whole time loop on its rows of x
     and log rho.  A failure raises what the single sweep would: the one at
@@ -96,19 +88,18 @@ def simulate_forward(
     P, N, n = noise.n_paths, grid.steps, spec.dim_x
     dt = grid.dt
     times = grid.times
-    s2_zero = structurally_zero(spec.diffusion_sigma2.value)
-    h_zero = structurally_zero(spec.observation_h.value)
+    live = live_terms(spec)
 
     x = _trajectory(N + 1, P, n)
     x[0] = spec.initial_x[None, :]
-    if not h_zero:
+    if live.density:
         log_rho = np.empty((N + 1, P))
         log_rho[0] = 0.0
     # dY before dW: a dW that sample_noise is still drawing is drawn meanwhile.
     # Both are read after x and log rho are allocated: reading them first
     # placed the arrays so that every later sweep on the bundle ran about
     # 30 % slower (20k paths, 2-core Xeon).
-    dY = None if s2_zero and h_zero else noise.dY
+    dY = noise.dY if live.sigma2 or live.density else None
     dW = noise.dW
 
     def sweep(lo: int, hi: int):
@@ -118,7 +109,7 @@ def simulate_forward(
         xs, dWs = x[:, lo:hi], dW[lo:hi]
         if dY is not None:
             dYs = dY[lo:hi]
-        if not h_zero:
+        if live.density:
             log_rhos = log_rho[:, lo:hi]
         for i in range(N):
             t = times[i]
@@ -130,9 +121,7 @@ def simulate_forward(
                 if dY is not None:
                     h = spec.observation_h.value(t, xi, ui)
                 # a product of broadcast views would come out C-ordered: lay it out like x
-                if s2_zero:
-                    xs[i + 1] = xi + b * dt + np.multiply(s1, dWs[:, i, None], order="F")
-                else:
+                if live.sigma2:
                     s2 = spec.diffusion_sigma2.value(t, xi, ui)
                     xs[i + 1] = (
                         xi
@@ -140,7 +129,9 @@ def simulate_forward(
                         + np.multiply(s1, dWs[:, i, None], order="F")
                         + np.multiply(s2, dYs[:, i, None], order="F")
                     )
-                if not h_zero:
+                else:
+                    xs[i + 1] = xi + b * dt + np.multiply(s1, dWs[:, i, None], order="F")
+                if live.density:
                     log_rhos[i + 1] = log_rhos[i] + h * dYs[:, i] - 0.5 * h * h * dt
             except Exception as exc:
                 return i, 0, exc
@@ -152,7 +143,7 @@ def simulate_forward(
                     f"state blow-up or non-finite value at step {i + 1}, path {lo + j}: "
                     f"x = {xs[i + 1, j]}"
                 )
-        if not h_zero:
+        if live.density:
             np.exp(log_rhos, out=log_rhos)
         return None
 
@@ -160,8 +151,7 @@ def simulate_forward(
     if failures:
         # min keeps the first of equal keys: the lowest shard
         raise min(failures, key=lambda failure: failure[:2])[2]
-    # h == 0: rho is identically one, held once and read as every step
-    rho = np.broadcast_to(np.ones(P), (N + 1, P)) if h_zero else log_rho
+    rho = log_rho if live.density else np.broadcast_to(np.ones(P), (N + 1, P))
     return ForwardTrajectories(x=x, rho=rho, grid=grid, control=u, noise=noise)
 
 
@@ -218,8 +208,8 @@ def evaluate_cost_strong(spec: ProblemSpec, bwd) -> CostReport:
     """Density-weighted cost under the reference measure (Bayes form), of the
     control the backward bundle ``bwd`` was simulated under.
 
-    A bundle from ``bsde.backward_bundle`` that solved no y, z1 or z2 (the
-    spec does not ``model.reads_backward``) gives l read-only zero views in
+    A bundle from ``bsde.backward_bundle`` that solved no y, z1 or z2 (no
+    ``model.LiveTerms.backward``) gives l read-only zero views in
     those slots, and the report has the same bits as from a solved bundle.
     """
     fwd = bwd.forward

@@ -9,13 +9,10 @@ shifted to R2 - sigma2^T p - z2^T k; the shift only matters for the x- and
 u-partials, which carry the observation-drift gradient.  Those two come
 from one per-step evaluator, ``ShiftedPartials``: it holds everything but
 p and R2 fixed, so the adjoint sweep evaluates each step's coefficient
-Jacobians once.  It skips every term of a structurally zero Jacobian
-(``model.structurally_zero``) or of a multiplier the sweep knows to be
-zero (k where ``model.reads_backward`` is false), and the shifted slot
-altogether when the h Jacobian is one: on the full-observation LQ family
-only l_x + b_x^T p and l_u + b_u^T p remain.  ``partial_x``,
-``partial_u``, ``shifted_slot`` and ``eval_H_partials`` are one-off calls
-into it.
+Jacobians once, and none that is structurally zero: on the
+full-observation LQ family only l_x + b_x^T p and l_u + b_u^T p remain.
+``partial_x``, ``partial_u``, ``shifted_slot`` and ``eval_H_partials`` are
+one-off calls into it.
 
 ``check_H_convexity(spec, n_probes, seed)`` probes the convexity the
 sufficient condition needs; its sample pools and eigenvalue tolerance are
@@ -106,16 +103,14 @@ class ShiftedPartials:
     Built from (t, x, y, z1, z2, u) and the step's k, q1 and q2, which the
     adjoint sweep holds fixed while it iterates p.  Each of the x- and
     u-gradients evaluates its coefficient Jacobians, with their q1, q2 and
-    k products, on first use; a structurally zero Jacobian is neither
-    evaluated nor multiplied, and a multiplier given as None is zero: its
-    Jacobian is not evaluated and, for k, the slot's <z2, k> is dropped.
-    The slot, with the sigma2 and <z2, k> it reads, is evaluated on first
-    use, which a gradient makes only when its h Jacobian is not
-    structurally zero.  Every later call pays only the p and R2 terms.  The
-    sums add the present terms in one order, l, then the p, q1, q2 and k
-    products, then r2s * h, so every call is bitwise equal to a fresh
-    evaluation; a dropped term is exactly zero, so at most the sign of a
-    zero differs from the sum over all six.
+    k products, on first use.  A structurally zero Jacobian
+    (``model.structurally_zero``) is neither evaluated nor multiplied; a
+    multiplier given as None is zero (``model.LiveTerms``), and the
+    Jacobians it would multiply and, for k, the slot's <z2, k> go with it.
+    The slot is evaluated on first use, by a gradient whose h Jacobian is
+    live.  Every later call pays only the p and R2 terms.  The sums add the
+    present terms in one order, l, then the p, q1, q2 and k products, then
+    r2s * h, so every call is bitwise equal to a fresh evaluation.
     """
 
     def __init__(self, spec: ProblemSpec, t, x, y, z1, z2, u, k: Array, q1: Array, q2: Array):

@@ -15,16 +15,8 @@ safe to call from two threads at once, because the forward sweep and the
 cost run on path shards (``paths``), each passing only its own rows; a
 pure map built from per-row operations is both.  A part given as the zero
 part of ``zero_coefficient()`` / ``zero_driver()`` is ``structurally_zero``,
-and declaring a part that way lets the pipeline skip work.  The adjoint
-skips the products and partials such a part would make vanish, the value
-system when h's Jacobians are zero and the k history when no k partial is
-live.  The backward update skips f and h when both are zero.  Work whose
-result nothing reads is skipped too: where ``reads_backward`` finds that
-neither the cost nor the adjoint reads y or z, the backward equation is not
-solved, and a control gradient that ``adjoint_reads_integrands`` finds free
-of q1 and q2 runs without the adjoint's increment fits.  The
-forward simulation drops the sigma2 terms when sigma2 is zero and holds
-the density as ones when h is zero, so neither reads dY.
+and declaring a part that way lets the pipeline skip work: ``live_terms``
+decides once which terms are live, and ``LiveTerms`` states each rule.
 
 ``validate_problem`` audits the nine coefficients in one loop: every
 declared partial is differenced in the sampled argument it names (dx in x,
@@ -281,28 +273,6 @@ def structurally_zero(part: Callable) -> bool:
     return inspect.unwrap(part) is _zero
 
 
-def reads_backward(spec: "ProblemSpec") -> bool:
-    """Whether the cost or the adjoint reads the backward state (y, z1, z2):
-    unless gamma's value and y-partial and l's y-, z1- and z2-partials are
-    all structurally zero.  With those zero, k(0) = -gamma_y = 0 and the k
-    equation is linear and homogeneous in k, so k stays zero, f's partials
-    multiply only zero, and neither the cost nor H reads y or z."""
-    gamma, l = spec.initial_gamma, spec.running_l
-    parts = (gamma.value, gamma.dy, l.dy, l.dz1, l.dz2)
-    return not all(structurally_zero(part) for part in parts)
-
-
-def adjoint_reads_integrands(spec: "ProblemSpec") -> bool:
-    """Whether the control gradient reads the adjoint's martingale
-    integrands (q1, q2): unless sigma1's and sigma2's x- and u-Jacobians and
-    h's value are all structurally zero.  Those are the only parts H_x, H_u
-    and the p corrector multiply q1 and q2 by."""
-    parts = [
-        getattr(c, w) for c in (spec.diffusion_sigma1, spec.diffusion_sigma2) for w in ("dx", "du")
-    ] + [spec.observation_h.value]
-    return not all(structurally_zero(part) for part in parts)
-
-
 def zero_coefficient() -> Coefficient:
     """Coefficient identically zero, in whatever shape its field documents."""
     return Coefficient(value=_zero, dx=_zero, du=_zero)
@@ -380,13 +350,6 @@ class ProblemSpec:
         object.__setattr__(self, "initial_x", x0)
         self._shape_coefficients()
 
-    @property
-    def h_control_free(self) -> bool:
-        """Whether the observation drift h is free of state and control: its
-        x- and u-Jacobians are structurally zero."""
-        h = self.observation_h
-        return structurally_zero(h.dx) and structurally_zero(h.du)
-
     def _shape_coefficients(self) -> None:
         """Wrap every coefficient part to return its (P, *out, *width) shape."""
         n, m, k = self.dim_x, self.dim_y, self.dim_u
@@ -417,6 +380,82 @@ class ProblemSpec:
             }
             if any(fn is not getattr(coeff, part) for part, fn in parts.items()):
                 object.__setattr__(self, name, replace(coeff, **parts))
+
+
+@dataclass(frozen=True)
+class LiveTerms:
+    """Which terms of a spec's system are live, from its structurally zero
+    parts (``structurally_zero``).  Every sweep skips what is not live: a
+    term that is identically zero, or that nothing reads.  A skipped term is
+    an exact zero, so at most the sign of a zero differs from computing it.
+
+    ``sigma2``: sigma2's value is not zero.  Otherwise the forward step has
+    no sigma2 * h and sigma2 * dY terms.
+
+    ``density``: h's value is not zero.  Otherwise rho is identically one,
+    held as one step and read as a stride-0 trajectory, and the p
+    corrector's q2 * h term is dropped.  With neither ``sigma2`` nor
+    ``density`` no step reads dY, which ``sample_noise`` draws only on its
+    first read.
+
+    ``backward``: the cost or the adjoint reads y, z1 or z2; false when
+    gamma's value and y-partial and l's y-, z1- and z2-partials are all
+    zero.  Then k(0) = -gamma_y = 0 and the k equation is linear and
+    homogeneous in k, so k stays zero and f's partials multiply only zero.
+    Where it is false, ``bsde.backward_bundle`` solves no backward equation
+    and the sweeps read zero y, z1 and z2, no k sweep runs, and
+    ``hamiltonian.ShiftedPartials`` gets k as None.
+
+    ``driver``: f's value is not zero.  Otherwise the backward update skips
+    its corrector pass, which would repeat the predictor, and with
+    ``density`` false too, its f and z2 * h terms: y is the fitted mean
+    itself.
+
+    ``k_partials``: the slots (y, z1, z2) whose f or l partial is not zero,
+    the only H_y, H_z1 and H_z2 the k sweep calls where ``backward`` holds.
+    A k that no partial moves is held as k(0), read as a stride-0
+    trajectory.
+
+    ``value_system``: h's x- or u-Jacobian is not zero.  Only they carry R2
+    into H_x and H_u, so otherwise ``bsde.solve_adjoint`` does not solve
+    (r, R1, R2); h is then free of state and control, as the sufficient
+    certificate requires.
+
+    ``integrands``: sigma1's or sigma2's x- or u-Jacobian, or h's value, is
+    not zero: the only parts H_x, H_u and the p corrector multiply q1 and q2
+    by.  Otherwise ``bsde.solve_adjoint`` runs the p step's value fit
+    without its increment fit, and q1 and q2 are None.
+    """
+
+    sigma2: bool
+    density: bool
+    backward: bool
+    driver: bool
+    k_partials: tuple[str, ...]
+    value_system: bool
+    integrands: bool
+
+
+def live_terms(spec: ProblemSpec) -> LiveTerms:
+    """The ``LiveTerms`` of ``spec``, from about twenty ``structurally_zero``
+    calls: a sweep takes it once, before its loop."""
+
+    def live(*parts: Callable) -> bool:
+        return not all(structurally_zero(part) for part in parts)
+
+    s1, s2, h = spec.diffusion_sigma1, spec.diffusion_sigma2, spec.observation_h
+    f, l, gamma = spec.backward_f, spec.running_l, spec.initial_gamma
+    return LiveTerms(
+        sigma2=live(s2.value),
+        density=live(h.value),
+        backward=live(gamma.value, gamma.dy, l.dy, l.dz1, l.dz2),
+        driver=live(f.value),
+        k_partials=tuple(
+            slot for slot in ("y", "z1", "z2") if live(getattr(f, f"d{slot}"), getattr(l, f"d{slot}"))
+        ),
+        value_system=live(h.dx, h.du),
+        integrands=live(s1.dx, s1.du, s2.dx, s2.du, h.value),
+    )
 
 
 def without_observation(spec: ProblemSpec) -> ProblemSpec:

@@ -12,7 +12,7 @@ paths exists.  ``necessary_gap`` prices any other candidate against an
 ``adjoint_trajectories`` result, which keeps rho * H_u, adding its steps
 in the same order.  The certificates take the backward bundle of u_eps
 (``solve_backward``'s, or ``bsde.backward_bundle``'s, which solves y, z1
-and z2 only where ``model.reads_backward``), which holds its forward
+and z2 only where ``model.LiveTerms.backward``), which holds its forward
 bundle and noise, and get the fold from ``solve_adjoint``, which keeps no
 multiplier beyond two steps; their provenance reads the seed, path count
 and grid from that bundle.
@@ -40,7 +40,7 @@ from .bsde import (
 from .errors import FbsdeError, GridMismatchError, PreconditionError
 from .forward_sim import ForwardTrajectories, _mean, _stderr, evaluate_cost_strong, simulate_forward
 from .hamiltonian import check_H_convexity
-from .model import ControlProcess, ProblemSpec
+from .model import ControlProcess, ProblemSpec, live_terms
 from .paths import NoiseBundle
 
 
@@ -147,7 +147,7 @@ def certify_necessary(
 
 
 def _require_sufficient_structure(spec: ProblemSpec) -> None:
-    if not spec.h_control_free:
+    if live_terms(spec).value_system:
         raise PreconditionError(
             "sufficient condition needs an observation drift free of state and control"
         )

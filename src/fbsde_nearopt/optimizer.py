@@ -9,7 +9,7 @@ which keeps the cost trace monotone.
 
 Each control's cost is measured on ``bsde.backward_bundle``, which solves
 the backward equation only when the cost or the adjoint reads y or z
-(``model.reads_backward``), and an accepted control's adjoint runs on the
+(``model.LiveTerms.backward``), and an accepted control's adjoint runs on the
 bundle its cost was measured on.  That bundle is dropped before the line
 search, so the trials never hold it.
 """

@@ -23,7 +23,7 @@ from fbsde_nearopt.model import (
     BUILTIN_FAMILIES,
     control_from_csv,
     control_to_csv,
-    reads_backward,
+    live_terms,
 )
 
 
@@ -153,11 +153,9 @@ def test_solve_outputs_name_files_relative_to_out(tmp_path):
 
 def test_solve_zero_iterations_single_row(tmp_path):
     cfg = _base_config(tmp_path)
-    cfg2 = write_config(
-        tmp_path,
-        open(cfg).read().replace("max_iter = 10", "max_iter = 0"),
-        name="run0.ini",
-    )
+    with open(cfg) as handle:
+        body = handle.read()
+    cfg2 = write_config(tmp_path, body.replace("max_iter = 10", "max_iter = 0"), name="run0.ini")
     assert cli.main(["--config", cfg2, "solve"]) == 0
     lines = (tmp_path / "out" / "trace.csv").read_text().strip().splitlines()
     assert len(lines) == 2  # header plus the u0 diagnostics row
@@ -287,6 +285,29 @@ def test_seed_flag_and_determinism(tmp_path):
     assert run("a") == run("b")
 
 
+@pytest.mark.parametrize("family", ["lq", "lq_obs"])
+def test_reports_show_the_live_terms(tmp_path, family):
+    cfg = _base_config(
+        tmp_path, extra="\n[certificate]\nepsilon = 0.05\n", family_block=f"[instance]\nfamily = {family}"
+    )
+    control = tmp_path / "u.csv"
+    control.write_text("step,u0\n" + "\n".join(f"{i},-0.4" for i in range(8)) + "\n")
+    assert cli.main(["--config", cfg, "certify", "--control", str(control)]) == 0
+    meta = json.loads((tmp_path / "out" / "certificate.json").read_text())["meta"]
+    # lq_obs observes through a constant h = 0.5 with sigma2 = 0.3: the density,
+    # the sigma2 terms and q1, q2 are live; neither family reads y or z
+    observed = family == "lq_obs"
+    assert meta["live_terms"] == {
+        "sigma2": observed,
+        "density": observed,
+        "backward": False,
+        "driver": False,
+        "k_partials": [],
+        "value_system": False,
+        "integrands": observed,
+    }
+
+
 PIPELINE_LAYERS = ("sample_noise", "simulate_forward", "solve_backward")
 
 
@@ -369,7 +390,7 @@ def test_certify_and_order_study_measure_a_cost_that_reads_y(tmp_path, monkeypat
     from _instances import constant_gamma_instance
 
     spec = constant_gamma_instance()
-    assert reads_backward(spec)
+    assert live_terms(spec).backward
     monkeypatch.setattr(cli.RunConfig, "instance", lambda self: spec)
     body = BASE.format(out=tmp_path / "out") + "\n[order_study]\ndeltas = 0.1,0.2,0.3\n"
     cfg = write_config(tmp_path, body)

@@ -9,7 +9,8 @@ does not see); the forward step drops sigma2's terms and holds rho as ones
 in the same way.  What no result reads is not computed either: the value
 system when h has zero Jacobians, the adjoint's increment fit when nothing
 reads q1 or q2, the dY draw when nothing reads dY, and the backward solve
-and the k sweep where neither the cost nor the adjoint reads y or z.
+and the k sweep where neither the cost nor the adjoint reads y or z.  Every
+one of these decisions is read from ``model.live_terms``.
 """
 
 import dataclasses
@@ -44,8 +45,8 @@ from fbsde_nearopt.forward_sim import evaluate_cost_strong, evaluate_cost_weak
 from fbsde_nearopt.model import (
     BUILTIN_FAMILIES,
     InitialCoefficient,
-    adjoint_reads_integrands,
-    reads_backward,
+    LiveTerms,
+    live_terms,
     structurally_zero,
     without_observation,
     zero_coefficient,
@@ -81,6 +82,26 @@ INSTANCES = {
         initial_gamma=InitialCoefficient(value=lambda y: 0.5 * y[:, 0] ** 2, dy=lambda y: y),
     ),
 }
+
+
+SLOTS = ("y", "z1", "z2")
+# the table of each instance, in field order: sigma2, density, backward,
+# driver, k_partials, value_system, integrands
+LIVE = {
+    "lq1": LiveTerms(False, False, False, False, (), False, False),
+    "lq2": LiveTerms(False, False, False, False, (), False, False),
+    "lq3": LiveTerms(False, False, False, False, (), False, False),
+    "lq_obs1": LiveTerms(True, True, False, False, (), False, True),
+    "lq_obs2": LiveTerms(True, True, False, False, (), False, True),
+    "scalar_nonlinear": LiveTerms(True, True, False, True, ("y",), True, True),
+    "double_well": LiveTerms(False, False, False, False, (), False, False),
+    "lq_twin": LiveTerms(False, False, True, True, SLOTS, False, False),
+    "lq_value": LiveTerms(False, False, False, True, SLOTS, False, False),
+    "lq_obs_twin": LiveTerms(True, True, True, True, SLOTS, False, True),
+    "lq_obs_value": LiveTerms(True, True, False, True, SLOTS, False, True),
+    "scalar_nonlinear_gamma": LiveTerms(True, True, True, True, ("y",), True, True),
+}
+ALL_LIVE = LiveTerms(True, True, True, True, SLOTS, True, True)
 
 
 def _outputs(spec, seed, n_paths=1000, steps=8):
@@ -121,17 +142,25 @@ def _assert_same(got, want):
             assert got[name] == value, name
 
 
-def _nothing_structurally_zero(monkeypatch):
-    """Patch the predicate to False in every package module that holds it."""
+def _nothing_structurally_zero(monkeypatch, spec):
+    """Patch the predicate to False in every package module that holds it:
+    ``model``, whose table then finds every term of ``spec`` live, and
+    ``hamiltonian``, whose per-step evaluator then skips no Jacobian."""
     patched = set()
     for module in list(sys.modules.values()):
         if getattr(module, "__name__", "").startswith("fbsde_nearopt"):
             if getattr(module, "structurally_zero", None) is structurally_zero:
                 monkeypatch.setattr(module, "structurally_zero", lambda part: False)
                 patched.add(module.__name__)
-    assert {
-        "fbsde_nearopt.hamiltonian", "fbsde_nearopt.bsde", "fbsde_nearopt.forward_sim"
-    } <= patched
+    assert patched == {"fbsde_nearopt.model", "fbsde_nearopt.hamiltonian"}
+    assert live_terms(spec) == ALL_LIVE
+
+
+def _force_backward(monkeypatch, reads=True):
+    """Make ``bsde`` read ``reads`` as every spec's ``LiveTerms.backward``."""
+    monkeypatch.setattr(
+        bsde, "live_terms", lambda spec: dataclasses.replace(live_terms(spec), backward=reads)
+    )
 
 
 def _with_plain_zeros(spec):
@@ -156,7 +185,7 @@ def test_skipping_structural_zeros_changes_no_output(name, monkeypatch):
         skipped = _outputs(spec, seed)
         _assert_same(_outputs(_with_plain_zeros(spec), seed), skipped)
         with monkeypatch.context() as patch:
-            _nothing_structurally_zero(patch)
+            _nothing_structurally_zero(patch, spec)
             reference = _outputs(spec, seed)
         _assert_same(skipped, reference)
 
@@ -169,6 +198,14 @@ def test_predicate_sees_through_wraps_but_not_a_zero_valued_map():
     assert not structurally_zero(_with_plain_zeros(spec).backward_f.dy)
     assert all(structurally_zero(part) for part in vars(zero_coefficient()).values())
     assert all(structurally_zero(part) for part in vars(zero_driver()).values())
+
+
+@pytest.mark.parametrize("name", sorted(INSTANCES))
+def test_live_terms_of_every_instance(name):
+    spec = INSTANCES[name]()
+    assert live_terms(spec) == LIVE[name]
+    # plain-lambda parts declare nothing, so every term is taken to be live
+    assert live_terms(_with_plain_zeros(spec)) == ALL_LIVE
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +310,7 @@ def test_adjoint_trajectories_copies_a_held_k_into_a_writable_trajectory():
     grid = make_time_grid(spec.horizon, 8)
     u = constant_control(np.full(2, 0.2), grid, spec.control_set)
     bwd = solve_backward(spec, simulate_forward(spec, u, sample_noise(grid, 500, 2)))
-    held = next(bsde._adjoint_sweep(spec, bwd, True))[0]
+    held = next(bsde._adjoint_sweep(spec, bwd, live_terms(spec)))[0]
     assert held.strides[0] == 0 and not held.flags.writeable
     k = adjoint_trajectories(spec, bwd).k
     assert k.shape == (9, 500, 2) and k.flags.writeable
@@ -301,7 +338,7 @@ def test_cost_on_the_forward_bundle_equals_the_cost_on_the_backward_bundle(name)
     fwd = simulate_forward(spec, u, sample_noise(grid, 1000, 5))
     bundle = bsde.backward_bundle(spec, fwd)
     # the backward equation is solved only where the spec reads it
-    assert (bundle.y is not None) == reads_backward(spec)
+    assert (bundle.y is not None) == live_terms(spec).backward
     want = _bits(evaluate_cost_strong(spec, solve_backward(spec, fwd)))
     assert _bits(evaluate_cost_strong(spec, bundle)) == want
 
@@ -315,32 +352,32 @@ def test_weak_cost_solves_the_backward_equation_only_for_a_reader(name, monkeypa
     original = bsde.solve_backward
     monkeypatch.setattr(bsde, "solve_backward", lambda *args: calls.append(1) or original(*args))
     got = _bits(evaluate_cost_weak(spec, u, seed=5, n_paths=1000, grid=grid))
-    assert len(calls) == reads_backward(without_observation(spec))
-    monkeypatch.setattr(bsde, "reads_backward", lambda spec: True)
+    assert len(calls) == live_terms(without_observation(spec)).backward
+    _force_backward(monkeypatch)
     assert _bits(evaluate_cost_weak(spec, u, seed=5, n_paths=1000, grid=grid)) == got
 
 
 def test_which_specs_read_the_backward_state():
-    readers = {name for name, make in INSTANCES.items() if reads_backward(make())}
+    readers = {name for name, make in INSTANCES.items() if live_terms(make()).backward}
     assert readers == {"lq_twin", "lq_obs_twin", "scalar_nonlinear_gamma"}
     # no built-in reads y or z: on scalar_nonlinear f_y = -0.5 multiplies only k = 0
-    assert not any(reads_backward(builtin_instance(f)) for f in BUILTIN_FAMILIES)
+    assert not any(live_terms(builtin_instance(f)).backward for f in BUILTIN_FAMILIES)
     # plain-lambda partials declare nothing, so y and z are taken to be read
-    assert reads_backward(constant_running_cost_instance())
+    assert live_terms(constant_running_cost_instance()).backward
 
 
 def test_which_gradients_read_the_adjoint_integrands():
-    readers = {name for name, make in INSTANCES.items() if adjoint_reads_integrands(make())}
+    readers = {name for name, make in INSTANCES.items() if live_terms(make()).integrands}
     assert readers == {
         "lq_obs1", "lq_obs2", "lq_obs_twin", "lq_obs_value",
         "scalar_nonlinear", "scalar_nonlinear_gamma",
     }
     # h = 0.5 on lq_obs; sigma1's and sigma2's Jacobians on scalar_nonlinear
-    assert {f for f in BUILTIN_FAMILIES if adjoint_reads_integrands(builtin_instance(f))} == {
+    assert {f for f in BUILTIN_FAMILIES if live_terms(builtin_instance(f)).integrands} == {
         "lq_obs", "scalar_nonlinear"
     }
     # plain-lambda parts declare nothing, so q1 and q2 are taken to be read
-    assert adjoint_reads_integrands(_with_plain_zeros(make_lq_instance()))
+    assert live_terms(_with_plain_zeros(make_lq_instance())).integrands
 
 
 @pytest.mark.parametrize("family", sorted(BUILTIN_FAMILIES))
@@ -388,7 +425,7 @@ def test_adjoint_on_the_forward_bundle_equals_the_adjoint_on_the_backward_bundle
     bundle = bsde.backward_bundle(spec, fwd)
     bwd = solve_backward(spec, fwd)
     # the backward equation is solved only for a spec that reads it
-    if reads_backward(spec):
+    if live_terms(spec).backward:
         assert np.array_equal(bundle.y, bwd.y)
     else:
         assert bundle.y is bundle.z1 is bundle.z2 is None
@@ -421,7 +458,7 @@ def test_a_bundle_without_backward_values_refuses_a_reader():
 
 def _descent(spec, monkeypatch, reads=None):
     """A short descent with its backward solves and forward simulations
-    counted; ``model.reads_backward`` can be forced."""
+    counted; ``LiveTerms.backward`` can be forced."""
     calls = {"solve_backward": 0, "simulate_forward": 0}
     for module, fn in ((bsde, "solve_backward"), (optimizer, "simulate_forward")):
         original = getattr(module, fn)
@@ -432,7 +469,7 @@ def _descent(spec, monkeypatch, reads=None):
 
         monkeypatch.setattr(module, fn, counted)
     if reads is not None:
-        monkeypatch.setattr(bsde, "reads_backward", lambda spec: reads)
+        _force_backward(monkeypatch, reads)
     grid = make_time_grid(spec.horizon, 16)
     u0 = constant_control(spec.control_set.center(), grid, spec.control_set)
     trace = smp_descent(spec, u0, DescentParams(max_iter=4, n_paths=4000, seed=3))
@@ -477,7 +514,7 @@ def test_scalar_nonlinear_runs_neither_the_backward_solve_nor_the_k_sweep(monkey
             module, name, lambda *args, _fn=original, _name=name: calls.append(_name) or _fn(*args)
         )
     with monkeypatch.context() as patch:
-        patch.setattr(bsde, "reads_backward", lambda spec: True)
+        _force_backward(patch)
         want = solve_adjoint(spec, bsde.backward_bundle(spec, fwd))
     # forced, y is solved and f_y moves k by exact zeros at every step
     assert calls.count("solve_backward") == 1 and calls.count("partial_y") == 8
@@ -501,7 +538,7 @@ def test_scalar_nonlinear_adjoint_evaluates_no_f_jacobian(monkeypatch):
     got = solve_adjoint(counted, bsde.backward_bundle(counted, fwd))
     assert "backward_f.dx" not in counts and "backward_f.du" not in counts
     with monkeypatch.context() as patch:
-        patch.setattr(bsde, "reads_backward", lambda spec: True)
+        _force_backward(patch)
         counts.clear()
         want = solve_adjoint(counted, bsde.backward_bundle(counted, fwd))
     # forced, k is swept and read: f_x is evaluated once per step and
