@@ -26,15 +26,24 @@ forward component by explicit Euler.  ``backward_bundle`` gives the bundle
 a cost and an adjoint run on, and solves the backward equation only when
 one of them reads y or z.
 
-The adjoint system is solved by one sweep with two collectors.  Each
-reversed step evaluates the Hamiltonian's coefficient Jacobians once, for
-both corrector passes of p and for H_u.  The Hamiltonian gap is folded
-into the sweep (``_GapFold``): its minimum decouples per step for
-deterministic piecewise controls, so each step's rho_i * H_u gives its
-path mean, that step's minimizer over U and its term of a per-path sum.
-``solve_adjoint`` keeps p, q and r/R for two steps only and rho * H_u for
-one, and returns the fold (``ControlGradient``) with the control it was
-taken at; ``adjoint_trajectories`` keeps every step of all of them.
+The adjoint system is solved by one sweep, which keeps two steps or every
+step.  Each reversed step evaluates the Hamiltonian's coefficient
+Jacobians once, for both corrector passes of p and for H_u.  The
+Hamiltonian gap is folded into the sweep (``_GapFold``): its minimum
+decouples per step for deterministic piecewise controls, so each step's
+rho_i * H_u gives its path mean, that step's minimizer over U and its term
+of a per-path sum.  ``solve_adjoint`` keeps p and r for two steps only and
+rho * H_u for one, and returns the fold (``ControlGradient``) with the
+control it was taken at; ``adjoint_trajectories`` keeps every step of all
+of them.
+
+The k sweep and each reversed step's per-path work (h, l, the r update,
+the Hamiltonian partials, the p corrector and rho * H_u) run on path
+shards (``paths``); the fits, the residual RMS and the gap's path mean and
+minimizer, the only reductions across paths, stay on the calling thread,
+so no output depends on the shard count.  While the adjoint runs on more
+than one shard, BLAS runs single-threaded (``paths._blas_for_shards``
+says why).
 
 Every sweep skips the terms that ``model.LiveTerms`` finds dead;
 ``adjoint_trajectories`` solves the value system and the p integrands
@@ -44,7 +53,7 @@ whatever the spec.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from itertools import combinations_with_replacement, islice
+from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -52,6 +61,7 @@ from . import hamiltonian as ham
 from .errors import FbsdeError, RegressionError
 from .forward_sim import ForwardTrajectories, _trajectory
 from .model import ControlProcess, LiveTerms, ProblemSpec, live_terms
+from .paths import _blas_for_shards, _on_path_shards
 
 RIDGE = 1e-10
 MAX_CONDITION = 1e14
@@ -424,13 +434,13 @@ def _backward_sweep(
         ui = u.values[i]
         y_hat, z1[i], z2[i], rms = _regression_step(operator, i, y[i + 1], fwd)
 
-        if update:
-            z2h = z2[i] * spec.observation_h.value(t, xi, ui)[:, None]
+        # z2 * h only where h is live
+        z2h = z2[i] * spec.observation_h.value(t, xi, ui)[:, None] if live.density else None
         y_arg = y_hat
         for _ in range(passes):
             f_val = spec.backward_f.value(t, xi, y_arg, z1[i], z2[i], ui)
             if update:
-                y_arg = y_hat - (f_val - z2h) * dt
+                y_arg = y_hat - (f_val if z2h is None else f_val - z2h) * dt
         y[i] = y_arg
         residuals.append(rms)
 
@@ -443,121 +453,182 @@ def _backward_sweep(
     )
 
 
-def _adjoint_sweep(spec: ProblemSpec, bwd: BackwardTrajectories, live: LiveTerms):
-    """Solve the multiplier system along ``bwd``'s admissible pair, as a
-    stream, skipping the terms that ``live`` finds dead.
+def _k_sweep(spec: ProblemSpec, bwd: BackwardTrajectories, live: LiveTerms) -> np.ndarray:
+    """The forward multiplier k (N + 1, P, m) along ``bwd``'s admissible pair.
 
-    Order: the forward k equation first (its drift and diffusions involve
-    no other multiplier), stored whole because the reversed sweep reads it
-    backwards; then one reversed sweep that, per step, solves the scalar
-    value system (r, R1, R2) and then the backward p system, which consumes
-    k and, through the shifted slot of the Hamiltonian partials, R2.  Both
-    backward systems fit with ``bwd``'s operator, so its per-step
-    factorizations serve all three sweeps.  Increments of the rotated
-    observation noise are reconstructed pathwise as dY - h dt, with h
-    evaluated per step in the reversed sweep, and in the k sweep only while
-    H_z2 is live.  A bundle without backward values (``backward_bundle``)
-    is read as zero y, z1 and z2 (``BackwardTrajectories.values``).  Each
-    reversed step builds one ``ShiftedPartials`` at its fixed k, q1 and q2;
-    both passes of the p corrector and the collectors' H_u read its
-    coefficient Jacobians.
-
-    Yields k (N + 1, P, m) with the terminal p(T) and r(T); then, from step
-    N - 1 back to 0, the step's final ``(i, MultiplierPoint, ShiftedPartials,
-    r_i, R1_i)``; last, the regression diagnostics.  Without the value
-    system, r, R1 and R2 are None.  Of p, q1, q2, r, R1 and R2 only steps i
-    and i + 1 are held while step i is solved, and of the evaluators only
-    step i's: a collector drops it before asking for the next step.
+    dk = -H_y dt - H_z1 dW - H_z2 dW^u with k(0) = -gamma_y(y(0)) and
+    dW^u = dY - h dt, over the slots of ``live.k_partials`` where
+    ``live.backward`` holds; no other multiplier enters.  A k that no
+    partial moves is k(0) held once and read as every step, a read-only
+    stride-0 view.  Each path shard (``paths``) runs every step on its
+    rows; a failure raises what the single sweep would: the earliest step,
+    then the earliest slot, a coefficient's exception before a non-finite
+    partial, then the lowest shard.
     """
-    fwd, operator = bwd.forward, bwd.operator
+    fwd = bwd.forward
     u, noise, grid = fwd.control, fwd.noise, fwd.grid
     P, N, m = fwd.n_paths, grid.steps, spec.dim_y
     dt = grid.dt
     times = grid.times
     y, z1, z2 = bwd.values(spec)
-
-    # forward multiplier: dk = -H_y dt - H_z1 dW - H_z2 dW^u, k(0) = -gamma_y(y(0)),
-    # with dW^u = dY - h dt
-    increments = {
-        "y": lambda i, t, xi, ui: dt,
-        "z1": lambda i, t, xi, ui: noise.dW[:, i, None],
-        "z2": lambda i, t, xi, ui: (noise.dY[:, i] - spec.observation_h.value(t, xi, ui) * dt)[:, None],
-    }
-    moving = [
-        (f"H_{slot}", getattr(ham, f"partial_{slot}"), increments[slot])
-        for slot in (live.k_partials if live.backward else ())
-    ]
-    k = _trajectory(N + 1 if moving else 1, P, m)
+    slots = live.k_partials if live.backward else ()
+    k = _trajectory(N + 1 if slots else 1, P, m)
     k[0] = -spec.initial_gamma.dy(y[0])
-    if not moving:
-        # nothing moves k: k(0) is held once and read as every step
-        k = np.broadcast_to(k[0], (N + 1, P, m))
-    for i in range(N if moving else 0):
-        t = times[i]
-        xi = fwd.x[i]
-        yi, z1i, z2i = y[i], z1[i], z2[i]
-        ui = u.values[i]
-        ki = k_next = k[i]
-        for name, partial, increment in moving:
-            grad = partial(spec, t, xi, yi, z1i, z2i, ui, ki)
-            if not np.isfinite(grad).all():
-                raise FbsdeError(f"non-finite Hamiltonian partial {name} at step {i}")
-            k_next = k_next - grad * increment(i, t, xi, ui)
-        k[i + 1] = k_next
+    if not slots:
+        return np.broadcast_to(k[0], (N + 1, P, m))
+    # the noise is read here: a shard thread must not be the one that draws dY
+    dW = noise.dW if "z1" in slots else None
+    dY = noise.dY if "z2" in slots else None
+    increments = {
+        "y": lambda i, t, xi, ui, rows: dt,
+        "z1": lambda i, t, xi, ui, rows: dW[rows, i, None],
+        "z2": lambda i, t, xi, ui, rows: (dY[rows, i] - spec.observation_h.value(t, xi, ui) * dt)[:, None],
+    }
+    moving = [(slot, getattr(ham, f"partial_{slot}"), increments[slot]) for slot in slots]
 
-    # value system: dr = -l dt + R1 dW + R2 dW^u, r(T) = Phi(x(T));
-    # state multiplier: dp = -H_x dt + q1 dW + q2 dW^u,
-    # p(T) = Phi_x(x(T)) - phi_x(x(T))^T k(T), written into a trajectory step
-    # whatever layout the coefficients return
-    r_next = np.ascontiguousarray(spec.terminal_Phi.value(fwd.x[N])) if live.value_system else None
-    p_next = _trajectory(1, P, spec.dim_x)[0]
-    np.subtract(
-        spec.terminal_Phi.dx(fwd.x[N]),
-        ham.vjp(k[N], spec.terminal_phi.dx(fwd.x[N])),
-        out=p_next,
-    )
-    yield k, p_next, r_next
+    def sweep(lo: int, hi: int):
+        """Paths [lo, hi) through every step: None, or the first failure as
+        ((step, slot index, 0 for the partial's exception, 1 for a non-finite
+        partial, 2 for the increment's exception), the exception)."""
+        rows = slice(lo, hi)
+        for i in range(N):
+            t = times[i]
+            xi = fwd.x[i, rows]
+            yi, z1i, z2i = y[i, rows], z1[i, rows], z2[i, rows]
+            ui = u.values[i]
+            ki = k_next = k[i, rows]
+            for j, (slot, partial, increment) in enumerate(moving):
+                stage = 0
+                try:
+                    grad = partial(spec, t, xi, yi, z1i, z2i, ui, ki)
+                    stage = 1
+                    if not np.isfinite(grad).all():
+                        raise FbsdeError(f"non-finite Hamiltonian partial H_{slot} at step {i}")
+                    stage = 2
+                    k_next = k_next - grad * increment(i, t, xi, ui, rows)
+                except Exception as exc:
+                    return (i, j, stage), exc
+            k[i + 1, rows] = k_next
+        return None
+
+    failures = [failure for failure in _on_path_shards(sweep, P) if failure is not None]
+    if failures:
+        # min keeps the first of equal keys: the lowest shard
+        raise min(failures, key=lambda failure: failure[0])[1]
+    return k
+
+
+def _adjoint_sweep(spec: ProblemSpec, bwd: BackwardTrajectories, live: LiveTerms, keep: bool):
+    """Solve the multiplier system along ``bwd``'s admissible pair, skipping
+    the terms that ``live`` finds dead, and fold the gap of every step.
+
+    Order: the forward k equation first (``_k_sweep``), stored whole
+    because the reversed sweep reads it backwards; then one reversed sweep
+    that, per step, solves the scalar value system (r, R1, R2) and then the
+    backward p system, which consumes k and, through the shifted slot of
+    the Hamiltonian partials, R2.  Both backward systems fit with ``bwd``'s
+    operator, so its per-step factorizations serve all three sweeps.
+    Increments of the rotated observation noise are reconstructed pathwise
+    as dY - h dt.  A bundle without backward values (``backward_bundle``) is
+    read as zero y, z1 and z2 (``BackwardTrajectories.values``).
+
+    Each reversed step runs its r and p fits on the calling thread, then
+    its per-path work on path shards (``paths``): h and l, the r update, a
+    ``ShiftedPartials`` on the shard's rows at its fixed k, q1 and q2, both
+    passes of the p corrector, and rho_i * H_u written into the shard's
+    rows of the step's weighted array; ``_GapFold`` then reads that array on
+    the calling thread.  While the sweep runs on more than one shard, BLAS
+    runs single-threaded (``paths._blas_for_shards``).
+
+    Returns the fold, the regression diagnostics and what was kept.
+    Without ``keep``, p and r are held for steps i and i + 1 only and
+    rho * H_u for one step, and nothing is kept; with it, every step of
+    k, weighted, p, q1, q2, r, R1 and R2 is written in place and kept, as
+    a dict.  Without the value system, r, R1 and R2 are not solved.
+    """
+    fwd, operator = bwd.forward, bwd.operator
+    u, grid = fwd.control, fwd.grid
+    P, N, n = fwd.n_paths, grid.steps, spec.dim_x
+    dt = grid.dt
+    times = grid.times
+    y, z1, z2 = bwd.values(spec)
+    # step i's slot in the p and r arrays
+    at = (lambda i: i) if keep else (lambda i: i % 2)
+    held = N + 1 if keep else 2
+    p = _trajectory(held, P, n)
+    r = np.empty((held, P)) if live.value_system else None
+    weighted = _trajectory(N if keep else 1, P, spec.dim_u)
+    if keep:
+        q1, q2 = _trajectory(N, P, n), _trajectory(N, P, n)
+        R1, R2 = np.empty((N, P)), np.empty((N, P))
+    reads_h = live.value_system or live.density
+    fold = _GapFold(spec, u, P)
     r_residuals, p_residuals = [], []
-    R1_i = R2_i = None
-    for i in reversed(range(N)):
-        t = times[i]
-        xi = fwd.x[i]
-        yi, z1i, z2i = y[i], z1[i], z2[i]
-        ui = u.values[i]
-        h = spec.observation_h.value(t, xi, ui)
 
-        if live.value_system:
-            # the scalar r goes through the regression step as a (P, 1) column
-            r_hat, R1_i, R2_i, rms = _regression_step(operator, i, r_next[:, None], fwd)
-            R1_i, R2_i = R1_i[:, 0], R2_i[:, 0]
-            l_val = spec.running_l.value(t, xi, yi, z1i, z2i, ui)
-            r_next = r_hat[:, 0] + (l_val + R2_i * h) * dt
-            r_residuals.append(rms)
+    with _blas_for_shards(P):
+        k = _k_sweep(spec, bwd, live)
+        # value system: dr = -l dt + R1 dW + R2 dW^u, r(T) = Phi(x(T));
+        # state multiplier: dp = -H_x dt + q1 dW + q2 dW^u,
+        # p(T) = Phi_x(x(T)) - phi_x(x(T))^T k(T)
+        np.subtract(
+            spec.terminal_Phi.dx(fwd.x[N]),
+            ham.vjp(k[N], spec.terminal_phi.dx(fwd.x[N])),
+            out=p[at(N)],
+        )
+        if r is not None:
+            r[at(N)] = spec.terminal_Phi.value(fwd.x[N])
+        R1_i = R2_i = None
+        for i in reversed(range(N)):
+            t = times[i]
+            ui = u.values[i]
+            if r is not None:
+                # the scalar r goes through the regression step as a (P, 1) column
+                r_hat, R1_i, R2_i, rms = _regression_step(operator, i, r[at(i + 1)][:, None], fwd)
+                r_hat, R1_i, R2_i = r_hat[:, 0], R1_i[:, 0], R2_i[:, 0]
+                r_residuals.append(rms)
+            p_hat, q1_i, q2_i, rms = _regression_step(operator, i, p[at(i + 1)], fwd, live.integrands)
+            p_residuals.append(rms)
+            w = weighted[i if keep else 0]
 
-        p_hat, q1_i, q2_i, rms = _regression_step(operator, i, p_next, fwd, live.integrands)
+            def step(lo: int, hi: int) -> None:
+                rows = slice(lo, hi)
+                xi = fwd.x[i, rows]
+                yi, z1i, z2i = y[i, rows], z1[i, rows], z2[i, rows]
+                R2s = None if R2_i is None else R2_i[rows]
+                q1s = None if q1_i is None else q1_i[rows]
+                q2s = None if q2_i is None else q2_i[rows]
+                if reads_h:
+                    h = spec.observation_h.value(t, xi, ui)
+                if r is not None:
+                    l_val = spec.running_l.value(t, xi, yi, z1i, z2i, ui)
+                    r[at(i), rows] = r_hat[rows] + (l_val + R2s * h) * dt
+                q2h = q2s * h[:, None] if live.density else None
+                k_i = k[i, rows] if live.backward else None
+                partials = ham.ShiftedPartials(spec, t, xi, yi, z1i, z2i, ui, k_i, q1s, q2s)
+                p_arg = p_hat[rows]
+                for _ in range(2):
+                    h_x = partials.h_x(p_arg, R2s)
+                    if not np.isfinite(h_x).all():
+                        raise FbsdeError(f"non-finite Hamiltonian partial H_x at step {i}")
+                    p_arg = p_hat[rows] + (h_x if q2h is None else h_x + q2h) * dt
+                p[at(i), rows] = p_arg
+                np.multiply(fwd.rho[i, rows][:, None], partials.h_u(p_arg, R2s), out=w[rows])
+                if keep:
+                    q1[i, rows], q2[i, rows] = q1s, q2s
+                    R1[i, rows], R2[i, rows] = R1_i[rows], R2s
 
-        q2h = q2_i * h[:, None] if live.density else None
-        k_i = k[i] if live.backward else None
-        partials = ham.ShiftedPartials(spec, t, xi, yi, z1i, z2i, ui, k_i, q1_i, q2_i)
-        p_arg = p_hat
-        for _ in range(2):
-            h_x = partials.h_x(p_arg, R2_i)
-            if not np.isfinite(h_x).all():
-                raise FbsdeError(f"non-finite Hamiltonian partial H_x at step {i}")
-            p_arg = p_hat + (h_x if q2h is None else h_x + q2h) * dt
-        p_next = p_arg
-        p_residuals.append(rms)
-        mult = ham.MultiplierPoint(k=k[i], p=p_next, q1=q1_i, q2=q2_i, R2=R2_i)
-        yield i, mult, partials, r_next, R1_i
-        del partials
+            _on_path_shards(step, P)
+            fold.add(i, w)
 
     # the r and p fits at a step share one Gram matrix, so each step's
     # condition number is listed once; residuals list every r fit the sweep
     # ran, then every p fit; both from the last step back
-    yield RegressionDiagnostics(
+    diagnostics = RegressionDiagnostics(
         condition_numbers=[operator.condition(i) for i in reversed(range(N))],
         residual_rms=r_residuals + p_residuals,
     )
+    kept = dict(k=k, weighted=weighted, p=p, q1=q1, q2=q2, r=r, R1=R1, R2=R2) if keep else None
+    return fold, diagnostics, kept
 
 
 def solve_adjoint(spec: ProblemSpec, bwd: BackwardTrajectories) -> ControlGradient:
@@ -566,21 +637,13 @@ def solve_adjoint(spec: ProblemSpec, bwd: BackwardTrajectories) -> ControlGradie
 
     Each reversed step writes rho_i * H_u into one held column-major (P, k)
     buffer, which ``_GapFold`` reads before the next step; no (N, P, k)
-    array is built.  The multipliers p, q1, q2, r, R1 and R2 are kept for
-    two steps only; ``adjoint_trajectories`` runs the same sweep and keeps
-    them all.  Without the value system the diagnostics list the p fits
-    alone; without the integrands they are the same.
+    array is built.  The multipliers p and r are kept for two steps only;
+    ``adjoint_trajectories`` runs the same sweep and keeps them all.
+    Without the value system the diagnostics list the p fits alone;
+    without the integrands they are the same.
     """
-    fwd = bwd.forward
-    sweep = _adjoint_sweep(spec, bwd, live_terms(spec))
-    next(sweep)
-    buffer = np.empty((fwd.n_paths, spec.dim_u), order="F")
-    fold = _GapFold(spec, fwd.control, fwd.n_paths)
-    for i, mult, partials, _, _ in islice(sweep, fwd.grid.steps):
-        np.multiply(fwd.rho[i][:, None], partials.h_u(mult.p, mult.R2), out=buffer)
-        del partials
-        fold.add(i, buffer)
-    return ControlGradient(**fold.fields(), diagnostics=next(sweep))
+    fold, diagnostics, _ = _adjoint_sweep(spec, bwd, live_terms(spec), keep=False)
+    return ControlGradient(**fold.fields(), diagnostics=diagnostics)
 
 
 def adjoint_trajectories(spec: ProblemSpec, bwd: BackwardTrajectories) -> AdjointTrajectories:
@@ -590,33 +653,11 @@ def adjoint_trajectories(spec: ProblemSpec, bwd: BackwardTrajectories) -> Adjoin
     system and the p integrands solved whatever the spec; only what is
     stored differs.
     """
-    fwd = bwd.forward
-    sweep = _adjoint_sweep(spec, bwd, replace(live_terms(spec), value_system=True, integrands=True))
-    k, p_T, r_T = next(sweep)
-    P, N, n = fwd.n_paths, fwd.grid.steps, spec.dim_x
-    if not k.flags.writeable:
+    live = replace(live_terms(spec), value_system=True, integrands=True)
+    fold, diagnostics, kept = _adjoint_sweep(spec, bwd, live, keep=True)
+    held = kept["k"]
+    if not held.flags.writeable:
         # a k that nothing moves comes as one step read as every step
-        held, k = k, _trajectory(N + 1, P, spec.dim_y)
-        k[...] = held
-
-    weighted = _trajectory(N, P, spec.dim_u)
-    p = _trajectory(N + 1, P, n)
-    q1 = _trajectory(N, P, n)
-    q2 = _trajectory(N, P, n)
-    r = np.empty((N + 1, P))
-    R1 = np.empty((N, P))
-    R2 = np.empty((N, P))
-    p[N], r[N] = p_T, r_T
-    fold = _GapFold(spec, fwd.control, P)
-    for i, mult, partials, r_i, R1_i in islice(sweep, N):
-        np.multiply(fwd.rho[i][:, None], partials.h_u(mult.p, mult.R2), out=weighted[i])
-        del partials
-        fold.add(i, weighted[i])
-        p[i], q1[i], q2[i], R2[i] = mult.p, mult.q1, mult.q2, mult.R2
-        r[i], R1[i] = r_i, R1_i
-    return AdjointTrajectories(
-        **fold.fields(),
-        diagnostics=next(sweep),
-        weighted=weighted,
-        k=k, p=p, q1=q1, q2=q2, r=r, R1=R1, R2=R2,
-    )
+        kept["k"] = _trajectory(*held.shape)
+        kept["k"][...] = held
+    return AdjointTrajectories(**fold.fields(), diagnostics=diagnostics, **kept)

@@ -12,23 +12,34 @@ was always drawn from, so a run whose instance reads no dY (sigma2 and h
 structurally zero) never draws it and every reader gets the same bits.
 
 Paths are independent, so the per-path sweeps (the forward Euler step, the
-per-path cost) run on contiguous path shards, one per core the process may
+per-path cost, the adjoint's k sweep and the per-path work of each reversed
+adjoint step) run on contiguous path shards, one per core the process may
 use and at least ``MIN_SHARD_PATHS`` paths each, on a thread pool started
 on first use; the dW draw runs on the same pool while the reader draws dY.
 numpy releases the interpreter lock inside its loops, so these run at
 once.  Every path sees the same operations in the same order on any shard,
-and every reduction across paths stays on the calling thread, so no output
-depends on the core count.
+and every reduction across paths (the fits, means and stderrs) stays on
+the calling thread, so no output depends on the core count.
+
+A sweep that runs fits between its shard calls (the adjoint) holds BLAS to
+one thread while it runs on more than one shard (``_blas_for_shards``):
+after a multithreaded fit, OpenBLAS's worker thread spins on the core the
+next shard needs.  The OpenBLAS call is looked up on the first such sweep,
+not at import; where numpy links no OpenBLAS the hold does nothing, and
+the bits are the same either way.
 """
 
 from __future__ import annotations
 
+import contextlib
 import contextvars
+import ctypes
+import functools
 import os
 import threading
 from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, Iterator
 
 import numpy as np
 
@@ -47,9 +58,32 @@ def _worker_count() -> int:
     return len(os.sched_getaffinity(0))
 
 
+@functools.cache
+def _blas_threads_setter() -> Callable[[int], int] | None:
+    """OpenBLAS's ``openblas_set_num_threads_local`` as linked into numpy,
+    or None where numpy links no OpenBLAS.
+
+    Looked up through numpy's extension module, whose dependencies a
+    ``dlsym`` on it searches, so it finds the bundled
+    ``libscipy_openblas64_*`` and a system OpenBLAS alike.  The call sets
+    the count and returns the one it replaces.  Measured with numpy 2.4.6's
+    OpenBLAS 0.3.31, the count holds on every thread of the process, not on
+    the calling thread alone.
+    """
+    try:
+        from numpy._core import _multiarray_umath
+
+        setter = ctypes.CDLL(_multiarray_umath.__file__).openblas_set_num_threads_local
+    except (ImportError, OSError, AttributeError):
+        return None
+    setter.argtypes, setter.restype = [ctypes.c_int], ctypes.c_int
+    return setter
+
+
 class _ShardPool:
     """The threads the shards beyond the caller's own run on, started on
-    first use and shared by every caller in the process."""
+    first use and shared by every caller in the process, and the count of
+    sweeps holding BLAS single-threaded."""
 
     def __init__(self) -> None:
         self.forget()
@@ -58,6 +92,29 @@ class _ShardPool:
         # also run in a forked child, which holds the executor but none of its threads
         self._lock = threading.Lock()
         self._executor: ThreadPoolExecutor | None = None
+        self._blas_holds = 0
+        self._blas_prior = 0
+
+    @contextlib.contextmanager
+    def single_threaded_blas(self) -> Iterator[None]:
+        """BLAS on one thread from entry to exit, also on a raise; a no-op
+        where numpy links no OpenBLAS.  The count is the process's, so the
+        first of overlapping holders sets it and the last restores it."""
+        setter = _blas_threads_setter()
+        if setter is None:
+            yield
+            return
+        with self._lock:
+            if self._blas_holds == 0:
+                self._blas_prior = setter(1)
+            self._blas_holds += 1
+        try:
+            yield
+        finally:
+            with self._lock:
+                self._blas_holds -= 1
+                if self._blas_holds == 0:
+                    setter(self._blas_prior)
 
     def submit(self, fn: Callable, *args) -> Future:
         with self._lock:
@@ -72,18 +129,38 @@ _POOL = _ShardPool()
 os.register_at_fork(after_in_child=_POOL.forget)
 
 
+def _shard_count(n_paths: int) -> int:
+    """How many path shards ``n_paths`` paths run on:
+    ``min(cores, n_paths // MIN_SHARD_PATHS)``, at least one."""
+    return max(1, min(_worker_count(), n_paths // MIN_SHARD_PATHS))
+
+
+def _blas_for_shards(n_paths: int) -> contextlib.AbstractContextManager:
+    """What a sweep over ``n_paths`` paths that runs fits between its shard
+    calls holds BLAS to: one thread where it runs on more than one shard.
+
+    Left alone, OpenBLAS runs each step's fits on a worker thread too, which
+    then spins on the core the next shard needs: measured on 2 cores with
+    numpy 2.4.6 (OpenBLAS 0.3.31), scalar_nonlinear at 100k x 64, the
+    adjoint's per-path phase took 0.60 s on one shard and on two, and 0.31 s
+    on two shards with BLAS single-threaded; the fits take as long on one
+    BLAS thread as on two.
+    """
+    return _POOL.single_threaded_blas() if _shard_count(n_paths) > 1 else contextlib.nullcontext()
+
+
 def _on_path_shards(fn: Callable[[int, int], Any], n_paths: int) -> list:
     """``fn(lo, hi)`` on each contiguous shard ``[lo, hi)`` of ``[0, n_paths)``,
     in shard order.
 
-    There are ``min(cores, n_paths // MIN_SHARD_PATHS)`` shards, at least
-    one.  The calling thread runs the first and the pool the rest, each in
-    a copy of the caller's context, so numpy's floating-point error state
-    (``np.errstate``) holds on every shard.  Every shard finishes before
-    this returns or raises; an exception is raised from the first shard, in
-    shard order, that raised one.
+    There are ``_shard_count(n_paths)`` shards.  The calling thread runs
+    the first and the pool the rest, each in a copy of the caller's
+    context, so numpy's floating-point error state (``np.errstate``) holds
+    on every shard.  Every shard finishes before this returns or raises; an
+    exception is raised from the first shard, in shard order, that raised
+    one.
     """
-    count = max(1, min(_worker_count(), n_paths // MIN_SHARD_PATHS))
+    count = _shard_count(n_paths)
     bounds = [n_paths * s // count for s in range(count + 1)]
     if count == 1:
         return [fn(0, n_paths)]

@@ -1,5 +1,10 @@
 """The per-path sweeps on path shards: no output depends on the shard count.
 
+The forward sweep, the cost, the k sweep and the adjoint's per-step work
+run on shards; the adjoint's fits and the gap's path means stay on the
+calling thread, with BLAS held to one thread while a sweep runs on more
+than one shard.
+
 The shard count is min(cores, paths // MIN_SHARD_PATHS); the tests set the
 core count and the shard floor to get one, two and three shards on a few
 hundred paths, with path counts no shard count divides.
@@ -14,8 +19,9 @@ import pytest
 
 from _instances import cost_through_y_twin, pure_noise_instance
 from fbsde_nearopt import paths
-from fbsde_nearopt.bsde import backward_bundle
-from fbsde_nearopt.errors import SimulationError
+from fbsde_nearopt import hamiltonian as ham
+from fbsde_nearopt.bsde import adjoint_trajectories, backward_bundle, solve_adjoint
+from fbsde_nearopt.errors import FbsdeError, SimulationError
 from fbsde_nearopt.forward_sim import evaluate_cost_strong, simulate_forward
 from fbsde_nearopt.model import (
     BUILTIN_FAMILIES,
@@ -42,12 +48,26 @@ def shards(monkeypatch):
     return use
 
 
+def _reads_z(spec):
+    """``spec`` with 0.3 * z1 + 0.2 * z2 added to its scalar driver, so that
+    H_z1 and H_z2 move k."""
+    f = spec.backward_f
+    driver = dataclasses.replace(
+        f,
+        value=lambda t, x, y, z1, z2, u: f.value(t, x, y, z1, z2, u) + 0.3 * z1 + 0.2 * z2,
+        dz1=lambda t, x, y, z1, z2, u: f.dz1(t, x, y, z1, z2, u) + 0.3,
+        dz2=lambda t, x, y, z1, z2, u: f.dz2(t, x, y, z1, z2, u) + 0.2,
+    )
+    return dataclasses.replace(spec, backward_f=driver, label=f"{spec.label}_z")
+
+
 def _specs():
     specs = {name: builtin_instance(name) for name in sorted(BUILTIN_FAMILIES)}
     for dim in (1, 2, 3):
         specs[f"lq{dim}"] = make_lq_instance(LQParams(dim=dim))
     specs["scalar_nonlinear_twin"] = cost_through_y_twin(builtin_instance("scalar_nonlinear"))
     specs["lq_obs_twin"] = cost_through_y_twin(builtin_instance("lq_obs"))
+    specs["lq_obs_twin_z"] = _reads_z(specs["lq_obs_twin"])
     return specs
 
 
@@ -239,3 +259,190 @@ def test_more_shards_than_cores_under_frequent_thread_switches_give_the_same_bit
         pool._executor.shutdown(wait=True)
     assert not runner.is_alive()
     assert got == [want] * 3
+
+
+# ---------------------------------------------------------------------------
+# the adjoint sweep: k on shards over every step, p and rho * H_u per step
+
+
+def _bits(value):
+    """Every field of a result, recursively: arrays as shape and bytes,
+    floats as hex, so the sign of a zero counts too."""
+    if isinstance(value, np.ndarray):
+        return value.shape, np.ascontiguousarray(value).tobytes()
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, list):
+        return [_bits(v) for v in value]
+    if dataclasses.is_dataclass(value):
+        return {f.name: _bits(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    return value
+
+
+def _adjoints(spec, noise):
+    u = constant_control(np.full(spec.dim_u, 0.2), noise.grid, spec.control_set)
+    bwd = backward_bundle(spec, simulate_forward(spec, u, noise))
+    return _bits(solve_adjoint(spec, bwd)), _bits(adjoint_trajectories(spec, bwd))
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_the_adjoint_does_not_depend_on_the_shard_count(shards, name):
+    spec = SPECS[name]
+    grid = make_time_grid(spec.horizon, 7)
+    runs = []
+    for count in SHARD_COUNTS:
+        shards(count)
+        runs.append(_adjoints(spec, sample_noise(grid, 3 * MIN_SHARD + 7, seed=31)))
+    assert runs[1] == runs[0] and runs[2] == runs[0]
+
+
+@pytest.mark.parametrize("name", ["lq_obs", "scalar_nonlinear", "lq2", "lq_obs_twin"])
+def test_the_adjoint_on_the_binomial_bundle_does_not_depend_on_the_shard_count(shards, name):
+    spec = SPECS[name]
+    noise = enumerate_binomial(make_time_grid(spec.horizon, 5))  # 1024 paths
+    runs = []
+    for count in SHARD_COUNTS:
+        shards(count)
+        runs.append(_adjoints(spec, noise))
+    assert runs[1] == runs[0] and runs[2] == runs[0]
+
+
+def _planted(spec, grid, hits):
+    """A forward bundle of ``spec`` at 10 * MIN_SHARD paths, and a map that
+    sets the rows of a ``(P, ...)`` array to inf where x is the state of a
+    ``(step, path)`` hit at that step's time (every state after step 0 is
+    path specific)."""
+    noise = sample_noise(grid, 10 * MIN_SHARD, seed=5)
+    u = constant_control(np.full(spec.dim_u, 0.2), grid, spec.control_set)
+    fwd = simulate_forward(spec, u, noise)
+    targets = {}
+    for step, path in hits:
+        targets.setdefault(grid.times[step], []).append(fwd.x[step, path])
+
+    def plant(t, x, out):
+        out = np.array(out)
+        for state in targets.get(t, ()):
+            out[(x == state).all(axis=1)] = np.inf
+        return out
+
+    return fwd, plant
+
+
+@pytest.mark.parametrize(
+    "hits, want",
+    [
+        # a worker shard's path alone
+        (((4, 9 * MIN_SHARD + 1),), 4),
+        # the reversed sweep meets a worker shard's later step first
+        (((5, 9 * MIN_SHARD + 1), (3, 2)), 5),
+    ],
+)
+def test_a_non_finite_H_x_names_the_step_of_the_single_sweep(shards, hits, want):
+    base = SPECS["scalar_nonlinear"]
+    grid = make_time_grid(base.horizon, 8)
+    shards(1)
+    fwd, plant = _planted(base, grid, hits)
+    l_x = base.running_l.dx
+    spec = dataclasses.replace(base, running_l=dataclasses.replace(
+        base.running_l, dx=lambda t, x, y, z1, z2, u: plant(t, x, l_x(t, x, y, z1, z2, u))
+    ))
+    bwd = backward_bundle(spec, fwd)
+    messages = []
+    for count in SHARD_COUNTS:
+        shards(count)
+        for run in (solve_adjoint, adjoint_trajectories):
+            with pytest.raises(FbsdeError) as raised:
+                run(spec, bwd)
+            messages.append(str(raised.value))
+    assert messages == [f"non-finite Hamiltonian partial H_x at step {want}"] * len(messages)
+
+
+@pytest.mark.parametrize(
+    "hits, want",
+    [
+        # a later shard's earlier step comes first
+        ({"y": ((6, 2), (3, 9 * MIN_SHARD + 1))}, "H_y at step 3"),
+        # at one step, the slot the single sweep evaluates first
+        ({"z1": ((3, 2),), "y": ((3, 9 * MIN_SHARD + 1),)}, "H_y at step 3"),
+        ({"z2": ((2, 4 * MIN_SHARD),), "z1": ((2, 9 * MIN_SHARD + 1),)}, "H_z1 at step 2"),
+    ],
+)
+def test_a_non_finite_k_partial_names_the_step_and_slot_of_the_single_sweep(shards, monkeypatch, hits, want):
+    spec = SPECS["scalar_nonlinear_twin"]
+    grid = make_time_grid(spec.horizon, 8)
+    shards(1)
+    for slot, slot_hits in hits.items():
+        # the same bundle for every slot
+        fwd, plant = _planted(spec, grid, slot_hits)
+        partial = getattr(ham, f"partial_{slot}")
+        monkeypatch.setattr(
+            ham, f"partial_{slot}",
+            lambda s, t, x, *args, partial=partial, plant=plant: plant(t, x, partial(s, t, x, *args)),
+        )
+    bwd = backward_bundle(spec, fwd)
+    for count in SHARD_COUNTS:
+        shards(count)
+        for run in (solve_adjoint, adjoint_trajectories):
+            with pytest.raises(FbsdeError, match=f"^non-finite Hamiltonian partial {want}$"):
+                run(spec, bwd)
+
+
+def _blas_threads():
+    """The process's OpenBLAS thread count, read by setting it to itself."""
+    setter = paths._blas_threads_setter()
+    count = setter(1)
+    setter(count)
+    return count
+
+
+@pytest.fixture
+def blas_threads():
+    """The OpenBLAS thread count, at 2 for the test and restored after it."""
+    setter = paths._blas_threads_setter()
+    if setter is None:
+        pytest.skip("numpy links no OpenBLAS")
+    prior = setter(2)
+    if _blas_threads() != 2:
+        setter(prior)
+        pytest.skip("this OpenBLAS runs one thread")
+    yield _blas_threads
+    setter(prior)
+
+
+def test_a_sharded_sweep_holds_blas_to_one_thread_and_restores_it(shards, blas_threads):
+    base = SPECS["scalar_nonlinear"]
+    grid = make_time_grid(base.horizon, 6)
+    seen = []
+    l_x = base.running_l.dx
+
+    def recording(t, x, y, z1, z2, u):
+        seen.append((threading.current_thread() is threading.main_thread(), blas_threads()))
+        return l_x(t, x, y, z1, z2, u)
+
+    spec = dataclasses.replace(base, running_l=dataclasses.replace(base.running_l, dx=recording))
+    u = constant_control([0.2], grid, spec.control_set)
+    bwd = backward_bundle(spec, simulate_forward(spec, u, sample_noise(grid, 3 * MIN_SHARD + 7, seed=2)))
+    shards(3)
+    solve_adjoint(spec, bwd)
+    assert blas_threads() == 2
+    # every step's l_x on the calling thread and on two pool threads, each at one BLAS thread
+    assert sorted(seen) == [(False, 1)] * 12 + [(True, 1)] * 6
+    seen.clear()
+    shards(1)
+    solve_adjoint(spec, bwd)
+    assert seen == [(True, 2)] * 6
+
+
+def test_a_sweep_that_raises_restores_the_blas_threads(shards, blas_threads):
+    base = SPECS["scalar_nonlinear"]
+    grid = make_time_grid(base.horizon, 8)
+    shards(1)
+    fwd, plant = _planted(base, grid, [(4, 9 * MIN_SHARD + 1)])
+    l_x = base.running_l.dx
+    spec = dataclasses.replace(base, running_l=dataclasses.replace(
+        base.running_l, dx=lambda t, x, y, z1, z2, u: plant(t, x, l_x(t, x, y, z1, z2, u))
+    ))
+    shards(3)
+    with pytest.raises(FbsdeError, match="at step 4"):
+        solve_adjoint(spec, backward_bundle(spec, fwd))
+    assert blas_threads() == 2

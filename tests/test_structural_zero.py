@@ -276,6 +276,14 @@ def test_lq_adjoint_calls_no_structurally_zero_part(monkeypatch):
     assert backward["backward_f.value"] == steps
 
 
+def test_backward_update_evaluates_no_h_where_h_is_zero(monkeypatch):
+    # the lq twin's driver is live but its h is zero: z2 * h is dropped
+    steps = 8
+    backward, _ = _adjoint_counts(cost_through_y_twin(make_lq_instance(LQParams(q=0.5))), monkeypatch, steps)
+    assert "observation_h.value" not in backward
+    assert backward["backward_f.value"] == 2 * steps
+
+
 @pytest.mark.parametrize("family", ["lq", "lq_obs"])
 def test_twin_adjoint_still_calls_its_live_parts(family, monkeypatch):
     steps = 8
@@ -310,7 +318,7 @@ def test_adjoint_trajectories_copies_a_held_k_into_a_writable_trajectory():
     grid = make_time_grid(spec.horizon, 8)
     u = constant_control(np.full(2, 0.2), grid, spec.control_set)
     bwd = solve_backward(spec, simulate_forward(spec, u, sample_noise(grid, 500, 2)))
-    held = next(bsde._adjoint_sweep(spec, bwd, live_terms(spec)))[0]
+    held = bsde._k_sweep(spec, bwd, live_terms(spec))
     assert held.strides[0] == 0 and not held.flags.writeable
     k = adjoint_trajectories(spec, bwd).k
     assert k.shape == (9, 500, 2) and k.flags.writeable
