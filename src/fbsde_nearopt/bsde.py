@@ -37,13 +37,14 @@ rho * H_u for one, and returns the fold (``ControlGradient``) with the
 control it was taken at; ``adjoint_trajectories`` keeps every step of all
 of them.
 
-The k sweep and each reversed step's per-path work (h, l, the r update,
-the Hamiltonian partials, the p corrector and rho * H_u) run on path
-shards (``paths``); the fits, the residual RMS and the gap's path mean and
+Each reversed adjoint step's per-path work (h, l, the r update, the
+Hamiltonian partials, the p corrector and rho * H_u) runs on path shards
+(``paths``); the fits, the residual RMS and the gap's path mean and
 minimizer, the only reductions across paths, stay on the calling thread,
-so no output depends on the shard count.  While the adjoint runs on more
-than one shard, BLAS runs single-threaded (``paths._blas_for_shards``
-says why).
+so no output depends on the shard count.  The k sweep, which only the
+cost-through-y twins run, stays on the calling thread too.  While the
+reversed sweep runs on more than one shard, BLAS runs single-threaded
+(``paths._blas_for_shards`` says why).
 
 Every sweep skips the terms that ``model.LiveTerms`` finds dead;
 ``adjoint_trajectories`` solves the value system and the p integrands
@@ -458,12 +459,12 @@ def _k_sweep(spec: ProblemSpec, bwd: BackwardTrajectories, live: LiveTerms) -> n
 
     dk = -H_y dt - H_z1 dW - H_z2 dW^u with k(0) = -gamma_y(y(0)) and
     dW^u = dY - h dt, over the slots of ``live.k_partials`` where
-    ``live.backward`` holds; no other multiplier enters.  A k that no
-    partial moves is k(0) held once and read as every step, a read-only
-    stride-0 view.  Each path shard (``paths``) runs every step on its
-    rows; a failure raises what the single sweep would: the earliest step,
-    then the earliest slot, a coefficient's exception before a non-finite
-    partial, then the lowest shard.
+    ``live.backward`` holds, with h evaluated only while H_z2 is live; no
+    other multiplier enters.  A k that no partial moves is k(0) held once
+    and read as every step, a read-only stride-0 view.  The sweep runs on
+    the calling thread: only the cost-through-y twins move k, and no
+    benchmark workload runs one, so a gain from path shards here would be
+    unmeasured.
     """
     fwd = bwd.forward
     u, noise, grid = fwd.control, fwd.noise, fwd.grid
@@ -471,50 +472,31 @@ def _k_sweep(spec: ProblemSpec, bwd: BackwardTrajectories, live: LiveTerms) -> n
     dt = grid.dt
     times = grid.times
     y, z1, z2 = bwd.values(spec)
-    slots = live.k_partials if live.backward else ()
-    k = _trajectory(N + 1 if slots else 1, P, m)
-    k[0] = -spec.initial_gamma.dy(y[0])
-    if not slots:
-        return np.broadcast_to(k[0], (N + 1, P, m))
-    # the noise is read here: a shard thread must not be the one that draws dY
-    dW = noise.dW if "z1" in slots else None
-    dY = noise.dY if "z2" in slots else None
     increments = {
-        "y": lambda i, t, xi, ui, rows: dt,
-        "z1": lambda i, t, xi, ui, rows: dW[rows, i, None],
-        "z2": lambda i, t, xi, ui, rows: (dY[rows, i] - spec.observation_h.value(t, xi, ui) * dt)[:, None],
+        "y": lambda i, t, xi, ui: dt,
+        "z1": lambda i, t, xi, ui: noise.dW[:, i, None],
+        "z2": lambda i, t, xi, ui: (noise.dY[:, i] - spec.observation_h.value(t, xi, ui) * dt)[:, None],
     }
-    moving = [(slot, getattr(ham, f"partial_{slot}"), increments[slot]) for slot in slots]
-
-    def sweep(lo: int, hi: int):
-        """Paths [lo, hi) through every step: None, or the first failure as
-        ((step, slot index, 0 for the partial's exception, 1 for a non-finite
-        partial, 2 for the increment's exception), the exception)."""
-        rows = slice(lo, hi)
-        for i in range(N):
-            t = times[i]
-            xi = fwd.x[i, rows]
-            yi, z1i, z2i = y[i, rows], z1[i, rows], z2[i, rows]
-            ui = u.values[i]
-            ki = k_next = k[i, rows]
-            for j, (slot, partial, increment) in enumerate(moving):
-                stage = 0
-                try:
-                    grad = partial(spec, t, xi, yi, z1i, z2i, ui, ki)
-                    stage = 1
-                    if not np.isfinite(grad).all():
-                        raise FbsdeError(f"non-finite Hamiltonian partial H_{slot} at step {i}")
-                    stage = 2
-                    k_next = k_next - grad * increment(i, t, xi, ui, rows)
-                except Exception as exc:
-                    return (i, j, stage), exc
-            k[i + 1, rows] = k_next
-        return None
-
-    failures = [failure for failure in _on_path_shards(sweep, P) if failure is not None]
-    if failures:
-        # min keeps the first of equal keys: the lowest shard
-        raise min(failures, key=lambda failure: failure[0])[1]
+    moving = [
+        (f"H_{slot}", getattr(ham, f"partial_{slot}"), increments[slot])
+        for slot in (live.k_partials if live.backward else ())
+    ]
+    k = _trajectory(N + 1 if moving else 1, P, m)
+    k[0] = -spec.initial_gamma.dy(y[0])
+    if not moving:
+        return np.broadcast_to(k[0], (N + 1, P, m))
+    for i in range(N):
+        t = times[i]
+        xi = fwd.x[i]
+        yi, z1i, z2i = y[i], z1[i], z2[i]
+        ui = u.values[i]
+        ki = k_next = k[i]
+        for name, partial, increment in moving:
+            grad = partial(spec, t, xi, yi, z1i, z2i, ui, ki)
+            if not np.isfinite(grad).all():
+                raise FbsdeError(f"non-finite Hamiltonian partial {name} at step {i}")
+            k_next = k_next - grad * increment(i, t, xi, ui)
+        k[i + 1] = k_next
     return k
 
 
@@ -537,8 +519,10 @@ def _adjoint_sweep(spec: ProblemSpec, bwd: BackwardTrajectories, live: LiveTerms
     ``ShiftedPartials`` on the shard's rows at its fixed k, q1 and q2, both
     passes of the p corrector, and rho_i * H_u written into the shard's
     rows of the step's weighted array; ``_GapFold`` then reads that array on
-    the calling thread.  While the sweep runs on more than one shard, BLAS
-    runs single-threaded (``paths._blas_for_shards``).
+    the calling thread.  A failing step raises what the single sweep
+    would: the exception of the operation it reaches first, then of the
+    lowest shard.  While the reversed sweep runs on more than one shard,
+    BLAS runs single-threaded (``paths._blas_for_shards``).
 
     Returns the fold, the regression diagnostics and what was kept.
     Without ``keep``, p and r are held for steps i and i + 1 only and
@@ -565,19 +549,19 @@ def _adjoint_sweep(spec: ProblemSpec, bwd: BackwardTrajectories, live: LiveTerms
     fold = _GapFold(spec, u, P)
     r_residuals, p_residuals = [], []
 
+    k = _k_sweep(spec, bwd, live)
+    # value system: dr = -l dt + R1 dW + R2 dW^u, r(T) = Phi(x(T));
+    # state multiplier: dp = -H_x dt + q1 dW + q2 dW^u,
+    # p(T) = Phi_x(x(T)) - phi_x(x(T))^T k(T)
+    np.subtract(
+        spec.terminal_Phi.dx(fwd.x[N]),
+        ham.vjp(k[N], spec.terminal_phi.dx(fwd.x[N])),
+        out=p[at(N)],
+    )
+    if r is not None:
+        r[at(N)] = spec.terminal_Phi.value(fwd.x[N])
+    R1_i = R2_i = None
     with _blas_for_shards(P):
-        k = _k_sweep(spec, bwd, live)
-        # value system: dr = -l dt + R1 dW + R2 dW^u, r(T) = Phi(x(T));
-        # state multiplier: dp = -H_x dt + q1 dW + q2 dW^u,
-        # p(T) = Phi_x(x(T)) - phi_x(x(T))^T k(T)
-        np.subtract(
-            spec.terminal_Phi.dx(fwd.x[N]),
-            ham.vjp(k[N], spec.terminal_phi.dx(fwd.x[N])),
-            out=p[at(N)],
-        )
-        if r is not None:
-            r[at(N)] = spec.terminal_Phi.value(fwd.x[N])
-        R1_i = R2_i = None
         for i in reversed(range(N)):
             t = times[i]
             ui = u.values[i]
@@ -590,34 +574,51 @@ def _adjoint_sweep(spec: ProblemSpec, bwd: BackwardTrajectories, live: LiveTerms
             p_residuals.append(rms)
             w = weighted[i if keep else 0]
 
-            def step(lo: int, hi: int) -> None:
+            def step(lo: int, hi: int):
+                """Step i on paths [lo, hi): None, or the shard's failure as
+                (how many of the step's operations it finished, the
+                exception).  The single sweep runs each operation on every
+                path before the next, so the fewest finished ranks first."""
                 rows = slice(lo, hi)
                 xi = fwd.x[i, rows]
                 yi, z1i, z2i = y[i, rows], z1[i, rows], z2[i, rows]
                 R2s = None if R2_i is None else R2_i[rows]
                 q1s = None if q1_i is None else q1_i[rows]
                 q2s = None if q2_i is None else q2_i[rows]
-                if reads_h:
-                    h = spec.observation_h.value(t, xi, ui)
-                if r is not None:
-                    l_val = spec.running_l.value(t, xi, yi, z1i, z2i, ui)
-                    r[at(i), rows] = r_hat[rows] + (l_val + R2s * h) * dt
-                q2h = q2s * h[:, None] if live.density else None
-                k_i = k[i, rows] if live.backward else None
-                partials = ham.ShiftedPartials(spec, t, xi, yi, z1i, z2i, ui, k_i, q1s, q2s)
-                p_arg = p_hat[rows]
-                for _ in range(2):
-                    h_x = partials.h_x(p_arg, R2s)
-                    if not np.isfinite(h_x).all():
-                        raise FbsdeError(f"non-finite Hamiltonian partial H_x at step {i}")
-                    p_arg = p_hat[rows] + (h_x if q2h is None else h_x + q2h) * dt
-                p[at(i), rows] = p_arg
-                np.multiply(fwd.rho[i, rows][:, None], partials.h_u(p_arg, R2s), out=w[rows])
+                done = 0
+                try:
+                    if reads_h:
+                        h = spec.observation_h.value(t, xi, ui)
+                    done = 1
+                    if r is not None:
+                        l_val = spec.running_l.value(t, xi, yi, z1i, z2i, ui)
+                        r[at(i), rows] = r_hat[rows] + (l_val + R2s * h) * dt
+                    done = 2
+                    q2h = q2s * h[:, None] if live.density else None
+                    k_i = k[i, rows] if live.backward else None
+                    partials = ham.ShiftedPartials(spec, t, xi, yi, z1i, z2i, ui, k_i, q1s, q2s)
+                    p_arg = p_hat[rows]
+                    for _ in range(2):
+                        # the first pass evaluates the x Jacobians
+                        h_x = partials.h_x(p_arg, R2s)
+                        done += 1
+                        if not np.isfinite(h_x).all():
+                            raise FbsdeError(f"non-finite Hamiltonian partial H_x at step {i}")
+                        done += 1
+                        p_arg = p_hat[rows] + (h_x if q2h is None else h_x + q2h) * dt
+                    p[at(i), rows] = p_arg
+                    np.multiply(fwd.rho[i, rows][:, None], partials.h_u(p_arg, R2s), out=w[rows])
+                except Exception as exc:
+                    return done, exc
                 if keep:
                     q1[i, rows], q2[i, rows] = q1s, q2s
                     R1[i, rows], R2[i, rows] = R1_i[rows], R2s
+                return None
 
-            _on_path_shards(step, P)
+            failures = [failure for failure in _on_path_shards(step, P) if failure is not None]
+            if failures:
+                # min keeps the first of equal keys: the lowest shard
+                raise min(failures, key=lambda failure: failure[0])[1]
             fold.add(i, w)
 
     # the r and p fits at a step share one Gram matrix, so each step's

@@ -12,10 +12,10 @@ was always drawn from, so a run whose instance reads no dY (sigma2 and h
 structurally zero) never draws it and every reader gets the same bits.
 
 Paths are independent, so the per-path sweeps (the forward Euler step, the
-per-path cost, the adjoint's k sweep and the per-path work of each reversed
-adjoint step) run on contiguous path shards, one per core the process may
-use and at least ``MIN_SHARD_PATHS`` paths each, on a thread pool started
-on first use; the dW draw runs on the same pool while the reader draws dY.
+per-path cost and the per-path work of each reversed adjoint step) run on
+contiguous path shards, one per core the process may use and at least
+``MIN_SHARD_PATHS`` paths each, on a thread pool started on first use; the
+dW draw runs on the same pool while the reader draws dY.
 numpy releases the interpreter lock inside its loops, so these run at
 once.  Every path sees the same operations in the same order on any shard,
 and every reduction across paths (the fits, means and stderrs) stays on

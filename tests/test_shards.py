@@ -1,7 +1,7 @@
 """The per-path sweeps on path shards: no output depends on the shard count.
 
-The forward sweep, the cost, the k sweep and the adjoint's per-step work
-run on shards; the adjoint's fits and the gap's path means stay on the
+The forward sweep, the cost and the adjoint's per-step work run on
+shards; the adjoint's fits and the gap's path means stay on the
 calling thread, with BLAS held to one thread while a sweep runs on more
 than one shard.
 
@@ -355,6 +355,52 @@ def test_a_non_finite_H_x_names_the_step_of_the_single_sweep(shards, hits, want)
                 run(spec, bwd)
             messages.append(str(raised.value))
     assert messages == [f"non-finite Hamiltonian partial H_x at step {want}"] * len(messages)
+
+
+@pytest.mark.parametrize(
+    "first, last, want",
+    [
+        # the single sweep evaluates l on every path before it checks H_x
+        ("H_x", "l", "l"),
+        # and h on every path before l
+        ("l", "h", "h"),
+    ],
+)
+def test_a_failing_step_raises_the_failure_the_single_sweep_meets_first(shards, first, last, want):
+    # at step 4, ``first`` fails on the first shard's path and ``last`` on
+    # the last shard's path: a non-finite H_x, or h or l raising
+    base = SPECS["scalar_nonlinear"]
+    grid = make_time_grid(base.horizon, 8)
+    shards(1)
+    fwd, _ = _planted(base, grid, ())
+    sites = {site: _planted(base, grid, [(4, path)])[1] for site, path in ((first, 2), (last, 9 * MIN_SHARD + 1))}
+
+    def hit(site, t, x):
+        return site in sites and np.isinf(sites[site](t, x, np.zeros(x.shape[0]))).any()
+
+    def raising(site, value):
+        def coefficient(t, x, *args):
+            if hit(site, t, x):
+                raise CoefficientFault(site)
+            return value(t, x, *args)
+
+        return coefficient
+
+    def l_x(t, x, *args):
+        out = base.running_l.dx(t, x, *args)
+        return sites["H_x"](t, x, out) if "H_x" in sites else out
+
+    spec = dataclasses.replace(
+        base,
+        running_l=dataclasses.replace(base.running_l, value=raising("l", base.running_l.value), dx=l_x),
+        observation_h=dataclasses.replace(base.observation_h, value=raising("h", base.observation_h.value)),
+    )
+    bwd = backward_bundle(spec, fwd)
+    for count in SHARD_COUNTS:
+        shards(count)
+        for run in (solve_adjoint, adjoint_trajectories):
+            with pytest.raises(CoefficientFault, match=f"^{want}$"):
+                run(spec, bwd)
 
 
 @pytest.mark.parametrize(
