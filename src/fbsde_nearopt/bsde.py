@@ -62,7 +62,7 @@ from . import hamiltonian as ham
 from .errors import FbsdeError, RegressionError
 from .forward_sim import ForwardTrajectories, _trajectory
 from .model import ControlProcess, LiveTerms, ProblemSpec, live_terms
-from .paths import _blas_for_shards, _on_path_shards
+from .paths import _blas_for_shards, _on_path_shards, _shard_count
 
 RIDGE = 1e-10
 MAX_CONDITION = 1e14
@@ -519,9 +519,9 @@ def _adjoint_sweep(spec: ProblemSpec, bwd: BackwardTrajectories, live: LiveTerms
     ``ShiftedPartials`` on the shard's rows at its fixed k, q1 and q2, both
     passes of the p corrector, and rho_i * H_u written into the shard's
     rows of the step's weighted array; ``_GapFold`` then reads that array on
-    the calling thread.  A failing step raises what the single sweep
-    would: the exception of the operation it reaches first, then of the
-    lowest shard.  While the reversed sweep runs on more than one shard,
+    the calling thread.  A step that fails on a shard is run again on every
+    path at once on the calling thread, so it raises what the single sweep
+    raises.  While the reversed sweep runs on more than one shard,
     BLAS runs single-threaded (``paths._blas_for_shards``).
 
     Returns the fold, the regression diagnostics and what was kept.
@@ -574,51 +574,42 @@ def _adjoint_sweep(spec: ProblemSpec, bwd: BackwardTrajectories, live: LiveTerms
             p_residuals.append(rms)
             w = weighted[i if keep else 0]
 
-            def step(lo: int, hi: int):
-                """Step i on paths [lo, hi): None, or the shard's failure as
-                (how many of the step's operations it finished, the
-                exception).  The single sweep runs each operation on every
-                path before the next, so the fewest finished ranks first."""
+            def step(lo: int, hi: int) -> None:
                 rows = slice(lo, hi)
                 xi = fwd.x[i, rows]
                 yi, z1i, z2i = y[i, rows], z1[i, rows], z2[i, rows]
                 R2s = None if R2_i is None else R2_i[rows]
                 q1s = None if q1_i is None else q1_i[rows]
                 q2s = None if q2_i is None else q2_i[rows]
-                done = 0
-                try:
-                    if reads_h:
-                        h = spec.observation_h.value(t, xi, ui)
-                    done = 1
-                    if r is not None:
-                        l_val = spec.running_l.value(t, xi, yi, z1i, z2i, ui)
-                        r[at(i), rows] = r_hat[rows] + (l_val + R2s * h) * dt
-                    done = 2
-                    q2h = q2s * h[:, None] if live.density else None
-                    k_i = k[i, rows] if live.backward else None
-                    partials = ham.ShiftedPartials(spec, t, xi, yi, z1i, z2i, ui, k_i, q1s, q2s)
-                    p_arg = p_hat[rows]
-                    for _ in range(2):
-                        # the first pass evaluates the x Jacobians
-                        h_x = partials.h_x(p_arg, R2s)
-                        done += 1
-                        if not np.isfinite(h_x).all():
-                            raise FbsdeError(f"non-finite Hamiltonian partial H_x at step {i}")
-                        done += 1
-                        p_arg = p_hat[rows] + (h_x if q2h is None else h_x + q2h) * dt
-                    p[at(i), rows] = p_arg
-                    np.multiply(fwd.rho[i, rows][:, None], partials.h_u(p_arg, R2s), out=w[rows])
-                except Exception as exc:
-                    return done, exc
+                if reads_h:
+                    h = spec.observation_h.value(t, xi, ui)
+                if r is not None:
+                    l_val = spec.running_l.value(t, xi, yi, z1i, z2i, ui)
+                    r[at(i), rows] = r_hat[rows] + (l_val + R2s * h) * dt
+                q2h = q2s * h[:, None] if live.density else None
+                k_i = k[i, rows] if live.backward else None
+                partials = ham.ShiftedPartials(spec, t, xi, yi, z1i, z2i, ui, k_i, q1s, q2s)
+                p_arg = p_hat[rows]
+                for _ in range(2):
+                    h_x = partials.h_x(p_arg, R2s)
+                    if not np.isfinite(h_x).all():
+                        raise FbsdeError(f"non-finite Hamiltonian partial H_x at step {i}")
+                    p_arg = p_hat[rows] + (h_x if q2h is None else h_x + q2h) * dt
+                p[at(i), rows] = p_arg
+                np.multiply(fwd.rho[i, rows][:, None], partials.h_u(p_arg, R2s), out=w[rows])
                 if keep:
                     q1[i, rows], q2[i, rows] = q1s, q2s
                     R1[i, rows], R2[i, rows] = R1_i[rows], R2s
-                return None
 
-            failures = [failure for failure in _on_path_shards(step, P) if failure is not None]
-            if failures:
-                # min keeps the first of equal keys: the lowest shard
-                raise min(failures, key=lambda failure: failure[0])[1]
+            try:
+                _on_path_shards(step, P)
+            except Exception:
+                if _shard_count(P) == 1:
+                    raise
+                # the step fails on some shard: on every path at once, it
+                # raises the failure the single sweep meets first
+                step(0, P)
+                raise
             fold.add(i, w)
 
     # the r and p fits at a step share one Gram matrix, so each step's

@@ -364,11 +364,13 @@ def test_a_non_finite_H_x_names_the_step_of_the_single_sweep(shards, hits, want)
         ("H_x", "l", "l"),
         # and h on every path before l
         ("l", "h", "h"),
+        # and, inside one H_x, l_x on every path before b_x
+        ("b_x", "l_x", "l_x"),
     ],
 )
 def test_a_failing_step_raises_the_failure_the_single_sweep_meets_first(shards, first, last, want):
     # at step 4, ``first`` fails on the first shard's path and ``last`` on
-    # the last shard's path: a non-finite H_x, or h or l raising
+    # the last shard's path: a non-finite H_x, or a coefficient raising
     base = SPECS["scalar_nonlinear"]
     grid = make_time_grid(base.horizon, 8)
     shards(1)
@@ -387,13 +389,14 @@ def test_a_failing_step_raises_the_failure_the_single_sweep_meets_first(shards, 
         return coefficient
 
     def l_x(t, x, *args):
-        out = base.running_l.dx(t, x, *args)
+        out = raising("l_x", base.running_l.dx)(t, x, *args)
         return sites["H_x"](t, x, out) if "H_x" in sites else out
 
     spec = dataclasses.replace(
         base,
         running_l=dataclasses.replace(base.running_l, value=raising("l", base.running_l.value), dx=l_x),
         observation_h=dataclasses.replace(base.observation_h, value=raising("h", base.observation_h.value)),
+        drift_b=dataclasses.replace(base.drift_b, dx=raising("b_x", base.drift_b.dx)),
     )
     bwd = backward_bundle(spec, fwd)
     for count in SHARD_COUNTS:
