@@ -41,7 +41,8 @@ Each reversed adjoint step's per-path work (h, l, the r update, the
 Hamiltonian partials, the p corrector and rho * H_u) runs on path shards
 (``paths``); the fits, the residual RMS and the gap's path mean and
 minimizer, the only reductions across paths, stay on the calling thread,
-so no output depends on the shard count.  The k sweep, which only the
+so no output depends on the shard count, and a failure is the single
+sweep's (``paths._on_path_shards``).  The k sweep, which only the
 cost-through-y twins run, stays on the calling thread too.  While the
 reversed sweep runs on more than one shard, BLAS runs single-threaded
 (``paths._blas_for_shards`` says why).
@@ -62,7 +63,7 @@ from . import hamiltonian as ham
 from .errors import FbsdeError, RegressionError
 from .forward_sim import ForwardTrajectories, _trajectory
 from .model import ControlProcess, LiveTerms, ProblemSpec, live_terms
-from .paths import _blas_for_shards, _on_path_shards, _shard_count
+from .paths import _blas_for_shards, _on_path_shards
 
 RIDGE = 1e-10
 MAX_CONDITION = 1e14
@@ -519,10 +520,9 @@ def _adjoint_sweep(spec: ProblemSpec, bwd: BackwardTrajectories, live: LiveTerms
     ``ShiftedPartials`` on the shard's rows at its fixed k, q1 and q2, both
     passes of the p corrector, and rho_i * H_u written into the shard's
     rows of the step's weighted array; ``_GapFold`` then reads that array on
-    the calling thread.  A step that fails on a shard is run again on every
-    path at once on the calling thread, so it raises what the single sweep
-    raises.  While the reversed sweep runs on more than one shard,
-    BLAS runs single-threaded (``paths._blas_for_shards``).
+    the calling thread.  A failing step raises what the single sweep would
+    (``paths._on_path_shards``).  While the reversed sweep runs on more
+    than one shard, BLAS runs single-threaded (``paths._blas_for_shards``).
 
     Returns the fold, the regression diagnostics and what was kept.
     Without ``keep``, p and r are held for steps i and i + 1 only and
@@ -601,15 +601,7 @@ def _adjoint_sweep(spec: ProblemSpec, bwd: BackwardTrajectories, live: LiveTerms
                     q1[i, rows], q2[i, rows] = q1s, q2s
                     R1[i, rows], R2[i, rows] = R1_i[rows], R2s
 
-            try:
-                _on_path_shards(step, P)
-            except Exception:
-                if _shard_count(P) == 1:
-                    raise
-                # the step fails on some shard: on every path at once, it
-                # raises the failure the single sweep meets first
-                step(0, P)
-                raise
+            _on_path_shards(step, P)
             fold.add(i, w)
 
     # the r and p fits at a step share one Gram matrix, so each step's

@@ -76,10 +76,8 @@ def simulate_forward(
     the sigma2 terms and the density only where they are live
     (``model.LiveTerms``).
 
-    Each path shard (``paths``) runs the whole time loop on its rows of x
-    and log rho.  A failure raises what the single sweep would: the one at
-    the earliest step, a coefficient's exception before a blow-up at the
-    same step, the lowest path on a tie.
+    Each path shard runs the whole time loop on its rows of x and log rho;
+    a failure raises what the single sweep would (``paths._on_path_shards``).
     """
     _check_same_grid(u.grid, noise.grid, "simulate_forward")
     if u.dim != spec.dim_u:
@@ -102,10 +100,8 @@ def simulate_forward(
     dY = noise.dY if live.sigma2 or live.density else None
     dW = noise.dW
 
-    def sweep(lo: int, hi: int):
-        """Paths [lo, hi) through every step: None, or the first failure as
-        (step, 0 for an exception before the blow-up check or 1 for a
-        blow-up, the exception)."""
+    def sweep(lo: int, hi: int) -> None:
+        """Paths [lo, hi) through every step."""
         xs, dWs = x[:, lo:hi], dW[lo:hi]
         if dY is not None:
             dYs = dY[lo:hi]
@@ -115,42 +111,35 @@ def simulate_forward(
             t = times[i]
             xi = xs[i]
             ui = u.values[i]
-            try:
-                b = spec.drift_b.value(t, xi, ui)
-                s1 = spec.diffusion_sigma1.value(t, xi, ui)
-                if dY is not None:
-                    h = spec.observation_h.value(t, xi, ui)
-                # a product of broadcast views would come out C-ordered: lay it out like x
-                if live.sigma2:
-                    s2 = spec.diffusion_sigma2.value(t, xi, ui)
-                    xs[i + 1] = (
-                        xi
-                        + (b - np.multiply(s2, h[:, None], order="F")) * dt
-                        + np.multiply(s1, dWs[:, i, None], order="F")
-                        + np.multiply(s2, dYs[:, i, None], order="F")
-                    )
-                else:
-                    xs[i + 1] = xi + b * dt + np.multiply(s1, dWs[:, i, None], order="F")
-                if live.density:
-                    log_rhos[i + 1] = log_rhos[i] + h * dYs[:, i] - 0.5 * h * h * dt
-            except Exception as exc:
-                return i, 0, exc
+            b = spec.drift_b.value(t, xi, ui)
+            s1 = spec.diffusion_sigma1.value(t, xi, ui)
+            if dY is not None:
+                h = spec.observation_h.value(t, xi, ui)
+            # a product of broadcast views would come out C-ordered: lay it out like x
+            if live.sigma2:
+                s2 = spec.diffusion_sigma2.value(t, xi, ui)
+                xs[i + 1] = (
+                    xi
+                    + (b - np.multiply(s2, h[:, None], order="F")) * dt
+                    + np.multiply(s1, dWs[:, i, None], order="F")
+                    + np.multiply(s2, dYs[:, i, None], order="F")
+                )
+            else:
+                xs[i + 1] = xi + b * dt + np.multiply(s1, dWs[:, i, None], order="F")
+            if live.density:
+                log_rhos[i + 1] = log_rhos[i] + h * dYs[:, i] - 0.5 * h * h * dt
             # one reduction per step; NaN fails the comparison, so it is caught too
             if not np.abs(xs[i + 1]).max() <= BLOWUP_THRESHOLD:
                 bad = ~(np.abs(xs[i + 1]) <= BLOWUP_THRESHOLD).all(axis=1)
                 j = int(np.argmax(bad))
-                return i, 1, SimulationError(
+                raise SimulationError(
                     f"state blow-up or non-finite value at step {i + 1}, path {lo + j}: "
                     f"x = {xs[i + 1, j]}"
                 )
         if live.density:
             np.exp(log_rhos, out=log_rhos)
-        return None
 
-    failures = [failure for failure in _on_path_shards(sweep, P) if failure is not None]
-    if failures:
-        # min keeps the first of equal keys: the lowest shard
-        raise min(failures, key=lambda failure: failure[:2])[2]
+    _on_path_shards(sweep, P)
     rho = log_rho if live.density else np.broadcast_to(np.ones(P), (N + 1, P))
     return ForwardTrajectories(x=x, rho=rho, grid=grid, control=u, noise=noise)
 

@@ -39,7 +39,7 @@ import os
 import threading
 from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -54,8 +54,11 @@ MIN_SHARD_PATHS = 32768
 
 
 def _worker_count() -> int:
-    """Cores this process may run on."""
-    return len(os.sched_getaffinity(0))
+    """Cores this process may run on; every core where the OS has no
+    affinity call (macOS)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 @functools.cache
@@ -149,30 +152,41 @@ def _blas_for_shards(n_paths: int) -> contextlib.AbstractContextManager:
     return _POOL.single_threaded_blas() if _shard_count(n_paths) > 1 else contextlib.nullcontext()
 
 
-def _on_path_shards(fn: Callable[[int, int], Any], n_paths: int) -> list:
-    """``fn(lo, hi)`` on each contiguous shard ``[lo, hi)`` of ``[0, n_paths)``,
-    in shard order.
+def _on_path_shards(fn: Callable[[int, int], None], n_paths: int) -> None:
+    """``fn(lo, hi)`` on each contiguous shard ``[lo, hi)`` of ``[0, n_paths)``.
 
     There are ``_shard_count(n_paths)`` shards.  The calling thread runs
     the first and the pool the rest, each in a copy of the caller's
     context, so numpy's floating-point error state (``np.errstate``) holds
-    on every shard.  Every shard finishes before this returns or raises; an
-    exception is raised from the first shard, in shard order, that raised
-    one.
+    on every shard.  Every shard finishes before this returns or raises.
+
+    If a shard raised, ``fn(0, n_paths)`` then runs on the calling thread,
+    so the exception raised is the one the single sweep meets first; where
+    that run raises nothing (a fault met only on a pool thread), the first
+    failed shard's exception, in shard order, is raised.  This needs what
+    ``fn`` raises to depend only on what it reads, not on what a failed run
+    left in what it writes.
     """
     count = _shard_count(n_paths)
     bounds = [n_paths * s // count for s in range(count + 1)]
     if count == 1:
-        return [fn(0, n_paths)]
+        fn(0, n_paths)
+        return
     futures = [
         _POOL.submit(contextvars.copy_context().run, fn, lo, hi)
         for lo, hi in zip(bounds[1:-1], bounds[2:])
     ]
     try:
-        first = fn(bounds[0], bounds[1])
+        fn(bounds[0], bounds[1])
+        failures = []
+    except Exception as exc:
+        failures = [exc]
     finally:
         wait(futures)
-    return [first, *(future.result() for future in futures)]
+    failures += [future.exception() for future in futures if future.exception() is not None]
+    if failures:
+        fn(0, n_paths)
+        raise failures[0]
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,13 @@
 import dataclasses
 import math
+import os
 import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from fbsde_nearopt import FbsdeError, enumerate_binomial, make_time_grid, sample_noise
+from fbsde_nearopt import FbsdeError, enumerate_binomial, make_time_grid, paths, sample_noise
 from fbsde_nearopt.paths import DRAW_BLOCK, binomial_signs
 
 
@@ -198,3 +199,12 @@ def test_sampled_dY_is_drawn_on_first_read_with_the_eager_bits():
     # a replaced bundle draws the same dY
     replaced = dataclasses.replace(sample_noise(grid, 300, seed=9), seed=None)
     assert np.array_equal(replaced.dY, want_y)
+
+
+def test_noise_is_drawn_where_the_os_has_no_affinity_call(monkeypatch):
+    grid = make_time_grid(1.0, 5)
+    want = sample_noise(grid, 300, seed=4)
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert paths._worker_count() == (os.cpu_count() or 1)
+    bundle = sample_noise(grid, 300, seed=4)
+    assert bundle.dW.tobytes() == want.dW.tobytes() and bundle.dY.tobytes() == want.dY.tobytes()

@@ -193,6 +193,27 @@ def test_a_coefficient_exception_in_a_worker_reaches_the_caller_unchanged(shards
         simulate_forward(pointed, u, noise)
     # the path is in the last shard, which runs on the pool
     assert threads and threads[0] is not threading.main_thread()
+    # and the rerun of the whole sweep on the calling thread meets it last
+    assert threads[-1] is threading.main_thread()
+
+
+def test_a_failure_met_only_on_a_pool_thread_is_still_raised(shards):
+    calls = []
+
+    def fn(lo, hi):
+        on_main = threading.current_thread() is threading.main_thread()
+        calls.append((lo, hi, on_main))
+        if not on_main:
+            raise CoefficientFault(f"off the calling thread from path {lo}")
+
+    shards(3)
+    with pytest.raises(CoefficientFault, match=f"^off the calling thread from path {MIN_SHARD}$"):
+        paths._on_path_shards(fn, 3 * MIN_SHARD)
+    # every shard, then the single sweep on the calling thread, which raises nothing
+    assert sorted(calls[:3]) == [
+        (0, MIN_SHARD, True), (MIN_SHARD, 2 * MIN_SHARD, False), (2 * MIN_SHARD, 3 * MIN_SHARD, False)
+    ]
+    assert calls[3:] == [(0, 3 * MIN_SHARD, True)]
 
 
 def test_a_blow_up_at_an_earlier_step_outranks_a_later_coefficient_exception(shards):
@@ -262,7 +283,7 @@ def test_more_shards_than_cores_under_frequent_thread_switches_give_the_same_bit
 
 
 # ---------------------------------------------------------------------------
-# the adjoint sweep: k on shards over every step, p and rho * H_u per step
+# the adjoint sweep: k on the calling thread, p and rho * H_u on shards per step
 
 
 def _bits(value):
@@ -404,6 +425,29 @@ def test_a_failing_step_raises_the_failure_the_single_sweep_meets_first(shards, 
         for run in (solve_adjoint, adjoint_trajectories):
             with pytest.raises(CoefficientFault, match=f"^{want}$"):
                 run(spec, bwd)
+
+
+def test_a_failing_cost_raises_the_failure_the_single_sweep_meets_first(shards):
+    # l raises at step 6 on the first shard's path and at step 3 on the last shard's
+    base = SPECS["scalar_nonlinear"]
+    grid = make_time_grid(base.horizon, 8)
+    shards(1)
+    fwd, _ = _planted(base, grid, ())
+    sites = {name: _planted(base, grid, [hit])[1] for name, hit in (("late", (6, 2)), ("early", (3, 9 * MIN_SHARD + 1)))}
+    l = base.running_l.value
+
+    def raising(t, x, *args):
+        for name, plant in sites.items():
+            if np.isinf(plant(t, x, np.zeros(x.shape[0]))).any():
+                raise CoefficientFault(name)
+        return l(t, x, *args)
+
+    spec = dataclasses.replace(base, running_l=dataclasses.replace(base.running_l, value=raising))
+    bwd = backward_bundle(spec, fwd)
+    for count in SHARD_COUNTS:
+        shards(count)
+        with pytest.raises(CoefficientFault, match="^early$"):
+            evaluate_cost_strong(spec, bwd)
 
 
 @pytest.mark.parametrize(
