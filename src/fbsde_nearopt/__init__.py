@@ -72,7 +72,7 @@ from .nearopt import (
     necessary_gap,
     run_pipeline,
 )
-from .optimizer import DescentParams, DescentTrace, perturbation_family, smp_descent
+from .optimizer import DescentParams, DescentTrace, order_study, smp_descent
 from .oracle import (
     LatticeSolution,
     RiccatiSolution,

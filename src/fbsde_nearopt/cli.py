@@ -13,13 +13,14 @@ import configparser
 import dataclasses
 import inspect
 import json
+import math
 import os
 import sys
 import time
 
 import numpy as np
 
-from .bsde import MAX_DEGREE, BasisSpec, backward_bundle, solve_adjoint
+from .bsde import MAX_DEGREE, BasisSpec, backward_bundle
 from .errors import FbsdeError
 from .forward_sim import evaluate_cost_strong, simulate_forward
 from .model import (
@@ -32,8 +33,8 @@ from .model import (
     live_terms,
     validate_problem,
 )
-from .nearopt import certify_necessary, certify_sufficient, estimate_order, min_gap_over_A
-from .optimizer import DescentParams, perturbed_controls, smp_descent
+from .nearopt import certify_necessary, certify_sufficient, estimate_order
+from .optimizer import DescentParams, order_study, smp_descent
 from .oracle import enumerate_lattice, riccati_lq, riccati_open_loop_control
 from .paths import MAX_BINOMIAL_PATHS, enumerate_binomial, make_time_grid, sample_noise
 
@@ -79,6 +80,14 @@ def _coerce(value: str):
             return cast(value)
         except ValueError:
             continue
+    return value
+
+
+def _finite(value, where: str):
+    """``value``, with a non-finite float a bad config: a NaN passes every
+    range check, and an infinite horizon overflows the samplers."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{where} must be finite, got {value}")
     return value
 
 
@@ -150,7 +159,7 @@ def _run_config(parser: configparser.ConfigParser) -> RunConfig:
         if key == "horizon":
             raise ConfigError("set the horizon in [grid], not [instance]")
         if key != "family":
-            instance_params[key] = _coerce(value)
+            instance_params[key] = _finite(_coerce(value), f"[instance] {key}")
 
     for section, allowed_keys in _SECTION_KEYS.items():
         if parser.has_section(section):
@@ -160,7 +169,7 @@ def _run_config(parser: configparser.ConfigParser) -> RunConfig:
 
     def get(section, key, default, cast=float):
         if parser.has_option(section, key):
-            return cast(parser.get(section, key))
+            return _finite(cast(parser.get(section, key)), f"[{section}] {key}")
         return default
 
     def positive(value, name, strict=True):
@@ -170,7 +179,8 @@ def _run_config(parser: configparser.ConfigParser) -> RunConfig:
         return value
 
     deltas_raw = get("order_study", "deltas", "0.04,0.08,0.12,0.2,0.3", str)
-    deltas = [float(tok) for tok in deltas_raw.replace(";", ",").split(",") if tok.strip()]
+    tokens = deltas_raw.replace(";", ",").split(",")
+    deltas = [_finite(float(tok), "[order_study] deltas") for tok in tokens if tok.strip()]
 
     step_rule = get("optimizer", "step_rule", "fw", str)
     if step_rule != "fw":
@@ -186,7 +196,7 @@ def _run_config(parser: configparser.ConfigParser) -> RunConfig:
 
     epsilon = get("certificate", "epsilon", "auto", str)
     if epsilon != "auto":
-        epsilon = float(epsilon)
+        epsilon = _finite(float(epsilon), "[certificate] epsilon")
         if epsilon < 0:
             raise ConfigError("epsilon must be >= 0")
 
@@ -326,20 +336,6 @@ def cmd_certify(cfg: RunConfig, control_path: str, sufficient: bool) -> int:
     return EXIT_OK
 
 
-def _order_point(spec, control, noise, basis, oracle_cost: float):
-    """(epsilon, minimal gap) of one family member from one pipeline pass.
-
-    Epsilon is the point estimate J - J* clamped at 0, not the upper bound
-    that ``epsilon = auto`` certifies with: the exponent fit regresses the
-    gap on epsilon and needs the estimate itself.  A function of its own so
-    that the member's bundles are freed on return, before the next member
-    is simulated.
-    """
-    bwd = backward_bundle(spec, simulate_forward(spec, control, noise), basis)
-    epsilon = max(evaluate_cost_strong(spec, bwd).value - oracle_cost, 0.0)
-    return epsilon, min_gap_over_A(solve_adjoint(spec, bwd))
-
-
 def cmd_order_study(cfg: RunConfig) -> int:
     spec = cfg.instance()
     grid = cfg.grid()
@@ -357,27 +353,26 @@ def cmd_order_study(cfg: RunConfig) -> int:
     direction = constant_control(
         np.full(spec.dim_u, cfg.direction), grid, spec.control_set
     )
-    rows = []
     noise = sample_noise(grid, cfg.n_paths, cfg.seed)
-    for delta, control in zip(deltas, perturbed_controls(spec, u_star, deltas, direction)):
-        epsilon, gap = _order_point(spec, control, noise, cfg.basis(), sol.optimal_cost)
-        rows.append((delta, epsilon, gap.gap, gap.stderr))
+    members = order_study(
+        spec, u_star, deltas, direction, sol.optimal_cost, noise, cfg.basis()
+    )
 
     os.makedirs(cfg.out_dir, exist_ok=True)
     with open(os.path.join(cfg.out_dir, "order_study.csv"), "w") as handle:
         handle.write("delta,epsilon,min_gap,gap_stderr\n")
-        for delta, eps, gap, stderr in rows:
-            handle.write(f"{delta!r},{eps!r},{gap!r},{stderr!r}\n")
+        for delta, _, eps, gap in members:
+            handle.write(f"{delta!r},{eps!r},{gap.gap!r},{gap.stderr!r}\n")
 
     try:
-        exponent, constant = estimate_order([(eps, gap) for _, eps, gap, _ in rows])
+        exponent, constant = estimate_order([(eps, gap.gap) for _, _, eps, gap in members])
     except FbsdeError as exc:
         print(f"order fit failed: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     summary = {
         "fitted_exponent": exponent,
         "fitted_C": constant,
-        "points": len(rows),
+        "points": len(members),
         "dropped_zero_deltas": dropped,
         "csv": "order_study.csv",
     }

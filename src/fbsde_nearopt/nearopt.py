@@ -128,9 +128,9 @@ def certify_necessary(
     """Check the order-epsilon^(1/2) lower bound on the minimal gap of the
     control ``bwd`` was solved under; the adjoint and the gap run on its
     bundle."""
-    if epsilon < 0.0:
+    if not epsilon >= 0.0:
         raise FbsdeError("epsilon must be >= 0")
-    if C <= 0.0:
+    if not C > 0.0:
         raise FbsdeError("C must be positive")
     result = min_gap_over_A(solve_adjoint(spec, bwd))
     threshold = -C * math.sqrt(epsilon) - 3.0 * result.stderr
@@ -173,7 +173,7 @@ def certify_sufficient(
     bundle, so that every verdict is reproducible.
     """
     _require_sufficient_structure(spec)
-    if epsilon < 0.0 or C <= 0.0:
+    if not (epsilon >= 0.0 and C > 0.0):
         raise FbsdeError("need epsilon >= 0 and C > 0")
     fwd = bwd.forward
     seed = 0 if fwd.noise.seed is None else fwd.noise.seed

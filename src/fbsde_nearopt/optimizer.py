@@ -11,7 +11,8 @@ Each control's cost is measured on ``bsde.backward_bundle``, which solves
 the backward equation only when the cost or the adjoint reads y or z
 (``model.LiveTerms.backward``), and an accepted control's adjoint runs on the
 bundle its cost was measured on.  That bundle is dropped before the line
-search, so the trials never hold it.
+search, so the trials never hold it.  ``order_study`` measures each member
+of a perturbation family the same way, its cost and its gap on one bundle.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from .bsde import BasisSpec, backward_bundle, solve_adjoint
 from .errors import FbsdeError
 from .forward_sim import control_distance, evaluate_cost_strong, simulate_forward
 from .model import ControlProcess, ProblemSpec, make_control
-from .nearopt import min_gap_over_A
-from .paths import sample_noise
+from .nearopt import GapResult, min_gap_over_A
+from .paths import NoiseBundle, sample_noise
 
 # sufficient-decrease constant and halving budget of the backtracked step
 ARMIJO_C = 0.1
@@ -141,49 +142,36 @@ def smp_descent(spec: ProblemSpec, u0: ControlProcess, params: DescentParams) ->
     )
 
 
-def perturbed_controls(
+def order_study(
     spec: ProblemSpec,
     u_star: ControlProcess,
     deltas,
     direction: ControlProcess,
-) -> list[ControlProcess]:
-    """Controls u* + delta * direction, projected into U, one per delta."""
+    reference_cost: float,
+    noise: NoiseBundle,
+    basis: BasisSpec,
+) -> list[tuple[float, ControlProcess, float, GapResult]]:
+    """(delta, u_delta, epsilon, minimal gap) for u_delta = u* + delta *
+    direction projected into U, one per delta, all on ``noise``.
+
+    Epsilon is the point estimate J(u_delta) - reference_cost clamped at 0,
+    not the upper bound that ``epsilon = auto`` certifies with: the exponent
+    fit (``nearopt.estimate_order``) regresses the gap on epsilon and needs
+    the estimate itself.  Each member's cost and gap come from one bundle,
+    which is dropped before the next member is simulated.
+    """
     if not direction.grid.matches(u_star.grid):
         raise FbsdeError("direction lives on a different grid")
-    return [
-        make_control(
+    members = []
+    for delta in deltas:
+        control = make_control(
             u_star.values + float(delta) * direction.values,
             u_star.grid,
             spec.control_set,
             project=True,
         )
-        for delta in deltas
-    ]
-
-
-def perturbation_family(
-    spec: ProblemSpec,
-    u_star: ControlProcess,
-    deltas,
-    direction: ControlProcess,
-    oracle_cost: float | None,
-    *,
-    n_paths: int = 100_000,
-    seed: int = 0,
-    basis: BasisSpec | None = None,
-) -> list[tuple[ControlProcess, float]]:
-    """Controls u* + delta * direction (projected into U) with measured epsilon.
-
-    epsilon_delta = J(u_delta) - oracle value, clamped at zero; costs share
-    one noise bundle so the family is comparable member to member.
-    """
-    if oracle_cost is None:
-        raise FbsdeError("perturbation_family needs an oracle value for epsilon")
-    controls = perturbed_controls(spec, u_star, deltas, direction)
-    basis = basis or BasisSpec()
-    noise = sample_noise(u_star.grid, n_paths, seed)
-    family = []
-    for control in controls:
-        cost = _evaluate(spec, control, noise, basis)[1]
-        family.append((control, max(cost.value - oracle_cost, 0.0)))
-    return family
+        bundle, cost = _evaluate(spec, control, noise, basis)
+        gap = min_gap_over_A(solve_adjoint(spec, bundle))
+        bundle = None
+        members.append((delta, control, max(cost.value - reference_cost, 0.0), gap))
+    return members

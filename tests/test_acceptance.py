@@ -29,7 +29,7 @@ from fbsde_nearopt import (
     make_control,
     make_time_grid,
     min_gap_over_A,
-    perturbation_family,
+    order_study,
     riccati_open_loop_control,
     run_pipeline,
     sample_noise,
@@ -78,22 +78,19 @@ def lq_descent(lq_spec):
     return smp_descent(lq_spec, u0, params)
 
 
-@pytest.fixture(scope="module")
-def order_study(lq_spec, lq_params, lq_riccati):
+@pytest.fixture(scope="module", name="order_study")
+def order_study_members(lq_spec, lq_params, lq_riccati):
     grid = make_time_grid(1.0, 32)
     u_star = riccati_open_loop_control(lq_riccati, lq_params, grid, lq_spec.control_set)
     direction = constant_control([1.0], grid, lq_spec.control_set)
     deltas = [0.03, 0.05, 0.08, 0.13, 0.21, 0.35]
-    family = perturbation_family(
-        lq_spec, u_star, deltas, direction, lq_riccati.optimal_cost,
-        n_paths=20_000, seed=104,
-    )
     noise = sample_noise(grid, 20_000, seed=104)
-    members = []
-    for control, epsilon in family:
-        fwd, bwd, adj = run_pipeline(lq_spec, control, noise)
-        gap = min_gap_over_A(adj)
-        members.append((control, epsilon, gap.gap, gap.stderr))
+    members = [
+        (control, epsilon, gap.gap, gap.stderr)
+        for _, control, epsilon, gap in order_study(
+            lq_spec, u_star, deltas, direction, lq_riccati.optimal_cost, noise, BasisSpec()
+        )
+    ]
     exponent, constant = estimate_order([(eps, gap) for _, eps, gap, _ in members])
     return members, exponent, constant
 

@@ -12,7 +12,7 @@ from fbsde_nearopt import (
     evaluate_cost_strong,
     nearopt,
     optimizer,
-    perturbation_family,
+    order_study,
     riccati_lq,
     riccati_open_loop_control,
     sample_noise,
@@ -99,6 +99,13 @@ def test_missing_config_exits_two(tmp_path, capsys):
         ("seed = 3", "seed = -3"),
         ("[output]", "[bsde]\ndegree = 7\n\n[output]"),
         ("[output]", "[oracle]\nsteps = 10\n\n[output]"),
+        ("[output]", "[certificate]\nepsilon = nan\n\n[output]"),
+        ("[output]", "[certificate]\nc = nan\n\n[output]"),
+        ("horizon = 1.0", "horizon = inf"),
+        ("[output]", "[order_study]\ndeltas = 0.1,nan,0.3\n\n[output]"),
+        ("[output]", "[order_study]\ndirection = -inf\n\n[output]"),
+        ("[output]", "[oracle]\ncontrol = nan\n\n[output]"),
+        ("family = lq", "family = lq\nsigma = inf"),
     ],
     ids=[
         "unknown-section",
@@ -110,6 +117,13 @@ def test_missing_config_exits_two(tmp_path, capsys):
         "negative-seed",
         "degree-out-of-range",
         "oracle-steps-above-limit",
+        "nan-epsilon",
+        "nan-C",
+        "infinite-horizon",
+        "nan-delta",
+        "infinite-direction",
+        "nan-oracle-control",
+        "infinite-instance-parameter",
     ],
 )
 def test_unknown_key_exits_two(tmp_path, edit):
@@ -362,6 +376,22 @@ def test_certify_runs_each_layer_once(tmp_path, layer_calls, family, sufficient)
     assert json.loads(json.dumps(cert.to_dict())) == payload
 
 
+def _assert_rows_are_the_library_study(out, run, spec):
+    """``order_study.csv`` holds ``optimizer.order_study``'s (delta, epsilon,
+    gap, stderr) at the config's seed, paths and basis, each by repr."""
+    lq = run.lq_params()
+    sol = riccati_lq(lq)
+    u_star = riccati_open_loop_control(sol, lq, run.grid(), spec.control_set)
+    direction = constant_control([run.direction], run.grid(), spec.control_set)
+    noise = sample_noise(run.grid(), run.n_paths, run.seed)
+    deltas = [d for d in run.deltas if d != 0.0]
+    members = order_study(spec, u_star, deltas, direction, sol.optimal_cost, noise, run.basis())
+    lines = (out / "order_study.csv").read_text().strip().splitlines()[1:]
+    assert lines == [
+        f"{delta!r},{eps!r},{gap.gap!r},{gap.stderr!r}" for delta, _, eps, gap in members
+    ]
+
+
 def test_order_study_runs_one_pass_per_member(tmp_path, layer_calls):
     body = BASE.format(out=tmp_path / "out")
     body += "\n[order_study]\ndeltas = 0.0,0.05,0.1,0.2,0.3\n"
@@ -369,19 +399,9 @@ def test_order_study_runs_one_pass_per_member(tmp_path, layer_calls):
     assert cli.main(["--config", cfg, "order-study"]) == 0
     assert layer_calls == {"sample_noise": 1, "simulate_forward": 4, "solve_backward": 0}
 
-    # each member's epsilon equals the library perturbation family's
+    # every row is the library order study's, digit for digit
     run = cli.load_config(cfg)
-    spec = run.instance()
-    lq = run.lq_params()
-    sol = riccati_lq(lq)
-    u_star = riccati_open_loop_control(sol, lq, run.grid(), spec.control_set)
-    direction = constant_control([run.direction], run.grid(), spec.control_set)
-    family = perturbation_family(
-        spec, u_star, [0.05, 0.1, 0.2, 0.3], direction, sol.optimal_cost,
-        n_paths=run.n_paths, seed=run.seed, basis=run.basis(),
-    )
-    lines = (tmp_path / "out" / "order_study.csv").read_text().strip().splitlines()[1:]
-    assert [float(line.split(",")[1]) for line in lines] == [eps for _, eps in family]
+    _assert_rows_are_the_library_study(tmp_path / "out", run, run.instance())
 
 
 def test_certify_and_order_study_measure_a_cost_that_reads_y(tmp_path, monkeypatch, layer_calls):
@@ -413,14 +433,7 @@ def test_certify_and_order_study_measure_a_cost_that_reads_y(tmp_path, monkeypat
     cert = certify_necessary(spec, bwd, epsilon, run.certificate_C)
     assert json.loads(json.dumps(cert.to_dict())) == payload
 
-    u_star = riccati_open_loop_control(sol, run.lq_params(), run.grid(), spec.control_set)
-    direction = constant_control([run.direction], run.grid(), spec.control_set)
-    family = perturbation_family(
-        spec, u_star, [0.1, 0.2, 0.3], direction, sol.optimal_cost,
-        n_paths=run.n_paths, seed=run.seed, basis=run.basis(),
-    )
-    lines = (tmp_path / "out" / "order_study.csv").read_text().strip().splitlines()[1:]
-    assert [float(line.split(",")[1]) for line in lines] == [eps for _, eps in family]
+    _assert_rows_are_the_library_study(tmp_path / "out", run, spec)
 
 
 def test_oracle_compare_runs_at_one_step(tmp_path):

@@ -189,6 +189,22 @@ def test_certify_necessary_validates_inputs(lq_spec):
         certify_necessary(lq_spec, bwd, epsilon=-1.0, C=1.0)
     with pytest.raises(FbsdeError):
         certify_necessary(lq_spec, bwd, epsilon=0.1, C=0.0)
+    # a NaN fails every comparison, so it would slip past a "< 0" test
+    with pytest.raises(FbsdeError, match="epsilon"):
+        certify_necessary(lq_spec, bwd, epsilon=float("nan"), C=1.0)
+    with pytest.raises(FbsdeError, match="C must"):
+        certify_necessary(lq_spec, bwd, epsilon=0.1, C=float("nan"))
+
+
+@pytest.mark.parametrize(
+    "epsilon, C", [(-1.0, 1.0), (0.1, 0.0), (float("nan"), 1.0), (0.1, float("nan"))]
+)
+def test_certify_sufficient_validates_inputs(lq_spec, epsilon, C):
+    grid = make_time_grid(1.0, 4)
+    u = constant_control([0.0], grid, lq_spec.control_set)
+    bwd = _bundle(lq_spec, u, 1000, 0)
+    with pytest.raises(FbsdeError, match="need epsilon >= 0 and C > 0"):
+        certify_sufficient(lq_spec, bwd, epsilon=epsilon, lambda_exp=0.5, C=C)
 
 
 def test_each_result_holds_what_it_was_computed_from(lq_spec):

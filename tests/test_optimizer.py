@@ -4,14 +4,18 @@ import numpy as np
 import pytest
 
 from fbsde_nearopt import (
+    BasisSpec,
     DescentParams,
     FbsdeError,
+    adjoint_trajectories,
     certify_necessary,
     make_lq_observation_instance,
     constant_control,
+    evaluate_cost_strong,
     make_control,
     make_time_grid,
-    perturbation_family,
+    min_gap_over_A,
+    order_study,
     riccati_open_loop_control,
     sample_noise,
     simulate_forward,
@@ -20,7 +24,7 @@ from fbsde_nearopt import (
 )
 from fbsde_nearopt import optimizer
 
-from _instances import control_only_cost_instance
+from _instances import constant_gamma_instance, control_only_cost_instance
 
 
 def test_pure_control_cost_converges_to_zero():
@@ -120,49 +124,61 @@ def test_certificate_coupling_at_termination(lq_spec, lq_riccati):
 
 
 # ---------------------------------------------------------------------------
-# perturbation families
+# order study
 
 
-def test_family_requires_oracle(lq_spec):
-    grid = make_time_grid(1.0, 4)
-    u = constant_control([0.0], grid, lq_spec.control_set)
-    with pytest.raises(FbsdeError, match="oracle"):
-        perturbation_family(lq_spec, u, [0.1], u, None)
+def _order_study(spec, lq_params, lq_riccati, steps, deltas, n_paths, seed):
+    grid = make_time_grid(1.0, steps)
+    u_star = riccati_open_loop_control(lq_riccati, lq_params, grid, spec.control_set)
+    direction = constant_control([1.0], grid, spec.control_set)
+    noise = sample_noise(grid, n_paths, seed)
+    return order_study(
+        spec, u_star, deltas, direction, lq_riccati.optimal_cost, noise, BasisSpec()
+    )
 
 
 def test_family_epsilon_vanishes_at_zero_delta(lq_spec, lq_params, lq_riccati):
-    grid = make_time_grid(1.0, 16)
-    u_star = riccati_open_loop_control(lq_riccati, lq_params, grid, lq_spec.control_set)
-    direction = constant_control([1.0], grid, lq_spec.control_set)
-    family = perturbation_family(
-        lq_spec, u_star, [0.0], direction, lq_riccati.optimal_cost, n_paths=20_000, seed=11
-    )
-    _, eps = family[0]
+    [(_, _, eps, _)] = _order_study(lq_spec, lq_params, lq_riccati, 16, [0.0], 20_000, 11)
     assert eps <= 5e-4
 
 
 def test_family_epsilon_quadratic_growth(lq_spec, lq_params, lq_riccati):
-    grid = make_time_grid(1.0, 16)
-    u_star = riccati_open_loop_control(lq_riccati, lq_params, grid, lq_spec.control_set)
-    direction = constant_control([1.0], grid, lq_spec.control_set)
-    family = perturbation_family(
-        lq_spec, u_star, [0.1, 0.2], direction, lq_riccati.optimal_cost,
-        n_paths=20_000, seed=12,
-    )
-    eps_small, eps_big = family[0][1], family[1][1]
-    assert 3.0 <= eps_big / eps_small <= 5.0
+    small, big = _order_study(lq_spec, lq_params, lq_riccati, 16, [0.1, 0.2], 20_000, 12)
+    assert 3.0 <= big[2] / small[2] <= 5.0
 
 
 def test_family_projection_keeps_feasibility(lq_spec, lq_params, lq_riccati):
-    grid = make_time_grid(1.0, 8)
-    u_star = riccati_open_loop_control(lq_riccati, lq_params, grid, lq_spec.control_set)
-    direction = constant_control([1.0], grid, lq_spec.control_set)
-    family = perturbation_family(
-        lq_spec, u_star, [5.0], direction, lq_riccati.optimal_cost, n_paths=2000, seed=13
-    )
-    control, _ = family[0]
+    [(delta, control, _, _)] = _order_study(lq_spec, lq_params, lq_riccati, 8, [5.0], 2000, 13)
+    assert delta == 5.0
     assert np.all(control.values <= 1.0)
     assert np.all(control.values >= -1.0)
+
+
+def test_order_study_rejects_a_direction_on_another_grid(lq_spec):
+    u = constant_control([0.0], make_time_grid(1.0, 4), lq_spec.control_set)
+    other = constant_control([1.0], make_time_grid(1.0, 8), lq_spec.control_set)
+    noise = sample_noise(u.grid, 100, 0)
+    with pytest.raises(FbsdeError, match="different grid"):
+        order_study(lq_spec, u, [0.1], other, 0.0, noise, BasisSpec())
+
+
+@pytest.mark.parametrize("instance", ["lq", "constant_gamma"])
+def test_order_study_matches_the_two_pass_route_bit_for_bit(
+    lq_spec, lq_params, lq_riccati, instance
+):
+    """One pass per member gives what a cost on ``solve_backward``'s bundle
+    followed by a gap on a second, fully kept adjoint gives."""
+    spec = lq_spec if instance == "lq" else constant_gamma_instance()
+    deltas = [0.03, 0.08, 0.21, 0.35]
+    members = _order_study(spec, lq_params, lq_riccati, 16, deltas, 4000, 104)
+    noise = sample_noise(make_time_grid(1.0, 16), 4000, 104)
+    for delta, control, eps, gap in members:
+        bwd = solve_backward(spec, simulate_forward(spec, control, noise))
+        cost = evaluate_cost_strong(spec, bwd)
+        expected = min_gap_over_A(adjoint_trajectories(spec, bwd))
+        assert eps == max(cost.value - lq_riccati.optimal_cost, 0.0), delta
+        assert (gap.gap, gap.stderr) == (expected.gap, expected.stderr), delta
+        assert np.array_equal(gap.minimizer.values, expected.minimizer.values)
 
 
 def test_line_search_does_not_hold_the_current_bundle(monkeypatch):
