@@ -7,6 +7,16 @@ are those ``model.LiveTerms`` finds dead.  Where it reads dY, it reads it
 before dW, so the two streams are drawn at once.  The Euler sweep and the
 per-path cost run on path shards (``paths``), each shard over every step
 on its own rows; the reductions across paths stay on the calling thread.
+The step writes x[i+1] and log rho[i+1] in place, and a coefficient output
+that is the same on every path enters it as one row, so sigma2 * h and
+h^2 dt / 2 are computed once per step where they are path-constant; every
+element sees the operations of the full-width step, in its order.
+
+Every Monte-Carlo mean over paths (the cost parts here, the gap and the
+cost-difference representation in ``nearopt``) is ``_mean``: fsum's
+correctly rounded sum over n, computed by error-free extraction in a few
+numpy passes, with ``math.fsum`` itself only in the fallbacks
+``_exact_sum`` names.
 
 Every trajectory (the state here, the backward and adjoint processes in
 ``bsde``) is a time-major ``(steps, P, d)`` array stored as ``(steps, d, P)``:
@@ -36,6 +46,13 @@ BLOWUP_THRESHOLD = 1e8
 def _check_same_grid(a: TimeGrid, b: TimeGrid, what: str) -> None:
     if not a.matches(b):
         raise GridMismatchError(f"{what}: grids differ ({a} vs {b})")
+
+
+def _one_row(a: np.ndarray) -> np.ndarray:
+    """A coefficient output that is the same on every path (stride 0 along
+    paths, as ``model._shaped`` returns it) as its one row, so that what is
+    computed from it alone is computed once; any other output as it is."""
+    return a[:1] if a.strides[0] == 0 else a
 
 
 def _trajectory(steps: int, paths: int, dim: int) -> np.ndarray:
@@ -107,34 +124,40 @@ def simulate_forward(
             dYs = dY[lo:hi]
         if live.density:
             log_rhos = log_rho[:, lo:hi]
+        # the noise products land here, laid out like x: a product of
+        # broadcast views would come out C-ordered
+        product = _trajectory(1, hi - lo, n)[0]
         for i in range(N):
             t = times[i]
-            xi = xs[i]
+            xi, xn = xs[i], xs[i + 1]
             ui = u.values[i]
             b = spec.drift_b.value(t, xi, ui)
-            s1 = spec.diffusion_sigma1.value(t, xi, ui)
+            s1 = _one_row(spec.diffusion_sigma1.value(t, xi, ui))
             if dY is not None:
-                h = spec.observation_h.value(t, xi, ui)
-            # a product of broadcast views would come out C-ordered: lay it out like x
+                h = _one_row(spec.observation_h.value(t, xi, ui))
+            # x[i+1] = ((x[i] + (b - s2 h) dt) + s1 dW) + s2 dY, as one expression would add it
             if live.sigma2:
-                s2 = spec.diffusion_sigma2.value(t, xi, ui)
-                xs[i + 1] = (
-                    xi
-                    + (b - np.multiply(s2, h[:, None], order="F")) * dt
-                    + np.multiply(s1, dWs[:, i, None], order="F")
-                    + np.multiply(s2, dYs[:, i, None], order="F")
-                )
+                s2 = _one_row(spec.diffusion_sigma2.value(t, xi, ui))
+                np.subtract(b, s2 * h[:, None], out=xn)
+                xn *= dt
             else:
-                xs[i + 1] = xi + b * dt + np.multiply(s1, dWs[:, i, None], order="F")
+                np.multiply(b, dt, out=xn)
+            xn += xi
+            xn += np.multiply(s1, dWs[:, i, None], out=product)
+            if live.sigma2:
+                xn += np.multiply(s2, dYs[:, i, None], out=product)
             if live.density:
-                log_rhos[i + 1] = log_rhos[i] + h * dYs[:, i] - 0.5 * h * h * dt
-            # one reduction per step; NaN fails the comparison, so it is caught too
-            if not np.abs(xs[i + 1]).max() <= BLOWUP_THRESHOLD:
-                bad = ~(np.abs(xs[i + 1]) <= BLOWUP_THRESHOLD).all(axis=1)
+                # (log rho[i] + h dY) - h^2 dt / 2
+                lr = np.multiply(h, dYs[:, i], out=log_rhos[i + 1])
+                lr += log_rhos[i]
+                lr -= 0.5 * h * h * dt
+            # NaN fails the comparisons, so it is caught too
+            if not (xn.max() <= BLOWUP_THRESHOLD and -xn.min() <= BLOWUP_THRESHOLD):
+                bad = ~(np.abs(xn) <= BLOWUP_THRESHOLD).all(axis=1)
                 j = int(np.argmax(bad))
                 raise SimulationError(
                     f"state blow-up or non-finite value at step {i + 1}, path {lo + j}: "
-                    f"x = {xs[i + 1, j]}"
+                    f"x = {xn[j]}"
                 )
         if live.density:
             np.exp(log_rhos, out=log_rhos)
@@ -161,8 +184,46 @@ class CostReport:
     initial_bias: float = 0.0
 
 
+def _exact_sum(v: np.ndarray) -> float:
+    """``math.fsum(v)`` of a non-empty 1-d array, bit for bit: the correctly
+    rounded sum, by error-free extraction (Rump, Ogita & Oishi, "Accurate
+    floating-point summation part I", SIAM J. Sci. Comput. 31(1), 2008).
+
+    With n < 2**M values and max|r| < 2**e, sigma = 2**(e + M) splits r into
+    hi = (r + sigma) - sigma and r - hi, both exact, and hi sums exactly in
+    any order.  Each pass sums one such hi until r is zero, two or three on
+    a cost or gap array; fsum of those few partial sums is the exact total
+    correctly rounded.  Where sigma would not be finite (a non-finite value,
+    or e + M > 1023, where fsum itself may overflow) or a pass would split
+    below the subnormal unit, this is ``math.fsum(v)``.  An all-zero array
+    keeps fsum's sign rule: fsum of one -0.0 where every value is -0.0,
+    else 0.0.
+    """
+    M = v.shape[0].bit_length()
+    partials = []
+    r = v
+    # NaN propagates through max and min, and fails isfinite
+    while (top := max(r.max(), -r.min())) != 0.0:
+        if not math.isfinite(top):
+            return math.fsum(v)
+        e = math.frexp(top)[1] + M
+        if not -1021 <= e <= 1023:
+            return math.fsum(v)
+        sigma = math.ldexp(1.0, e)
+        hi = r + sigma
+        hi -= sigma
+        r = r - hi
+        partials.append(hi.sum())
+    if not partials:
+        return math.fsum(v[:1]) if np.signbit(v).all() else 0.0
+    return math.fsum(partials)
+
+
 def _mean(v: np.ndarray) -> float:
-    return math.fsum(v) / v.shape[0]
+    """Mean over paths, ``math.fsum(v) / n`` bit for bit: fsum's correctly
+    rounded sum, by error-free extraction, with ``math.fsum`` itself only in
+    ``_exact_sum``'s fallbacks."""
+    return _exact_sum(v) / v.shape[0]
 
 
 def _stderr(v: np.ndarray) -> float:

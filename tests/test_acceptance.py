@@ -44,7 +44,7 @@ from _instances import linear_bsde_instance
 MODULE_START = time.time()
 
 
-def report(criterion: int, passed: bool, detail: str) -> None:
+def report(criterion: int | str, passed: bool, detail: str) -> None:
     line = f"ACCEPTANCE {criterion} {'PASS' if passed else 'FAIL'}: {detail}"
     print(line)
     assert passed, line
@@ -405,7 +405,8 @@ def test_criterion_10_stability_constant(lq_spec):
 
 
 def test_suite_runtime_budget():
-    # runtime clause of the invariant-suite criterion
+    # runtime clause of the invariant-suite criterion, on a line of its own
+    # so that each of criteria 1 to 10 prints exactly one line
     elapsed = time.time() - MODULE_START
     ok = elapsed <= 300.0
-    report(9, ok, f"runtime clause: acceptance module took {elapsed:.0f}s (<= 300s)")
+    report("runtime", ok, f"runtime clause: acceptance module took {elapsed:.0f}s (<= 300s)")

@@ -1,10 +1,14 @@
 import dataclasses
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fbsde_nearopt import (
+    DescentParams,
     GridMismatchError,
     LQParams,
     SimulationError,
@@ -20,9 +24,11 @@ from fbsde_nearopt import (
     make_time_grid,
     sample_noise,
     simulate_forward,
+    smp_descent,
     solve_backward,
 )
-from fbsde_nearopt.forward_sim import BLOWUP_THRESHOLD
+from fbsde_nearopt import forward_sim, nearopt
+from fbsde_nearopt.forward_sim import BLOWUP_THRESHOLD, _exact_sum
 
 from _instances import constant_running_cost_instance, explosive_instance, pure_noise_instance
 
@@ -78,10 +84,13 @@ def test_blowup_detected():
         simulate_forward(spec, constant_control([0.0], grid, spec.control_set), noise)
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, 10.0 * BLOWUP_THRESHOLD])
+@pytest.mark.parametrize(
+    "bad", [np.nan, np.inf, -np.inf, 10.0 * BLOWUP_THRESHOLD, -10.0 * BLOWUP_THRESHOLD]
+)
 def test_blowup_guard_names_step_and_path(bad):
     # the drift puts one bad value into x[step] on one path; NaN fails a
-    # guard that tests only "> threshold"
+    # guard that tests only "> threshold", a negative one a guard that reads
+    # only the maximum
     step, path = 5, 3
     spec = pure_noise_instance(sigma=1.0)
     grid = make_time_grid(1.0, 8)
@@ -247,3 +256,108 @@ def test_sup_moments_stable_across_seeds(spec):
         for name, vals in series.items():
             assert np.all(np.isfinite(vals))
             assert max(vals) / min(vals) < 1.2, (order, name, vals)
+
+
+# ---------------------------------------------------------------------------
+# the exact path sum behind every Monte-Carlo mean
+
+
+def _fsum_outcome(total, v):
+    """The float bits of total(v), or the type of what it raised."""
+    try:
+        return struct.pack("<d", total(v))
+    except (ValueError, OverflowError) as exc:
+        return type(exc)
+
+
+def _assert_same_as_fsum(v):
+    assert _fsum_outcome(_exact_sum, v) == _fsum_outcome(math.fsum, v)
+
+
+@given(
+    n=st.integers(1, 5000),
+    seed=st.integers(0, 2**32 - 1),
+    centre=st.integers(-300, 300),
+    spread=st.integers(0, 300),
+    positive=st.booleans(),
+    cancel=st.booleans(),
+    zeros=st.floats(0.0, 1.0),
+    subnormal=st.floats(0.0, 1.0),
+    extra=st.lists(st.floats(), max_size=8),
+)
+@settings(max_examples=300, deadline=None)
+def test_exact_sum_is_fsum_bit_for_bit(
+    n, seed, centre, spread, positive, cancel, zeros, subnormal, extra
+):
+    # one sign makes the partial sums as wide as they get: n < 2**M is needed
+    rng = np.random.default_rng(seed)
+    exponents = np.clip(centre + rng.integers(-spread, spread + 1, n), -300, 300)
+    v = np.ldexp(rng.uniform(-2.0, 2.0, n), exponents)
+    if positive:
+        v = np.abs(v)
+    if cancel:
+        v = np.concatenate([v, -v[: rng.integers(1, n + 1)]])
+    v[rng.random(v.shape[0]) < subnormal / 4] *= 2.0**-1060
+    v[rng.random(v.shape[0]) < zeros / 2] = rng.choice([0.0, -0.0])
+    v = np.concatenate([v, extra])
+    _assert_same_as_fsum(rng.permutation(v))
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        [-0.0],
+        [-0.0] * 7,
+        [0.0, -0.0, -0.0],
+        [1.0, -1.0, -0.0],
+        [np.inf, 1.0],
+        [-np.inf, -np.inf],
+        [np.nan, 1.0],
+        [np.inf, -np.inf],
+        [1e308, 1e308, -1e308],
+        [2.0**1023 * 1.5, -(2.0**1023), 2.0**1022],
+        [2.0**1022, 2.0**1022 * 0.75, -(2.0**1021), 1.0],
+        [5e-324, -5e-324, 5e-324],
+        [2.0**-1022, 3e-320, 1.0],
+        [1.0, 2.0**-53, 2.0**-106],
+        list(1.0 + (np.arange(4096) % 7) * 2.0**-42),
+        list(2.0 - (1 + 2 * (np.arange(8191) % 5)) * 2.0**-40),
+    ],
+    ids=[
+        "minus_zero", "minus_zeros", "mixed_zeros", "cancel_to_zero", "inf", "minus_infs", "nan",
+        "inf_minus_inf", "intermediate_overflow", "near_max_overflow_free", "near_max",
+        "subnormal", "normal_and_subnormal", "rounds_up_past_a_tie", "sum_wider_than_53_bits",
+        "n_just_below_a_power_of_two",
+    ],
+)
+def test_exact_sum_edge_cases_are_fsum(values):
+    _assert_same_as_fsum(np.array(values))
+
+
+def test_exact_sum_reads_a_path_constant_array():
+    # the gamma(y0) array of a family with gamma == 0 is a stride-0 view of one zero
+    v = np.broadcast_to(np.zeros(1), (20_000,))
+    _assert_same_as_fsum(v)
+    _assert_same_as_fsum(np.broadcast_to(np.array([0.1]), (20_000,)))
+
+
+def test_solve_means_are_fsum_means_bit_for_bit(monkeypatch):
+    # every cost part and gap mean of a small lq_obs solve, against fsum's
+    seen = []
+    mean_of = forward_sim._mean
+
+    def recording_mean(v):
+        mean = mean_of(v)
+        seen.append((np.array(v), mean))
+        return mean
+
+    monkeypatch.setattr(forward_sim, "_mean", recording_mean)
+    monkeypatch.setattr(nearopt, "_mean", recording_mean)
+    spec = make_lq_observation_instance()
+    grid = make_time_grid(1.0, 8)
+    u0 = constant_control([0.0], grid, spec.control_set)
+    trace = smp_descent(spec, u0, DescentParams(max_iter=2, n_paths=2000, seed=3))
+    assert len(trace.rows) == 3
+    assert len(seen) >= 12
+    for v, mean in seen:
+        assert struct.pack("<d", mean) == struct.pack("<d", math.fsum(v) / v.shape[0])
