@@ -39,11 +39,15 @@ of them.
 
 Each reversed adjoint step's per-path work (h, l, the r update, the
 Hamiltonian partials, the p corrector and rho * H_u) runs on path shards
-(``paths``); the fits, the residual RMS and the gap's path mean and
-minimizer, the only reductions across paths, stay on the calling thread,
-so no output depends on the shard count, and a failure is the single
-sweep's (``paths._on_path_shards``).  The k sweep, which only the
-cost-through-y twins run, stays on the calling thread too.  While the
+(``paths``), and a failure is the single sweep's
+(``paths._on_path_shards``).  The fits, the residual RMS and the gap's
+path mean and minimizer, the only reductions across paths, run on the
+calling thread, except that while the sweep runs on more than one shard
+the pool computes the regression statistics of the step below while the
+calling thread fits the step above (``ConditionalExpectation.prefetching``).
+Each reduction still runs over all paths, on one thread, in one order,
+so no output depends on the shard count.  The k sweep, which only the
+cost-through-y twins run, stays on the calling thread.  While the
 reversed sweep runs on more than one shard, BLAS runs single-threaded
 (``paths._blas_for_shards`` says why).
 
@@ -54,8 +58,11 @@ whatever the spec.
 
 from __future__ import annotations
 
+import contextlib
+from concurrent.futures import Future
 from dataclasses import dataclass, field, replace
 from itertools import combinations_with_replacement
+from typing import Iterator
 
 import numpy as np
 
@@ -63,7 +70,7 @@ from . import hamiltonian as ham
 from .errors import FbsdeError, RegressionError
 from .forward_sim import ForwardTrajectories, _trajectory
 from .model import ControlProcess, LiveTerms, ProblemSpec, live_terms
-from .paths import _blas_for_shards, _on_path_shards
+from .paths import _blas_for_shards, _on_path_shards, _on_pool, _shard_count
 
 RIDGE = 1e-10
 MAX_CONDITION = 1e14
@@ -106,6 +113,11 @@ class _Operator:
             self._targets[width] = np.empty((self._n_paths, width), order="F")
         return self._targets[width]
 
+    def prefetching(self, on: bool) -> contextlib.AbstractContextManager:
+        """A reversed sweep's fits, with ``on`` where it runs on more than
+        one shard; this operator prepares nothing ahead."""
+        return contextlib.nullcontext()
+
 
 class ConditionalExpectation(_Operator):
     """E[. | x(t_i)] on one forward bundle's states ``(N + 1, P, d)``.
@@ -115,9 +127,11 @@ class ConditionalExpectation(_Operator):
     are computed on first use and kept.  The operator holds one column-major
     ``(P, B)`` design buffer, allocated at the first fit, so an operator
     that never fits holds none and refuses no path count; the design of the
-    step in use is written into it in place, column by column, and
-    rewritten when another step is asked for.  It also holds one
-    column-major target array per target width.
+    step in use is written into it in place, column by column.  Inside
+    ``prefetching`` it holds a second.  Each buffer records the step whose
+    design it holds, and a fit of a step that no buffer holds rewrites its
+    design in one.  It also holds one column-major target array per target
+    width.
     """
 
     def __init__(self, states: np.ndarray, basis: BasisSpec):
@@ -129,8 +143,11 @@ class ConditionalExpectation(_Operator):
         # each monomial after the constant is (its prefix's column) * (its last coordinate)
         self._factors = [(combos.index(c[:-1]), c[-1]) for c in combos[1:]]
         self._stats: dict[int, tuple] = {}
-        self._buffer: np.ndarray | None = None
-        self._held_step: int | None = None
+        self._designs: list[np.ndarray] = []
+        self._held: list[int | None] = []
+        self._ahead = False
+        # (step, buffer, future) of the statistics the shard pool is preparing
+        self._pending: tuple[int, int, Future] | None = None
 
     def _design(
         self, x: np.ndarray, mean: np.ndarray, scale: np.ndarray, out: np.ndarray
@@ -147,33 +164,108 @@ class ConditionalExpectation(_Operator):
             np.multiply(out[:, prefix], xc[coord], out=out[:, j])
         return out
 
-    def _statistics(self, i: int) -> tuple:
-        """Step i's (centre, scale, Gram matrix, condition number)."""
-        if self._buffer is None:
+    def _prepare(self, i: int, out: np.ndarray, kept: tuple | None = None) -> tuple:
+        """Step i's (centre, scale, Gram matrix, condition number), ``kept``
+        where they were computed before, with step i's design written into
+        ``out``.  It reads the states and writes ``out`` alone, so it runs on
+        the calling thread or on the shard pool."""
+        x = self.states[i]
+        if kept is not None:
+            self._design(x, kept[0], kept[1], out)
+            return kept
+        coords = x.T
+        mean = coords.mean(axis=1)
+        std = coords.std(axis=1)
+        scale = np.where(std > 1e-12, std, 1.0)
+        A = self._design(x, mean, scale, out)
+        gram = A.T @ A / x.shape[0] + RIDGE * np.eye(A.shape[1])
+        condition = float(np.linalg.cond(gram))
+        if not np.isfinite(condition) or condition > MAX_CONDITION:
+            raise RegressionError(
+                f"design rank-deficient beyond ridge rescue at step {i}, "
+                f"condition {condition:.3e}"
+            )
+        return mean, scale, gram, condition
+
+    def _free_buffer(self) -> int:
+        """A design buffer the shard pool is not writing, allocating the
+        first on first use."""
+        if not self._designs:
             n_paths, n_basis = self.states.shape[1], self._n_basis
             if n_paths < 10 * n_basis:
                 raise RegressionError(
                     f"need at least {10 * n_basis} paths for a basis of size {n_basis}, "
                     f"got {n_paths}"
                 )
-            self._buffer = np.empty((n_paths, n_basis), order="F")
+            self._designs.append(np.empty((n_paths, n_basis), order="F"))
+            self._held.append(None)
+        busy = None if self._pending is None else self._pending[1]
+        return 1 if busy == 0 else 0
+
+    def _statistics(self, i: int) -> tuple:
+        """Step i's (centre, scale, Gram matrix, condition number).
+
+        Statistics the shard pool prepared are taken here, where step i's
+        are first read, and so is the failure of preparing them.  Computed
+        here, they write step i's design into a buffer."""
+        if self._pending is not None and self._pending[0] == i:
+            step, buffer, future = self._pending
+            self._pending = None
+            self._stats[step] = future.result()
+            self._held[buffer] = step
         if i not in self._stats:
-            x = self.states[i]
-            coords = x.T
-            mean = coords.mean(axis=1)
-            std = coords.std(axis=1)
-            scale = np.where(std > 1e-12, std, 1.0)
-            A = self._design(x, mean, scale, self._buffer)
-            self._held_step = i
-            gram = A.T @ A / x.shape[0] + RIDGE * np.eye(A.shape[1])
-            condition = float(np.linalg.cond(gram))
-            if not np.isfinite(condition) or condition > MAX_CONDITION:
-                raise RegressionError(
-                    f"design rank-deficient beyond ridge rescue at step {i}, "
-                    f"condition {condition:.3e}"
-                )
-            self._stats[i] = (mean, scale, gram, condition)
+            buffer = self._free_buffer()
+            self._held[buffer] = i
+            self._stats[i] = self._prepare(i, self._designs[buffer])
         return self._stats[i]
+
+    def _holding(self, i: int) -> int:
+        """The buffer that holds step i's design, written first where none does."""
+        mean, scale, _, _ = self._statistics(i)
+        if i not in self._held:
+            buffer = self._free_buffer()
+            self._design(self.states[i], mean, scale, self._designs[buffer])
+            self._held[buffer] = i
+        return self._held.index(i)
+
+    @contextlib.contextmanager
+    def prefetching(self, on: bool) -> Iterator[None]:
+        """A reversed sweep's fits: steps are fitted from the last down, and
+        with ``on`` the shard pool prepares each step's statistics and
+        design while the step above is fitted.
+
+        At the first fit of step i, the pool starts ``_prepare`` of step
+        i - 1 into a second buffer, which exists only inside; its result,
+        or its failure, is taken where step i - 1's statistics are first
+        read (``_statistics``), as the serial sweep would meet it.  The
+        caller holds BLAS to one thread (``paths._blas_for_shards``), so a
+        product on the pool has the bits it has on the calling thread.  On
+        exit, also on a raise, an outstanding preparation is waited for and
+        dropped.  Only the calling thread may wait on one: the pool may have
+        a single thread, and a pool thread that waited would deadlock.
+        """
+        self._ahead = on
+        try:
+            yield
+        finally:
+            self._ahead = False
+            if self._pending is not None:
+                _, buffer, future = self._pending
+                self._pending = None
+                future.exception()  # waits; the outcome is dropped
+                self._held[buffer] = None
+            del self._designs[1:], self._held[1:]
+
+    def _prefetch_below(self, i: int) -> None:
+        """Start step i - 1's ``_prepare`` on the shard pool, into the buffer
+        that does not hold step i."""
+        if len(self._designs) == 1:
+            self._designs.append(np.empty_like(self._designs[0]))
+            self._held.append(None)
+        buffer = 1 - self._held.index(i)
+        self._held[buffer] = None
+        future = _on_pool(self._prepare, i - 1, self._designs[buffer], self._stats.get(i - 1))
+        self._pending = (i - 1, buffer, future)
 
     def fit(self, i: int, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Return (fitted values, coefficients) at step i; targets (P,) or (P, T).
@@ -181,11 +273,10 @@ class ConditionalExpectation(_Operator):
         The fitted values are column-major, so a view of one column is
         contiguous; the transposed product has the bits of ``A @ coef``.
         """
-        mean, scale, gram, _ = self._statistics(i)
-        A = self._buffer
-        if self._held_step != i:
-            self._design(self.states[i], mean, scale, A)
-            self._held_step = i
+        A = self._designs[self._holding(i)]
+        gram = self._stats[i][2]
+        if self._ahead and i > 0 and self._pending is None and i - 1 not in self._held:
+            self._prefetch_below(i)
         flat = targets.ndim == 1
         tg = targets[:, None] if flat else targets
         coef = np.linalg.solve(gram, A.T @ tg / A.shape[0])
@@ -515,8 +606,10 @@ def _adjoint_sweep(spec: ProblemSpec, bwd: BackwardTrajectories, live: LiveTerms
     as dY - h dt.  A bundle without backward values (``backward_bundle``) is
     read as zero y, z1 and z2 (``BackwardTrajectories.values``).
 
-    Each reversed step runs its r and p fits on the calling thread, then
-    its per-path work on path shards (``paths``): h and l, the r update, a
+    Each reversed step runs its r and p fits on the calling thread, while,
+    on more than one shard, the pool prepares the step below
+    (``ConditionalExpectation.prefetching``), then its per-path work on
+    path shards (``paths``): h and l, the r update, a
     ``ShiftedPartials`` on the shard's rows at its fixed k, q1 and q2, both
     passes of the p corrector, and rho_i * H_u written into the shard's
     rows of the step's weighted array; ``_GapFold`` then reads that array on
@@ -561,7 +654,7 @@ def _adjoint_sweep(spec: ProblemSpec, bwd: BackwardTrajectories, live: LiveTerms
     if r is not None:
         r[at(N)] = spec.terminal_Phi.value(fwd.x[N])
     R1_i = R2_i = None
-    with _blas_for_shards(P):
+    with _blas_for_shards(P), operator.prefetching(_shard_count(P) > 1):
         for i in reversed(range(N)):
             t = times[i]
             ui = u.values[i]

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import dataclasses
 import inspect
 import json
@@ -23,6 +24,7 @@ import numpy as np
 from .bsde import MAX_DEGREE, BasisSpec, backward_bundle
 from .errors import FbsdeError
 from .forward_sim import evaluate_cost_strong, simulate_forward
+from .hamiltonian import check_H_convexity
 from .model import (
     BUILTIN_FAMILIES,
     LQParams,
@@ -33,7 +35,12 @@ from .model import (
     live_terms,
     validate_problem,
 )
-from .nearopt import certify_necessary, certify_sufficient, estimate_order
+from .nearopt import (
+    _require_sufficient_structure,
+    certify_necessary,
+    certify_sufficient,
+    estimate_order,
+)
 from .optimizer import DescentParams, order_study, smp_descent
 from .oracle import enumerate_lattice, riccati_lq, riccati_open_loop_control
 from .paths import MAX_BINOMIAL_PATHS, enumerate_binomial, make_time_grid, sample_noise
@@ -239,10 +246,11 @@ def _write_json(payload: dict, cfg: RunConfig, name: str, command: str) -> None:
         handle.write("\n")
 
 
-def _oracle_epsilon(cfg: RunConfig, spec, bwd) -> float:
+def _oracle_epsilon(cfg: RunConfig, spec, bwd, reference=None) -> float:
     """The configured epsilon, or an upper confidence bound on J(control) - J*.
 
-    ``auto`` takes J(control) on the bundle ``bwd`` minus the Riccati value, plus
+    ``auto`` takes J(control) on the bundle ``bwd`` minus the Riccati value
+    (``reference``, solved here where not given), plus
     three standard errors of J, floored at 0.  A point estimate clamped at
     0 would shrink the gap threshold to -3 stderr whenever Monte-Carlo noise
     puts J below J*, and an optimal control would then fail its certificate.
@@ -254,8 +262,29 @@ def _oracle_epsilon(cfg: RunConfig, spec, bwd) -> float:
             "epsilon = auto needs the lq family oracle; set [certificate] epsilon explicitly"
         )
     cost = evaluate_cost_strong(spec, bwd)
-    sol = riccati_lq(cfg.lq_params())
+    sol = riccati_lq(cfg.lq_params()) if reference is None else reference
     return max(cost.value - sol.optimal_cost + 3.0 * cost.stderr, 0.0)
+
+
+def _noise_free_work(cfg: RunConfig, spec, noise, sufficient: bool) -> tuple:
+    """What a certify computes without its bundle: the Riccati reference of
+    ``epsilon = auto`` on ``lq`` and, with ``sufficient``, the convexity
+    report seeded from ``noise``'s seed, as ``certify_sufficient`` draws it.
+
+    Each is None where it does not apply, where the spec fails the
+    sufficient structure (no probe runs), or where computing it raises: the
+    certify then computes it in its usual place, after the forward and the
+    checks before it, and meets the failure there.
+    """
+    reference = report = None
+    if cfg.certificate_epsilon == "auto" and cfg.family == "lq":
+        with contextlib.suppress(Exception):
+            reference = riccati_lq(cfg.lq_params())
+    if sufficient:
+        with contextlib.suppress(Exception):
+            _require_sufficient_structure(spec)
+            report = check_H_convexity(spec, seed=noise.seed)
+    return reference, report
 
 
 def _initial_control(cfg: RunConfig, spec, grid):
@@ -323,11 +352,16 @@ def cmd_certify(cfg: RunConfig, control_path: str, sufficient: bool) -> int:
     control = control_from_csv(control_path, grid, spec.control_set)
 
     noise = sample_noise(grid, cfg.n_paths, cfg.seed)
+    live = live_terms(spec)
+    reference = report = None
+    if not (live.sigma2 or live.density):
+        # the pool draws dW meanwhile; a forward that reads dY draws it then instead
+        reference, report = _noise_free_work(cfg, spec, noise, sufficient)
     bwd = backward_bundle(spec, simulate_forward(spec, control, noise), cfg.basis())
-    epsilon = _oracle_epsilon(cfg, spec, bwd)
+    epsilon = _oracle_epsilon(cfg, spec, bwd, reference)
     if sufficient:
         certificate = certify_sufficient(
-            spec, bwd, epsilon, cfg.certificate_lambda, cfg.certificate_C
+            spec, bwd, epsilon, cfg.certificate_lambda, cfg.certificate_C, convexity=report
         )
     else:
         certificate = certify_necessary(spec, bwd, epsilon, cfg.certificate_C)

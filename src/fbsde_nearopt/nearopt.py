@@ -39,7 +39,7 @@ from .bsde import (
 )
 from .errors import FbsdeError, GridMismatchError, PreconditionError
 from .forward_sim import ForwardTrajectories, _mean, _stderr, evaluate_cost_strong, simulate_forward
-from .hamiltonian import check_H_convexity
+from .hamiltonian import ConvexityReport, check_H_convexity
 from .model import ControlProcess, ProblemSpec, live_terms
 from .paths import NoiseBundle
 
@@ -161,6 +161,8 @@ def certify_sufficient(
     epsilon: float,
     lambda_exp: float,
     C: float,
+    *,
+    convexity: ConvexityReport | None = None,
 ) -> Certificate:
     """Convexity plus gap condition under the control-free observation density.
 
@@ -170,14 +172,15 @@ def certify_sufficient(
     the control ``bwd`` was solved under, on its bundle; the convexity
     report is ``check_H_convexity`` at its default probe count, drawn from
     the bundle's noise seed, or from seed 0 for the unseeded binomial
-    bundle, so that every verdict is reproducible.
+    bundle, so that every verdict is reproducible.  A caller that computed
+    that report already passes it as ``convexity``.
     """
     _require_sufficient_structure(spec)
     if not (epsilon >= 0.0 and C > 0.0):
         raise FbsdeError("need epsilon >= 0 and C > 0")
     fwd = bwd.forward
     seed = 0 if fwd.noise.seed is None else fwd.noise.seed
-    report = check_H_convexity(spec, seed=seed)
+    report = check_H_convexity(spec, seed=seed) if convexity is None else convexity
     result = min_gap_over_A(solve_adjoint(spec, bwd))
     threshold = -C * epsilon**lambda_exp - 3.0 * result.stderr
 

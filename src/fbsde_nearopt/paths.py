@@ -15,11 +15,14 @@ Paths are independent, so the per-path sweeps (the forward Euler step, the
 per-path cost and the per-path work of each reversed adjoint step) run on
 contiguous path shards, one per core the process may use and at least
 ``MIN_SHARD_PATHS`` paths each, on a thread pool started on first use; the
-dW draw runs on the same pool while the reader draws dY.
-numpy releases the interpreter lock inside its loops, so these run at
-once.  Every path sees the same operations in the same order on any shard,
-and every reduction across paths (the fits, means and stderrs) stays on
-the calling thread, so no output depends on the core count.
+dW draw runs on the same pool while the reader draws dY, and so do the
+regression statistics a sharded adjoint prepares a step ahead
+(``bsde.ConditionalExpectation.prefetching``).  numpy releases the
+interpreter lock inside its loops, so these run at once.  Every path sees
+the same operations in the same order on any shard, and each reduction
+across paths (the fits and their statistics, means and stderrs) runs over
+all paths, on one thread, in one order, so no output depends on the core
+count.  Only the calling thread waits on pool work (``_on_pool``).
 
 A sweep that runs fits between its shard calls (the adjoint) holds BLAS to
 one thread while it runs on more than one shard (``_blas_for_shards``):
@@ -152,13 +155,23 @@ def _blas_for_shards(n_paths: int) -> contextlib.AbstractContextManager:
     return _POOL.single_threaded_blas() if _shard_count(n_paths) > 1 else contextlib.nullcontext()
 
 
+def _on_pool(fn: Callable, *args) -> Future:
+    """``fn(*args)`` on the shard pool, in a copy of the caller's context,
+    so numpy's floating-point error state (``np.errstate``) holds there.
+
+    Only the calling thread may wait on the future: the pool may have a
+    single thread, which a task waiting on another task would deadlock.
+    """
+    return _POOL.submit(contextvars.copy_context().run, fn, *args)
+
+
 def _on_path_shards(fn: Callable[[int, int], None], n_paths: int) -> None:
     """``fn(lo, hi)`` on each contiguous shard ``[lo, hi)`` of ``[0, n_paths)``.
 
     There are ``_shard_count(n_paths)`` shards.  The calling thread runs
-    the first and the pool the rest, each in a copy of the caller's
-    context, so numpy's floating-point error state (``np.errstate``) holds
-    on every shard.  Every shard finishes before this returns or raises.
+    the first and the pool the rest (``_on_pool``), so numpy's
+    floating-point error state holds on every shard.  Every shard finishes
+    before this returns or raises.
 
     If a shard raised, ``fn(0, n_paths)`` then runs on the calling thread,
     so the exception raised is the one the single sweep meets first; where
@@ -172,10 +185,7 @@ def _on_path_shards(fn: Callable[[int, int], None], n_paths: int) -> None:
     if count == 1:
         fn(0, n_paths)
         return
-    futures = [
-        _POOL.submit(contextvars.copy_context().run, fn, lo, hi)
-        for lo, hi in zip(bounds[1:-1], bounds[2:])
-    ]
+    futures = [_on_pool(fn, lo, hi) for lo, hi in zip(bounds[1:-1], bounds[2:])]
     try:
         fn(bounds[0], bounds[1])
         failures = []

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import tracemalloc
 
@@ -13,17 +14,20 @@ from fbsde_nearopt import (
     nearopt,
     optimizer,
     order_study,
+    paths,
     riccati_lq,
     riccati_open_loop_control,
     sample_noise,
     simulate_forward,
     solve_backward,
 )
+from fbsde_nearopt.errors import SimulationError
 from fbsde_nearopt.model import (
     BUILTIN_FAMILIES,
     control_from_csv,
     control_to_csv,
     live_terms,
+    make_lq_instance,
 )
 
 
@@ -237,6 +241,94 @@ def test_auto_epsilon_is_an_upper_confidence_bound(tmp_path):
     assert cost.value - sol.optimal_cost < 0.0
     assert cert["epsilon"] == max(cost.value - sol.optimal_cost + 3.0 * cost.stderr, 0.0)
     assert cert["epsilon"] > 0.0
+
+
+@pytest.mark.parametrize("sufficient", [False, True])
+@pytest.mark.parametrize("cores", [1, 2])
+def test_certify_with_auto_epsilon_writes_the_library_certificate(tmp_path, monkeypatch, sufficient, cores):
+    # on lq, certify solves the Riccati reference and draws the convexity
+    # report while dW is drawn; at two cores the adjoint prepares statistics ahead
+    monkeypatch.setattr(paths, "MIN_SHARD_PATHS", 1000)
+    monkeypatch.setattr(paths, "_worker_count", lambda: cores)
+    body = BASE.format(out=tmp_path / "out").replace("family = lq", "family = lq\ndim = 2")
+    cfg = write_config(tmp_path, body + "\n[certificate]\nepsilon = auto\n")
+    run = cli.load_config(cfg)
+    spec, grid, lq = run.instance(), run.grid(), run.lq_params()
+    u = riccati_open_loop_control(riccati_lq(lq), lq, grid, spec.control_set)
+    control = str(tmp_path / "u.csv")
+    control_to_csv(u, control)
+    flags = ["--sufficient"] if sufficient else []
+    assert cli.main(["--config", cfg, "certify", "--control", control, *flags]) == 0
+    payload = json.loads((tmp_path / "out" / "certificate.json").read_text())
+    payload.pop("meta")
+
+    # the library route: the bundle, its cost and the Riccati value, then a
+    # certificate that draws its own convexity report
+    bwd = bsde.backward_bundle(spec, simulate_forward(spec, u, sample_noise(grid, run.n_paths, run.seed)))
+    cost = evaluate_cost_strong(spec, bwd)
+    epsilon = max(cost.value - riccati_lq(lq).optimal_cost + 3.0 * cost.stderr, 0.0)
+    if sufficient:
+        cert = certify_sufficient(spec, bwd, epsilon, run.certificate_lambda, run.certificate_C)
+    else:
+        cert = certify_necessary(spec, bwd, epsilon, run.certificate_C)
+    assert json.loads(json.dumps(cert.to_dict())) == payload
+
+
+def _curved_phi(horizon: float = 1.0, a: float = 0.0):
+    """An lq instance, which reads no dY, with its linear phi not declared so."""
+    return dataclasses.replace(make_lq_instance(horizon=horizon, a=a), phi_linear=False, label="lq_curved")
+
+
+AUTO = "error: epsilon = auto needs the lq family oracle; set [certificate] epsilon explicitly"
+STRUCTURE = "error: sufficient condition needs a linear terminal map phi"
+
+
+@pytest.mark.parametrize(
+    "family, params, epsilon, sufficient, want",
+    [
+        ("scalar_nonlinear", "", "0.05", True,
+         "error: sufficient condition needs an observation drift free of state and control"),
+        ("double_well", "", "auto", False, AUTO),
+        ("double_well", "", "auto", True, AUTO),
+        ("lq_curved", "", "0.05", True, STRUCTURE),
+        ("lq_curved", "", "auto", True, AUTO),
+        # a forward blow-up is met first, also where a check after it would fail
+        ("lq", "a = 200.0", "auto", False, "blow-up"),
+        ("lq", "a = 200.0", "auto", True, "blow-up"),
+        ("lq_curved", "a = 200.0", "0.05", True, "blow-up"),
+        ("lq_curved", "a = 200.0", "auto", False, "blow-up"),
+    ],
+)
+def test_certify_failures_keep_their_exit_code_and_message(
+    tmp_path, monkeypatch, capsys, family, params, epsilon, sufficient, want
+):
+    monkeypatch.setitem(BUILTIN_FAMILIES, "lq_curved", _curved_phi)
+    probes = []
+
+    def counted(*args, _fn=nearopt.check_H_convexity, **kwargs):
+        probes.append(args)
+        return _fn(*args, **kwargs)
+
+    monkeypatch.setattr(nearopt, "check_H_convexity", counted)
+    monkeypatch.setattr(cli, "check_H_convexity", counted)
+    block = f"[instance]\nfamily = {family}\n{params}"
+    cfg = _base_config(tmp_path, extra=f"\n[certificate]\nepsilon = {epsilon}\n", family_block=block)
+    run = cli.load_config(cfg)
+    spec = run.instance()
+    u = constant_control(-0.4, run.grid(), spec.control_set)
+    control = str(tmp_path / "u.csv")
+    control_to_csv(u, control)
+    if want == "blow-up":
+        with pytest.raises(SimulationError) as raised:
+            simulate_forward(spec, u, sample_noise(run.grid(), run.n_paths, run.seed))
+        want = f"error: {raised.value}"
+    flags = ["--sufficient"] if sufficient else []
+    assert cli.main(["--config", cfg, "certify", "--control", control, *flags]) == 1
+    assert capsys.readouterr() == ("", want + "\n")
+    assert not (tmp_path / "out" / "certificate.json").exists()
+    if family == "lq_curved" and sufficient:
+        # a spec that fails the sufficient structure runs no probe
+        assert probes == []
 
 
 def test_certify_infeasible_control_exits_one(tmp_path):

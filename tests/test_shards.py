@@ -1,9 +1,11 @@
 """The per-path sweeps on path shards: no output depends on the shard count.
 
 The forward sweep, the cost and the adjoint's per-step work run on
-shards; the adjoint's fits and the gap's path means stay on the
-calling thread, with BLAS held to one thread while a sweep runs on more
-than one shard.
+shards; each reduction across paths runs over all paths, on one thread,
+in one order.  The adjoint's fits and the gap's path means run on the
+calling thread, and, on more than one shard, the pool computes the
+regression statistics of the step below while the step above fits, with
+BLAS held to one thread.
 
 The shard count is min(cores, paths // MIN_SHARD_PATHS); the tests set the
 core count and the shard floor to get one, two and three shards on a few
@@ -19,9 +21,16 @@ import pytest
 
 from _instances import cost_through_y_twin, pure_noise_instance
 from fbsde_nearopt import paths
+from fbsde_nearopt import bsde
 from fbsde_nearopt import hamiltonian as ham
-from fbsde_nearopt.bsde import adjoint_trajectories, backward_bundle, solve_adjoint
-from fbsde_nearopt.errors import FbsdeError, SimulationError
+from fbsde_nearopt.bsde import (
+    ConditionalExpectation,
+    adjoint_trajectories,
+    backward_bundle,
+    solve_adjoint,
+    solve_backward,
+)
+from fbsde_nearopt.errors import FbsdeError, RegressionError, SimulationError
 from fbsde_nearopt.forward_sim import evaluate_cost_strong, simulate_forward
 from fbsde_nearopt.model import (
     BUILTIN_FAMILIES,
@@ -258,11 +267,17 @@ def test_a_floating_point_error_state_holds_on_every_shard(shards):
 def test_more_shards_than_cores_under_frequent_thread_switches_give_the_same_bits(
     shards, monkeypatch
 ):
+    # the adjoint's statistics prepared ahead share the operator's buffers with the calling thread
     spec = SPECS["scalar_nonlinear"]
     grid = make_time_grid(spec.horizon, 6)
     n_paths = 8 * MIN_SHARD + 13
+
+    def outputs():
+        noise = sample_noise(grid, n_paths, seed=3)
+        return _outputs(spec, noise), _adjoints(spec, noise)
+
     shards(1)
-    want = _outputs(spec, sample_noise(grid, n_paths, seed=3))
+    want = outputs()
     shards(8)
     pool = paths._ShardPool()  # seven threads, whatever the core count
     monkeypatch.setattr(paths, "_POOL", pool)
@@ -271,7 +286,7 @@ def test_more_shards_than_cores_under_frequent_thread_switches_give_the_same_bit
     sys.setswitchinterval(1e-6)
     try:
         runner = threading.Thread(
-            target=lambda: got.extend(_outputs(spec, sample_noise(grid, n_paths, seed=3)) for _ in range(3))
+            target=lambda: got.extend(outputs() for _ in range(3))
         )
         runner.start()
         runner.join(timeout=120)
@@ -328,6 +343,53 @@ def test_the_adjoint_on_the_binomial_bundle_does_not_depend_on_the_shard_count(s
     assert runs[1] == runs[0] and runs[2] == runs[0]
 
 
+def test_a_sharded_adjoint_prepares_each_step_below_the_last_on_the_pool(shards, monkeypatch):
+    # the bit-for-bit cases above would pass without any preparation ahead
+    spec = SPECS["lq2"]
+    grid = make_time_grid(spec.horizon, 7)
+    u = constant_control(np.full(spec.dim_u, 0.2), grid, spec.control_set)
+    fwd = simulate_forward(spec, u, sample_noise(grid, 3 * MIN_SHARD + 7, seed=31))
+    seen = []
+    prepare = ConditionalExpectation._prepare
+
+    def recording(self, i, out, kept=None):
+        seen.append((i, threading.current_thread() is threading.main_thread(), kept is None))
+        return prepare(self, i, out, kept)
+
+    monkeypatch.setattr(ConditionalExpectation, "_prepare", recording)
+    for count in SHARD_COUNTS:
+        shards(count)
+        bwd = backward_bundle(spec, fwd)
+        seen.clear()
+        solve_adjoint(spec, bwd)
+        if count == 1:
+            assert seen == [(i, True, True) for i in reversed(range(7))]
+        else:
+            # the last step on the calling thread, every other one on the pool, each computed once
+            assert seen == [(6, True, True)] + [(i, False, True) for i in reversed(range(6))]
+        seen.clear()
+        # kept statistics: the pool writes the designs alone, and the last
+        # step's is rewritten on the calling thread outside ``_prepare``
+        adjoint_trajectories(spec, bwd)
+        assert seen == ([] if count == 1 else [(i, False, False) for i in reversed(range(6))])
+        # the second design buffer lives only inside the sharded sweep
+        assert len(bwd.operator._designs) == 1
+
+
+@pytest.mark.parametrize("name", ["scalar_nonlinear_twin", "lq_obs_twin", "lq_obs_twin_z"])
+def test_an_adjoint_after_the_backward_solve_on_one_operator_has_the_one_shard_bits(shards, name):
+    # the backward solve leaves every step's statistics kept and one design held
+    spec = SPECS[name]
+    grid = make_time_grid(spec.horizon, 7)
+    u = constant_control(np.full(spec.dim_u, 0.2), grid, spec.control_set)
+    runs = []
+    for count in SHARD_COUNTS:
+        shards(count)
+        bwd = solve_backward(spec, simulate_forward(spec, u, sample_noise(grid, 3 * MIN_SHARD + 7, seed=31)))
+        runs.append((_bits([bwd.y, bwd.z1, bwd.z2]), _bits(adjoint_trajectories(spec, bwd))))
+    assert runs[1] == runs[0] and runs[2] == runs[0]
+
+
 def _planted(spec, grid, hits):
     """A forward bundle of ``spec`` at 10 * MIN_SHARD paths, and a map that
     sets the rows of a ``(P, ...)`` array to inf where x is the state of a
@@ -376,6 +438,45 @@ def test_a_non_finite_H_x_names_the_step_of_the_single_sweep(shards, hits, want)
                 run(spec, bwd)
             messages.append(str(raised.value))
     assert messages == [f"non-finite Hamiltonian partial H_x at step {want}"] * len(messages)
+
+
+def test_a_failed_fit_names_the_step_of_the_single_sweep(shards, monkeypatch):
+    # a condition limit that one step below the last exceeds, and no step above it
+    base = SPECS["scalar_nonlinear"]
+    N = 8
+    grid = make_time_grid(base.horizon, N)
+    shards(1)
+    fwd, _ = _planted(base, grid, ())
+    operator = backward_bundle(base, fwd).operator
+    conditions = [operator.condition(i) for i in range(N)]
+    above = [max(conditions[i + 1:]) for i in range(N - 1)]
+    want = next(i for i in reversed(range(N - 1)) if conditions[i] > above[i])
+    monkeypatch.setattr(bsde, "MAX_CONDITION", (conditions[want] + above[want]) / 2)
+    messages = []
+    for count in SHARD_COUNTS:
+        shards(count)
+        bwd = backward_bundle(base, fwd)
+        for run in (solve_adjoint, adjoint_trajectories):
+            with pytest.raises(RegressionError) as raised:
+                run(base, bwd)
+            messages.append(str(raised.value))
+    assert f"at step {want}," in messages[0]
+    assert messages == [messages[0]] * len(messages)
+
+    # a non-finite H_x at the step above is met first, while that step's
+    # statistics are prepared on the pool
+    shards(1)
+    _, plant = _planted(base, grid, [(want + 1, 9 * MIN_SHARD + 1)])
+    l_x = base.running_l.dx
+    spec = dataclasses.replace(base, running_l=dataclasses.replace(
+        base.running_l, dx=lambda t, x, y, z1, z2, u: plant(t, x, l_x(t, x, y, z1, z2, u))
+    ))
+    for count in SHARD_COUNTS:
+        shards(count)
+        bwd = backward_bundle(spec, fwd)
+        for run in (solve_adjoint, adjoint_trajectories):
+            with pytest.raises(FbsdeError, match=f"^non-finite Hamiltonian partial H_x at step {want + 1}$"):
+                run(spec, bwd)
 
 
 @pytest.mark.parametrize(
