@@ -11,12 +11,10 @@ once in each checkout, each in a fresh process, the parent first in even
 pairs and the change first in odd ones.  The file holds each side's
 provenance line (from its first run), every run's end-to-end metrics and,
 per metric, both medians, the parent's interquartile range and the number
-of pairs the change won.  It also holds TRACED_RUNS traced runs (``--trace
-1``, seed TRACE_SEED) per workload and checkout, alternating the
-checkouts, with every run's per-layer metrics and each side's median per
-metric, and the wall time and peak RSS of each CLI command on each
-``configs/*.ini``, one child process per command.  At the end it prints
-the per-layer medians of each workload side by side.
+of pairs the change won.  It also holds one traced run (``--trace 1``, seed
+TRACE_SEED) per workload and checkout with its per-layer metrics, and the
+wall time and peak RSS of each CLI command on each ``configs/*.ini``, one
+child process per command.
 """
 
 from __future__ import annotations
@@ -35,8 +33,6 @@ END_TO_END = ("op_s.p50", "peak_rss_mb", "setup_s")
 PAIRS = 10
 FIRST_SEED = 100
 TRACE_SEED = 7
-# one traced run spreads too widely to resolve a per-layer move under about a third
-TRACED_RUNS = 5
 RUN_TIMEOUT_S = 1800
 CLI = "import sys; from fbsde_nearopt.cli import main; sys.exit(main(sys.argv[1:]))"
 
@@ -98,33 +94,6 @@ def ab_pairs(args, workload: str, seconds: float, provenance: dict) -> dict:
     return {"pairs": pairs, "summary": summarize(pairs)}
 
 
-def traced(args, workload: str, seconds: float) -> dict:
-    """TRACED_RUNS traced runs per checkout, the parent first in even rounds
-    and the change first in odd ones: every run's per-layer metrics, and
-    per metric each side's median."""
-    runs: dict = {"parent": [], "change": []}
-    for i in range(TRACED_RUNS):
-        for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
-            runs[side].append(perfbench(getattr(args, side), workload, TRACE_SEED, seconds, 1)["metrics"])
-    medians = {
-        side: {metric: statistics.median(run[metric] for run in side_runs) for metric in side_runs[0]}
-        for side, side_runs in runs.items()
-    }
-    return {"runs": runs, "median": medians}
-
-
-def layer_table(report: dict) -> str:
-    """Each workload's per-layer medians, parent against change."""
-    lines = []
-    for workload, entry in report["traced"].items():
-        parent, change = entry["median"]["parent"], entry["median"]["change"]
-        lines.append(f"{workload} (median of {TRACED_RUNS} traced runs per side)")
-        for metric in parent:
-            ratio = change[metric] / parent[metric] if parent[metric] else float("nan")
-            lines.append(f"  {metric:40s} {parent[metric]:14.6g} {change[metric]:14.6g} {ratio:8.3f}")
-    return "\n".join(lines)
-
-
 def command_table(checkout: str) -> list[dict]:
     """Wall time and peak RSS of each CLI command on each committed config."""
     rows = []
@@ -168,16 +137,18 @@ def main(argv=None) -> int:
     sides = ("parent", "change")
     provenance: dict = {}
     report = {
-        "settings": {"pairs": PAIRS, "seconds": seconds, "first_seed": FIRST_SEED, "traced_runs": TRACED_RUNS},
+        "settings": {"pairs": PAIRS, "seconds": seconds, "first_seed": FIRST_SEED},
         "provenance": provenance,
         "workloads": {w: ab_pairs(args, w, seconds, provenance) for w in workloads},
-        "traced": {w: traced(args, w, seconds) for w in workloads},
+        "traced": {
+            w: {side: perfbench(getattr(args, side), w, TRACE_SEED, seconds, 1)["metrics"] for side in sides}
+            for w in workloads
+        },
         "commands": {side: command_table(getattr(args, side)) for side in sides},
     }
     with open(args.out, "w") as handle:
         json.dump(report, handle, indent=1, sort_keys=True)
         handle.write("\n")
-    print(layer_table(report), flush=True)
     return 0
 
 

@@ -127,11 +127,10 @@ class ConditionalExpectation(_Operator):
     are computed on first use and kept.  The operator holds one column-major
     ``(P, B)`` design buffer, allocated at the first fit, so an operator
     that never fits holds none and refuses no path count; the design of the
-    step in use is written into it in place, column by column.  Inside
-    ``prefetching`` it holds a second.  Each buffer records the step whose
-    design it holds, and a fit of a step that no buffer holds rewrites its
-    design in one.  It also holds one column-major target array per target
-    width.
+    step in use is written into it in place, column by column, and
+    rewritten when another step is asked for.  Inside ``prefetching`` it
+    holds a second, which the shard pool prepares the step below in.  It
+    also holds one column-major target array per target width.
     """
 
     def __init__(self, states: np.ndarray, basis: BasisSpec):
@@ -143,11 +142,12 @@ class ConditionalExpectation(_Operator):
         # each monomial after the constant is (its prefix's column) * (its last coordinate)
         self._factors = [(combos.index(c[:-1]), c[-1]) for c in combos[1:]]
         self._stats: dict[int, tuple] = {}
-        self._designs: list[np.ndarray] = []
-        self._held: list[int | None] = []
-        self._ahead = False
-        # (step, buffer, future) of the statistics the shard pool is preparing
-        self._pending: tuple[int, int, Future] | None = None
+        self._buffer: np.ndarray | None = None
+        self._held_step: int | None = None
+        # inside ``prefetching``: the second buffer, and the step the shard
+        # pool is preparing in it with its future
+        self._spare: np.ndarray | None = None
+        self._pending: tuple[int, Future] | None = None
 
     def _design(
         self, x: np.ndarray, mean: np.ndarray, scale: np.ndarray, out: np.ndarray
@@ -187,46 +187,31 @@ class ConditionalExpectation(_Operator):
             )
         return mean, scale, gram, condition
 
-    def _free_buffer(self) -> int:
-        """A design buffer the shard pool is not writing, allocating the
-        first on first use."""
-        if not self._designs:
+    def _statistics(self, i: int) -> tuple:
+        """Step i's (centre, scale, Gram matrix, condition number).
+
+        Statistics the shard pool prepared are taken here, where step i's
+        are first read, and so is the failure of preparing them; the spare
+        buffer they were prepared in becomes the one in use.  Computed here,
+        they write step i's design into the buffer in use."""
+        if self._pending is not None and self._pending[0] == i:
+            future = self._pending[1]
+            self._pending = None
+            self._stats[i] = future.result()
+            self._buffer, self._spare = self._spare, self._buffer
+            self._held_step = i
+        if self._buffer is None:
             n_paths, n_basis = self.states.shape[1], self._n_basis
             if n_paths < 10 * n_basis:
                 raise RegressionError(
                     f"need at least {10 * n_basis} paths for a basis of size {n_basis}, "
                     f"got {n_paths}"
                 )
-            self._designs.append(np.empty((n_paths, n_basis), order="F"))
-            self._held.append(None)
-        busy = None if self._pending is None else self._pending[1]
-        return 1 if busy == 0 else 0
-
-    def _statistics(self, i: int) -> tuple:
-        """Step i's (centre, scale, Gram matrix, condition number).
-
-        Statistics the shard pool prepared are taken here, where step i's
-        are first read, and so is the failure of preparing them.  Computed
-        here, they write step i's design into a buffer."""
-        if self._pending is not None and self._pending[0] == i:
-            step, buffer, future = self._pending
-            self._pending = None
-            self._stats[step] = future.result()
-            self._held[buffer] = step
+            self._buffer = np.empty((n_paths, n_basis), order="F")
         if i not in self._stats:
-            buffer = self._free_buffer()
-            self._held[buffer] = i
-            self._stats[i] = self._prepare(i, self._designs[buffer])
+            self._held_step = i
+            self._stats[i] = self._prepare(i, self._buffer)
         return self._stats[i]
-
-    def _holding(self, i: int) -> int:
-        """The buffer that holds step i's design, written first where none does."""
-        mean, scale, _, _ = self._statistics(i)
-        if i not in self._held:
-            buffer = self._free_buffer()
-            self._design(self.states[i], mean, scale, self._designs[buffer])
-            self._held[buffer] = i
-        return self._held.index(i)
 
     @contextlib.contextmanager
     def prefetching(self, on: bool) -> Iterator[None]:
@@ -234,38 +219,26 @@ class ConditionalExpectation(_Operator):
         with ``on`` the shard pool prepares each step's statistics and
         design while the step above is fitted.
 
-        At the first fit of step i, the pool starts ``_prepare`` of step
-        i - 1 into a second buffer, which exists only inside; its result,
-        or its failure, is taken where step i - 1's statistics are first
-        read (``_statistics``), as the serial sweep would meet it.  The
-        caller holds BLAS to one thread (``paths._blas_for_shards``), so a
-        product on the pool has the bits it has on the calling thread.  On
-        exit, also on a raise, an outstanding preparation is waited for and
-        dropped.  Only the calling thread may wait on one: the pool may have
-        a single thread, and a pool thread that waited would deadlock.
+        Inside, with ``on``, the operator holds a spare design buffer.  At
+        the first fit of step i, the pool starts ``_prepare`` of step i - 1
+        into it; its result, or its failure, is taken where step i - 1's
+        statistics are first read (``_statistics``), as the serial sweep
+        would meet it.  The caller holds BLAS to one thread
+        (``paths._blas_for_shards``), so a product on the pool has the bits
+        it has on the calling thread.  On exit, also on a raise, an
+        outstanding preparation is waited for and dropped, and so is the
+        spare buffer.  Only the calling thread may wait on one: the pool may
+        have a single thread, and a pool thread that waited would deadlock.
         """
-        self._ahead = on
+        if on:
+            self._spare = np.empty((self.states.shape[1], self._n_basis), order="F")
         try:
             yield
         finally:
-            self._ahead = False
             if self._pending is not None:
-                _, buffer, future = self._pending
+                self._pending[1].exception()  # waits; the outcome is dropped
                 self._pending = None
-                future.exception()  # waits; the outcome is dropped
-                self._held[buffer] = None
-            del self._designs[1:], self._held[1:]
-
-    def _prefetch_below(self, i: int) -> None:
-        """Start step i - 1's ``_prepare`` on the shard pool, into the buffer
-        that does not hold step i."""
-        if len(self._designs) == 1:
-            self._designs.append(np.empty_like(self._designs[0]))
-            self._held.append(None)
-        buffer = 1 - self._held.index(i)
-        self._held[buffer] = None
-        future = _on_pool(self._prepare, i - 1, self._designs[buffer], self._stats.get(i - 1))
-        self._pending = (i - 1, buffer, future)
+            self._spare = None
 
     def fit(self, i: int, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Return (fitted values, coefficients) at step i; targets (P,) or (P, T).
@@ -273,10 +246,14 @@ class ConditionalExpectation(_Operator):
         The fitted values are column-major, so a view of one column is
         contiguous; the transposed product has the bits of ``A @ coef``.
         """
-        A = self._designs[self._holding(i)]
-        gram = self._stats[i][2]
-        if self._ahead and i > 0 and self._pending is None and i - 1 not in self._held:
-            self._prefetch_below(i)
+        mean, scale, gram, _ = self._statistics(i)
+        A = self._buffer
+        if self._held_step != i:
+            self._design(self.states[i], mean, scale, A)
+            self._held_step = i
+        if self._spare is not None and i > 0 and self._pending is None:
+            future = _on_pool(self._prepare, i - 1, self._spare, self._stats.get(i - 1))
+            self._pending = (i - 1, future)
         flat = targets.ndim == 1
         tg = targets[:, None] if flat else targets
         coef = np.linalg.solve(gram, A.T @ tg / A.shape[0])

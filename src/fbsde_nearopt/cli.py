@@ -352,11 +352,8 @@ def cmd_certify(cfg: RunConfig, control_path: str, sufficient: bool) -> int:
     control = control_from_csv(control_path, grid, spec.control_set)
 
     noise = sample_noise(grid, cfg.n_paths, cfg.seed)
-    live = live_terms(spec)
-    reference = report = None
-    if not (live.sigma2 or live.density):
-        # the pool draws dW meanwhile; a forward that reads dY draws it then instead
-        reference, report = _noise_free_work(cfg, spec, noise, sufficient)
+    # the pool draws dW meanwhile
+    reference, report = _noise_free_work(cfg, spec, noise, sufficient)
     bwd = backward_bundle(spec, simulate_forward(spec, control, noise), cfg.basis())
     epsilon = _oracle_epsilon(cfg, spec, bwd, reference)
     if sufficient:

@@ -8,10 +8,9 @@ before dW, so the two streams are drawn at once.  The Euler sweep and the
 per-path cost run on path shards (``paths``), each shard over every step
 on its own rows; the reductions across paths stay on the calling thread.
 The step writes x[i+1] and log rho[i+1] in place, and a coefficient output
-that is the same on every path (sigma1, and the drift b u of an lq
-instance with a = 0) enters it as one row, so sigma2 * h and h^2 dt / 2
-are computed once per step where they are path-constant; every element
-sees the operations of the full-width step, in its order.
+that is the same on every path enters it as one row, so sigma2 * h and
+h^2 dt / 2 are computed once per step where they are path-constant; every
+element sees the operations of the full-width step, in its order.
 
 Every Monte-Carlo mean over paths (the cost parts here, the gap and the
 cost-difference representation in ``nearopt``) is ``_mean``: fsum's
@@ -132,7 +131,7 @@ def simulate_forward(
             t = times[i]
             xi, xn = xs[i], xs[i + 1]
             ui = u.values[i]
-            b = _one_row(spec.drift_b.value(t, xi, ui))
+            b = spec.drift_b.value(t, xi, ui)
             s1 = _one_row(spec.diffusion_sigma1.value(t, xi, ui))
             if dY is not None:
                 h = _one_row(spec.observation_h.value(t, xi, ui))

@@ -656,13 +656,8 @@ def make_lq_instance(params: LQParams | None = None, **overrides) -> ProblemSpec
     a, b_coef, sigma = arr["a"], arr["b_coef"], arr["sigma"]
     q, r, g = arr["q"], arr["r"], arr["g"]
 
-    if a.any():
-        def b_val(t, x, u):
-            return a * x + b_coef * np.atleast_1d(u)[None, :]
-    else:
-        # b u alone, the same on every path, which the Euler step folds to one row
-        def b_val(t, x, u):
-            return b_coef * np.atleast_1d(u)
+    def b_val(t, x, u):
+        return a * x + b_coef * np.atleast_1d(u)[None, :]
 
     drift = Coefficient(
         value=b_val, dx=lambda t, x, u: np.diag(a), du=lambda t, x, u: np.diag(b_coef)

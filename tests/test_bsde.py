@@ -145,7 +145,7 @@ def test_held_design_equals_column_stack_reference(dim, degree):
     operator = ConditionalExpectation(states, BasisSpec(degree=degree))
     for i in (1, 0):
         operator.fit(i, rng.normal(size=400))
-        held = operator._designs[0]
+        held = operator._buffer
         assert held.flags.f_contiguous
         assert np.array_equal(held, _column_stack_design(operator, i, states[i]))
     # evaluating at other states leaves the held design as it was
@@ -154,7 +154,7 @@ def test_held_design_equals_column_stack_reference(dim, degree):
     values = operator.evaluate(0, other, coef)
     expected = _column_stack_design(operator, 0, other) @ coef
     assert np.max(np.abs(values - expected)) <= 1e-12 * np.max(np.abs(expected))
-    assert operator._designs[0] is held
+    assert operator._buffer is held
     assert np.array_equal(held, _column_stack_design(operator, 0, states[0]))
 
 
@@ -214,7 +214,7 @@ def test_one_design_and_one_target_buffer_serve_a_whole_backward_solve(monkeypat
     def recording_fit(self, i, targets):
         result = fit(self, i, targets)
         # holding each target keeps a per-step array from reusing a freed address
-        seen.append((i, self._designs[0].ctypes.data, targets))
+        seen.append((i, self._buffer.ctypes.data, targets))
         return result
 
     monkeypatch.setattr(ConditionalExpectation, "fit", recording_fit)

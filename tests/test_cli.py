@@ -274,6 +274,29 @@ def test_certify_with_auto_epsilon_writes_the_library_certificate(tmp_path, monk
     assert json.loads(json.dumps(cert.to_dict())) == payload
 
 
+@pytest.mark.parametrize("cores", [1, 2])
+def test_certify_sufficient_reading_dy_writes_the_library_certificate(tmp_path, monkeypatch, cores):
+    # lq_obs reads dY: certify draws the convexity report before the forward draws dY
+    monkeypatch.setattr(paths, "MIN_SHARD_PATHS", 1000)
+    monkeypatch.setattr(paths, "_worker_count", lambda: cores)
+    cfg = _base_config(
+        tmp_path, extra="\n[certificate]\nepsilon = 0.05\n", family_block="[instance]\nfamily = lq_obs"
+    )
+    run = cli.load_config(cfg)
+    spec, grid = run.instance(), run.grid()
+    assert live_terms(spec).sigma2 and live_terms(spec).density
+    u = constant_control(0.2, grid, spec.control_set)
+    control = str(tmp_path / "u.csv")
+    control_to_csv(u, control)
+    assert cli.main(["--config", cfg, "certify", "--control", control, "--sufficient"]) == 0
+    payload = json.loads((tmp_path / "out" / "certificate.json").read_text())
+    payload.pop("meta")
+
+    bwd = bsde.backward_bundle(spec, simulate_forward(spec, u, sample_noise(grid, run.n_paths, run.seed)))
+    cert = certify_sufficient(spec, bwd, 0.05, run.certificate_lambda, run.certificate_C)
+    assert json.loads(json.dumps(cert.to_dict())) == payload
+
+
 def _curved_phi(horizon: float = 1.0, a: float = 0.0):
     """An lq instance, which reads no dY, with its linear phi not declared so."""
     return dataclasses.replace(make_lq_instance(horizon=horizon, a=a), phi_linear=False, label="lq_curved")
